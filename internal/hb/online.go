@@ -33,16 +33,35 @@ import (
 // Every offline pair is screened online when its later access executes,
 // so "no race found online" and "no race found offline" coincide.
 //
-// Per-thread vector clocks (internal/vclock) are carried alongside the
-// intervals: each region ticks its thread's clock, and a spawn joins the
-// parent's clock into the child. Happens-before implies non-overlap, so
-// the clock comparison is a sound prune that skips the window scan for
-// ordered pairs (counted on detect.online.hb_pruned); it can never flip
-// the verdict.
+// Epochs, after FastTrack (Flanagan & Freund, PLDI 2009). Each thread
+// keeps one vector clock (internal/vclock), ticked at its own sequencers
+// and joined from the parent's at spawn. A region carries only its epoch
+// — its thread and that thread's own clock component when it opened —
+// and its [start, end) interval. A screened pair is pruned when the
+// stored region's epoch is covered by the current thread's clock
+// (rec.clock <= curVC[rec.tid]), a constant-time test counted on
+// detect.online.hb_pruned. Happens-before implies the regions do not
+// overlap, so the prune is sound and the interval test above still
+// decides every verdict.
 //
-// A watermark sweep keeps the window bounded: once every closed region's
+// Newest-region records. The window holds one record per (address,
+// thread, pc, kind), moved in place to the newest region in which the
+// thread made that access. A thread's newer region follows its older one
+// in program order and ends later, so any access that overlaps the older
+// region overlaps the newer one too, with the same site pair: keeping
+// only the newest loses no race and leaves the set of site pairs found at
+// each access unchanged. Within one access, pairs are found in the
+// window's record order, which is deterministic.
+//
+// The window is laid out in pages of per-word record lists, like
+// machine.Memory, so an access writes the page map only when it touches
+// a new page. A watermark sweep keeps it bounded: a closed region whose
 // end falls at or below the minimum open-region start across live
-// threads, no future access can overlap it and its records are evicted.
+// threads can overlap no future access, and its records are evicted,
+// along with pages left empty. The watermark never falls, and every
+// region that closes after a sweep ends above it, so the sweep,
+// considered every sweepEvery sequencers, runs only when the watermark
+// has moved since the previous one.
 type Online struct {
 	prog  *isa.Program
 	table *siteTable
@@ -51,53 +70,65 @@ type Online struct {
 	stopOnRace bool
 	stop       bool
 
-	threads map[int]*onlineThread
-	window  map[uint64][]onlineRec // addr -> live access records
+	threads []onlineThread         // indexed by tid
+	regions []onlineRegion         // every region opened so far (one per sequencer), by region id
+	window  map[uint64]*windowPage // page number -> per-word record lists
 	recs    int                    // total records across the window
 
-	// pendingSpawn links a spawn edge: ThreadStarted(child, startTS)
-	// arrives before the parent's Sequencer with ts == startTS, so the
-	// child parks here until the parent's clock is known.
-	pendingSpawn map[uint64]*onlineThread
+	// spawned links a spawn edge: ThreadStarted(child, startTS) arrives
+	// inside the parent's spawn instruction, before the parent's
+	// Sequencer with ts == startTS, so the child waits here (-1: none)
+	// until the parent's clock is known.
+	spawned int
 
 	races      map[SitePair]struct{}
 	raceOrder  []SitePair
 	pcSeen     []bool // data-access PCs observed (atomic included)
 	pcCount    int
 	seqs       uint64 // sequencer events, drives the eviction sweep
+	watermark  uint64 // watermark of the last sweep
 	checked    uint64 // candidate pairs screened
-	hbPruned   uint64 // pairs skipped because vector clocks ordered them
+	hbPruned   uint64 // pairs skipped because the epoch test ordered them
 	evicted    uint64 // records reclaimed by watermark sweeps
 	sweeps     uint64
 	windowPeak int
 }
 
 // onlineRegion is one sequencing region: the half-open timestamp interval
-// a thread executes between two of its sequencers. vc is the thread's
-// vector clock for this region; it is mutated in place only between a
-// child's ThreadStarted and its parent's spawn sequencer, before the
-// child can execute an access.
+// [start, end) a thread executes between two of its sequencers, and its
+// epoch: the thread and the thread's own clock component in the region.
 type onlineRegion struct {
 	tid   int
+	clock uint64
 	start uint64
 	end   uint64 // 0 while the region is open
-	vc    vclock.VC
 }
 
-// onlineRec is one access record in the window: the oldest-region access
-// of its (address, region, write-ness, pc) class. Later identical
-// accesses in the same region are deduplicated away.
+// onlineRec is one access record in the window: thread tid accessed the
+// record's address at pc, most recently in region.
 type onlineRec struct {
-	reg     *onlineRegion
+	region  int // index into Online.regions
 	pc      int
+	tid     int32
 	isWrite bool
 }
 
 type onlineThread struct {
-	tid   int
-	cur   *onlineRegion
-	ended bool
+	started bool
+	ended   bool
+	region  int       // current region id
+	start   uint64    // current region's start
+	vc      vclock.VC // vc[tid] is the current region's epoch clock
 }
+
+const (
+	windowPageShift = 6
+	windowPageWords = 1 << windowPageShift
+	windowPageMask  = windowPageWords - 1
+)
+
+// windowPage holds the records of windowPageWords consecutive addresses.
+type windowPage [windowPageWords][]onlineRec
 
 // sweepEvery is the eviction cadence in sequencer events. Sweeps are
 // driven by event counts, never wall time, so runs remain deterministic.
@@ -112,58 +143,74 @@ const maxOnlineRaces = 1024
 // which a machine polls at quantum boundaries (machine.Stopper).
 func NewOnline(prog *isa.Program, reg *obs.Registry, stopOnRace bool) *Online {
 	return &Online{
-		prog:         prog,
-		table:        sitesFor(prog),
-		reg:          reg,
-		stopOnRace:   stopOnRace,
-		threads:      make(map[int]*onlineThread),
-		window:       make(map[uint64][]onlineRec),
-		pendingSpawn: make(map[uint64]*onlineThread),
-		races:        make(map[SitePair]struct{}),
-		pcSeen:       make([]bool, len(prog.Code)),
+		prog:       prog,
+		table:      sitesFor(prog),
+		reg:        reg,
+		stopOnRace: stopOnRace,
+		window:     make(map[uint64]*windowPage),
+		spawned:    -1,
+		races:      make(map[SitePair]struct{}),
+		pcSeen:     make([]bool, len(prog.Code)),
 	}
+}
+
+// thread returns tid's state, or nil for a thread never started.
+func (o *Online) thread(tid int) *onlineThread {
+	if tid < 0 || tid >= len(o.threads) || !o.threads[tid].started {
+		return nil
+	}
+	return &o.threads[tid]
+}
+
+// openRegion starts th's next region at ts, with th's current clock.
+func (o *Online) openRegion(th *onlineThread, tid int, ts uint64) {
+	th.region = len(o.regions)
+	th.start = ts
+	o.regions = append(o.regions, onlineRegion{tid: tid, clock: th.vc[tid], start: ts})
 }
 
 // ThreadStarted implements machine.Observer. The child's first region
 // opens at the spawn timestamp; its clock is completed when the parent's
 // spawn sequencer (same timestamp) fires, before the child can run.
 func (o *Online) ThreadStarted(t *machine.Thread, startTS uint64) {
-	th := &onlineThread{tid: t.ID}
-	vc := vclock.New(t.ID + 1).Tick(t.ID)
-	th.cur = &onlineRegion{tid: t.ID, start: startTS, vc: vc}
-	o.threads[t.ID] = th
+	for len(o.threads) <= t.ID {
+		o.threads = append(o.threads, onlineThread{})
+	}
+	th := &o.threads[t.ID]
+	*th = onlineThread{started: true, vc: vclock.New(t.ID + 1).Tick(t.ID)}
+	o.openRegion(th, t.ID, startTS)
 	if startTS > 0 {
-		o.pendingSpawn[startTS] = th
+		o.spawned = t.ID
 	}
 }
 
 // ThreadEnded implements machine.Observer.
 func (o *Online) ThreadEnded(t *machine.Thread, endTS uint64) {
-	th := o.threads[t.ID]
+	th := o.thread(t.ID)
 	if th == nil || th.ended {
 		return
 	}
-	th.cur.end = endTS
+	o.regions[th.region].end = endTS
 	th.ended = true
 }
 
 // Sequencer implements machine.Observer: it closes the current region and
-// opens the next. A spawn sequencer additionally completes the parked
-// child's clock with the parent's — taken *before* the parent ticks for
-// its next region, so the parent's post-spawn regions stay concurrent
-// with the child while everything up to the spawn happens-before it.
+// opens the next. A spawn sequencer additionally joins the parent's clock
+// into the waiting child's — taken *before* the parent ticks for its next
+// region, so the parent's post-spawn regions stay concurrent with the
+// child while everything up to the spawn happens-before it.
 func (o *Online) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum int64) {
-	th := o.threads[tid]
+	th := o.thread(tid)
 	if th == nil || th.ended {
 		return
 	}
-	th.cur.end = ts
-	if child, ok := o.pendingSpawn[ts]; ok && child.tid != tid {
-		child.cur.vc = child.cur.vc.Join(th.cur.vc)
-		delete(o.pendingSpawn, ts)
+	o.regions[th.region].end = ts
+	if c := o.spawned; c >= 0 && c != tid && o.threads[c].start == ts {
+		o.threads[c].vc = o.threads[c].vc.Join(th.vc)
+		o.spawned = -1
 	}
-	vc := th.cur.vc.Clone().Tick(tid)
-	th.cur = &onlineRegion{tid: tid, start: ts, vc: vc}
+	th.vc = th.vc.Tick(tid)
+	o.openRegion(th, tid, ts)
 	o.seqs++
 	if o.seqs%sweepEvery == 0 {
 		o.sweep()
@@ -200,50 +247,63 @@ func (o *Online) access(tid, pc int, addr uint64, atomic, isWrite bool) {
 		// need no record, since the region test ignores them entirely.
 		return
 	}
-	th := o.threads[tid]
+	th := o.thread(tid)
 	if th == nil {
 		return
 	}
-	cur := th.cur
-	recs := o.window[addr]
+	slot := o.slot(addr)
+	recs := *slot
+	own := -1
 	for i := range recs {
 		rec := &recs[i]
-		if rec.reg.tid == tid {
+		if int(rec.tid) == tid {
+			if rec.pc == pc && rec.isWrite == isWrite {
+				own = i
+			}
 			continue
 		}
 		if !isWrite && !rec.isWrite {
 			continue
 		}
 		o.checked++
+		region := &o.regions[rec.region]
 		// Sound prune: an HB-ordered pair cannot overlap (the edge chain
 		// only exists because the earlier region closed first).
-		if rec.reg.vc.HappensBefore(cur.vc) {
+		if region.clock <= th.vc.At(region.tid) {
 			o.hbPruned++
 			continue
 		}
 		// The decisive interval test. rec's region is either still open
-		// (trivial overlap: both are running now) or closed at rec.end;
-		// the current region began at cur.start and has no end yet, so
-		// overlap reduces to cur.start < rec.end.
-		if rec.reg.end != 0 && cur.start >= rec.reg.end {
+		// (trivial overlap: both are running now) or closed at its end;
+		// the current region began at th.start and has no end yet, so
+		// overlap reduces to th.start < end.
+		if region.end != 0 && th.start >= region.end {
 			continue
 		}
 		o.foundRace(rec.pc, pc)
 	}
-	// Record this access unless an identical one from the same region is
-	// already present: same region+pc+write-ness screens the same future
-	// pairs, so duplicates add nothing.
-	for i := range recs {
-		rec := &recs[i]
-		if rec.reg == cur && rec.pc == pc && rec.isWrite == isWrite {
-			return
-		}
+	if own >= 0 {
+		// The thread's newest region supersedes the older one: it
+		// overlaps every future access the older region overlaps.
+		recs[own].region = th.region
+		return
 	}
-	o.window[addr] = append(recs, onlineRec{reg: cur, pc: pc, isWrite: isWrite})
+	*slot = append(recs, onlineRec{region: th.region, pc: pc, tid: int32(tid), isWrite: isWrite})
 	o.recs++
 	if o.recs > o.windowPeak {
 		o.windowPeak = o.recs
 	}
+}
+
+// slot returns addr's record list, creating its page on first touch.
+func (o *Online) slot(addr uint64) *[]onlineRec {
+	pn := addr >> windowPageShift
+	pg := o.window[pn]
+	if pg == nil {
+		pg = new(windowPage)
+		o.window[pn] = pg
+	}
+	return &pg[addr&windowPageMask]
 }
 
 func (o *Online) foundRace(pcA, pcB int) {
@@ -266,37 +326,41 @@ func (o *Online) foundRace(pcA, pcB int) {
 
 // sweep evicts records no future access can overlap: once a region's end
 // is at or below every live thread's open-region start, any region that
-// ever checks against it will start at or above that end.
+// ever checks against it will start at or above that end. It returns at
+// once when the watermark has not moved since the last sweep: that sweep
+// left only regions ending above the watermark or still open, and a
+// region closing later ends later still.
 func (o *Online) sweep() {
-	o.sweeps++
 	watermark := ^uint64(0)
-	live := false
-	for _, th := range o.threads {
-		if th.ended {
-			continue
-		}
-		live = true
-		if th.cur.start < watermark {
-			watermark = th.cur.start
+	for i := range o.threads {
+		if th := &o.threads[i]; th.started && !th.ended && th.start < watermark {
+			watermark = th.start
 		}
 	}
-	if !live {
-		watermark = ^uint64(0)
+	if watermark == o.watermark {
+		return
 	}
-	for addr, recs := range o.window {
-		kept := recs[:0]
-		for _, rec := range recs {
-			if rec.reg.end != 0 && rec.reg.end <= watermark {
-				o.evicted++
-				o.recs--
-				continue
+	o.watermark = watermark
+	o.sweeps++
+	for pn, pg := range o.window {
+		live := 0
+		for i, recs := range pg {
+			kept := recs[:0]
+			for _, rec := range recs {
+				if end := o.regions[rec.region].end; end != 0 && end <= watermark {
+					continue
+				}
+				kept = append(kept, rec)
 			}
-			kept = append(kept, rec)
+			if n := len(recs) - len(kept); n > 0 {
+				o.evicted += uint64(n)
+				o.recs -= n
+				pg[i] = kept
+			}
+			live += len(kept)
 		}
-		if len(kept) == 0 {
-			delete(o.window, addr)
-		} else {
-			o.window[addr] = kept
+		if live == 0 {
+			delete(o.window, pn)
 		}
 	}
 }
@@ -307,7 +371,7 @@ type OnlineReport struct {
 	Races    []SitePair // distinct racy site pairs, in discovery order
 	Stopped  bool       // StopOnFirstRace truncated the run
 	Checked  uint64     // candidate pairs screened
-	HBPruned uint64     // pairs skipped by the vector-clock prune
+	HBPruned uint64     // pairs skipped by the epoch prune
 }
 
 // ObservedPCs returns the sorted code indices that performed data

@@ -1,17 +1,24 @@
 package hb_test
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/core"
 	"repro/internal/hb"
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/progen"
 	"repro/internal/record"
 	"repro/internal/replay"
+	"repro/internal/workloads"
 )
 
 // offlineSitePairs returns the offline detector's race identities for one
@@ -146,6 +153,25 @@ main:
   halt
 `
 
+// spawnOrderedSrc writes g before spawning the reader: the epoch test
+// orders the pair, so it never reaches the interval test.
+const spawnOrderedSrc = `
+.entry main
+.word g 0
+worker:
+  ldi r2, g
+  ld r3, [r2+0]
+  sys exit
+main:
+  ldi r2, g
+  ldi r3, 7
+  st [r2+0], r3
+  ldi r1, worker
+  sys spawn
+  sys join
+  halt
+`
+
 // TestOnlineAgreesWithOfflineHandwritten pins the verdict and the racy
 // site-pair set on the canonical shapes: a racy counter, the same
 // counter under a lock, and a spawn/join-ordered handoff.
@@ -158,6 +184,7 @@ func TestOnlineAgreesWithOfflineHandwritten(t *testing.T) {
 		{"racy-counter", racyCounterSrc, true},
 		{"locked-counter", lockedCounterSrc, false},
 		{"join-ordered", joinOrderedSrc, false},
+		{"spawn-ordered", spawnOrderedSrc, false},
 	}
 	for _, tc := range cases {
 		raced := false
@@ -174,19 +201,30 @@ func TestOnlineAgreesWithOfflineHandwritten(t *testing.T) {
 	}
 }
 
-// TestOnlineAgreesWithOfflineGenerated sweeps progen-generated programs —
-// every combination of workers/globals/locks/atomics the fuzz harness
-// uses — and requires verdict and site-pair agreement on each.
-func TestOnlineAgreesWithOfflineGenerated(t *testing.T) {
+// generatedPrograms returns the 64 progen programs the agreement and
+// stop-on-race tests sweep: every combination of workers, globals, locks
+// and atomics the fuzz harness uses. Program i runs at scheduler seed i+1.
+func generatedPrograms(t *testing.T) []*isa.Program {
+	t.Helper()
 	r := rand.New(rand.NewSource(20260808))
-	raced, clean := 0, 0
-	for trial := 0; trial < 64; trial++ {
+	progs := make([]*isa.Program, 64)
+	for trial := range progs {
 		cfg := progen.BitsConfig(uint8(trial*4+1), r)
 		src := progen.Generate(r, cfg)
 		prog, err := asm.Assemble("gen", src)
 		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+			t.Fatalf("trial %d: %v\n%s", trial, err, src)
 		}
+		progs[trial] = prog
+	}
+	return progs
+}
+
+// TestOnlineAgreesWithOfflineGenerated sweeps progen-generated programs
+// and requires verdict and site-pair agreement on each.
+func TestOnlineAgreesWithOfflineGenerated(t *testing.T) {
+	raced, clean := 0, 0
+	for trial, prog := range generatedPrograms(t) {
 		seed := int64(trial + 1)
 		log, _, rep, err := record.RunOnline(prog, machine.Config{Seed: seed}, record.OnlineConfig{Detect: true})
 		if err != nil {
@@ -197,7 +235,7 @@ func TestOnlineAgreesWithOfflineGenerated(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		offline := hb.Detect(exec)
-		assertAgreement(t, src, rep, offline)
+		assertAgreement(t, fmt.Sprintf("trial %d", trial), rep, offline)
 		if rep.RaceFree {
 			clean++
 		} else {
@@ -207,6 +245,85 @@ func TestOnlineAgreesWithOfflineGenerated(t *testing.T) {
 	if raced == 0 || clean == 0 {
 		t.Fatalf("sweep is vacuous: %d raced, %d race-free", raced, clean)
 	}
+}
+
+// TestOnlineStopOnRacePinned pins *when* the detector finds a race, which
+// the agreement tests cannot see: they compare final race sets only.
+// With StopOnFirstRace the machine stops at the quantum boundary after
+// the first race, and with key frames on the recorder widens its
+// key-frame interval at the first race. Browse races within its first
+// quantum, so it places a key frame at every instruction until then:
+// a race found one access earlier or later changes the log.
+// Every recording must match testdata/stop_on_race.txt, which was
+// captured with the earlier one-record-per-region, full-vector-clock
+// detector.
+func TestOnlineStopOnRacePinned(t *testing.T) {
+	want := readStopOnRacePins(t)
+	type pinned struct {
+		label string
+		prog  *isa.Program
+		cfg   machine.Config
+		oc    record.OnlineConfig
+	}
+	var runs []pinned
+	for trial, prog := range generatedPrograms(t) {
+		runs = append(runs, pinned{fmt.Sprintf("gen/%02d", trial), prog,
+			machine.Config{Seed: int64(trial + 1)}, record.OnlineConfig{Detect: true, StopOnFirstRace: true}})
+	}
+	for _, sc := range []struct {
+		s         workloads.Scenario
+		keyFrames uint64
+	}{{workloads.BrowseScenario(), 1}, {workloads.ServiceScenario(), 512}} {
+		prog, err := sc.s.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 16; seed++ {
+			cfg := sc.s.Config()
+			cfg.Seed = seed
+			runs = append(runs, pinned{fmt.Sprintf("%s/%02d", sc.s.Name, seed), prog, cfg,
+				record.OnlineConfig{Detect: true, StopOnFirstRace: true, KeyFrameInterval: sc.keyFrames}})
+		}
+	}
+	if len(runs) != len(want) {
+		t.Fatalf("%d recordings, %d pinned", len(runs), len(want))
+	}
+	stopped := 0
+	for _, r := range runs {
+		log, res, rep, err := record.RunOnline(r.prog, r.cfg, r.oc)
+		if err != nil {
+			t.Fatalf("%s: %v", r.label, err)
+		}
+		got := fmt.Sprintf("%d %v %d %s", res.TotalSteps, res.Stopped, len(rep.Races), core.LogDigest(log))
+		if got != want[r.label] {
+			t.Errorf("%s: got %s\n\twant %s", r.label, got, want[r.label])
+		}
+		if res.Stopped {
+			stopped++
+		}
+	}
+	if stopped == 0 || stopped == len(runs) {
+		t.Fatalf("pin is vacuous: %d of %d recordings stopped at a race", stopped, len(runs))
+	}
+}
+
+// readStopOnRacePins parses testdata/stop_on_race.txt into label ->
+// "steps stopped races digest".
+func readStopOnRacePins(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "stop_on_race.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pins := make(map[string]string)
+	for _, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		label, rest, _ := strings.Cut(line, " ")
+		pins[label] = rest
+	}
+	return pins
 }
 
 // TestOnlineStopOnFirstRace checks the early-exit policy: the truncated
@@ -258,9 +375,65 @@ func TestOnlineStopOnFirstRace(t *testing.T) {
 }
 
 // TestOnlineMetricsPublished pins the detect.online.* counter names the
-// docs and dashboards rely on.
+// docs and dashboards rely on, on both sides of the verdict: the racy
+// counter at the first seed that races (seed 1 does not), and the locked
+// counter, which never races.
 func TestOnlineMetricsPublished(t *testing.T) {
-	prog, err := asm.Assemble("metrics", racyCounterSrc)
+	record1 := func(src string, seed int64) (*obs.Registry, *hb.OnlineReport) {
+		t.Helper()
+		prog, err := asm.Assemble("metrics", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		_, _, rep, err := record.RunOnlineInstrumented(prog, machine.Config{Seed: seed}, record.OnlineConfig{Detect: true}, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reg.Counter("detect.online.executions").Value() != 1 {
+			t.Errorf("seed %d: detect.online.executions not incremented", seed)
+		}
+		return reg, rep
+	}
+
+	raced := false
+	for seed := int64(1); seed <= 50 && !raced; seed++ {
+		reg, rep := record1(racyCounterSrc, seed)
+		if rep.RaceFree {
+			continue
+		}
+		raced = true
+		if got := reg.Counter("detect.online.races").Value(); got != uint64(len(rep.Races)) || got == 0 {
+			t.Errorf("seed %d: detect.online.races = %d on a run with %d racy pairs", seed, got, len(rep.Races))
+		}
+		if reg.Counter("detect.online.pairs_checked").Value() == 0 {
+			t.Errorf("seed %d: detect.online.pairs_checked stayed zero", seed)
+		}
+		if reg.Counter("detect.online.race_free").Value() != 0 {
+			t.Errorf("seed %d: detect.online.race_free incremented on a racy run", seed)
+		}
+	}
+	if !raced {
+		t.Fatal("the racy counter raced under none of seeds 1-50")
+	}
+
+	reg, rep := record1(lockedCounterSrc, 1)
+	if !rep.RaceFree {
+		t.Fatalf("locked counter raced online: %v", rep.Races)
+	}
+	if got := reg.Counter("detect.online.race_free").Value(); got != 1 {
+		t.Errorf("detect.online.race_free = %d on a race-free run, want 1", got)
+	}
+	if got := reg.Counter("detect.online.races").Value(); got != 0 {
+		t.Errorf("detect.online.races = %d on a race-free run, want 0", got)
+	}
+}
+
+// TestOnlineEpochPrune checks the FastTrack test on a spawn edge: the
+// parent's pre-spawn write is covered by the child's clock, so the pair
+// the child's read screens is pruned.
+func TestOnlineEpochPrune(t *testing.T) {
+	prog, err := asm.Assemble("prune", spawnOrderedSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,20 +442,15 @@ func TestOnlineMetricsPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reg.Counter("detect.online.executions").Value() != 1 {
-		t.Error("detect.online.executions not incremented")
+	if !rep.RaceFree {
+		t.Fatalf("spawn-ordered handoff raced: %v", rep.Races)
 	}
-	if rep.RaceFree {
-		t.Skip("seed 1 did not race; counter pinning below assumes a race")
+	checked, pruned := reg.Counter("detect.online.pairs_checked").Value(), reg.Counter("detect.online.hb_pruned").Value()
+	if pruned != 1 || checked != 1 {
+		t.Fatalf("pairs_checked=%d hb_pruned=%d, want the one screened pair pruned", checked, pruned)
 	}
-	if reg.Counter("detect.online.races").Value() == 0 {
-		t.Error("detect.online.races not incremented on a racy run")
-	}
-	if reg.Counter("detect.online.pairs_checked").Value() == 0 {
-		t.Error("detect.online.pairs_checked stayed zero")
-	}
-	if reg.Counter("detect.online.race_free").Value() != 0 {
-		t.Error("detect.online.race_free incremented on a racy run")
+	if rep.Checked != checked || rep.HBPruned != pruned {
+		t.Fatalf("report says checked=%d pruned=%d, metrics %d/%d", rep.Checked, rep.HBPruned, checked, pruned)
 	}
 }
 

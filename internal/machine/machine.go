@@ -168,6 +168,7 @@ type Machine struct {
 	deadlock bool
 	ss       schedState
 	runBuf   []*Thread // reusable runnable-thread collection buffer
+	env      threadEnv // the Env handed to Step, aimed at the thread being stepped
 }
 
 // New builds a machine for prog. The program is validated; thread 0 is
@@ -189,6 +190,7 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 		entropy: cfg.EntropySeed,
 		obs:     cfg.Observer,
 	}
+	m.env.m = m
 	if kf, ok := cfg.Observer.(KeyFramer); ok {
 		m.kf = kf
 	}
@@ -280,7 +282,8 @@ func (m *Machine) stepThread(t *Thread) {
 		// syscall can hand it to the child as its start timestamp.
 		m.pendTS = m.nextTS()
 	}
-	out, f := Step(&t.Cpu, m.prog.Code, threadEnv{m, t})
+	m.env.t = t
+	out, f := Step(&t.Cpu, m.prog.Code, &m.env)
 	switch out {
 	case StepContinue:
 		t.Retired++
@@ -340,13 +343,18 @@ func (m *Machine) endThread(t *Thread) {
 	}
 }
 
-// threadEnv adapts the machine to the Env interface for one thread.
+// threadEnv adapts the machine to the Env interface for one thread. The
+// machine owns a single threadEnv and re-aims it at each thread it steps,
+// so handing it to Step as a pointer boxes nothing: a two-word value
+// converted to Env would cost a heap allocation per retired instruction.
+// The back-pointer lives here rather than on Thread because
+// Result.Threads outlives the run and must not pin the machine's memory.
 type threadEnv struct {
 	m *Machine
 	t *Thread
 }
 
-func (e threadEnv) Load(addr uint64, atomic bool, pc int) (uint64, *Fault) {
+func (e *threadEnv) Load(addr uint64, atomic bool, pc int) (uint64, *Fault) {
 	v, f := e.m.mem.Load(addr, pc)
 	if f != nil {
 		return 0, f
@@ -357,7 +365,7 @@ func (e threadEnv) Load(addr uint64, atomic bool, pc int) (uint64, *Fault) {
 	return v, nil
 }
 
-func (e threadEnv) Store(addr, val uint64, atomic bool, pc int) *Fault {
+func (e *threadEnv) Store(addr, val uint64, atomic bool, pc int) *Fault {
 	if f := e.m.mem.Store(addr, val, pc); f != nil {
 		return f
 	}
@@ -367,7 +375,7 @@ func (e threadEnv) Store(addr, val uint64, atomic bool, pc int) *Fault {
 	return nil
 }
 
-func (e threadEnv) Lock(addr uint64, pc int) (bool, *Fault) {
+func (e *threadEnv) Lock(addr uint64, pc int) (bool, *Fault) {
 	if addr < isa.NullGuardTop {
 		return false, &Fault{Kind: FaultNullAccess, PC: pc, Addr: addr}
 	}
@@ -388,7 +396,7 @@ func (e threadEnv) Lock(addr uint64, pc int) (bool, *Fault) {
 	return true, nil
 }
 
-func (e threadEnv) Unlock(addr uint64, pc int) *Fault {
+func (e *threadEnv) Unlock(addr uint64, pc int) *Fault {
 	holder, held := e.m.locks[addr]
 	if !held || holder != e.t.ID {
 		return &Fault{Kind: FaultUnheldUnlock, PC: pc, Addr: addr}
@@ -404,7 +412,7 @@ func (e threadEnv) Unlock(addr uint64, pc int) *Fault {
 	return nil
 }
 
-func (e threadEnv) Syscall(cpu *Cpu, num int64, pc int) (SysOutcome, *Fault) {
+func (e *threadEnv) Syscall(cpu *Cpu, num int64, pc int) (SysOutcome, *Fault) {
 	m, t := e.m, e.t
 	// Syscall results replace r1; the recorder logs the injected value so
 	// the replayer can reproduce it without re-running the kernel.

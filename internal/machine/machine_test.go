@@ -645,3 +645,58 @@ func TestEmptyProgramRejected(t *testing.T) {
 		t.Error("empty program accepted")
 	}
 }
+
+// TestNativeStepDoesNotAllocate guards the per-instruction path: a native
+// run allocates a fixed number of objects (the machine, its memory pages,
+// the thread table), not one per retired instruction, as boxing a fresh
+// Env value for every Step would.
+func TestNativeStepDoesNotAllocate(t *testing.T) {
+	src := `
+.entry main
+.word g 0
+.word mu 0
+worker:
+  ldi r2, g
+  ldi r4, mu
+  ldi r5, 10000
+wloop:
+  lock [r4+0]
+  ld r3, [r2+0]
+  addi r3, r3, 1
+  st [r2+0], r3
+  unlock [r4+0]
+  addi r5, r5, -1
+  bne r5, r0, wloop
+  sys exit
+main:
+  ldi r1, worker
+  sys spawn
+  mov r6, r1
+  ldi r1, worker
+  sys spawn
+  mov r7, r1
+  mov r1, r6
+  sys join
+  mov r1, r7
+  sys join
+  halt
+`
+	prog, err := asm.Assemble("allocs", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps uint64
+	allocs := testing.AllocsPerRun(5, func() {
+		m, err := New(prog, Config{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps = m.Run().TotalSteps
+	})
+	if steps < 100_000 {
+		t.Fatalf("run retired %d instructions, want at least 100k", steps)
+	}
+	if allocs >= 200 {
+		t.Fatalf("native run of %d instructions made %.0f allocations, want fewer than 200", steps, allocs)
+	}
+}

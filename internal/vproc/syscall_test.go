@@ -49,8 +49,10 @@ main:
   sys join
   halt
 `
+	// The wst race needs the writer's store to overlap the reader's
+	// critical section; seed 39 is the first of 1–64 whose schedule does.
 	analyzed := false
-	for seed := int64(1); seed <= 25 && !analyzed; seed++ {
+	for seed := int64(1); seed <= 64 && !analyzed; seed++ {
 		exec, rep := pipeline(t, src, seed)
 		for _, race := range rep.Races {
 			if !strings.Contains(race.Sites.String(), "wst") {
@@ -69,7 +71,7 @@ main:
 		}
 	}
 	if !analyzed {
-		t.Skip("lock-region race never observed")
+		t.Fatal("lock-region race never observed in seeds 1-64")
 	}
 }
 
