@@ -34,9 +34,12 @@ paper:
 
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/trace
+	$(GO) test -fuzz=FuzzDecompress -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeV2 -fuzztime=30s ./internal/trace
 	$(GO) test -fuzz=FuzzAssemble -fuzztime=30s ./internal/asm
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/isa
+	$(GO) test -fuzz=FuzzAnalyze -fuzztime=30s ./internal/static
+	$(GO) test -fuzz=FuzzPredict -fuzztime=30s ./internal/predict
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

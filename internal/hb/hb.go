@@ -1,25 +1,35 @@
 // Package hb finds data races in a replayed execution.
 //
-// The primary detector (Detect) is the paper's algorithm: two memory
-// operations race when they execute in overlapping sequencing regions of
-// different threads, touch the same address, at least one is a write, and
-// neither is a lock-prefixed access. Region overlap is exactly "no
-// sequencer orders the two operations", so the detector reports no false
-// positives with respect to the recorded execution.
+// Every offline engine runs one conflict search (Search): per address
+// touched by two or more threads with at least one non-atomic write, it
+// lists the regions that touched it and hands each cross-thread region
+// pair to a predicate, then emits one instance per conflicting site pair
+// of each accepted pair. Three predicates use it:
 //
-// DetectVC is the vector-clock ablation: it tracks the true happens-before
-// partial order induced by spawn/join, lock release→acquire, and atomic
-// operations, and flags conflicting accesses in concurrent regions. It can
-// report races between regions whose timestamp intervals happen to be
-// disjoint even though no synchronization separates them — pairs the
-// interval test misses (DESIGN.md, ablation A1).
+//   - Detect is the paper's algorithm: two memory operations race when
+//     they execute in overlapping sequencing regions of different
+//     threads, touch the same address, at least one is a write, and
+//     neither is a lock-prefixed access. Region overlap is exactly "no
+//     sequencer orders the two operations", so the detector reports no
+//     false positives with respect to the recorded execution.
+//   - DetectVC is the vector-clock ablation: regions race when their
+//     Strict clocks are concurrent. It can report races between regions
+//     whose timestamp intervals happen to be disjoint even though no
+//     synchronization separates them — pairs the interval test misses
+//     (DESIGN.md, ablation A1).
+//   - internal/predict passes Weak-clock concurrency, disjoint held
+//     locksets and its window solver.
+//
+// RegionClocks is the one region-clock builder, over two edge sets:
+// Strict (program order, fork/join, unlock→lock, atomics) and Weak
+// (program order and fork/join only). Clocks are compared with
+// FastTrack's constant-time epoch test, which Online's prune shares.
 package hb
 
 import (
 	"fmt"
 	"sort"
 
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/trace"
@@ -42,6 +52,9 @@ func MakeSitePair(x, y string) SitePair {
 }
 
 func (p SitePair) String() string { return p.A + " <-> " + p.B }
+
+// Less orders site pairs lexicographically, the order reports list races in.
+func (p SitePair) Less(q SitePair) bool { return p.A < q.A || p.A == q.A && p.B < q.B }
 
 // Instance is one dynamic occurrence of a race: a specific pair of
 // conflicting accesses in a specific pair of overlapping regions. First is
@@ -86,12 +99,6 @@ func (r *Report) Race(sites SitePair) *Race {
 	return r.index[sites]
 }
 
-// accessRef ties an access to its region for the per-address index.
-type accessRef struct {
-	acc replay.Access
-	reg *replay.Region
-}
-
 // Detect runs the paper's region-overlap detector over exec.
 func Detect(exec *replay.Execution) *Report {
 	return DetectInstrumented(exec, nil)
@@ -101,7 +108,67 @@ func Detect(exec *replay.Execution) *Report {
 // detect.* counters (addresses indexed, region pairs examined vs.
 // conflicting, races and instances found). Nil reg is free.
 func DetectInstrumented(exec *replay.Execution, reg *obs.Registry) *Report {
-	return detect(exec, func(a, b *replay.Region) bool { return a.Overlaps(b) }, reg)
+	return detect(exec, func(a, b *replay.Region, _ uint64) bool { return a.Overlaps(b) }, reg)
+}
+
+// DetectVC runs the vector-clock variant: regions get Strict clocks from
+// the synchronization structure, and conflicting accesses in concurrent
+// regions race. reg receives the same detect.* counters as
+// DetectInstrumented (nil is off).
+func DetectVC(exec *replay.Execution, reg *obs.Registry) (*Report, error) {
+	clocks, err := RegionClocks(exec, Strict)
+	if err != nil {
+		return nil, err
+	}
+	return detect(exec, func(a, b *replay.Region, _ uint64) bool { return Concurrent(clocks, a, b) }, reg), nil
+}
+
+// detect collects Search's instances into a report, one race per site
+// pair, and publishes the detect.* counters.
+func detect(exec *replay.Execution, pass func(a, b *replay.Region, addr uint64) bool, reg *obs.Registry) *Report {
+	races := make(map[SitePair]*Race)
+	total := 0
+	st := Search(exec, pass, func(sites SitePair, in Instance) {
+		race := races[sites]
+		if race == nil {
+			race = &Race{Sites: sites}
+			races[sites] = race
+		}
+		race.Instances = append(race.Instances, in)
+		total++
+	})
+	if reg != nil {
+		reg.Counter("detect.executions").Inc()
+		reg.Counter("detect.addresses_indexed").Add(uint64(st.Addresses))
+		reg.Counter("detect.addresses_screened_out").Add(uint64(st.ScreenedOut))
+		reg.Counter("detect.region_pairs_examined").Add(uint64(st.RegionPairs))
+		reg.Counter("detect.region_pairs_conflicting").Add(uint64(st.Passed))
+		reg.Counter("detect.races").Add(uint64(len(races)))
+		reg.Counter("detect.instances").Add(uint64(total))
+		reg.Emit("detect.races", uint64(len(races)))
+	}
+	rep := &Report{TotalInstances: total, index: races}
+	for _, race := range races {
+		rep.Races = append(rep.Races, race)
+	}
+	sort.Slice(rep.Races, func(i, j int) bool { return rep.Races[i].Sites.Less(rep.Races[j].Sites) })
+	return rep
+}
+
+// SearchStats counts one conflict search.
+type SearchStats struct {
+	Addresses   int // distinct addresses accessed non-atomically
+	ScreenedOut int // of those, touched by one thread or never written
+	RegionPairs int // region pairs examined at the surviving addresses
+	Passed      int // cross-thread region pairs the predicate accepted
+	Blocks      int // (region, pc, kind) blocks at the surviving addresses
+	BlockPairs  int // conflicting block pairs of the accepted region pairs
+}
+
+// accessRef ties an access to its region for the per-address index.
+type accessRef struct {
+	acc replay.Access
+	reg *replay.Region
 }
 
 // addrScreen is the per-address screening summary plus the address's
@@ -115,22 +182,30 @@ type addrScreen struct {
 	keep        bool  // survived the screen
 }
 
-// detect is the shared conflict search, parameterized by the concurrency
-// test on region pairs.
+// Search is the conflict search every offline engine shares. Only
+// addresses touched non-atomically by two or more threads with at least
+// one write survive its screen. Each surviving address's regions are
+// paired in schedule order, and every cross-thread pair (a before b) goes
+// to pass. For each pair pass accepts, emit receives one instance per
+// conflicting site pair (write/write, write/read, read/write), with First
+// from a and Second from b, before pass sees the next pair; so a caller
+// can attach what its predicate found to the pair's instances. Within a
+// region, the accesses to the address collapse to one block per (pc,
+// kind), its first access, and the first block pair of each site pair
+// stands for the rest. Addresses go in ascending order, so the emission
+// order is deterministic.
 //
 // The search runs in two passes over the recorded accesses. Pass 1
 // screens every address down to a constant-size summary (slot in a flat
-// slice; the only per-access map op is the address→slot lookup); only
-// addresses touched by two or more threads with at least one write go
-// any further — the single-thread-address fast path filters everything
-// else, which on real workloads is almost every address. Pass 2 copies
-// the surviving addresses' references into one exactly-sized shared
-// buffer, each address a contiguous range, in region schedule order. So
-// grouping by region is run-splitting over a sorted slice (references
-// in a range arrive already sorted by Region.Global), and instance
+// slice; the only per-access map op is the address→slot lookup), which
+// on real workloads drops almost every address. Pass 2 copies the
+// surviving addresses' references into one exactly-sized shared buffer,
+// each address a contiguous range, in region schedule order. So grouping
+// by region is run-splitting over a sorted slice, and the site-pair
 // dedup is a linear scan over the handful of site pairs one region pair
 // can emit (no global map churn).
-func detect(exec *replay.Execution, concurrent func(a, b *replay.Region) bool, reg *obs.Registry) *Report {
+func Search(exec *replay.Execution, pass func(a, b *replay.Region, addr uint64) bool, emit func(SitePair, Instance)) SearchStats {
+	var st SearchStats
 	// Pass 1: screen addresses. Atomic (lock-prefixed) accesses are
 	// synchronization, not data: skip them in both passes.
 	slotOf := make(map[uint64]int32)
@@ -154,11 +229,10 @@ func detect(exec *replay.Execution, concurrent func(a, b *replay.Region) bool, r
 			s.refs++
 		}
 	}
+	st.Addresses = len(screens)
 
 	// Lay out one contiguous range per surviving address in a shared
-	// buffer, and list the survivors in ascending address order (the
-	// emission order golden outputs depend on).
-	var screenedOut uint64
+	// buffer, and list the survivors in ascending address order.
 	var addrs []uint64
 	totalKept := int32(0)
 	for addr, slot := range slotOf {
@@ -167,7 +241,7 @@ func detect(exec *replay.Execution, concurrent func(a, b *replay.Region) bool, r
 			s.keep = true
 			addrs = append(addrs, addr)
 		} else {
-			screenedOut++
+			st.ScreenedOut++
 		}
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
@@ -195,26 +269,22 @@ func detect(exec *replay.Execution, concurrent func(a, b *replay.Region) bool, r
 		}
 	}
 
-	races := make(map[SitePair]*Race)
-	total := 0
-	var pairsExamined, pairsConflicting uint64
-
-	// Scratch reused across addresses: per-region access runs (reads and
-	// writes separated into shared backing buffers, preserving access
-	// order) and the per-region-pair site dedup list.
+	// Scratch reused across addresses: per-region blocks (reads and
+	// writes in shared backing buffers, in first-access order) and the
+	// per-region-pair site dedup list.
 	type group struct {
 		reg      *replay.Region
-		rLo, rHi int // range into readsBuf
-		wLo, wHi int // range into writesBuf
+		rLo, rHi int // range into reads
+		wLo, wHi int // range into writes
 	}
 	var groups []group
-	var readsBuf, writesBuf []replay.Access
+	var reads, writes []replay.Access
 	var emitted []SitePair
 
 	// Site strings are pure functions of the PC; the bounded package-level
 	// table (sites.go) formats each program's sites once and shares them
-	// across detector passes, seeds, and the online observer, keeping the
-	// hot pair loops free of fmt work.
+	// across engines, seeds, and the online observer, keeping the hot pair
+	// loops free of fmt work.
 	siteOf := sitesFor(exec.Prog).site
 
 	for _, addr := range addrs {
@@ -223,38 +293,32 @@ func detect(exec *replay.Execution, concurrent func(a, b *replay.Region) bool, r
 
 		// Run-split by region: within the range, references are in region
 		// schedule order, and one region's accesses are contiguous.
-		groups = groups[:0]
-		readsBuf = readsBuf[:0]
-		writesBuf = writesBuf[:0]
+		groups, reads, writes = groups[:0], reads[:0], writes[:0]
 		for i := 0; i < len(refs); {
-			j := i
-			g := group{reg: refs[i].reg, rLo: len(readsBuf), wLo: len(writesBuf)}
-			for j < len(refs) && refs[j].reg == g.reg {
-				if acc := refs[j].acc; acc.IsWrite {
-					writesBuf = append(writesBuf, acc)
+			g := group{reg: refs[i].reg, rLo: len(reads), wLo: len(writes)}
+			for ; i < len(refs) && refs[i].reg == g.reg; i++ {
+				if acc := refs[i].acc; acc.IsWrite {
+					writes = addBlock(writes, g.wLo, acc)
 				} else {
-					readsBuf = append(readsBuf, acc)
+					reads = addBlock(reads, g.rLo, acc)
 				}
-				j++
 			}
-			g.rHi, g.wHi = len(readsBuf), len(writesBuf)
+			g.rHi, g.wHi = len(reads), len(writes)
 			groups = append(groups, g)
-			i = j
 		}
+		st.Blocks += len(reads) + len(writes)
 
-		for i := 0; i < len(groups); i++ {
+		for i := range groups {
 			for j := i + 1; j < len(groups); j++ {
 				ga, gb := &groups[i], &groups[j]
-				pairsExamined++
-				if ga.reg.TID == gb.reg.TID || !concurrent(ga.reg, gb.reg) {
+				st.RegionPairs++
+				if ga.reg.TID == gb.reg.TID || !pass(ga.reg, gb.reg, addr) {
 					continue
 				}
-				pairsConflicting++
-				// Conflicting pairs: write/write, write/read, read/write.
-				// One instance per (site pair, region pair, address):
-				// emitted holds this pair's site pairs for the dedup scan.
+				st.Passed++
 				emitted = emitted[:0]
-				emit := func(a, b replay.Access) {
+				pair := func(a, b replay.Access) {
+					st.BlockPairs++
 					sites := MakeSitePair(siteOf(a.PC), siteOf(b.PC))
 					for _, e := range emitted {
 						if e == sites {
@@ -262,147 +326,142 @@ func detect(exec *replay.Execution, concurrent func(a, b *replay.Region) bool, r
 						}
 					}
 					emitted = append(emitted, sites)
-					race := races[sites]
-					if race == nil {
-						race = &Race{Sites: sites}
-						races[sites] = race
-					}
-					race.Instances = append(race.Instances, Instance{
-						First:   a,
-						Second:  b,
-						RegionA: ga.reg,
-						RegionB: gb.reg,
-						Addr:    addr,
-					})
-					total++
+					emit(sites, Instance{First: a, Second: b, RegionA: ga.reg, RegionB: gb.reg, Addr: addr})
 				}
-				for _, w := range writesBuf[ga.wLo:ga.wHi] {
-					for _, x := range writesBuf[gb.wLo:gb.wHi] {
-						emit(w, x)
+				for _, w := range writes[ga.wLo:ga.wHi] {
+					for _, x := range writes[gb.wLo:gb.wHi] {
+						pair(w, x)
 					}
-					for _, r := range readsBuf[gb.rLo:gb.rHi] {
-						emit(w, r)
+					for _, r := range reads[gb.rLo:gb.rHi] {
+						pair(w, r)
 					}
 				}
-				for _, r := range readsBuf[ga.rLo:ga.rHi] {
-					for _, w := range writesBuf[gb.wLo:gb.wHi] {
-						emit(r, w)
+				for _, r := range reads[ga.rLo:ga.rHi] {
+					for _, w := range writes[gb.wLo:gb.wHi] {
+						pair(r, w)
 					}
 				}
 			}
 		}
 	}
+	return st
+}
 
-	if reg != nil {
-		reg.Counter("detect.executions").Inc()
-		reg.Counter("detect.addresses_indexed").Add(uint64(len(screens)))
-		reg.Counter("detect.addresses_screened_out").Add(screenedOut)
-		reg.Counter("detect.region_pairs_examined").Add(pairsExamined)
-		reg.Counter("detect.region_pairs_conflicting").Add(pairsConflicting)
-		reg.Counter("detect.races").Add(uint64(len(races)))
-		reg.Counter("detect.instances").Add(uint64(total))
-		reg.Emit("detect.races", uint64(len(races)))
-	}
-	rep := &Report{TotalInstances: total, index: races}
-	for _, race := range races {
-		rep.Races = append(rep.Races, race)
-	}
-	sort.Slice(rep.Races, func(i, j int) bool {
-		a, b := rep.Races[i].Sites, rep.Races[j].Sites
-		if a.A != b.A {
-			return a.A < b.A
+// addBlock appends acc to blocks unless blocks[lo:], the current
+// region's blocks of acc's kind, already holds its pc.
+func addBlock(blocks []replay.Access, lo int, acc replay.Access) []replay.Access {
+	for _, b := range blocks[lo:] {
+		if b.PC == acc.PC {
+			return blocks
 		}
-		return a.B < b.B
-	})
-	return rep
+	}
+	return append(blocks, acc)
 }
 
-// DetectVC runs the vector-clock variant: regions get clocks from the
-// synchronization structure, and conflicting accesses in VC-concurrent
-// regions race. reg receives the same detect.* counters as
-// DetectInstrumented (nil is off).
-func DetectVC(exec *replay.Execution, reg *obs.Registry) (*Report, error) {
-	clocks, err := RegionClocks(exec)
-	if err != nil {
-		return nil, err
-	}
-	return detect(exec, func(a, b *replay.Region) bool {
-		return clocks[a.Global].Concurrent(clocks[b.Global])
-	}, reg), nil
-}
+// Edges selects the synchronization edges RegionClocks orders regions by.
+type Edges int
+
+const (
+	// Strict is the recorded execution's happens-before order: program
+	// order, spawn → child start, child end → join, unlock → later lock
+	// of the same address, and atomics on the same address in timestamp
+	// order.
+	Strict Edges = iota
+	// Weak keeps program order and fork/join only. Lock and atomic
+	// orderings are accidents of the schedule that a reordering may undo.
+	Weak
+)
 
 // RegionClocks computes one vector clock per region (indexed by
-// Region.Global) from the synchronization events the replay annotated:
-// thread program order, spawn → child start, child end → join, unlock →
-// later lock of the same address, and atomics on the same address in
-// timestamp order.
-func RegionClocks(exec *replay.Execution) ([]vclock.VC, error) {
-	nThreads := len(exec.Threads)
-	clocks := make([]vclock.VC, len(exec.Regions))
-	threadVC := make(map[int]vclock.VC, nThreads)
-	releaseVC := make(map[uint64]vclock.VC) // lock addr -> release clock
-	atomicVC := make(map[uint64]vclock.VC)  // atomic addr -> last clock
-	endVC := make(map[int]vclock.VC)        // tid -> final clock
-
-	// Map child tid -> parent's clock at spawn time. Fill lazily: the
-	// schedule guarantees the parent's pre-spawn region is processed
-	// before the child's first region, so threadVC[parent] is exactly the
-	// pre-spawn clock when the child's SeqStart region comes up. Identify
-	// the parent by matching the child's StartTS against spawn sequencers.
-	spawnParent := make(map[int]int)
-	for _, tl := range exec.Log.Threads {
-		for _, s := range tl.Seqs {
-			if s.Kind == trace.SeqSyscall && s.Aux == isa.SysSpawn {
-				for _, child := range exec.Log.Threads {
-					if child.TID != tl.TID && child.StartTS == s.TS {
-						spawnParent[child.TID] = tl.TID
-					}
-				}
-			}
+// Region.Global) from the synchronization events the replay annotated,
+// over the given edge set. Each region ticks its own thread's component
+// once, so Concurrent's epoch test is exact on the result. A join met
+// before the joined thread's last region loses its edge, and the first
+// such join is returned as the error alongside the clocks.
+func RegionClocks(exec *replay.Execution, edges Edges) ([]vclock.VC, error) {
+	width := 0
+	for _, t := range exec.Threads {
+		width = max(width, t.TID+1)
+	}
+	// parent maps a spawned thread to its spawner. The child's first
+	// region sorts before the parent's spawn region, so when it comes up
+	// the parent's newest clock is exactly its pre-spawn clock.
+	parent := make(map[int]int)
+	for _, reg := range exec.Regions {
+		if reg.SpawnChild >= 0 {
+			parent[reg.SpawnChild] = reg.TID
 		}
 	}
-
+	clocks := make([]vclock.VC, len(exec.Regions))
+	slab := make(vclock.VC, len(exec.Regions)*width) // every region clock, one allocation
+	last := make(map[int]vclock.VC, width)           // tid -> newest region clock
+	ended := make(map[int]vclock.VC, width)          // tid -> final region clock
+	release := make(map[uint64]vclock.VC)            // lock addr -> clock before the unlock
+	atomics := make(map[uint64]vclock.VC)            // atomic addr -> last atomic region clock
+	var err error
 	for _, reg := range exec.Regions {
-		tid := reg.TID
-		vc, started := threadVC[tid]
-		if !started {
-			vc = vclock.New(nThreads)
-		}
+		lo := reg.Global * width
+		vc := slab[lo : lo+width : lo+width]
+		prev := last[reg.TID]
+		copy(vc, prev)
 		switch reg.StartKind {
 		case trace.SeqStart:
-			if parent, ok := spawnParent[tid]; ok {
-				vc = vc.Join(threadVC[parent])
+			if p, ok := parent[reg.TID]; ok {
+				vc = vc.Join(last[p])
 			}
 		case trace.SeqLock:
-			if rel, ok := releaseVC[reg.SyncAddr]; ok {
-				vc = vc.Join(rel)
+			if edges == Strict {
+				vc = vc.Join(release[reg.SyncAddr])
 			}
 		case trace.SeqUnlock:
 			// The release carries everything before the unlock.
-			releaseVC[reg.SyncAddr] = vc.Clone()
+			release[reg.SyncAddr] = prev
 		case trace.SeqAtomic:
 			// Acquire-release on the atomic's address.
-			if prev, ok := atomicVC[reg.SyncAddr]; ok {
-				vc = vc.Join(prev)
+			if edges == Strict {
+				vc = vc.Join(atomics[reg.SyncAddr])
 			}
 		case trace.SeqSyscall:
 			if reg.JoinTarget >= 0 {
-				child, ok := endVC[reg.JoinTarget]
-				if !ok {
-					return nil, fmt.Errorf("hb: join of thread %d before its regions were processed", reg.JoinTarget)
+				if end, ok := ended[reg.JoinTarget]; ok {
+					vc = vc.Join(end)
+				} else if err == nil {
+					err = fmt.Errorf("hb: join of thread %d before its regions were processed", reg.JoinTarget)
 				}
-				vc = vc.Join(child)
 			}
 		}
-		vc = vc.Tick(tid)
+		vc = vc.Tick(reg.TID)
 		if reg.StartKind == trace.SeqAtomic {
-			atomicVC[reg.SyncAddr] = vc.Clone()
+			atomics[reg.SyncAddr] = vc
 		}
-		clocks[reg.Global] = vc.Clone()
-		threadVC[tid] = vc
+		clocks[reg.Global] = vc
+		last[reg.TID] = vc
 		if reg.EndKind == trace.SeqEnd {
-			endVC[tid] = vc.Clone()
+			ended[reg.TID] = vc
 		}
 	}
-	return clocks, nil
+	return clocks, err
 }
+
+// Concurrent reports whether regions a and b of different threads are
+// unordered by clocks (from RegionClocks): neither region's epoch is
+// covered by the other's clock. It reads four clock components, where
+// vclock.VC.Concurrent compares whole clocks.
+func Concurrent(clocks []vclock.VC, a, b *replay.Region) bool {
+	ca, cb := clocks[a.Global], clocks[b.Global]
+	ea, eb := epoch{a.TID, ca.At(a.TID)}, epoch{b.TID, cb.At(b.TID)}
+	return !ea.before(cb) && !eb.before(ca)
+}
+
+// epoch is a region's FastTrack epoch (Flanagan & Freund, PLDI 2009):
+// its thread, and that thread's own clock component in the region.
+type epoch struct {
+	tid   int
+	clock uint64
+}
+
+// before reports whether the region with epoch e happens before (or is)
+// every region whose vector clock vc covers e. The test is exact for
+// clocks that tick their own thread once per region, as RegionClocks'
+// and Online's do.
+func (e *epoch) before(vc vclock.VC) bool { return e.clock <= vc.At(e.tid) }

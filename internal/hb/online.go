@@ -39,8 +39,8 @@ import (
 // — its thread and that thread's own clock component when it opened —
 // and its [start, end) interval. A screened pair is pruned when the
 // stored region's epoch is covered by the current thread's clock
-// (rec.clock <= curVC[rec.tid]), a constant-time test counted on
-// detect.online.hb_pruned. Happens-before implies the regions do not
+// (epoch.before, the test the offline engines' Concurrent uses),
+// counted on detect.online.hb_pruned. Happens-before implies the regions do not
 // overlap, so the prune is sound and the interval test above still
 // decides every verdict.
 //
@@ -98,8 +98,7 @@ type Online struct {
 // [start, end) a thread executes between two of its sequencers, and its
 // epoch: the thread and the thread's own clock component in the region.
 type onlineRegion struct {
-	tid   int
-	clock uint64
+	epoch
 	start uint64
 	end   uint64 // 0 while the region is open
 }
@@ -166,7 +165,7 @@ func (o *Online) thread(tid int) *onlineThread {
 func (o *Online) openRegion(th *onlineThread, tid int, ts uint64) {
 	th.region = len(o.regions)
 	th.start = ts
-	o.regions = append(o.regions, onlineRegion{tid: tid, clock: th.vc[tid], start: ts})
+	o.regions = append(o.regions, onlineRegion{epoch: epoch{tid, th.vc[tid]}, start: ts})
 }
 
 // ThreadStarted implements machine.Observer. The child's first region
@@ -269,7 +268,7 @@ func (o *Online) access(tid, pc int, addr uint64, atomic, isWrite bool) {
 		region := &o.regions[rec.region]
 		// Sound prune: an HB-ordered pair cannot overlap (the edge chain
 		// only exists because the earlier region closed first).
-		if region.clock <= th.vc.At(region.tid) {
+		if region.before(th.vc) {
 			o.hbPruned++
 			continue
 		}

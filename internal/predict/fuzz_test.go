@@ -15,14 +15,16 @@ import (
 )
 
 // FuzzPredict steers the prediction pass over arbitrary well-formed
-// generated programs. Three contracts are under test: totality (the
+// generated programs. Four contracts are under test: totality (the
 // window solver must never panic and must terminate — every loop is
 // bounded by the region count or the window), determinism (the same
-// execution predicted twice yields the same report), and subsumption
+// execution predicted twice yields the same report), subsumption
 // (every race the strict happens-before detector observed must appear
 // among the predicted candidates, since an observed overlap is its own
-// witness). The shape encoding is shared with progen.FuzzPipeline so a
-// crasher found against the dynamic pipeline replays here directly.
+// witness), and lock mutual exclusion (every reordered witness passes
+// the independent lock replay of witnessLockError). The shape encoding
+// is shared with progen.FuzzPipeline so a crasher found against the
+// dynamic pipeline replays here directly.
 func FuzzPredict(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(42), uint8(255))
@@ -58,6 +60,14 @@ func FuzzPredict(f *testing.F) {
 			if !predicted[race.Sites] {
 				t.Fatalf("observed race %s not among %d predicted candidates",
 					race.Sites, len(rep.Candidates))
+			}
+		}
+		for _, c := range rep.Candidates {
+			if c.Witness.Kind != "reordered" {
+				continue
+			}
+			if err := witnessLockError(exec, c.Witness); err != nil {
+				t.Fatalf("witness %v cannot execute: %v", c.Witness.Regions, err)
 			}
 		}
 		again := predict.Run(exec, predict.Options{})

@@ -6,22 +6,23 @@
 // pairs whose sequencing regions actually overlapped in the recording;
 // pairs the scheduler happened to separate in time are silently ordered
 // even when no synchronization orders them. This pass re-examines the
-// decoded trace in three stages:
+// decoded trace with the strict detector's own conflict search
+// (hb.Search) and its own predicate on region pairs, in three stages:
 //
 //  1. Prefilter (lockset + weak happens-before): candidate pairs touch
 //     the same address from different threads, at least one write,
 //     neither atomic, with disjoint held-lock sets, and concurrent
-//     under the *weak* happens-before order — program order plus
-//     fork/join edges only. Dropping the unlock→lock and atomic edges
-//     is what RV-Predict calls must-happen-before: a lock-induced
-//     ordering is an accident of which thread won the lock, not a
-//     constraint on reorderings.
-//  2. Blocks: accesses are grouped into equivalence blocks — same
+//     under the *weak* happens-before order (hb.RegionClocks with
+//     hb.Weak) — program order plus fork/join edges only. Dropping the
+//     unlock→lock and atomic edges is what RV-Predict calls
+//     must-happen-before: a lock-induced ordering is an accident of
+//     which thread won the lock, not a constraint on reorderings.
+//  2. Blocks: the search groups accesses into equivalence blocks — same
 //     region, same PC, same address, same access kind (the held
 //     lockset is constant within a region) — and one representative
-//     pair per block pair stands in for the whole cross product,
-//     collapsing the candidate space exactly the way the strict
-//     detector dedups instances per (site pair, region pair, address).
+//     pair per site pair stands in for the whole cross product, the
+//     strict detector's one instance per (site pair, region pair,
+//     address).
 //  3. Window solver: each surviving region pair must admit a concrete
 //     witness schedule inside a bounded window of the recorded region
 //     schedule. An overlapping pair is its own witness ("observed").
@@ -30,7 +31,8 @@
 //     after the earlier racing region: every cross-thread weak-HB
 //     predecessor of the chain (spawn of the thread, joined threads'
 //     exits) already completed in the prefix, every lock the chain
-//     holds is free at the hoist point, and no skipped region's write
+//     holds is free right after the earlier region's opening
+//     synchronization, and no skipped region's write
 //     feeds an address the chain reads — so the recorded values remain
 //     valid along the witness and the replayed live-ins are trustworthy.
 //
@@ -42,14 +44,13 @@
 package predict
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/hb"
-	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/trace"
-	"repro/internal/vclock"
 )
 
 // DefaultWindow is the region-schedule distance the solver searches
@@ -73,10 +74,10 @@ type Witness struct {
 	// Kind is "observed" for pairs whose regions overlapped in the
 	// recording, "reordered" for pairs the solver hoisted.
 	Kind string
-	// Regions lists the witness suffix as region Globals: the hoisted
-	// chain of the later thread followed by the two racing regions. The
-	// elided prefix is the recorded schedule up to (excluding) the first
-	// racing region.
+	// Regions lists the witness suffix as region Globals: the first
+	// racing region, the hoisted chain of the later thread, then the
+	// second racing region. The elided prefix is the recorded schedule up
+	// to (excluding) the first racing region.
 	Regions []int
 }
 
@@ -104,63 +105,42 @@ type Report struct {
 	Candidates []*Candidate // feasible pairs, sorted by site pair then regions
 	Window     int          // effective window
 
-	PairsScreened int // block pairs that reached the prefilter
+	PairsScreened int // conflicting block pairs of the region pairs that passed
 	Blocks        int // access blocks formed
 	Rejected      Rejections
-}
-
-// NewSites returns the predicted site pairs the observed report does not
-// contain — the races prediction found beyond the recorded interleaving.
-func (r *Report) NewSites(observed *hb.Report) []hb.SitePair {
-	var out []hb.SitePair
-	seen := map[hb.SitePair]bool{}
-	for _, c := range r.Candidates {
-		if seen[c.Sites] || (observed != nil && observed.Race(c.Sites) != nil) {
-			continue
-		}
-		seen[c.Sites] = true
-		out = append(out, c.Sites)
-	}
-	return out
 }
 
 // NewReport assembles the predicted-new candidates (site pairs absent
 // from the observed report) into an hb.Report the classifier consumes
 // unchanged: instances point at real recorded regions, so dual-order
-// replay, fingerprinting, and the memo cache all apply as-is.
+// replay, fingerprinting, and the memo cache all apply as-is. Candidates
+// are sorted by site pair, so each race's instances are consecutive and
+// the races come out sorted.
 func (r *Report) NewReport(observed *hb.Report) *hb.Report {
-	races := map[hb.SitePair]*hb.Race{}
 	rep := &hb.Report{}
+	var race *hb.Race
 	for _, c := range r.Candidates {
 		if observed != nil && observed.Race(c.Sites) != nil {
 			continue
 		}
-		race := races[c.Sites]
-		if race == nil {
+		if race == nil || race.Sites != c.Sites {
 			race = &hb.Race{Sites: c.Sites}
-			races[c.Sites] = race
 			rep.Races = append(rep.Races, race)
 		}
 		race.Instances = append(race.Instances, c.Instance)
 		rep.TotalInstances++
 	}
-	sort.Slice(rep.Races, func(i, j int) bool {
-		a, b := rep.Races[i].Sites, rep.Races[j].Sites
-		if a.A != b.A {
-			return a.A < b.A
-		}
-		return a.B < b.B
-	})
 	return rep
 }
 
 // regionInfo is the per-region precomputation the prefilter and the
-// solver share.
+// solver share. Regions share its slices, which are never written once
+// precompute has built them.
 type regionInfo struct {
-	held   []uint64        // locks held during the region, sorted
-	heldAt []lockOwner     // global lock table at region start
-	reads  map[uint64]bool // addresses read (non-atomic)
-	writes map[uint64]bool // addresses written (non-atomic)
+	held   []uint64    // locks held during the region, sorted
+	heldAt []lockOwner // global lock table at region start
+	reads  []uint64    // addresses read (non-atomic), sorted and distinct
+	writes []uint64    // addresses written (non-atomic), sorted and distinct
 }
 
 type lockOwner struct {
@@ -168,10 +148,10 @@ type lockOwner struct {
 	tid  int
 }
 
-// Run predicts feasible races over a replayed execution. The observed
-// report (may be nil) is only consulted for the Observed marking via
-// region overlap — prediction is independent of it; callers use
-// NewReport/NewSites to subtract the observed set.
+// Run predicts feasible races over a replayed execution. It is
+// independent of the strict detector's report: a candidate is Observed
+// when its regions overlap, and callers use NewReport to subtract the
+// observed set.
 func Run(exec *replay.Execution, opts Options) *Report {
 	window := opts.Window
 	if window <= 0 {
@@ -179,151 +159,39 @@ func Run(exec *replay.Execution, opts Options) *Report {
 	}
 	rep := &Report{Window: window}
 
-	weak := weakClocks(exec)
-	infos := precompute(exec)
-	spawnReg, lastReg := forkJoinIndex(exec)
+	// Weak clocks drop the edge of a join met before the joined thread's
+	// last region; the solver's fork/join check rejects such chains.
+	weak, _ := hb.RegionClocks(exec, hb.Weak)
+	sv := &solver{exec: exec, infos: precompute(exec), window: window, rej: &rep.Rejected}
+	sv.spawnReg, sv.lastReg = forkJoinIndex(exec)
 
-	// Per-address screening and reference layout, mirroring the strict
-	// detector: only addresses touched by two or more threads with at
-	// least one non-atomic write go further, and survivors are visited
-	// in ascending address order so the output is deterministic.
-	type ref struct {
-		acc replay.Access
-		reg *replay.Region
-	}
-	byAddr := map[uint64][]ref{}
-	firstTID := map[uint64]int{}
-	multi := map[uint64]bool{}
-	hasWrite := map[uint64]bool{}
-	for _, region := range exec.Regions {
-		for _, acc := range region.Accesses {
-			if acc.Atomic {
-				continue
-			}
-			if t, ok := firstTID[acc.Addr]; !ok {
-				firstTID[acc.Addr] = region.TID
-			} else if t != region.TID {
-				multi[acc.Addr] = true
-			}
-			hasWrite[acc.Addr] = hasWrite[acc.Addr] || acc.IsWrite
-			byAddr[acc.Addr] = append(byAddr[acc.Addr], ref{acc, region})
+	// The strict detector's conflict search, with the prefilter and the
+	// solver as its predicate. Weak-HB concurrency, disjoint held locksets
+	// and window feasibility are properties of the region pair (plus the
+	// racing address for the value check), so they are decided once per
+	// pair, and every instance emitted for the pair carries its witness.
+	var wit Witness
+	st := hb.Search(exec, func(a, b *replay.Region, addr uint64) bool {
+		if !hb.Concurrent(weak, a, b) || intersects(sv.infos[a.Global].held, sv.infos[b.Global].held) {
+			return false
 		}
-	}
-	var addrs []uint64
-	for addr := range byAddr {
-		if multi[addr] && hasWrite[addr] {
-			addrs = append(addrs, addr)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-
-	siteOf := func(pc int) string { return exec.Prog.SiteOf(pc) }
-
-	// Block representatives per (region, PC, kind): the first access of
-	// each kind at each PC within a region stands in for the whole block
-	// (held locksets are region-constant, so blocks never split on them).
-	type block struct {
-		reg *replay.Region
-		acc replay.Access
-	}
-	var emitted []hb.SitePair
-	for _, addr := range addrs {
-		refs := byAddr[addr]
-		// Run-split by region (refs arrive in schedule order).
-		type group struct {
-			reg           *replay.Region
-			reads, writes []block
-		}
-		var groups []group
-		for i := 0; i < len(refs); {
-			g := group{reg: refs[i].reg}
-			seenR := map[int]bool{}
-			seenW := map[int]bool{}
-			j := i
-			for j < len(refs) && refs[j].reg == g.reg {
-				acc := refs[j].acc
-				if acc.IsWrite {
-					if !seenW[acc.PC] {
-						seenW[acc.PC] = true
-						g.writes = append(g.writes, block{g.reg, acc})
-					}
-				} else if !seenR[acc.PC] {
-					seenR[acc.PC] = true
-					g.reads = append(g.reads, block{g.reg, acc})
-				}
-				j++
-			}
-			rep.Blocks += len(g.reads) + len(g.writes)
-			groups = append(groups, g)
-			i = j
-		}
-
-		for i := 0; i < len(groups); i++ {
-			for j := i + 1; j < len(groups); j++ {
-				ga, gb := &groups[i], &groups[j]
-				if ga.reg.TID == gb.reg.TID {
-					continue
-				}
-				// Region-level prefilter: weak-HB concurrency and
-				// disjoint held locksets hold for every block pair of
-				// the two regions, so test them once.
-				if !weak[ga.reg.Global].Concurrent(weak[gb.reg.Global]) {
-					continue
-				}
-				if intersects(infos[ga.reg.Global].held, infos[gb.reg.Global].held) {
-					continue
-				}
-				// Window feasibility is also a property of the region
-				// pair (plus the racing address for the value check).
-				wit, ok := feasible(exec, infos, spawnReg, lastReg, ga.reg, gb.reg, addr, window, &rep.Rejected)
-				if !ok {
-					continue
-				}
-				emitted = emitted[:0]
-				emit := func(a, b block) {
-					rep.PairsScreened++
-					sites := hb.MakeSitePair(siteOf(a.acc.PC), siteOf(b.acc.PC))
-					for _, e := range emitted {
-						if e == sites {
-							return
-						}
-					}
-					emitted = append(emitted, sites)
-					rep.Candidates = append(rep.Candidates, &Candidate{
-						Sites: sites,
-						Instance: hb.Instance{
-							First: a.acc, Second: b.acc,
-							RegionA: a.reg, RegionB: b.reg,
-							Addr: addr,
-						},
-						Observed: wit.Kind == "observed",
-						Witness:  wit,
-					})
-				}
-				for _, w := range ga.writes {
-					for _, x := range gb.writes {
-						emit(w, x)
-					}
-					for _, r := range gb.reads {
-						emit(w, r)
-					}
-				}
-				for _, r := range ga.reads {
-					for _, w := range gb.writes {
-						emit(r, w)
-					}
-				}
-			}
-		}
-	}
+		var ok bool
+		wit, ok = sv.feasible(a, b, addr)
+		return ok
+	}, func(sites hb.SitePair, in hb.Instance) {
+		rep.Candidates = append(rep.Candidates, &Candidate{
+			Sites:    sites,
+			Instance: in,
+			Observed: wit.Kind == "observed",
+			Witness:  wit,
+		})
+	})
+	rep.Blocks, rep.PairsScreened = st.Blocks, st.BlockPairs
 
 	sort.SliceStable(rep.Candidates, func(i, j int) bool {
 		a, b := rep.Candidates[i], rep.Candidates[j]
 		if a.Sites != b.Sites {
-			if a.Sites.A != b.Sites.A {
-				return a.Sites.A < b.Sites.A
-			}
-			return a.Sites.B < b.Sites.B
+			return a.Sites.Less(b.Sites)
 		}
 		if a.Instance.RegionA.Global != b.Instance.RegionA.Global {
 			return a.Instance.RegionA.Global < b.Instance.RegionA.Global
@@ -356,51 +224,62 @@ func Run(exec *replay.Execution, opts Options) *Report {
 	return rep
 }
 
+// solver is the window solver's view of one execution, plus region lists
+// it reuses from one region pair to the next.
+type solver struct {
+	exec              *replay.Execution
+	infos             []regionInfo
+	spawnReg, lastReg map[int]int
+	window            int
+	rej               *Rejections
+	hoisted, skipped  []*replay.Region
+}
+
 // feasible decides whether the region pair (a, b) admits a witness
 // schedule within the window, and returns it. Overlapping pairs are
 // their own witness. Otherwise the later region's thread chain is
 // hoisted to run directly after the earlier racing region; the checks
 // are ordered cheapest-first and the first failure is counted.
-func feasible(exec *replay.Execution, infos []regionInfo, spawnReg, lastReg map[int]int,
-	a, b *replay.Region, addr uint64, window int, rej *Rejections) (Witness, bool) {
+func (sv *solver) feasible(a, b *replay.Region, addr uint64) (Witness, bool) {
+	infos, rej := sv.infos, sv.rej
 	if a.Global > b.Global {
 		a, b = b, a
 	}
 	if a.Overlaps(b) {
 		return Witness{Kind: "observed", Regions: []int{a.Global, b.Global}}, true
 	}
-	if b.Global-a.Global > window {
+	if b.Global-a.Global > sv.window {
 		rej.Window++
 		return Witness{}, false
 	}
 
-	// chain: b's thread's regions strictly between a and b in the
-	// schedule; skipped: everything else in that span (including a's own
-	// thread's later regions — they are deferred past the racing pair).
-	var chain, skipped []*replay.Region
-	for g := a.Global + 1; g < b.Global; g++ {
-		r := exec.Regions[g]
+	// hoisted: b's thread's regions strictly between a and b in the
+	// schedule (the chain), then b; skipped: everything else in that span
+	// (including a's own thread's later regions — they are deferred past
+	// the racing pair).
+	hoisted, skipped := sv.hoisted[:0], sv.skipped[:0]
+	for _, r := range sv.exec.Regions[a.Global+1 : b.Global] {
 		if r.TID == b.TID {
-			chain = append(chain, r)
+			hoisted = append(hoisted, r)
 		} else {
 			skipped = append(skipped, r)
 		}
 	}
-
-	hoisted := append(chain[:len(chain):len(chain)], b)
+	hoisted = append(hoisted, b)
+	sv.hoisted, sv.skipped = hoisted, skipped
 
 	// Weak-HB: every cross-thread predecessor of the hoisted chain (and
 	// of b itself) must already have completed in the prefix — the spawn
 	// of b's thread, and the exit of any thread a chain region joins.
 	for _, c := range hoisted {
 		if c.StartKind == trace.SeqStart {
-			if g, ok := spawnReg[c.TID]; ok && g >= a.Global {
+			if g, ok := sv.spawnReg[c.TID]; ok && g >= a.Global {
 				rej.WeakHB++
 				return Witness{}, false
 			}
 		}
 		if c.JoinTarget >= 0 {
-			if g, ok := lastReg[c.JoinTarget]; !ok || g >= a.Global {
+			if g, ok := sv.lastReg[c.JoinTarget]; !ok || g >= a.Global {
 				rej.WeakHB++
 				return Witness{}, false
 			}
@@ -408,15 +287,22 @@ func feasible(exec *replay.Execution, infos []regionInfo, spawnReg, lastReg map[
 	}
 
 	// Lockset: every lock the chain (or b) holds must be free — or held
-	// by b's own thread — at the hoist point, i.e. in the recorded lock
-	// table at a's region start.
+	// by b's own thread — at the hoist point. That is the lock table
+	// after a's opening synchronization: the table at a's start, with a's
+	// thread holding what it holds during a. A region opened by "lock m"
+	// still holds m there, and one opened by "unlock m" has released it.
+	ai := &infos[a.Global]
 	for _, c := range hoisted {
 		for _, l := range infos[c.Global].held {
-			for _, own := range infos[a.Global].heldAt {
-				if own.addr == l && own.tid != b.TID {
-					rej.Lockset++
-					return Witness{}, false
+			held := has(ai.held, l)
+			for _, own := range ai.heldAt {
+				if own.addr == l && own.tid != a.TID && own.tid != b.TID {
+					held = true
 				}
+			}
+			if held {
+				rej.Lockset++
+				return Witness{}, false
 			}
 		}
 	}
@@ -428,153 +314,91 @@ func feasible(exec *replay.Execution, infos []regionInfo, spawnReg, lastReg map[
 	// write — and no write of a — may feed a chain read. For b itself
 	// the racing address is exempt: disagreement there is the race, and
 	// the dual-order classifier replays both resolutions of it.
-	for _, c := range chain {
-		ci := &infos[c.Global]
-		for rd := range ci.reads {
-			if infos[a.Global].writes[rd] {
-				rej.Value++
-				return Witness{}, false
-			}
+	for _, c := range hoisted {
+		for _, rd := range infos[c.Global].reads {
+			fed := (c != b || rd != addr) && has(ai.writes, rd)
 			for _, s := range skipped {
-				if infos[s.Global].writes[rd] {
-					rej.Value++
-					return Witness{}, false
-				}
+				fed = fed || has(infos[s.Global].writes, rd)
 			}
-		}
-	}
-	bi := &infos[b.Global]
-	for rd := range bi.reads {
-		if rd != addr && infos[a.Global].writes[rd] {
-			rej.Value++
-			return Witness{}, false
-		}
-		for _, s := range skipped {
-			if infos[s.Global].writes[rd] {
+			if fed {
 				rej.Value++
 				return Witness{}, false
 			}
 		}
 	}
 
-	wit := Witness{Kind: "reordered", Regions: make([]int, 0, len(chain)+2)}
-	wit.Regions = append(wit.Regions, a.Global)
-	for _, c := range chain {
-		wit.Regions = append(wit.Regions, c.Global)
+	regions := append(make([]int, 0, len(hoisted)+1), a.Global)
+	for _, c := range hoisted {
+		regions = append(regions, c.Global)
 	}
-	wit.Regions = append(wit.Regions, b.Global)
-	return wit, true
-}
-
-// weakClocks computes one vector clock per region under the weak
-// happens-before order: thread program order plus spawn→child-start and
-// child-end→join edges. Unlock→lock and atomic edges are deliberately
-// absent — those orderings are scheduling accidents the solver is
-// allowed to undo. Structurally this mirrors hb.RegionClocks minus the
-// lock/atomic cases; overlapping regions are always weak-concurrent
-// (fork/join-ordered regions cannot overlap), so prediction subsumes
-// the strict detector's positives.
-func weakClocks(exec *replay.Execution) []vclock.VC {
-	nThreads := len(exec.Threads)
-	clocks := make([]vclock.VC, len(exec.Regions))
-	threadVC := make(map[int]vclock.VC, nThreads)
-	endVC := make(map[int]vclock.VC)
-	spawnParent := spawnParents(exec)
-
-	for _, reg := range exec.Regions {
-		tid := reg.TID
-		vc, started := threadVC[tid]
-		if !started {
-			vc = vclock.New(nThreads)
-		}
-		switch reg.StartKind {
-		case trace.SeqStart:
-			if parent, ok := spawnParent[tid]; ok {
-				vc = vc.Join(threadVC[parent])
-			}
-		case trace.SeqSyscall:
-			if reg.JoinTarget >= 0 {
-				if child, ok := endVC[reg.JoinTarget]; ok {
-					vc = vc.Join(child)
-				}
-			}
-		}
-		vc = vc.Tick(tid)
-		clocks[reg.Global] = vc.Clone()
-		threadVC[tid] = vc
-		if reg.EndKind == trace.SeqEnd {
-			endVC[tid] = vc.Clone()
-		}
-	}
-	return clocks
-}
-
-// spawnParents maps each spawned thread to its parent, identified by
-// matching the child's start timestamp against spawn sequencers — the
-// same derivation hb.RegionClocks uses.
-func spawnParents(exec *replay.Execution) map[int]int {
-	spawnParent := make(map[int]int)
-	for _, tl := range exec.Log.Threads {
-		for _, s := range tl.Seqs {
-			if s.Kind == trace.SeqSyscall && s.Aux == isa.SysSpawn {
-				for _, child := range exec.Log.Threads {
-					if child.TID != tl.TID && child.StartTS == s.TS {
-						spawnParent[child.TID] = tl.TID
-					}
-				}
-			}
-		}
-	}
-	return spawnParent
+	return Witness{Kind: "reordered", Regions: regions}, true
 }
 
 // precompute walks the schedule once and fills the per-region facts the
 // prefilter and solver consult: the held-lock set during the region,
 // the global lock table at region start, and the region's non-atomic
-// read/write address sets.
+// read/write address sets. Lock sets and tables change only at lock and
+// unlock regions, so the regions between share them, and every address
+// set is carved from one backing array.
 func precompute(exec *replay.Execution) []regionInfo {
 	infos := make([]regionInfo, len(exec.Regions))
 	heldBy := map[int][]uint64{} // tid -> sorted held locks
+	var table []lockOwner
+	stale := true
+	n := 0
+	for _, reg := range exec.Regions {
+		n += len(reg.Accesses)
+	}
+	addrs := make([]uint64, 0, n)
 	for _, reg := range exec.Regions {
 		// Snapshot the global lock table before applying this region's
 		// opening synchronization.
-		var table []lockOwner
-		for tid, locks := range heldBy {
-			for _, l := range locks {
-				table = append(table, lockOwner{addr: l, tid: tid})
+		if stale {
+			table = nil
+			for tid, locks := range heldBy {
+				for _, l := range locks {
+					table = append(table, lockOwner{addr: l, tid: tid})
+				}
 			}
+			stale = false
 		}
-		sort.Slice(table, func(i, j int) bool {
-			if table[i].addr != table[j].addr {
-				return table[i].addr < table[j].addr
-			}
-			return table[i].tid < table[j].tid
-		})
 
 		switch reg.StartKind {
 		case trace.SeqLock:
 			heldBy[reg.TID] = insertSorted(heldBy[reg.TID], reg.SyncAddr)
+			stale = true
 		case trace.SeqUnlock:
 			heldBy[reg.TID] = removeSorted(heldBy[reg.TID], reg.SyncAddr)
+			stale = true
 		}
 
 		info := &infos[reg.Global]
 		info.heldAt = table
-		info.held = append([]uint64(nil), heldBy[reg.TID]...)
-		info.reads = map[uint64]bool{}
-		info.writes = map[uint64]bool{}
-		for _, acc := range reg.Accesses {
-			if acc.Atomic {
-				continue
-			}
-			if acc.IsWrite {
-				info.writes[acc.Addr] = true
-			} else {
-				info.reads[acc.Addr] = true
-			}
-		}
+		info.held = heldBy[reg.TID]
+		info.reads, addrs = addrSet(addrs, reg.Accesses, false)
+		info.writes, addrs = addrSet(addrs, reg.Accesses, true)
 	}
 	return infos
+}
+
+// addrSet appends the distinct addresses of the non-atomic writes (or
+// reads) in accs to buf, sorted, and returns them with the grown buf.
+func addrSet(buf []uint64, accs []replay.Access, writes bool) (set, grown []uint64) {
+	lo := len(buf)
+	for _, acc := range accs {
+		if !acc.Atomic && acc.IsWrite == writes {
+			buf = append(buf, acc.Addr)
+		}
+	}
+	slices.Sort(buf[lo:])
+	set = slices.Clip(slices.Compact(buf[lo:]))
+	return set, buf[:lo+len(set)]
+}
+
+// has reports whether the sorted set holds v.
+func has(set []uint64, v uint64) bool {
+	_, found := slices.BinarySearch(set, v)
+	return found
 }
 
 // forkJoinIndex returns, per thread, the Global of the region whose
@@ -592,36 +416,26 @@ func forkJoinIndex(exec *replay.Execution) (spawnReg, lastReg map[int]int) {
 	return spawnReg, lastReg
 }
 
+// insertSorted returns s with v added. Earlier regions share s, so the
+// result is a new slice.
 func insertSorted(s []uint64, v uint64) []uint64 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
+	i, found := slices.BinarySearch(s, v)
+	if found {
 		return s
 	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
+	return slices.Insert(slices.Clone(s), i, v)
 }
 
+// removeSorted returns s without v, as a new slice when v was present.
 func removeSorted(s []uint64, v uint64) []uint64 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	if i < len(s) && s[i] == v {
-		return append(s[:i], s[i+1:]...)
+	i, found := slices.BinarySearch(s, v)
+	if !found {
+		return s
 	}
-	return s
+	return slices.Delete(slices.Clone(s), i, i+1)
 }
 
+// intersects reports whether the sorted sets a and b share an element.
 func intersects(a, b []uint64) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
+	return slices.ContainsFunc(a, func(v uint64) bool { return has(b, v) })
 }

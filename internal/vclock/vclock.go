@@ -74,9 +74,6 @@ func (v VC) LessEq(o VC) bool {
 // Equal reports component-wise equality (missing components are zero).
 func (v VC) Equal(o VC) bool { return v.LessEq(o) && o.LessEq(v) }
 
-// HappensBefore reports v < o: v ≤ o and v ≠ o.
-func (v VC) HappensBefore(o VC) bool { return v.LessEq(o) && !o.LessEq(v) }
-
 // Concurrent reports that neither clock happens before the other.
 func (v VC) Concurrent(o VC) bool { return !v.LessEq(o) && !o.LessEq(v) }
 
