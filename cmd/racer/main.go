@@ -573,34 +573,22 @@ func cmdSuite(args []string) error {
 		}
 	}
 	sp := reg.StartSpan("report")
-	fmt.Fprint(stdout, report.Summary(run.Merged, report.SuiteTruth))
-	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, report.BuildTable1(run.Merged, report.SuiteTruth).Render())
-	if *predictStage {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, report.BuildPredictedSection(run).Render())
-	}
-	if *staticStage {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, report.BuildStaticSection(run).Render())
-	}
-	if *verbose {
-		fmt.Fprintln(stdout)
-		for _, r := range run.Merged.Races {
-			fmt.Fprint(stdout, report.RaceReport(r, report.SuiteTruth))
-		}
-	}
-	printQuarantine(run.Quarantined)
-	if _, harmful := run.Merged.CountByVerdict(); harmful > 0 {
-		raiseExit(1)
-	}
-	if run.Predict != nil && run.Predict.Merged != nil {
-		if _, harmful := run.Predict.Merged.CountByVerdict(); harmful > 0 {
-			raiseExit(1)
-		}
-	}
+	printBatch(run, report.BatchOptions{Races: *verbose})
 	sp.End()
 	return metrics.emit(reg)
+}
+
+// printBatch prints a batch report and raises the exit status by the
+// batch rule: 2 when an input was quarantined or nothing was analyzed,
+// 1 when the run reports a potentially harmful race.
+func printBatch(run *racereplay.SuiteRun, o report.BatchOptions) {
+	fmt.Fprint(stdout, report.Batch(run, o))
+	if len(run.Quarantined) > 0 || len(run.Scenarios) == 0 {
+		raiseExit(2)
+	}
+	if run.Harmful() {
+		raiseExit(1)
+	}
 }
 
 // writeSuiteBench records one suite run as a single-sample bench JSON
@@ -781,17 +769,6 @@ func cmdLint(args []string) error {
 	return metrics.emit(reg)
 }
 
-// printQuarantine renders the quarantine section (if any) and raises
-// the exit status to 2: the analysis completed, but over degraded input.
-func printQuarantine(items []racereplay.Quarantined) {
-	if len(items) == 0 {
-		return
-	}
-	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, report.QuarantineSection(items))
-	raiseExit(2)
-}
-
 func printClassification(c *racereplay.Classification, filter string) {
 	benign, harmful := c.CountByVerdict()
 	if harmful > 0 {
@@ -839,43 +816,24 @@ func cmdRecordSuite(args []string) error {
 
 	// Every (scenario, seed) recording is an independent deterministic
 	// machine run, so unlike the live suite the online half can fan out
-	// too. Logs land in index-addressed slots and are written, summed,
-	// and (for metrics) adopted in index order, keeping the output
-	// identical at any worker count.
-	type recJob struct {
-		s    racereplay.Scenario
-		k    int
-		prog *racereplay.Program
-	}
-	var work []recJob
-	for _, base := range workloads.Scenarios() {
-		for k := 0; k < *seeds; k++ {
-			s := base
-			s.Seed = base.Seed + int64(7777*k)
-			prog, err := s.Program()
-			if err != nil {
-				return err
-			}
-			work = append(work, recJob{s: s, k: k, prog: prog})
+	// too. Logs land in index-addressed slots and are written and summed
+	// in index order, keeping the output identical at any worker count.
+	scenarios := workloads.SuiteScenarios(*seeds)
+	progs := make([]*racereplay.Program, len(scenarios))
+	for i, s := range scenarios {
+		if progs[i], err = s.Program(); err != nil {
+			return err
 		}
 	}
-	logs := make([]*racereplay.Log, len(work))
-	errs := make([]error, len(work))
-	forks := make([]*racereplay.Metrics, len(work))
-	pool := sched.NewPool(*jobs, reg)
-	for i := range work {
-		i := i
-		forks[i] = reg.Fork()
-		pool.Submit(func() {
-			logs[i], _, errs[i] = racereplay.Record(
-				work[i].prog, work[i].s.Config(), racereplay.OnlineConfig{Detect: *online}, forks[i])
-		})
-	}
-	pool.Wait()
-	for i, f := range forks {
-		reg.Adopt(f)
-		if errs[i] != nil {
-			return fmt.Errorf("%s seed %d: %w", work[i].s.Name, work[i].s.Seed, errs[i])
+	logs := make([]*racereplay.Log, len(scenarios))
+	errs := make([]error, len(scenarios))
+	sched.ForEachFork(reg, *jobs, len(scenarios), func(i int, reg *racereplay.Metrics) {
+		logs[i], _, errs[i] = racereplay.Record(
+			progs[i], scenarios[i].Config(), racereplay.OnlineConfig{Detect: *online}, reg)
+	})
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("%s seed %d: %w", scenarios[i].Name, scenarios[i].Seed, err)
 		}
 	}
 
@@ -884,7 +842,7 @@ func cmdRecordSuite(args []string) error {
 	man := racereplay.NewManifest()
 	raceFree := 0
 	for i, log := range logs {
-		name := fmt.Sprintf("%s-%d.rlog", work[i].s.Name, work[i].k)
+		name := fmt.Sprintf("%s-%d.rlog", scenarios[i].Name, i%*seeds)
 		path := filepath.Join(*dir, name)
 		f, err := os.Create(path)
 		if err != nil {
@@ -963,207 +921,82 @@ func cmdAnalyzeDir(args []string) error {
 	// Corrupt or unreadable logs quarantine instead of aborting the
 	// batch: the analysis completes over the healthy files and the
 	// report lists every excluded one with its typed error (exit 2).
-	// Audit envelopes are slot-indexed by directory order, quarantined
-	// files included, so the trail covers every input.
-	var logs []*racereplay.Log
-	var labels []string
-	var slotOf []int
-	var quarantined []racereplay.Quarantined
-	var audits []*racereplay.AuditExecution
-	decodeSp := reg.StartSpan("decode")
 	// File decodes fan across the worker pool (a lone file fans its v2
-	// thread segments across the same budget instead). Each worker
-	// decodes into its slot with a forked registry; all bookkeeping —
-	// counter adoption, quarantine, manifest lookup — replays serially
-	// in directory order, so the output and the audit trail stay
-	// byte-identical at every -jobs count. Salvage mode means a v2
-	// container with some corrupt thread segments still contributes its
-	// healthy threads instead of quarantining the whole file.
-	type decoded struct {
-		log    *racereplay.Log
-		faults []racereplay.ThreadFault
-		err    error
-	}
+	// thread segments across the same budget instead); all bookkeeping —
+	// salvage warnings, manifest lookup — replays serially in directory
+	// order, so the output and the audit trail stay byte-identical at
+	// every -jobs count. Salvage mode means a v2 container with some
+	// corrupt thread segments still contributes its healthy threads
+	// instead of quarantining the whole file.
+	decodeSp := reg.StartSpan("decode")
 	segJobs := 1
 	if len(entries) == 1 {
 		segJobs = *jobs
 	}
-	slots := make([]decoded, len(entries))
-	decForks := make([]*racereplay.Metrics, len(entries))
-	dpool := sched.NewPool(*jobs, reg)
-	for i := range entries {
-		i := i
-		decForks[i] = reg.Fork()
-		dpool.Submit(func() {
-			d := &slots[i]
-			data, err := os.ReadFile(entries[i])
-			if err != nil {
-				d.err = err
-				return
-			}
-			d.log, d.faults, d.err = racereplay.DecodeLogOpts(data, racereplay.DecodeOptions{
-				Jobs: segJobs, Salvage: true, Metrics: decForks[i],
+	items := make([]workloads.Item, len(entries))
+	faults := make([][]racereplay.ThreadFault, len(entries))
+	sched.ForEachFork(reg, *jobs, len(entries), func(i int, reg *racereplay.Metrics) {
+		it := &items[i]
+		data, err := os.ReadFile(entries[i])
+		if err == nil {
+			it.Log, faults[i], err = racereplay.DecodeLogOpts(data, racereplay.DecodeOptions{
+				Jobs: segJobs, Salvage: true, Metrics: reg,
 			})
-			if d.err == nil {
-				d.err = racereplay.ValidateLog(d.log)
-			}
-		})
-	}
-	dpool.Wait()
-	for i, path := range entries {
-		reg.Adopt(decForks[i])
-		label := filepath.Base(path)
-		log, err := slots[i].log, slots[i].err
-		var ae *racereplay.AuditExecution
-		if *auditOut != "" {
-			ae = &racereplay.AuditExecution{Scenario: label}
-			audits = append(audits, ae)
 		}
-		if err != nil {
-			quarantined = append(quarantined, racereplay.Quarantined{
-				Index: i, Label: label, Err: err,
-			})
-			reg.Counter("robust.quarantined").Inc()
-			reg.EmitLabeled("quarantine", label, uint64(i))
-			reg.Logger().Warn("log quarantined at decode",
-				"file", label, "err", err.Error())
-			if ae != nil {
-				ae.Quarantined = err.Error()
-			}
+		if err == nil {
+			err = racereplay.ValidateLog(it.Log)
+		}
+		it.Err = err
+	})
+	for i, path := range entries {
+		it := &items[i]
+		it.Label = filepath.Base(path)
+		it.Group = programOf(it.Label)
+		if it.Err != nil {
 			continue
 		}
-		for _, tf := range slots[i].faults {
+		for _, tf := range faults[i] {
 			reg.Logger().Warn("thread segment salvaged at decode",
-				"file", label, "segment", tf.Segment, "tid", tf.TID, "err", tf.Err.Error())
+				"file", it.Label, "segment", tf.Segment, "tid", tf.TID, "err", tf.Err.Error())
 		}
-		reg.EmitLabeled("decode", label, log.Instructions())
-		var digest string
-		if ae != nil || man != nil {
-			digest = racereplay.LogDigest(log)
+		reg.EmitLabeled("decode", it.Label, it.Log.Instructions())
+		it.Seed = it.Log.Seed
+		if man != nil {
+			if e := man.Lookup(it.Label, racereplay.LogDigest(it.Log)); e != nil {
+				it.Log.Online = e.Online()
+				reg.Counter("decode.manifest_verdicts").Inc()
+			}
 		}
-		if ae != nil {
-			ae.Seed = log.Seed
-			ae.LogSHA256 = digest
-		}
-		if e := man.Lookup(label, digest); e != nil {
-			log.Online = e.Online()
-			reg.Counter("decode.manifest_verdicts").Inc()
-		}
-		logs = append(logs, log)
-		labels = append(labels, label)
-		slotOf = append(slotOf, i)
 	}
 	decodeSp.End()
-	results, analysisQuarantined := racereplay.AnalyzeLogs(logs, func(i int) racereplay.Options {
-		o := racereplay.Options{Scenario: labels[i], Seed: logs[i].Seed, DB: db, Predict: *predictStage}
-		if *auditOut != "" {
-			o.Audit = audits[slotOf[i]]
-		}
-		return o
-	}, *jobs, reg)
-	quarantined = append(quarantined, analysisQuarantined...)
+	run := workloads.AnalyzeBatch(items, workloads.SuiteOptions{
+		DB: db, Jobs: *jobs, Registry: reg, Static: *staticStage,
+		Audit: *auditOut != "", Predict: *predictStage,
+	})
 	if *auditOut != "" {
-		for _, q := range analysisQuarantined {
-			ae := audits[slotOf[q.Index]]
-			ae.Quarantined = q.Err.Error()
-			ae.Races = nil
-		}
-		file := racereplay.NewAuditFile()
-		for _, ae := range audits {
-			file.Executions = append(file.Executions, *ae)
-		}
-		file.DeriveCacheHits()
-		if err := file.WriteFile(*auditOut); err != nil {
+		if err := run.Audit.WriteFile(*auditOut); err != nil {
 			return err
 		}
 	}
-	var parts []*racereplay.Classification
-	for _, res := range results {
-		if res != nil {
-			parts = append(parts, res.Classification)
-		}
-	}
-	merged := racereplay.MergeClassifications(parts...)
-	fmt.Fprintf(stdout, "analyzed %d recorded executions\n", len(parts))
-	fmt.Fprint(stdout, report.Summary(merged, report.SuiteTruth))
-	fmt.Fprintln(stdout)
-	fmt.Fprint(stdout, report.BuildTable1(merged, report.SuiteTruth).Render())
-	var suitePredict *workloads.SuitePredict
-	if *predictStage {
-		suitePredict = workloads.BuildSuitePredict(labels, results)
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, report.PredictedSection{Suite: suitePredict}.Render())
-	}
-	if *staticStage {
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, report.StaticSection{Suite: staticOverDir(labels, results, reg)}.Render())
-	}
-	printQuarantine(quarantined)
-	if len(parts) == 0 {
-		// Exit-code contract, made explicit: a batch in which every
-		// input was quarantined analyzed nothing, so it must read as
-		// invalid input (2), never as "clean" (0) — even if the
-		// quarantine bookkeeping above ever changes shape.
-		raiseExit(2)
-	}
-	if _, harmful := merged.CountByVerdict(); harmful > 0 {
-		raiseExit(1)
-	}
-	if suitePredict != nil && suitePredict.Merged != nil {
-		if _, harmful := suitePredict.Merged.CountByVerdict(); harmful > 0 {
-			raiseExit(1)
-		}
-	}
+	printBatch(run, report.BatchOptions{Count: true})
 	return metrics.emit(reg)
 }
 
-// staticOverDir runs the static cross-validation stage over analyze-dir
-// results. Log files from record-suite are named "<scenario>-<k>.rlog", so
-// results grouped by the label minus its "-<k>" suffix pool the dynamic
-// evidence of one program's seeds, exactly like the live suite; foreign
-// file names fall back to one group per file. Programs decoded from logs
-// carry no data-symbol table, so candidate cells render as hex addresses.
-func staticOverDir(labels []string, results []*racereplay.Result, reg *racereplay.Metrics) *workloads.SuiteStatic {
-	baseOf := func(label string) string {
-		base := strings.TrimSuffix(label, ".rlog")
-		if i := strings.LastIndexByte(base, '-'); i > 0 {
-			if _, err := fmt.Sscanf(base[i+1:], "%d", new(int)); err == nil {
-				return base[:i]
-			}
-		}
-		return base
-	}
-	byBase := map[string][]*racereplay.Result{}
-	var order []string
-	for i, res := range results {
-		if res == nil {
-			continue
-		}
-		b := baseOf(labels[i])
-		if _, ok := byBase[b]; !ok {
-			order = append(order, b)
-		}
-		byBase[b] = append(byBase[b], res)
-	}
-	suite := &workloads.SuiteStatic{}
-	for _, b := range order {
-		group := byBase[b]
-		rep := racereplay.AnalyzeStatic(group[0].Prog, reg)
-		cross := racereplay.CrossValidateStatic(rep, reg, group...)
-		suite.Scenarios = append(suite.Scenarios, workloads.ScenarioStatic{Name: b, Report: rep, Cross: cross})
-		suite.Matched += cross.Matched
-		suite.Refuted += cross.Refuted
-		suite.Unmatched += cross.Unmatched
-		suite.Missed += len(cross.Missed)
-		if cross.HasPredicted {
-			suite.HasPredicted = true
-			suite.PredMatched += cross.PredMatched
-			suite.PredRefuted += cross.PredRefuted
-			suite.PredUnmatched += cross.PredUnmatched
-			suite.PredMissed += len(cross.PredMissed)
+// programOf names the static group of a log file. Files from
+// record-suite are named "<scenario>-<k>.rlog", so the group is the
+// name minus its "-<k>" suffix and pools the dynamic evidence of one
+// program's seeds, exactly like the live suite; foreign file names fall
+// back to one group per file. Programs decoded from logs carry no
+// data-symbol table, so the static section's candidate cells render as
+// hex addresses.
+func programOf(file string) string {
+	base := strings.TrimSuffix(file, ".rlog")
+	if i := strings.LastIndexByte(base, '-'); i > 0 {
+		if _, err := fmt.Sscanf(base[i+1:], "%d", new(int)); err == nil {
+			return base[:i]
 		}
 	}
-	return suite
+	return base
 }
 
 // cmdValidate decodes and structurally checks logs without analyzing

@@ -534,9 +534,28 @@ func TestCmdRecordSuiteAndAnalyzeDirParallel(t *testing.T) {
 	}
 }
 
+// TestSuiteMatchesAnalyzeDir: the live suite and analyze-dir over the
+// same executions recorded to disk share one batch path, so their
+// reports agree byte for byte once analyze-dir's count line is dropped.
+func TestSuiteMatchesAnalyzeDir(t *testing.T) {
+	resetExit(t)
+	dir := t.TempDir()
+	capture(t, func() error { return cmdRecordSuite([]string{"-dir", dir, "-seeds", "2"}) })
+	suite := capture(t, func() error { return cmdSuite([]string{"-seeds", "2", "-static"}) })
+	fromDir := capture(t, func() error { return cmdAnalyzeDir([]string{"-dir", dir, "-static"}) })
+	count, rest, _ := strings.Cut(fromDir, "\n")
+	if count != "analyzed 36 recorded executions" {
+		t.Errorf("analyze-dir count line = %q", count)
+	}
+	if rest != suite {
+		t.Fatalf("analyze-dir report differs from the suite's:\n--- suite\n%s\n--- analyze-dir\n%s", suite, rest)
+	}
+}
+
 // TestFormatDivergence: the container format is transport, never
 // semantics — the same executions recorded as v1 and as v2 must analyze
-// to byte-identical reports and audit trails, at any worker count.
+// to byte-identical reports and audit trails, at any worker count, with
+// the prediction and static stages on.
 func TestFormatDivergence(t *testing.T) {
 	base := t.TempDir()
 	dirV1 := filepath.Join(base, "v1")
@@ -546,10 +565,10 @@ func TestFormatDivergence(t *testing.T) {
 	auditV1 := filepath.Join(base, "audit-v1.json")
 	auditV2 := filepath.Join(base, "audit-v2.json")
 	repV1 := capture(t, func() error {
-		return cmdAnalyzeDir([]string{"-dir", dirV1, "-jobs", "1", "-audit-out", auditV1})
+		return cmdAnalyzeDir([]string{"-dir", dirV1, "-jobs", "1", "-static", "-predict", "-audit-out", auditV1})
 	})
 	repV2 := capture(t, func() error {
-		return cmdAnalyzeDir([]string{"-dir", dirV2, "-jobs", "4", "-audit-out", auditV2})
+		return cmdAnalyzeDir([]string{"-dir", dirV2, "-jobs", "4", "-static", "-predict", "-audit-out", auditV2})
 	})
 	if repV1 != repV2 {
 		t.Errorf("analyze-dir reports diverge between formats:\n-- v1 (jobs=1) --\n%s\n-- v2 (jobs=4) --\n%s", repV1, repV2)

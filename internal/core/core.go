@@ -225,6 +225,19 @@ func (q Quarantined) String() string {
 	return fmt.Sprintf("item %d: %v", q.Index, q.Err)
 }
 
+// Quarantine excludes one batch item from the analysis: it counts the
+// item on robust.quarantined, marks it on the timeline ("quarantine",
+// label = item label, arg = index), logs one warning, and returns the
+// entry for the report's quarantine section. Every batch stage — a
+// recording that died, a file that would not decode, an analysis that
+// failed — quarantines through it.
+func Quarantine(reg *obs.Registry, index int, label string, err error) Quarantined {
+	reg.Counter("robust.quarantined").Inc()
+	reg.EmitLabeled("quarantine", label, uint64(index))
+	reg.Logger().Warn("quarantined", "item", index, "label", label, "err", err.Error())
+	return Quarantined{Index: index, Label: label, Err: err}
+}
+
 // AnalyzeLogsInstrumented runs the offline half over a batch of logs,
 // fanning the per-log work across jobs workers (jobs < 1 means
 // GOMAXPROCS). optsFor supplies the classify options for the i-th log.
@@ -270,33 +283,20 @@ func AnalyzeLogsInstrumented(logs []*trace.Log, optsFor func(i int) classify.Opt
 			analyze(i, reg)
 		}
 	} else {
-		forks := make([]*obs.Registry, len(logs))
-		pool := sched.NewPool(jobs, reg)
-		for i := range logs {
-			i := i
-			forks[i] = reg.Fork()
+		sched.ForEachFork(reg, jobs, len(logs), func(i int, fork *obs.Registry) {
 			// Name the fork's timeline lane after the work item, so the
 			// exported trace reads "exec01#1", not an anonymous worker.
 			if label := optsFor(i).Scenario; label != "" {
-				forks[i].LabelLane(label)
+				fork.LabelLane(label)
 			}
-			pool.Submit(func() { analyze(i, forks[i]) })
-		}
-		pool.Wait()
-		for _, f := range forks {
-			reg.Adopt(f)
-		}
+			analyze(i, fork)
+		})
 	}
 	var quarantined []Quarantined
 	for i, err := range errs {
 		if err != nil {
 			results[i] = nil // a panicked job may have left a partial result
-			label := optsFor(i).Scenario
-			quarantined = append(quarantined, Quarantined{Index: i, Label: label, Err: err})
-			reg.Counter("robust.quarantined").Inc()
-			reg.EmitLabeled("quarantine", label, uint64(i))
-			reg.Logger().Warn("analysis quarantined",
-				"item", i, "scenario", label, "err", err.Error())
+			quarantined = append(quarantined, Quarantine(reg, i, optsFor(i).Scenario, err))
 		}
 	}
 	reg.Logger().Info("batch analyzed",

@@ -62,17 +62,12 @@ func engineRuns(t *testing.T) []engineRun {
 			runs = append(runs, engineRun{fmt.Sprintf("gen/%02d/%d", trial, seed), prog, machine.Config{Seed: seed}})
 		}
 	}
-	scenarios := workloads.Scenarios()
-	for _, s := range scenarios {
+	for i, s := range workloads.SuiteScenarios(2) {
 		prog, err := s.Program()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k < 2; k++ {
-			cfg := s.Config()
-			cfg.Seed = s.Seed + int64(7777*k)
-			runs = append(runs, engineRun{fmt.Sprintf("suite/%s/%d", s.Name, k+1), prog, cfg})
-		}
+		runs = append(runs, engineRun{fmt.Sprintf("suite/%s/%d", s.Name, i%2+1), prog, s.Config()})
 	}
 	for _, s := range []workloads.Scenario{workloads.BrowseScenario(), workloads.ServiceScenario()} {
 		prog, err := s.Program()

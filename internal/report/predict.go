@@ -12,25 +12,17 @@ import (
 // execution, how many feasible candidate pairs the lockset + weak-HB
 // solver emitted and how many of them the observed interleaving never
 // exhibited, followed by the merged replay verdicts for those
-// predicted-new races.
+// predicted-new races. A nil or empty Suite (no execution carries a
+// prediction) renders as a one-line note.
 type PredictedSection struct {
 	Suite *workloads.SuitePredict
-}
-
-// BuildPredictedSection wraps a suite's prediction stage (nil-safe: a
-// run without the stage renders as a one-line note).
-func BuildPredictedSection(run *workloads.SuiteRun) PredictedSection {
-	if run == nil {
-		return PredictedSection{}
-	}
-	return PredictedSection{Suite: run.Predict}
 }
 
 // Render produces the plain-text section.
 func (s PredictedSection) Render() string {
 	var b strings.Builder
 	b.WriteString("Predicted races (lockset + weak-HB reordering, classified by replay)\n")
-	if s.Suite == nil {
+	if s.Suite == nil || len(s.Suite.Scenarios) == 0 {
 		b.WriteString("  (prediction stage not run)\n")
 		return b.String()
 	}

@@ -16,15 +16,6 @@ type StaticSection struct {
 	Suite *workloads.SuiteStatic
 }
 
-// BuildStaticSection wraps a suite's static stage (nil-safe: a suite run
-// without the static stage renders as a one-line note).
-func BuildStaticSection(run *workloads.SuiteRun) StaticSection {
-	if run == nil {
-		return StaticSection{}
-	}
-	return StaticSection{Suite: run.Static}
-}
-
 // Render produces the plain-text section.
 func (s StaticSection) Render() string {
 	var b strings.Builder

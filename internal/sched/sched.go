@@ -10,6 +10,10 @@
 //     fan whole-execution analyses (replay + detect + classify) across
 //     the suite. The pool publishes sched.* metrics (queue depth,
 //     worker utilization, per-task latency) into an obs.Registry.
+//   - ForEachFork: a Pool over an index range where every item
+//     publishes through its own registry fork, used by every batch
+//     stage (record-suite recordings, analyze-dir decodes, whole-log
+//     analyses, static cross-validation).
 //   - ForEach: a lightweight parallel-for over an index range, used by
 //     the classifier to drain a flattened (race, instance) work list
 //     with no per-race pool spin-up.
@@ -220,6 +224,32 @@ func (p *Pool) runTask(f func()) {
 		}
 	}()
 	f()
+}
+
+// ForEachFork runs f(i, fork) for every i in [0, n) on a Pool of
+// Normalize(workers, DefaultJobs()) workers, where fork is a fork of
+// reg private to item i: spans the item opens build the fork's own
+// tree, and its timeline events land on the fork's lane (an item may
+// label it with LabelLane). Forks are made before the first item runs
+// and adopted after the last one finishes, both in index order, so the
+// span tree and the lane order are the same at every worker count. The
+// pool publishes its sched.* metrics into reg; a panicking item is
+// recovered and counted there, and items that want the panic as an
+// error wrap their body with Guard.
+func ForEachFork(reg *obs.Registry, workers, n int, f func(i int, reg *obs.Registry)) {
+	forks := make([]*obs.Registry, n)
+	for i := range forks {
+		forks[i] = reg.Fork()
+	}
+	pool := NewPool(workers, reg)
+	for i := range forks {
+		i := i
+		pool.Submit(func() { f(i, forks[i]) })
+	}
+	pool.Wait()
+	for _, fork := range forks {
+		reg.Adopt(fork)
+	}
 }
 
 // ForEach runs f(0), …, f(n-1) across at most `workers` goroutines

@@ -2,10 +2,14 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -189,5 +193,93 @@ func TestGuardConvertsPanicToError(t *testing.T) {
 	want := errors.New("plain")
 	if err := Guard(nil, func() error { return want }); err != want {
 		t.Errorf("plain error not passed through: %v", err)
+	}
+}
+
+// forkRun fans n items out with ForEachFork at the given worker count.
+// Every item labels its timeline lane, bumps counters, opens a stage
+// span (the stage names first start out of index order) with a nested
+// span, and emits an instant. It returns the deterministic residue of
+// the run: counters without sched.*, the span tree's names and counts,
+// and the lane labels in lane order.
+func forkRun(workers, n int) (counters map[string]uint64, spans, lanes []string) {
+	reg := obs.NewRegistry()
+	tl := reg.EnableTimeline(0)
+	batch := reg.StartSpan("batch")
+	ForEachFork(reg, workers, n, func(i int, reg *obs.Registry) {
+		reg.LabelLane(fmt.Sprintf("item%02d", i))
+		reg.Counter("items").Inc()
+		reg.Counter(fmt.Sprintf("items.mod3.%d", i%3)).Add(uint64(i))
+		stage := reg.StartSpan(fmt.Sprintf("stage%d", (n-i)%4))
+		reg.StartSpan("inner").End()
+		reg.Emit("item.done", uint64(i))
+		stage.End()
+	})
+	batch.End()
+
+	snap := reg.Snapshot()
+	counters = map[string]uint64{}
+	for name, v := range snap.Counters {
+		if !strings.HasPrefix(name, "sched.") {
+			counters[name] = v
+		}
+	}
+	var walk func(prefix string, ss []obs.SpanSnapshot)
+	walk = func(prefix string, ss []obs.SpanSnapshot) {
+		for _, s := range ss {
+			spans = append(spans, fmt.Sprintf("%s%s#%d", prefix, s.Name, s.Count))
+			walk(prefix+s.Name+"/", s.Children)
+		}
+	}
+	walk("", snap.Spans)
+	for _, l := range tl.Snapshot().Lanes {
+		lanes = append(lanes, l.Label)
+	}
+	return counters, spans, lanes
+}
+
+// TestForEachForkSameAtAnyWorkerCount: forks are made and adopted in
+// index order, so the metrics (sched.* aside), the span tree's order,
+// and the lane order do not depend on the worker count.
+func TestForEachForkSameAtAnyWorkerCount(t *testing.T) {
+	const n = 12
+	c1, s1, l1 := forkRun(1, n)
+	c8, s8, l8 := forkRun(8, n)
+	if !reflect.DeepEqual(c1, c8) {
+		t.Errorf("counters differ:\nworkers=1: %v\nworkers=8: %v", c1, c8)
+	}
+	if !reflect.DeepEqual(s1, s8) {
+		t.Errorf("span trees differ:\nworkers=1: %v\nworkers=8: %v", s1, s8)
+	}
+	if !reflect.DeepEqual(l1, l8) {
+		t.Errorf("lane order differs:\nworkers=1: %v\nworkers=8: %v", l1, l8)
+	}
+	if c1["items"] != n || len(l1) != n+1 || l1[1] != "item00" || l1[n] != fmt.Sprintf("item%02d", n-1) {
+		t.Errorf("items = %d, lanes = %v; want %d items on one lane each after main", c1["items"], l1, n)
+	}
+}
+
+// TestForEachForkDefaultFansOut: workers = 0 means DefaultJobs workers,
+// as for NewPool, not a serial run — two items must be able to run at
+// once.
+func TestForEachForkDefaultFansOut(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	reg := obs.NewRegistry()
+	arrived := make(chan struct{}, 2)
+	both := make(chan struct{})
+	var once sync.Once
+	ForEachFork(reg, 0, 2, func(i int, _ *obs.Registry) {
+		arrived <- struct{}{}
+		if len(arrived) == 2 {
+			once.Do(func() { close(both) })
+		}
+		select {
+		case <-both:
+		case <-time.After(10 * time.Second):
+			t.Errorf("item %d ran alone: workers = 0 did not fan out", i)
+		}
+	})
+	if got := reg.Snapshot().Gauges["sched.workers"]; got != 4 {
+		t.Errorf("sched.workers = %v at workers = 0 with GOMAXPROCS 4, want 4", got)
 	}
 }

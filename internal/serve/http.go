@@ -17,6 +17,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // uploadResponse is the JSON body of POST /v1/upload.
@@ -35,8 +36,8 @@ type uploadResponse struct {
 //	GET  /v1/jobs/{id}       one job's state as JSON
 //	GET  /v1/jobs/{id}/report  one finished job's verdict report as text
 //	GET  /v1/report          the merged report over every finished job —
-//	                         byte-identical to `racer analyze-dir` over
-//	                         the same inputs
+//	                         byte-identical to `racer analyze-dir` (no
+//	                         -predict, no -static) over the same inputs
 //	GET  /healthz            liveness (200 serving / 503 draining)
 //	GET  /metrics            Prometheus exposition format
 //	GET  /metrics.json       the same snapshot as JSON
@@ -303,62 +304,36 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
-// MergedReport renders the cross-job verdict exactly the way
-// `racer analyze-dir` renders a directory: jobs sorted by label stand in
-// for the sorted file listing, classifications of done jobs merge into
-// one table, and quarantined jobs form the quarantine section with their
-// position in that sorted order. Equal inputs therefore produce
-// byte-identical text. It returns the report and the number of jobs not
-// yet terminal (excluded from this snapshot).
-//
-// One restart-shaped caveat: jobs finished by an earlier process come
-// back from the journal with their rendered per-job report but without
-// the in-memory classification, so they merge into the count header and
-// quarantine section but not the verdict table. /v1/jobs/{id}/report is
-// exact for every job regardless of which process finished it.
+// MergedReport renders the cross-job verdict the way `racer
+// analyze-dir` renders a directory, through the same report.Batch: jobs
+// sorted by label stand in for the sorted file listing, classifications
+// of done jobs merge into one table, and quarantined jobs form the
+// quarantine section with their position in that sorted order. Equal
+// inputs therefore produce byte-identical text — to analyze-dir run
+// without -predict and -static, since the merged report carries neither
+// section. It returns the report and the number of jobs not yet
+// terminal (excluded from this snapshot).
 func (s *Server) MergedReport() (text string, pending int) {
-	views := s.sortedViews()
+	run := &workloads.SuiteRun{}
 	var parts []*classify.Classification
-	var quarantined []core.Quarantined
-	analyzed := 0
-	for i, v := range views {
+	for i, v := range s.sortedViews() {
 		switch v.Status {
 		case StatusDone:
-			analyzed++
-			if v.cls != nil {
-				parts = append(parts, v.cls)
-			}
+			// A finished job keeps its verdicts, not its replay.
+			run.Scenarios = append(run.Scenarios, workloads.ScenarioRun{
+				Item: i, Result: &core.Result{Classification: v.cls},
+			})
+			parts = append(parts, v.cls)
 		case StatusQuarantined:
-			quarantined = append(quarantined, core.Quarantined{
+			run.Quarantined = append(run.Quarantined, core.Quarantined{
 				Index: i, Label: v.Label, Err: errors.New(v.Err),
 			})
 		default:
 			pending++
 		}
 	}
-	merged := classify.Merge(parts...)
-	var b []byte
-	b = fmt.Appendf(b, "analyzed %d recorded executions\n", analyzed)
-	b = append(b, report.Summary(merged, report.SuiteTruth)...)
-	b = append(b, '\n')
-	b = append(b, report.BuildTable1(merged, report.SuiteTruth).Render()...)
-	if len(quarantined) > 0 {
-		b = append(b, '\n')
-		b = append(b, report.QuarantineSection(quarantined)...)
-	}
-	return string(b), pending
-}
-
-// renderJobReport renders one job's verdict in the same shape as a
-// single-file analyze-dir run, plus the verdict counts for the job's
-// JSON view.
-func renderJobReport(c *classify.Classification) (text string, benign, harmful int) {
-	benign, harmful = c.CountByVerdict()
-	var b []byte
-	b = append(b, report.Summary(c, report.SuiteTruth)...)
-	b = append(b, '\n')
-	b = append(b, report.BuildTable1(c, report.SuiteTruth).Render()...)
-	return string(b), benign, harmful
+	run.Merged = classify.Merge(parts...)
+	return report.Batch(run, report.BatchOptions{Count: true}), pending
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

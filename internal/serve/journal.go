@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"sync"
+
+	"repro/internal/classify"
 )
 
 // journalVersion stamps every record; a future incompatible layout
@@ -21,10 +23,10 @@ const journalVersion = 1
 //     Written before the upload response; a crash after this point
 //     resumes the job.
 //   - "done": the verdict — a classification (status "done", with the
-//     rendered report and verdict counts) or a quarantine (status
-//     "quarantined", with the typed error's text). A job with a done
-//     record is never re-analyzed, which is what makes restart
-//     duplicate-free.
+//     race verdicts, the rendered report and verdict counts) or a
+//     quarantine (status "quarantined", with the typed error's text).
+//     A job with a done record is never re-analyzed, which is what
+//     makes restart duplicate-free.
 //
 // A crash can tear at most the final line (appends are sequential); a
 // torn or otherwise undecodable line is skipped and counted, never
@@ -43,6 +45,23 @@ type record struct {
 	Harmful int    `json:"harmful,omitempty"`
 	Report  string `json:"report,omitempty"`
 	Err     string `json:"err,omitempty"`
+	// Cls is a done job's classification without its instance samples:
+	// the verdicts a restarted server merges into /v1/report, which
+	// renders no samples. With them a browse-sized record is ten times
+	// larger, and every record is fsynced. Records written without Cls
+	// restore a job that counts in the report but adds no races.
+	Cls *classify.Classification `json:"cls,omitempty"`
+}
+
+// withoutSamples copies c's races without their instance samples.
+func withoutSamples(c *classify.Classification) *classify.Classification {
+	out := &classify.Classification{Races: make([]*classify.RaceResult, len(c.Races))}
+	for i, r := range c.Races {
+		rr := *r
+		rr.Samples = nil
+		out.Races[i] = &rr
+	}
+	return out
 }
 
 // journal is the append-only job log. Appends are serialized and
@@ -87,18 +106,31 @@ func openJournal(path string) (*journal, []record, int, error) {
 
 // append writes one record durably (write + fsync) before returning.
 func (j *journal) append(r record) error {
-	r.V = journalVersion
-	b, err := json.Marshal(r)
+	line, err := encodeRecord(r)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
+	return j.write(line)
+}
+
+// encodeRecord renders one record as a journal line.
+func encodeRecord(r record) ([]byte, error) {
+	r.V = journalVersion
+	b, err := json.Marshal(r)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// write appends one encoded line durably (write + fsync).
+func (j *journal) write(line []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return errors.New("serve: journal closed")
 	}
-	if _, err := j.f.Write(b); err != nil {
+	if _, err := j.f.Write(line); err != nil {
 		return err
 	}
 	return j.f.Sync()

@@ -54,6 +54,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/sched"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // Status is a job's lifecycle state.
@@ -143,7 +144,7 @@ type job struct {
 	mu      sync.Mutex
 	status  Status
 	log     *trace.Log               // decoded input; nil once terminal
-	cls     *classify.Classification // resident verdict (this process)
+	cls     *classify.Classification // verdicts for /v1/report (restored: no samples)
 	report  string
 	benign  int
 	harmful int
@@ -326,7 +327,7 @@ func (s *Server) restore(recs []record) {
 			if d.Status == string(StatusDone) {
 				j.status = StatusDone
 			}
-			j.report, j.benign, j.harmful, j.errText = d.Report, d.Benign, d.Harmful, d.Err
+			j.cls, j.report, j.benign, j.harmful, j.errText = d.Cls, d.Report, d.Benign, d.Harmful, d.Err
 			// Terminal jobs no longer need their payload.
 			os.Remove(s.payloadPath(j.id))
 		} else {
@@ -508,15 +509,16 @@ func (s *Server) analyze(j *job, log *trace.Log) jobOutcome {
 		return jobOutcome{err: quarantined[0].Err}
 	}
 	res := results[0]
-	text, benign, harmful := renderJobReport(res.Classification)
-	if res.Predicted != nil {
-		text += "\n" + report.PredictedReport(res.Predicted)
-		if res.Predicted.Classification != nil {
-			pb, ph := res.Predicted.Classification.CountByVerdict()
-			benign += pb
-			harmful += ph
-		}
+	benign, harmful := res.Classification.CountByVerdict()
+	if p := res.Predicted; p != nil && p.Classification != nil {
+		pb, ph := p.Classification.CountByVerdict()
+		benign += pb
+		harmful += ph
 	}
+	// The job's report: summary and Table 1 over its verdicts, then the
+	// execution's full prediction report.
+	run := &workloads.SuiteRun{Scenarios: []workloads.ScenarioRun{{Result: res}}, Merged: res.Classification}
+	text := report.Batch(run, report.BatchOptions{Witnesses: true})
 	return jobOutcome{cls: res.Classification, report: text, benign: benign, harmful: harmful}
 }
 
@@ -524,25 +526,34 @@ func (s *Server) analyze(j *job, log *trace.Log) jobOutcome {
 // the first terminal transition wins: a late result arriving after a
 // deadline quarantine is dropped.
 func (s *Server) finish(j *job, out jobOutcome) {
+	rec := record{Op: "done", ID: j.id, Status: string(StatusQuarantined)}
+	if out.err != nil {
+		rec.Err = out.err.Error()
+	} else {
+		rec.Status, rec.Benign, rec.Harmful = string(StatusDone), out.benign, out.harmful
+		rec.Report, rec.Cls = out.report, withoutSamples(out.cls)
+	}
+	// Encode before the verdict turns visible, so a caller that sees the
+	// terminal state waits on the journal write alone.
+	line, err := encodeRecord(rec)
 	j.mu.Lock()
 	if j.status != StatusRunning {
 		j.mu.Unlock()
 		return
 	}
-	rec := record{Op: "done", ID: j.id}
 	if out.err != nil {
-		j.status = StatusQuarantined
-		j.errText = out.err.Error()
-		rec.Status, rec.Err = string(StatusQuarantined), j.errText
+		j.status, j.errText = StatusQuarantined, rec.Err
 	} else {
 		j.status = StatusDone
 		j.cls, j.report, j.benign, j.harmful = out.cls, out.report, out.benign, out.harmful
-		rec.Status, rec.Benign, rec.Harmful, rec.Report = string(StatusDone), out.benign, out.harmful, out.report
 	}
 	j.log = nil // the decoded input is no longer needed
 	j.mu.Unlock()
 
-	if err := s.jnl.append(rec); err != nil {
+	if err == nil {
+		err = s.jnl.write(line)
+	}
+	if err != nil {
 		s.reg.Logger().Error("journal: verdict append failed", "id", j.id, "err", err.Error())
 	}
 	os.Remove(s.payloadPath(j.id)) // terminal jobs keep no payload

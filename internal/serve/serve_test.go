@@ -327,7 +327,9 @@ func TestDeadlineQuarantine(t *testing.T) {
 // TestCrashRecoveryResume is the kill-mid-batch contract: jobs accepted
 // (202) but unfinished when the process dies are resumed by the next
 // process over the same data dir, finish with verdicts byte-identical
-// to an uninterrupted run, and no job gets two verdicts.
+// to an uninterrupted run, and no job gets two verdicts. A process that
+// only restores the finished jobs serves the uninterrupted run's merged
+// report.
 func TestCrashRecoveryResume(t *testing.T) {
 	payloads := map[string][]byte{
 		"exec01-0.rlog": recordPayload(t, "exec01"),
@@ -338,6 +340,7 @@ func TestCrashRecoveryResume(t *testing.T) {
 
 	// Reference: an uninterrupted server over the same inputs.
 	want := map[string]string{}
+	var wantMerged string
 	{
 		ref, ts := newTestServer(t, Config{})
 		for _, label := range labels {
@@ -348,6 +351,7 @@ func TestCrashRecoveryResume(t *testing.T) {
 			}
 			want[label] = v.report
 		}
+		wantMerged, _ = ref.MergedReport()
 	}
 
 	// Server A accepts the batch but every analysis wedges; then it
@@ -413,10 +417,45 @@ func TestCrashRecoveryResume(t *testing.T) {
 	if n := countJournalOps(t, dataDir, "done"); n != 3 {
 		t.Fatalf("journal dones after restart = %d, want 3 (no duplicate verdicts)", n)
 	}
+	// The journal carries each verdict's classification, so the merged
+	// report over restored jobs is the uninterrupted run's.
+	if got, pending := c.MergedReport(); got != wantMerged || pending != 0 {
+		t.Errorf("restored merged report (pending %d) differs from uninterrupted run:\n--- restored\n%s\n--- uninterrupted\n%s",
+			pending, got, wantMerged)
+	}
 	// A's wedged analysis goroutines stay parked on block for the rest of
 	// the test binary's life — releasing them here would race their memo
 	// writes against the TempDir cleanup.
 	_ = block
+}
+
+// TestRestoreDoneWithoutClassification: a done record written before
+// the journal carried classifications restores a finished job that
+// counts in the merged report's header and adds no races.
+func TestRestoreDoneWithoutClassification(t *testing.T) {
+	dataDir := t.TempDir()
+	journal := `{"v":1,"op":"accept","id":"j-000001","tenant":"t","label":"exec01-0.rlog"}
+{"v":1,"op":"done","id":"j-000001","status":"done","benign":4,"harmful":4,"report":"old report\n"}
+`
+	if err := os.WriteFile(filepath.Join(dataDir, "journal.jsonl"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{DataDir: dataDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed := srv.Start(); resumed != 0 {
+		t.Fatalf("resumed %d jobs, want 0", resumed)
+	}
+	t.Cleanup(func() { srv.Shutdown(testCtx(t)) })
+	v, ok := srv.lookupJob("j-000001")
+	if !ok || v.Status != StatusDone || v.report != "old report\n" || v.cls != nil {
+		t.Fatalf("restored job = %+v (found %v)", v, ok)
+	}
+	text, pending := srv.MergedReport()
+	if pending != 0 || !strings.HasPrefix(text, "analyzed 1 recorded executions\nunique races: 0 ") {
+		t.Errorf("merged report (pending %d):\n%s", pending, text)
+	}
 }
 
 // TestWarmPersistentMemo: verdicts computed by one process are memo

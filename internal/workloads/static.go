@@ -7,15 +7,16 @@ import (
 	"repro/internal/static"
 )
 
-// ScenarioStatic is the static analysis and cross-validation of one base
-// scenario (all seeds of that scenario contribute dynamic evidence).
+// ScenarioStatic is the static analysis and cross-validation of one
+// static group: a base scenario, or the logs of one program in a
+// directory (all seeds of it contribute dynamic evidence).
 type ScenarioStatic struct {
 	Name   string
 	Report *static.Report
 	Cross  *static.CrossResult
 }
 
-// SuiteStatic is the static cross-validation stage of a suite run.
+// SuiteStatic is the static cross-validation stage of a batch run.
 type SuiteStatic struct {
 	Scenarios []ScenarioStatic
 	Matched   int
@@ -32,49 +33,35 @@ type SuiteStatic struct {
 	PredMissed    int
 }
 
-// crossValidateSuite runs the static analyzer over every base scenario of
-// the suite and joins each report against the dynamic evidence from all
-// of that scenario's seeds. The per-scenario work fans out across the
-// same worker-pool discipline as the offline analysis: forked registries
-// adopted in input order keep the metrics and the rendered section
-// byte-identical at every worker count.
-func crossValidateSuite(run *SuiteRun, jobs int, reg *obs.Registry) *SuiteStatic {
+// crossValidate is the static stage of a batch: the static analyzer
+// runs once per static group (the executions of one program) and its
+// candidates are joined against the dynamic evidence of every analyzed
+// execution in the group. Groups fan out with sched.ForEachFork, so the
+// section and the metrics are the same at every worker count.
+func crossValidate(items []Item, runs []ScenarioRun, jobs int, reg *obs.Registry) *SuiteStatic {
 	sp := reg.StartSpan("static")
 	defer sp.End()
 
-	// Group each base scenario's results; seeds of one scenario share a
-	// name and merge into one evidence pool.
-	byName := map[string][]*core.Result{}
+	byGroup := map[string][]*core.Result{}
 	var order []string
-	for _, sr := range run.Scenarios {
-		if _, ok := byName[sr.Scenario.Name]; !ok {
-			order = append(order, sr.Scenario.Name)
+	for _, sr := range runs {
+		g := items[sr.Item].Group
+		if _, ok := byGroup[g]; !ok {
+			order = append(order, g)
 		}
-		byName[sr.Scenario.Name] = append(byName[sr.Scenario.Name], sr.Result)
+		byGroup[g] = append(byGroup[g], sr.Result)
 	}
 
 	out := &SuiteStatic{Scenarios: make([]ScenarioStatic, len(order))}
-	forks := make([]*obs.Registry, len(order))
-	pool := sched.NewPool(sched.Normalize(jobs, sched.DefaultJobs()), reg)
-	for i, name := range order {
-		i, name := i, name
-		fork := reg.Fork()
-		forks[i] = fork
-		pool.Submit(func() {
-			results := byName[name]
-			prog := results[0].Prog
-			rep := static.Analyze(prog, fork)
-			cross := static.CrossValidate(rep, core.CollectEvidence(results), fork)
-			out.Scenarios[i] = ScenarioStatic{Name: name, Report: rep, Cross: cross}
-		})
-	}
-	pool.Wait()
-	for _, fork := range forks {
-		reg.Adopt(fork)
-	}
+	sched.ForEachFork(reg, jobs, len(order), func(i int, reg *obs.Registry) {
+		sc, results := &out.Scenarios[i], byGroup[order[i]]
+		sc.Name = order[i]
+		sc.Report = static.Analyze(results[0].Prog, reg)
+		sc.Cross = static.CrossValidate(sc.Report, core.CollectEvidence(results), reg)
+	})
 	for _, sc := range out.Scenarios {
 		if sc.Cross == nil {
-			continue // scenario fully quarantined or its task panicked
+			continue // the group's task panicked
 		}
 		out.Matched += sc.Cross.Matched
 		out.Refuted += sc.Cross.Refuted

@@ -14,39 +14,61 @@ import (
 	"repro/internal/trace"
 )
 
-// ScenarioRun pairs a scenario with its full analysis.
+// ScenarioRun is one analyzed execution of a batch.
 type ScenarioRun struct {
+	// Item is the execution's position in the batch's items.
+	Item int
+	// Scenario is the built-in scenario RunSuite recorded (zero for
+	// executions analyzed from stored logs).
 	Scenario Scenario
 	Result   *core.Result
 }
 
-// SuiteRun is the analysis of the whole 18-execution suite.
+// SuiteRun is the analysis of a batch of executions: the 18-execution
+// suite (RunSuite) or a directory of stored logs (AnalyzeBatch).
 type SuiteRun struct {
+	// Scenarios lists the analyzed executions in batch order;
+	// quarantined ones are left out.
 	Scenarios []ScenarioRun
 	Merged    *classify.Classification
-	// Quarantined lists the scenario×seed items that failed — a program
-	// that would not build, a recording that died, a log that would not
+	// Quarantined lists the items that failed — a program that would
+	// not build, a recording that died, a log that would not decode or
 	// replay, or an analysis that panicked. The run completes with the
-	// healthy scenarios; quarantined items carry their label and error
-	// for the report's quarantine section.
+	// healthy items; quarantined items carry their label and error for
+	// the report's quarantine section.
 	Quarantined []core.Quarantined
 	// Static is the static cross-validation stage (nil unless
-	// SuiteOptions.Static was set): per-scenario lint reports joined
+	// SuiteOptions.Static was set): per-program lint reports joined
 	// against the dynamic evidence above.
 	Static *SuiteStatic
 	// Audit is the verdict-provenance trail (nil unless
-	// SuiteOptions.Audit was set): one audit.Execution per scenario ×
-	// seed slot, in suite order, quarantined slots included. The file
-	// is a deterministic function of the suite inputs — byte-identical
-	// at every Jobs count.
+	// SuiteOptions.Audit was set): one audit.Execution per item, in
+	// batch order, quarantined items included. The file is a
+	// deterministic function of the inputs — byte-identical at every
+	// Jobs count.
 	Audit *audit.File
 	// Predict is the prediction stage's aggregation (nil unless
-	// SuiteOptions.Predict was set): per-execution candidate counts and
-	// the merged classification of predicted-new races.
+	// SuiteOptions.Predict was set; empty when no execution reached the
+	// stage): per-execution candidate counts and the merged
+	// classification of predicted-new races.
 	Predict *SuitePredict
 }
 
-// SuiteOptions configures a suite analysis.
+// Harmful reports whether the run hands developers a potentially
+// harmful race, observed or predicted — the batch commands' exit 1.
+func (r *SuiteRun) Harmful() bool {
+	if _, harmful := r.Merged.CountByVerdict(); harmful > 0 {
+		return true
+	}
+	if r.Predict != nil && r.Predict.Merged != nil {
+		_, harmful := r.Predict.Merged.CountByVerdict()
+		return harmful > 0
+	}
+	return false
+}
+
+// SuiteOptions configures RunSuite, and AnalyzeBatch apart from the
+// recording knobs (Seeds, Online, StopOnRace).
 type SuiteOptions struct {
 	// DB, when non-nil, suppresses races a developer already marked
 	// benign.
@@ -55,8 +77,9 @@ type SuiteOptions struct {
 	// seed plus fixed offsets); values below 1 mean 1.
 	Seeds int
 	// Jobs bounds the worker pool for the offline half (replay, detect,
-	// classify). Values below 1 mean GOMAXPROCS; 1 runs serially. The
-	// merged output is byte-identical at every worker count.
+	// classify, static). Values below 1 mean GOMAXPROCS; 1 runs
+	// serially. The merged output is byte-identical at every worker
+	// count.
 	Jobs int
 	// Registry, when non-nil, receives pipeline metrics: the merged
 	// "suite/native|record|replay|detect|classify" span ladder, every
@@ -99,6 +122,24 @@ type SuiteOptions struct {
 	PredictWindow int
 }
 
+// SuiteScenarios lists the suite's executions under seeds scheduler
+// seeds each: every scenario of Scenarios, seeds times in a row, copy k
+// (entry i has k = i % seeds) seeded a fixed stride k times past the
+// base seed. Names stay the base scenario's, so a caller labels copy k
+// itself. It is the one seed rule of the suite, record-suite, and
+// their tests.
+func SuiteScenarios(seeds int) []Scenario {
+	var out []Scenario
+	for _, base := range Scenarios() {
+		for k := 0; k < seeds; k++ {
+			s := base
+			s.Seed = base.Seed + int64(7777*k)
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // RunSuite records, replays, detects, and classifies every scenario ×
 // seed, then merges the per-execution classifications into the
 // cross-execution per-race verdicts of §5.2.1. More seeds per scenario is
@@ -114,10 +155,7 @@ type SuiteOptions struct {
 //
 // Recording is the online half of the pipeline and stays serial —
 // the paper's premise is that the production run only pays for logging —
-// while the offline analysis of every scenario × seed fans out across
-// opts.Jobs workers with deterministic, input-order merging: the report,
-// the merged classification, and the stage counters are identical at
-// every worker count.
+// and everything after it is AnalyzeBatch over the recorded logs.
 //
 // The run has quarantine semantics: a scenario×seed that fails at any
 // stage is skipped with its error recorded in SuiteRun.Quarantined (and
@@ -125,142 +163,158 @@ type SuiteOptions struct {
 // The error return is reserved for failures that leave nothing to
 // report.
 func RunSuite(opts SuiteOptions) (*SuiteRun, error) {
-	seeds := opts.Seeds
-	if seeds < 1 {
-		seeds = 1
-	}
+	seeds := max(opts.Seeds, 1)
 	reg := opts.Registry
 	suite := reg.StartSpan("suite")
 	defer suite.End()
 
-	// Online half: record every scenario × seed serially, keeping the
-	// native baseline next to each recording as before. A recording
-	// that fails — or panics — quarantines its scenario×seed slot.
-	type recording struct {
-		scenario Scenario
-		label    string
-		slot     int
-		log      *trace.Log
-		machine  *machine.Result
-	}
-	run := &SuiteRun{}
-	var recs []recording
-	// Audit envelopes, one per scenario×seed slot in suite order;
-	// classify fills each healthy slot's Races through the pointer.
-	var audits []*audit.Execution
-	slot := 0
-	for _, base := range Scenarios() {
-		// One assembly per scenario: the program does not depend on the
-		// seed, only the machine configuration does.
-		prog, progErr := base.Program()
-		for k := 0; k < seeds; k++ {
-			s := base
-			s.Seed = base.Seed + int64(7777*k)
-			label := s.Name
-			if seeds > 1 {
-				label = fmt.Sprintf("%s#%d", s.Name, k)
-			}
-			rec := recording{scenario: s, label: label, slot: slot}
-			err := sched.Guard(reg, func() error {
-				if progErr != nil {
-					return fmt.Errorf("program: %w", progErr)
-				}
-				if reg != nil {
-					if err := runNative(prog, s.Config(), reg); err != nil {
-						return fmt.Errorf("native baseline: %w", err)
-					}
-				}
-				oc := record.OnlineConfig{Detect: opts.Online, StopOnFirstRace: opts.StopOnRace}
-				log, mres, _, err := record.RunOnlineInstrumented(prog, s.Config(), oc, reg)
-				if err != nil {
-					return fmt.Errorf("record: %w", err)
-				}
-				rec.log, rec.machine = log, mres
-				return nil
-			})
-			if opts.Audit {
-				ae := &audit.Execution{Scenario: label, Seed: s.Seed}
-				if err == nil {
-					ae.LogSHA256 = core.LogDigest(rec.log)
-				} else {
-					ae.Quarantined = err.Error()
-				}
-				audits = append(audits, ae)
-			}
-			if err != nil {
-				run.Quarantined = append(run.Quarantined, core.Quarantined{Index: slot, Label: label, Err: err})
-				reg.Counter("robust.quarantined").Inc()
-				reg.EmitLabeled("quarantine", label, uint64(slot))
-				reg.Logger().Warn("recording quarantined",
-					"slot", slot, "scenario", label, "err", err.Error())
-			} else {
-				recs = append(recs, rec)
-			}
-			slot++
+	scenarios := SuiteScenarios(seeds)
+	items := make([]Item, len(scenarios))
+	machines := make([]*machine.Result, len(scenarios))
+	var prog *isa.Program
+	var progErr error
+	for i, s := range scenarios {
+		if i%seeds == 0 {
+			// One assembly per scenario: the program does not depend on
+			// the seed, only the machine configuration does.
+			prog, progErr = s.Program()
 		}
+		it := &items[i]
+		it.Label, it.Group, it.Seed = s.Name, s.Name, s.Seed
+		if seeds > 1 {
+			it.Label = fmt.Sprintf("%s#%d", s.Name, i%seeds)
+		}
+		// A recording that fails — or panics — quarantines its item.
+		it.Err = sched.Guard(reg, func() error {
+			if progErr != nil {
+				return fmt.Errorf("program: %w", progErr)
+			}
+			if reg != nil {
+				if err := runNative(prog, s.Config(), reg); err != nil {
+					return fmt.Errorf("native baseline: %w", err)
+				}
+			}
+			oc := record.OnlineConfig{Detect: opts.Online, StopOnFirstRace: opts.StopOnRace}
+			log, mres, _, err := record.RunOnlineInstrumented(prog, s.Config(), oc, reg)
+			if err != nil {
+				return fmt.Errorf("record: %w", err)
+			}
+			it.Log, machines[i] = log, mres
+			return nil
+		})
+	}
+	run := AnalyzeBatch(items, opts)
+	for i := range run.Scenarios {
+		sr := &run.Scenarios[i]
+		sr.Scenario = scenarios[sr.Item]
+		sr.Result.Machine = machines[sr.Item]
+	}
+	return run, nil
+}
+
+// Item is one execution of a batch: its label (a scenario#seed or a
+// file name), its static group (the executions of one program share
+// it, and the static stage pools their evidence), its scheduler seed,
+// and either its log or the error that quarantined it before analysis.
+type Item struct {
+	Label string
+	Group string
+	Seed  int64
+	Log   *trace.Log
+	Err   error
+}
+
+// AnalyzeBatch does everything a batch needs after its logs are
+// recorded or decoded: it quarantines the items that carry an error,
+// replays, detects, and classifies the rest across opts.Jobs workers
+// (core.AnalyzeLogsInstrumented), assembles the audit trail, merges
+// the verdicts across executions, and runs the prediction and static
+// stages opts asks for. The suite and analyze-dir both come through
+// here; results land in item order, so the run is identical at every
+// worker count.
+func AnalyzeBatch(items []Item, opts SuiteOptions) *SuiteRun {
+	reg := opts.Registry
+	run := &SuiteRun{}
+	// Audit envelopes, one per item; classify fills each healthy item's
+	// Races through a pointer to its envelope.
+	var audits []audit.Execution
+	if opts.Audit {
+		audits = make([]audit.Execution, len(items))
+	}
+	var logs []*trace.Log
+	var healthy []int // item index of logs[k]
+	for i, it := range items {
+		var ae *audit.Execution
+		if opts.Audit {
+			ae = &audits[i]
+			*ae = audit.Execution{Scenario: it.Label, Seed: it.Seed}
+		}
+		if it.Err != nil {
+			run.Quarantined = append(run.Quarantined, core.Quarantine(reg, i, it.Label, it.Err))
+			if ae != nil {
+				ae.Quarantined = it.Err.Error()
+			}
+			continue
+		}
+		if ae != nil {
+			ae.LogSHA256 = core.LogDigest(it.Log)
+		}
+		logs = append(logs, it.Log)
+		healthy = append(healthy, i)
 	}
 
-	// Offline half: replay, detect, and classify every healthy log
-	// across the shared pool; results land in input order and bad logs
-	// land in quarantine without aborting the batch.
-	logs := make([]*trace.Log, len(recs))
-	for i := range recs {
-		logs[i] = recs[i].log
-	}
-	results, quarantined := core.AnalyzeLogsInstrumented(logs, func(i int) classify.Options {
+	results, quarantined := core.AnalyzeLogsInstrumented(logs, func(k int) classify.Options {
+		it := items[healthy[k]]
 		o := classify.Options{
-			Scenario:      recs[i].label,
-			Seed:          recs[i].scenario.Seed,
+			Scenario:      it.Label,
+			Seed:          it.Seed,
 			DB:            opts.DB,
 			NoMemo:        opts.NoMemo,
 			Predict:       opts.Predict,
 			PredictWindow: opts.PredictWindow,
 		}
 		if opts.Audit {
-			o.Audit = audits[recs[i].slot]
+			o.Audit = &audits[healthy[k]]
 		}
 		return o
 	}, opts.Jobs, reg)
-	run.Quarantined = append(run.Quarantined, quarantined...)
+	for _, q := range quarantined {
+		q.Index = healthy[q.Index]
+		run.Quarantined = append(run.Quarantined, q)
+		if opts.Audit {
+			// Analysis-time quarantines supersede whatever classify may
+			// have started writing before the failure.
+			audits[q.Index].Quarantined = q.Err.Error()
+			audits[q.Index].Races = nil
+		}
+	}
 	if opts.Audit {
-		// Analysis-time quarantines supersede whatever classify may have
-		// started writing before the failure.
-		for _, q := range quarantined {
-			ae := audits[recs[q.Index].slot]
-			ae.Quarantined = q.Err.Error()
-			ae.Races = nil
-		}
 		run.Audit = audit.NewFile()
-		for _, ae := range audits {
-			run.Audit.Executions = append(run.Audit.Executions, *ae)
-		}
+		run.Audit.Executions = audits
 		run.Audit.DeriveCacheHits()
 	}
 
+	labels := make([]string, len(results))
 	var parts []*classify.Classification
-	var labels []string
-	for i, res := range results {
-		if res == nil {
-			continue
+	for k, res := range results {
+		labels[k] = items[healthy[k]].Label
+		if res != nil {
+			run.Scenarios = append(run.Scenarios, ScenarioRun{Item: healthy[k], Result: res})
+			parts = append(parts, res.Classification)
 		}
-		res.Machine = recs[i].machine
-		run.Scenarios = append(run.Scenarios, ScenarioRun{Scenario: recs[i].scenario, Result: res})
-		parts = append(parts, res.Classification)
-		labels = append(labels, recs[i].label)
 	}
 	run.Merged = classify.Merge(parts...)
 	if opts.Predict {
-		healthy := make([]*core.Result, 0, len(run.Scenarios))
-		for _, sr := range run.Scenarios {
-			healthy = append(healthy, sr.Result)
+		run.Predict = BuildSuitePredict(labels, results)
+		if run.Predict == nil {
+			run.Predict = &SuitePredict{} // the stage ran on nothing
 		}
-		run.Predict = BuildSuitePredict(labels, healthy)
 	}
 	if opts.Static {
-		run.Static = crossValidateSuite(run, opts.Jobs, reg)
+		run.Static = crossValidate(items, run.Scenarios, opts.Jobs, reg)
 	}
 	publishSuiteMetrics(reg, run)
-	return run, nil
+	return run
 }
 
 // runNative executes prog on a bare machine — no observer, no recorder —
@@ -279,8 +333,8 @@ func runNative(prog *isa.Program, cfg machine.Config, reg *obs.Registry) error {
 	return nil
 }
 
-// publishSuiteMetrics records the merged suite verdicts (report.* is the
-// fifth pipeline stage: what the tool hands to developers).
+// publishSuiteMetrics records the merged batch verdicts (report.* is
+// the fifth pipeline stage: what the tool hands to developers).
 func publishSuiteMetrics(reg *obs.Registry, run *SuiteRun) {
 	if reg == nil {
 		return
