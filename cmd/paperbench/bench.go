@@ -189,35 +189,16 @@ func runBenchOut(path string, benchTime time.Duration, rounds int, out io.Writer
 	}
 
 	// Container decode throughput: the same synthetic 8-thread log is
-	// decoded from the v1 whole-log flate container (serial by
-	// construction — one compressed stream) and from the segmented v2
-	// container at one and eight workers. mb_per_s is container bytes
-	// over median wall time; raw_bits_per_instr is the §5.1 footprint
-	// metric for each format's uncompressed layout.
-	fmt.Fprintln(out, "bench: decode-suite (synthetic 8-thread log, v1 serial vs v2 parallel)")
+	// decoded from its v2 container at one and eight workers. mb_per_s is
+	// container bytes over median wall time; raw_bits_per_instr is the
+	// §5.1 footprint metric of the container.
+	fmt.Fprintln(out, "bench: decode-suite (synthetic 8-thread log, v2 at jobs 1/8)")
 	synth := syntheticLog(prog, 8, 30000)
 	if err := trace.Validate(synth); err != nil {
 		return fmt.Errorf("synthetic decode-suite log invalid: %w", err)
 	}
-	v1data := trace.Compress(trace.Marshal(synth))
 	v2data := trace.MarshalV2(synth)
-	v1Stats := trace.Stats(synth)
-	v2Stats := trace.StatsV2(synth)
-	resV1 := r.Run(file, "decode-suite/v1-serial", func(n int) {
-		for i := 0; i < n; i++ {
-			raw, err := trace.Decompress(v1data)
-			if err != nil {
-				fatal(err)
-			}
-			if _, err := trace.Unmarshal(raw); err != nil {
-				fatal(err)
-			}
-		}
-	})
-	resV1.Metrics = map[string]float64{
-		"mb_per_s":           mbPerS(len(v1data), resV1.Median()),
-		"raw_bits_per_instr": v1Stats.RawBitsPerInstr(),
-	}
+	v2Stats := trace.Stats(synth)
 	for _, jobs := range []int{1, 8} {
 		jobs := jobs
 		res := r.Run(file, fmt.Sprintf("decode-suite/v2/jobs=%d", jobs), func(n int) {

@@ -127,12 +127,10 @@ func usage() {
 
 commands (flags come before the file argument):
   run [-seed N] [-policy P] <prog.rasm>     execute a program on the RVM
-  record [-seed N] [-o LOG] [-format v1|v2] [-keyframes N] [-online [-stop-on-race]] <prog.rasm>
-                                            record an execution into a replay log;
-                                            -format picks the container (v2, the
-                                            default, is the segmented index-first
-                                            layout with parallel decode; readers
-                                            sniff either), -online adds an
+  record [-seed N] [-o LOG] [-keyframes N] [-online [-stop-on-race]] <prog.rasm>
+                                            record an execution into a replay log
+                                            (the v2 container; readers also take
+                                            legacy v1 logs); -online adds an
                                             in-recording race verdict,
                                             -stop-on-race ends the run at the
                                             first confirmed race
@@ -164,9 +162,8 @@ commands (flags come before the file argument):
                                         CFG + constant propagation + must-hold
                                         locksets; any candidate exits 1, any
                                         invalid program exits 2
-  record-suite -dir DIR [-seeds N] [-jobs N] [-format v1|v2] [-online]
+  record-suite -dir DIR [-seeds N] [-jobs N] [-online]
                                         record every scenario's log to DIR;
-                                        -format picks the container format,
                                         -online writes manifest.json with
                                         each log's online race verdict so
                                         analyze-dir can fast-path race-free
@@ -291,15 +288,10 @@ func cmdRecord(args []string) error {
 	keyframes := fs.Uint64("keyframes", 0, "emit a key frame every N instructions (0 = off)")
 	online := fs.Bool("online", false, "detect races during recording and print the verdict")
 	stopOnRace := fs.Bool("stop-on-race", false, "with -online, stop recording at the first confirmed race")
-	format := fs.String("format", "v2", "log container format: v1 (whole-log flate) or v2 (segmented, index-first)")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
 	if *stopOnRace && !*online {
 		return fmt.Errorf("-stop-on-race requires -online")
-	}
-	lf, err := racereplay.ParseLogFormat(*format)
-	if err != nil {
-		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("record wants one program file")
@@ -328,10 +320,10 @@ func cmdRecord(args []string) error {
 		return err
 	}
 	defer f.Close()
-	if err := racereplay.WriteLogFormat(f, log, lf); err != nil {
+	if err := racereplay.WriteLog(f, log); err != nil {
 		return err
 	}
-	s := racereplay.LogStatsFormat(log, lf)
+	s := racereplay.LogStats(log)
 	fmt.Fprintf(stdout, "recorded %d instructions across %d threads\n", s.Instructions, len(log.Threads))
 	fmt.Fprintf(stdout, "log: %d bytes raw (%.2f bits/instr), %d bytes compressed (%.2f bits/instr) -> %s\n",
 		s.RawBytes, s.RawBitsPerInstr(), s.CompressedBytes, s.CompressedBitsPerInstr(), *out)
@@ -799,13 +791,8 @@ func cmdRecordSuite(args []string) error {
 	seeds := fs.Int("seeds", 1, "scheduler seeds recorded per scenario")
 	jobs := fs.Int("jobs", 0, "recording workers (0 = GOMAXPROCS); output is identical at any count")
 	online := fs.Bool("online", false, "attach the online race detector and write manifest.json with each log's verdict")
-	format := fs.String("format", "v2", "log container format: v1 (whole-log flate) or v2 (segmented, index-first)")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
-	lf, err := racereplay.ParseLogFormat(*format)
-	if err != nil {
-		return err
-	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
@@ -839,23 +826,20 @@ func cmdRecordSuite(args []string) error {
 
 	var totalInstr uint64
 	var totalBytes int
+	var buf bytes.Buffer
 	man := racereplay.NewManifest()
 	raceFree := 0
 	for i, log := range logs {
 		name := fmt.Sprintf("%s-%d.rlog", scenarios[i].Name, i%*seeds)
-		path := filepath.Join(*dir, name)
-		f, err := os.Create(path)
-		if err != nil {
+		buf.Reset()
+		if err := racereplay.WriteLog(&buf, log); err != nil {
 			return err
 		}
-		if err := racereplay.WriteLogFormat(f, log, lf); err != nil {
-			f.Close()
+		if err := os.WriteFile(filepath.Join(*dir, name), buf.Bytes(), 0o666); err != nil {
 			return err
 		}
-		f.Close()
-		st := racereplay.LogStatsFormat(log, lf)
-		totalInstr += st.Instructions
-		totalBytes += st.CompressedBytes
+		totalInstr += log.Instructions()
+		totalBytes += buf.Len()
 		if *online {
 			man.Add(name, racereplay.LogDigest(log), log.Online)
 			if log.Online != nil && log.Online.RaceFree {
@@ -863,7 +847,7 @@ func cmdRecordSuite(args []string) error {
 			}
 		}
 	}
-	fmt.Fprintf(stdout, "recorded %d executions: %d instructions, %d bytes of compressed logs -> %s\n",
+	fmt.Fprintf(stdout, "recorded %d executions: %d instructions, %d bytes of logs -> %s\n",
 		len(logs), totalInstr, totalBytes, *dir)
 	if *online {
 		// The manifest carries each log's online verdict across process
@@ -1075,20 +1059,16 @@ func cmdChaos(args []string) error {
 	serveURL := fs.String("serve", "", "fire the corruption sweep at a running 'racer serve' endpoint (e.g. http://127.0.0.1:8844) instead of the local decoder")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
-	// Sweep every container format the decoder sniffs: a recorded
-	// scenario is corrupted both as a v1 and as a v2 container. An
-	// explicit -log file is swept as-is, whatever format it holds.
-	type target struct {
-		label     string
-		container []byte
-	}
-	var targets []target
+	// The target is a recorded scenario's container, or an explicit -log
+	// file swept as-is (a legacy v1 file takes its container-level
+	// corruptions only).
+	var container []byte
 	if *logPath != "" {
 		b, err := os.ReadFile(*logPath)
 		if err != nil {
 			return err
 		}
-		targets = []target{{*logPath, b}}
+		container = b
 	} else {
 		s, err := workloads.FindScenario(*name)
 		if err != nil {
@@ -1102,35 +1082,27 @@ func cmdChaos(args []string) error {
 		if err != nil {
 			return err
 		}
-		for _, lf := range []racereplay.LogFormat{racereplay.FormatV1, racereplay.FormatV2} {
-			var buf bytes.Buffer
-			if err := racereplay.WriteLogFormat(&buf, log, lf); err != nil {
-				return err
-			}
-			targets = append(targets, target{"format " + string(lf), buf.Bytes()})
+		var buf bytes.Buffer
+		if err := racereplay.WriteLog(&buf, log); err != nil {
+			return err
 		}
+		container = buf.Bytes()
 	}
 	reg, err := metrics.registry()
 	if err != nil {
 		return err
 	}
-	violations := 0
-	for _, tgt := range targets {
-		if len(targets) > 1 {
-			fmt.Fprintf(stdout, "== %s ==\n", tgt.label)
-		}
-		var rep interface {
-			Summary() string
-			Violations() int
-		}
-		if *serveURL != "" {
-			rep = chaos.RunHTTP(*serveURL, tgt.container, *n, *seed, reg)
-		} else {
-			rep = chaos.Run(tgt.container, *n, *seed, reg)
-		}
-		fmt.Fprint(stdout, rep.Summary())
-		violations += rep.Violations()
+	var rep interface {
+		Summary() string
+		Violations() int
 	}
+	if *serveURL != "" {
+		rep = chaos.RunHTTP(*serveURL, container, *n, *seed, reg)
+	} else {
+		rep = chaos.Run(container, *n, *seed, reg)
+	}
+	fmt.Fprint(stdout, rep.Summary())
+	violations := rep.Violations()
 	if err := metrics.emit(reg); err != nil {
 		return err
 	}

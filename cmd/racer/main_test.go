@@ -552,36 +552,78 @@ func TestSuiteMatchesAnalyzeDir(t *testing.T) {
 	}
 }
 
-// TestFormatDivergence: the container format is transport, never
-// semantics — the same executions recorded as v1 and as v2 must analyze
-// to byte-identical reports and audit trails, at any worker count, with
-// the prediction and static stages on.
-func TestFormatDivergence(t *testing.T) {
+// TestAnalyzeDirDivergence mirrors CI's analyze-dir divergence step in
+// its two legs. Worker count is scheduling, never semantics: one
+// recorded directory analyzes to byte-identical reports and audit
+// trails at -jobs 1 and -jobs 4, with the prediction and static stages
+// on. The container format is transport, never semantics: the
+// checked-in legacy v1 recordings analyze exactly as their v2 twins do,
+// audit digests included.
+func TestAnalyzeDirDivergence(t *testing.T) {
+	resetExit(t)
 	base := t.TempDir()
-	dirV1 := filepath.Join(base, "v1")
-	dirV2 := filepath.Join(base, "v2")
-	capture(t, func() error { return cmdRecordSuite([]string{"-dir", dirV1, "-seeds", "2", "-format", "v1"}) })
-	capture(t, func() error { return cmdRecordSuite([]string{"-dir", dirV2, "-seeds", "2", "-format", "v2"}) })
-	auditV1 := filepath.Join(base, "audit-v1.json")
-	auditV2 := filepath.Join(base, "audit-v2.json")
-	repV1 := capture(t, func() error {
-		return cmdAnalyzeDir([]string{"-dir", dirV1, "-jobs", "1", "-static", "-predict", "-audit-out", auditV1})
-	})
-	repV2 := capture(t, func() error {
-		return cmdAnalyzeDir([]string{"-dir", dirV2, "-jobs", "4", "-static", "-predict", "-audit-out", auditV2})
-	})
-	if repV1 != repV2 {
-		t.Errorf("analyze-dir reports diverge between formats:\n-- v1 (jobs=1) --\n%s\n-- v2 (jobs=4) --\n%s", repV1, repV2)
+	analyze := func(dir, jobs, tag string) (string, string) {
+		t.Helper()
+		audit := filepath.Join(base, "audit-"+tag+".json")
+		rep := capture(t, func() error {
+			return cmdAnalyzeDir([]string{"-dir", dir, "-jobs", jobs, "-static", "-predict", "-audit-out", audit})
+		})
+		data, err := os.ReadFile(audit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, string(data)
 	}
-	a1, err := os.ReadFile(auditV1)
+	same := func(leg, rep1, rep2, audit1, audit2 string) {
+		t.Helper()
+		if rep1 != rep2 {
+			t.Errorf("%s: analyze-dir reports diverge:\n--\n%s\n--\n%s", leg, rep1, rep2)
+		}
+		if audit1 != audit2 {
+			t.Errorf("%s: audit trails diverge", leg)
+		}
+	}
+
+	dir := filepath.Join(base, "logs")
+	capture(t, func() error { return cmdRecordSuite([]string{"-dir", dir, "-seeds", "2"}) })
+	serialRep, serialAudit := analyze(dir, "1", "jobs1")
+	parRep, parAudit := analyze(dir, "4", "jobs4")
+	same("jobs=1 vs jobs=4", serialRep, parRep, serialAudit, parAudit)
+
+	legacy := filepath.Join("..", "..", "testdata", "legacy")
+	v1Rep, v1Audit := analyze(filepath.Join(legacy, "v1"), "1", "v1")
+	v2Rep, v2Audit := analyze(filepath.Join(legacy, "v2"), "1", "v2")
+	same("legacy v1 vs v2", v1Rep, v2Rep, v1Audit, v2Audit)
+	if !strings.Contains(v1Rep, "analyzed 2 recorded executions") {
+		t.Errorf("legacy v1 directory analyzed as:\n%s", v1Rep)
+	}
+}
+
+// TestRecordSuiteByteTotal: the byte total record-suite prints is what
+// it wrote — the summed sizes of its .rlog files.
+func TestRecordSuiteByteTotal(t *testing.T) {
+	dir := t.TempDir()
+	out := capture(t, func() error { return cmdRecordSuite([]string{"-dir", dir, "-seeds", "2"}) })
+	var n, instr, printed int
+	if _, err := fmt.Sscanf(out, "recorded %d executions: %d instructions, %d bytes of logs", &n, &instr, &printed); err != nil {
+		t.Fatalf("unparseable record-suite output %q: %v", out, err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.rlog"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := os.ReadFile(auditV2)
-	if err != nil {
-		t.Fatal(err)
+	written := 0
+	for _, f := range files {
+		st, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		written += int(st.Size())
 	}
-	if string(a1) != string(a2) {
-		t.Error("audit trails diverge between formats")
+	if n != 36 || len(files) != n {
+		t.Fatalf("recorded %d executions into %d files, want 36", n, len(files))
+	}
+	if printed != written {
+		t.Errorf("record-suite printed %d bytes, its %d files hold %d", printed, len(files), written)
 	}
 }

@@ -9,14 +9,15 @@
 //	never panic, never allocate unbounded, always return a typed error
 //	or a valid (degraded-but-labeled) log.
 //
-// The injector corrupts at two layers, matching what a real log store
-// can hand the offline analysis: raw-payload corruptions (bit flips,
-// truncation, varint-length inflation, field mutation, duplicated and
-// dropped sequencers) are applied to the marshalled log and then
-// re-compressed into a well-formed container, while container
-// corruptions (bad magic, garbage tail) break the compressed file
-// itself. Everything is deterministic in (seed, trial index), so a
-// failing trial reproduces from its two integers.
+// The injector corrupts a v2 container the ways a real log store can
+// hand it to the offline analysis: byte-level damage (bit flips,
+// truncation, varint-length inflation, field mutation, bad magic, a
+// garbage tail), structured edits that re-encode a well-formed log
+// breaking a replay invariant (duplicated and dropped sequencers), and
+// damage aimed at the segmented layout itself (index, torn segments,
+// varint overruns behind repaired checksums). Everything is
+// deterministic in (seed, trial index), so a failing trial reproduces
+// from its two integers.
 package chaos
 
 import (
@@ -30,41 +31,38 @@ import (
 type Kind int
 
 const (
-	// KindBitFlip flips a single random bit of the raw payload.
+	// KindBitFlip flips a single random bit of the container.
 	KindBitFlip Kind = iota
-	// KindTruncate cuts the raw payload at a random point.
+	// KindTruncate cuts the container at a random point.
 	KindTruncate
-	// KindInflateLength splices a maximal varint over a random payload
-	// byte — wherever that byte was a length or count prefix, the
-	// decoder sees an absurd claim it must reject before allocating.
+	// KindInflateLength splices a maximal varint over a random byte —
+	// wherever that byte was a length or count prefix, the decoder sees
+	// an absurd claim it must reject before allocating.
 	KindInflateLength
 	// KindMutateField overwrites a short random span with random bytes.
 	KindMutateField
-	// KindDupSequencer re-marshals the log with one sequencer entry
+	// KindDupSequencer re-encodes the log with one sequencer entry
 	// duplicated (a structured corruption: bytes stay well-formed, the
 	// log breaks a replay invariant instead).
 	KindDupSequencer
-	// KindDropSequencer re-marshals the log with one sequencer removed.
+	// KindDropSequencer re-encodes the log with one sequencer removed.
 	KindDropSequencer
 	// KindBadMagic corrupts the container's magic string.
 	KindBadMagic
 	// KindGarbageTail replaces the tail of the container, from a random
-	// point to the end, with random garbage — breaking the flate stream
-	// (v1) or a run of segments (v2).
+	// point to the end, with random garbage — breaking a run of segments.
 	KindGarbageTail
-	// KindIndexCorrupt flips a byte inside a v2 container's segment
+	// KindIndexCorrupt flips a byte inside the container's segment
 	// index, so the index checksum or the canonical-layout checks must
-	// reject the log before any segment is touched. On a v1 container it
-	// degrades to KindMutateField over the raw payload.
+	// reject the log before any segment is touched.
 	KindIndexCorrupt
-	// KindTornSegment garbages a v2 container from a random point inside
+	// KindTornSegment garbages the container from a random point inside
 	// one segment's payload through the end — the on-disk shape of a
-	// write torn mid-segment. On v1 it degrades to KindTruncate.
+	// write torn mid-segment.
 	KindTornSegment
-	// KindVarintOverrun overwrites a span of one v2 segment's payload
-	// with maximal varint bytes and repairs the checksums, so the overrun
+	// KindVarintOverrun overwrites a span of one segment's payload with
+	// maximal varint bytes and repairs the checksums, so the overrun
 	// reaches the varint parser itself rather than dying at the CRC gate.
-	// On v1 it degrades to KindInflateLength.
 	KindVarintOverrun
 
 	numKinds
@@ -122,46 +120,26 @@ func (in *Injector) rng(trial int) *rand.Rand {
 	return rand.New(rand.NewSource(in.seed*1_000_003 + int64(trial)))
 }
 
-// CorruptFile returns the trial-th corruption of a compressed log
-// container, cycling through every Kind so any N >= len(Kinds()) trials
-// cover the full taxonomy. The result is what a corrupt .rlog file on
-// disk would look like.
+// CorruptFile returns the trial-th corruption of a log container,
+// cycling through every Kind so any N >= len(Kinds()) trials cover the
+// full taxonomy. The result is what a corrupt .rlog file on disk would
+// look like.
 func (in *Injector) CorruptFile(container []byte, trial int) ([]byte, Kind) {
 	kind := Kind(trial % int(numKinds))
 	return in.CorruptFileKind(container, kind, trial), kind
 }
 
-// CorruptFileKind applies one specific corruption kind to a log
-// container of either format, deterministically in (seed, trial). On v1
-// containers the payload kinds decompress, corrupt the raw bytes, and
-// recompress; on v2 containers they target the segmented layout
-// directly (see corruptV2). The v2-specific kinds degrade to their
-// closest v1 analogue on a v1 container, so the kind rotation is total
-// over both formats.
+// CorruptFileKind applies one specific corruption kind to a v2 log
+// container, deterministically in (seed, trial). Bytes that are not a
+// structurally valid v2 container — a legacy v1 file, say — take the
+// container-level kinds only: every other kind garbages their tail.
 func (in *Injector) CorruptFileKind(container []byte, kind Kind, trial int) []byte {
 	rng := in.rng(trial)
 	switch kind {
 	case KindBadMagic, KindGarbageTail:
 		return corruptContainer(clone(container), kind, rng)
 	}
-	if trace.SniffFormat(container) == trace.FormatV2 {
-		return corruptV2(clone(container), kind, rng)
-	}
-	raw, err := trace.Decompress(container)
-	if err != nil {
-		// Not a valid container to start from: fall back to corrupting
-		// the container bytes directly.
-		return corruptContainer(clone(container), KindGarbageTail, rng)
-	}
-	switch kind {
-	case KindIndexCorrupt:
-		kind = KindMutateField
-	case KindTornSegment:
-		kind = KindTruncate
-	case KindVarintOverrun:
-		kind = KindInflateLength
-	}
-	return trace.Compress(CorruptRaw(raw, kind, rng))
+	return corruptV2(clone(container), kind, rng)
 }
 
 // corruptV2 applies kind to a v2 container in place. Byte-level kinds
@@ -176,17 +154,17 @@ func corruptV2(data []byte, kind Kind, rng *rand.Rand) []byte {
 	}
 	switch kind {
 	case KindBitFlip, KindTruncate, KindInflateLength, KindMutateField:
-		// Raw byte corruptions apply to the container as a whole; the
+		// Byte corruptions apply to the container as a whole; the
 		// decoder must answer with header, index, or segment errors.
-		return CorruptRaw(data, kind, rng)
+		return corruptBytes(data, kind, rng)
 	case KindDupSequencer, KindDropSequencer:
 		log, err := trace.Decode(data)
 		if err != nil || len(log.Threads) == 0 {
-			return CorruptRaw(data, KindBitFlip, rng)
+			return corruptBytes(data, KindBitFlip, rng)
 		}
 		t := log.Threads[rng.Intn(len(log.Threads))]
 		if len(t.Seqs) == 0 {
-			return CorruptRaw(data, KindBitFlip, rng)
+			return corruptBytes(data, KindBitFlip, rng)
 		}
 		if kind == KindDupSequencer {
 			t.Seqs = dupSeq(t.Seqs, rng.Intn(len(t.Seqs)))
@@ -225,14 +203,14 @@ func corruptV2(data []byte, kind Kind, rng *rand.Rand) []byte {
 		})
 		return data
 	}
-	return CorruptRaw(data, KindBitFlip, rng)
+	return corruptBytes(data, KindBitFlip, rng)
 }
 
-// CorruptRaw applies kind to a raw (uncompressed) marshalled log,
-// drawing any needed randomness from rng. The input slice is not
-// modified.
-func CorruptRaw(raw []byte, kind Kind, rng *rand.Rand) []byte {
-	out := clone(raw)
+// corruptBytes applies one of the byte-level kinds (bit flip, truncate,
+// inflate length, mutate field) to data, drawing any needed randomness
+// from rng. The input slice is not modified.
+func corruptBytes(data []byte, kind Kind, rng *rand.Rand) []byte {
+	out := clone(data)
 	switch kind {
 	case KindBitFlip:
 		if len(out) > 0 {
@@ -262,24 +240,11 @@ func CorruptRaw(raw []byte, kind Kind, rng *rand.Rand) []byte {
 				out[i] = byte(rng.Intn(256))
 			}
 		}
-	case KindDupSequencer:
-		out = mutateSequencers(out, rng, dupSeq)
-	case KindDropSequencer:
-		out = mutateSequencers(out, rng, dropSeq)
-	case KindBadMagic:
-		if len(out) > 0 {
-			out[rng.Intn(min(5, len(out)))] ^= 0xff
-		}
-	case KindGarbageTail:
-		for i := max(0, len(out)-1-rng.Intn(16)); i < len(out); i++ {
-			out[i] = byte(rng.Intn(256))
-		}
 	}
 	return out
 }
 
-// dupSeq and dropSeq are the structured sequencer edits, shared by the
-// v1 raw path and the v2 re-encode path.
+// dupSeq and dropSeq are the structured sequencer edits.
 func dupSeq(seqs []trace.Sequencer, i int) []trace.Sequencer {
 	dup := make([]trace.Sequencer, 0, len(seqs)+1)
 	dup = append(dup, seqs[:i+1]...)
@@ -292,23 +257,6 @@ func dropSeq(seqs []trace.Sequencer, i int) []trace.Sequencer {
 	drop = append(drop, seqs[:i]...)
 	drop = append(drop, seqs[i+1:]...)
 	return drop
-}
-
-// mutateSequencers parses a raw log, rewrites one thread's sequencer
-// stream with edit, and re-marshals — a structured corruption that
-// keeps the byte format intact while breaking a replay invariant. If
-// the input does not parse, it falls back to a bit flip.
-func mutateSequencers(raw []byte, rng *rand.Rand, edit func(seqs []trace.Sequencer, i int) []trace.Sequencer) []byte {
-	log, err := trace.Unmarshal(raw)
-	if err != nil || len(log.Threads) == 0 {
-		return CorruptRaw(raw, KindBitFlip, rng)
-	}
-	t := log.Threads[rng.Intn(len(log.Threads))]
-	if len(t.Seqs) == 0 {
-		return CorruptRaw(raw, KindBitFlip, rng)
-	}
-	t.Seqs = edit(t.Seqs, rng.Intn(len(t.Seqs)))
-	return trace.Marshal(log)
 }
 
 // corruptContainer applies the container-level kinds in place.
@@ -329,8 +277,8 @@ func corruptContainer(data []byte, kind Kind, rng *rand.Rand) []byte {
 }
 
 // KnownBad returns, for every corruption kind, container bytes that are
-// guaranteed to fail the full sniffing decode path with thread salvage
-// on — the exact path analyze-dir and serve run — so every corpus entry
+// guaranteed to fail the full file decode path with thread salvage on —
+// the exact path analyze-dir and serve run — so every corpus entry
 // quarantines the whole log, never just a thread. Kinds whose random
 // draw happens to produce a decodable input (a bit flip in a don't-care
 // byte, a torn v2 segment salvage confines to one thread) are retried
@@ -352,8 +300,8 @@ func KnownBad(container []byte, seed int64) map[Kind][]byte {
 	return out
 }
 
-// decodeFails reports whether the sniffing file decode path — thread
-// salvage included, as analyze-dir and serve run it — rejects data.
+// decodeFails reports whether the file decode path — thread salvage
+// included, as analyze-dir and serve run it — rejects data.
 func decodeFails(data []byte) bool {
 	log, _, err := trace.DecodeOpts(data, trace.V2Options{QuarantineThreads: true})
 	if err != nil {

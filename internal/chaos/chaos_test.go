@@ -2,6 +2,9 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/asm"
@@ -37,8 +40,8 @@ main:
   halt
 `
 
-// sampleContainer records a small racy program and returns its
-// compressed .rlog bytes.
+// sampleContainer records a small racy program and returns its .rlog
+// bytes.
 func sampleContainer(t *testing.T) []byte {
 	t.Helper()
 	prog, err := asm.Assemble("chaos", racySrc)
@@ -79,43 +82,78 @@ func TestInjectorDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunContractHolds is the package's own acceptance check: 200+
-// corruptions of a real recorded log, zero panics, zero unbounded
-// allocations, zero untyped errors.
-func TestRunContractHolds(t *testing.T) {
-	container := sampleContainer(t)
+// checkContract runs 240 corruptions of container and fails on any
+// contract violation, on a sweep that rejected nothing, and on a kind
+// the rotation never injected.
+func checkContract(t *testing.T, name string, container []byte) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	rep := Run(container, 240, 1, reg)
 	if v := rep.Violations(); v != 0 {
 		for _, tr := range rep.Trials {
 			if tr.Panicked {
-				t.Errorf("trial %d (%v) panicked: %s", tr.Index, tr.Kind, tr.PanicValue)
+				t.Errorf("%s: trial %d (%v) panicked: %s", name, tr.Index, tr.Kind, tr.PanicValue)
 			}
 			if tr.Unbounded {
-				t.Errorf("trial %d (%v): %d input bytes allocated %d", tr.Index, tr.Kind, tr.InputBytes, tr.AllocBytes)
+				t.Errorf("%s: trial %d (%v): %d input bytes allocated %d", name, tr.Index, tr.Kind, tr.InputBytes, tr.AllocBytes)
 			}
 			if tr.Err != nil && !typedError(tr.Err) {
-				t.Errorf("trial %d (%v): untyped error %T: %v", tr.Index, tr.Kind, tr.Err, tr.Err)
+				t.Errorf("%s: trial %d (%v): untyped error %T: %v", name, tr.Index, tr.Kind, tr.Err, tr.Err)
 			}
 		}
-		t.Fatalf("%d contract violations:\n%s", v, rep.Summary())
+		t.Fatalf("%s: %d contract violations:\n%s", name, v, rep.Summary())
 	}
 	if rep.Rejected == 0 {
-		t.Error("no corruption was rejected — injector is a no-op?")
+		t.Errorf("%s: no corruption was rejected — injector is a no-op?", name)
 	}
-	// Every kind must have been exercised.
 	byKind := rep.ByKind()
 	for _, k := range Kinds() {
 		if byKind[k][0] == 0 {
-			t.Errorf("kind %v never injected", k)
+			t.Errorf("%s: kind %v never injected", name, k)
 		}
 	}
 	if got := reg.Counter("chaos.trials").Value(); got != 240 {
-		t.Errorf("chaos.trials = %d, want 240", got)
+		t.Errorf("%s: chaos.trials = %d, want 240", name, got)
 	}
 	if got := reg.Counter("chaos.panics").Value(); got != 0 {
-		t.Errorf("chaos.panics = %d, want 0", got)
+		t.Errorf("%s: chaos.panics = %d, want 0", name, got)
 	}
+}
+
+// TestRunContractHolds is the package's own acceptance check: 200+
+// corruptions of a real recorded log, zero panics, zero unbounded
+// allocations, zero untyped errors. It also sweeps a checked-in legacy
+// v1 file, which takes the container-level corruptions only and keeps
+// the legacy decoder under them.
+func TestRunContractHolds(t *testing.T) {
+	checkContract(t, "recorded", sampleContainer(t))
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy", "v1", "exec01-0.rlog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkContract(t, "legacy v1", legacy)
+}
+
+// TestRunContractHoldsV2: the contract holds over a v2 container that
+// carries key frames, so corruption also reaches the key-frame decoding
+// (sparse register files, memory views) a plain recording never has.
+func TestRunContractHoldsV2(t *testing.T) {
+	prog, err := asm.Assemble("chaos", racySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, _, _, err := record.RunOnline(prog, machine.Config{Seed: 3}, record.OnlineConfig{KeyFrameInterval: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := 0
+	for _, th := range log.Threads {
+		frames += len(th.KeyFrames)
+	}
+	if frames == 0 {
+		t.Fatal("recording carries no key frames")
+	}
+	checkContract(t, "key frames", trace.MarshalV2(log))
 }
 
 // TestKnownBadAllKindsFail: the corpus generator must return bytes that
@@ -136,20 +174,20 @@ func TestKnownBadAllKindsFail(t *testing.T) {
 }
 
 // TestStructuredCorruptionsBreakInvariants: dup/drop sequencer mutants
-// stay byte-well-formed — they must fail in Validate (or Unmarshal's
+// stay byte-well-formed — they must fail in Validate (the decoder's
 // final validation), not in the varint parser.
 func TestStructuredCorruptionsBreakInvariants(t *testing.T) {
 	container := sampleContainer(t)
-	raw, err := trace.Decompress(container)
-	if err != nil {
-		t.Fatal(err)
-	}
 	in := NewInjector(5)
 	for _, kind := range []Kind{KindDupSequencer, KindDropSequencer} {
 		failed := 0
 		for trial := 0; trial < 16; trial++ {
-			mut := CorruptRaw(raw, kind, in.rng(trial))
-			if _, err := trace.Unmarshal(mut); err != nil {
+			mut := in.CorruptFileKind(container, kind, trial)
+			if _, err := trace.Decode(mut); err != nil {
+				var ve *trace.ValidateError
+				if !errors.As(err, &ve) {
+					t.Errorf("%v trial %d: err = %v, want a *ValidateError", kind, trial, err)
+				}
 				failed++
 			}
 		}
@@ -170,60 +208,13 @@ func TestReportSummary(t *testing.T) {
 	}
 }
 
-// sampleContainerV2 is sampleContainer's recording in the segmented v2
-// format.
-func sampleContainerV2(t *testing.T) []byte {
-	t.Helper()
-	prog, err := asm.Assemble("chaos", racySrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, _, err := record.Run(prog, machine.Config{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return trace.MarshalV2(log)
-}
-
-// TestRunContractHoldsV2: the decode contract — never panic, never
-// allocate unbounded, always a typed error or a valid log — holds under
-// corruption of the segmented v2 container too, across every kind.
-func TestRunContractHoldsV2(t *testing.T) {
-	container := sampleContainerV2(t)
-	reg := obs.NewRegistry()
-	rep := Run(container, 240, 1, reg)
-	if v := rep.Violations(); v != 0 {
-		for _, tr := range rep.Trials {
-			if tr.Panicked {
-				t.Errorf("trial %d (%v) panicked: %s", tr.Index, tr.Kind, tr.PanicValue)
-			}
-			if tr.Unbounded {
-				t.Errorf("trial %d (%v): %d input bytes allocated %d", tr.Index, tr.Kind, tr.InputBytes, tr.AllocBytes)
-			}
-			if tr.Err != nil && !typedError(tr.Err) {
-				t.Errorf("trial %d (%v): untyped error %T: %v", tr.Index, tr.Kind, tr.Err, tr.Err)
-			}
-		}
-		t.Fatalf("%d contract violations:\n%s", v, rep.Summary())
-	}
-	if rep.Rejected == 0 {
-		t.Error("no v2 corruption was rejected — injector is a no-op?")
-	}
-	byKind := rep.ByKind()
-	for _, k := range Kinds() {
-		if byKind[k][0] == 0 {
-			t.Errorf("kind %v never injected", k)
-		}
-	}
-}
-
-// TestKnownBadV2: over a v2 container the corpus generator must produce
-// bytes that fail the salvaging decode outright (whole-log quarantine)
-// for the kinds the segmented layout is specifically exposed to — and
-// the layout-targeting kinds must leave the v2 magic intact, proving
-// they corrupted the structure, not just the sniffing.
+// TestKnownBadV2: the corpus generator must produce bytes that fail
+// the salvaging decode outright (whole-log quarantine) for the kinds the
+// segmented layout is specifically exposed to — and the layout-targeting
+// kinds must leave the v2 magic intact, proving they corrupted the
+// structure, not just the magic.
 func TestKnownBadV2(t *testing.T) {
-	container := sampleContainerV2(t)
+	container := sampleContainer(t)
 	bad := KnownBad(container, 99)
 	mustFail := []Kind{KindTruncate, KindBadMagic, KindGarbageTail,
 		KindIndexCorrupt, KindTornSegment, KindVarintOverrun}
@@ -238,7 +229,7 @@ func TestKnownBadV2(t *testing.T) {
 		}
 	}
 	for _, k := range []Kind{KindIndexCorrupt, KindTornSegment, KindVarintOverrun} {
-		if data, ok := bad[k]; ok && trace.SniffFormat(data) != trace.FormatV2 {
+		if data, ok := bad[k]; ok && !bytes.HasPrefix(data, []byte("RRSG2")) {
 			t.Errorf("kind %v: corruption destroyed the v2 magic instead of the layout", k)
 		}
 	}
@@ -248,7 +239,7 @@ func TestKnownBadV2(t *testing.T) {
 // segment is exactly what quarantine-mode decode exists for — the log
 // salvages with that one thread dropped.
 func TestTornSegmentSalvageable(t *testing.T) {
-	container := sampleContainerV2(t)
+	container := sampleContainer(t)
 	spans, ok := trace.V2SegmentSpans(container)
 	if !ok || len(spans) < 3 {
 		t.Fatalf("sample v2 container has %d segments, want >= 3", len(spans))

@@ -1,24 +1,23 @@
 // Command gen regenerates the checked-in corruption corpora from the
 // exec01 recording, deterministically:
 //
-//   - testdata/corrupt/<kind>.rlog — one known-bad v1 container per
-//     corruption kind, consumed by the trace decode tests and the CLI
+//   - testdata/corrupt/v2-<kind>.rlog — one known-bad container per
+//     corruption kind (kinds whose damage always salvages may be
+//     absent), consumed by the trace decode tests and the CLI
 //     quarantine test;
-//   - testdata/corrupt/v2-<kind>.rlog — the same over the segmented v2
-//     container (kinds whose damage always salvages may be absent);
-//   - internal/trace/testdata/fuzz/FuzzUnmarshal/chaos-<kind> — the
-//     same corruptions as raw (uncompressed) payloads, seeding the
-//     decoder fuzzer;
-//   - internal/trace/testdata/fuzz/FuzzDecodeV2/chaos-* — corrupted and
-//     intact v2 containers seeding the segmented-decoder fuzzer;
+//   - internal/trace/testdata/fuzz/FuzzDecodeV2/chaos-* — the same
+//     corruptions and the intact container, seeding the decoder fuzzer;
 //   - internal/isa/testdata/fuzz/FuzzDecode/chaos-flip-<i> — bit-flipped
 //     instruction encodings seeding the instruction fuzzer.
+//
+// The legacy v1 corpora — testdata/corrupt/<kind>.rlog and
+// internal/trace/testdata/fuzz/FuzzUnmarshal — are frozen: nothing
+// writes v1 any more, so they are kept as checked in, not regenerated.
 //
 // Run from the repo root: go run ./internal/chaos/gen
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"log"
@@ -50,57 +49,28 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := trace.Write(&buf, rlog); err != nil {
-		log.Fatal(err)
-	}
-
-	bad := chaos.KnownBad(buf.Bytes(), *seed)
+	container := trace.MarshalV2(rlog)
 	corruptDir := filepath.Join(*root, "testdata", "corrupt")
-	fuzzDir := filepath.Join(*root, "internal", "trace", "testdata", "fuzz", "FuzzUnmarshal")
+	fuzzDir := filepath.Join(*root, "internal", "trace", "testdata", "fuzz", "FuzzDecodeV2")
 	for _, dir := range []string{corruptDir, fuzzDir} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			log.Fatal(err)
 		}
 	}
-	for kind, data := range bad {
-		path := filepath.Join(corruptDir, kind.String()+".rlog")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		// Seed the decoder fuzzer with the corruption's raw payload; a
-		// container-level corruption (bad magic, flipped compressed
-		// bytes) rarely decompresses, so fall back to the bytes as-is.
-		raw, err := trace.Decompress(data)
-		if err != nil {
-			raw = data
-		}
-		if err := writeSeed(filepath.Join(fuzzDir, "chaos-"+kind.String()), raw); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
-	}
-
-	// The same sweep over the segmented v2 container. Corruptions that
-	// confine their damage to one thread segment salvage instead of
-	// failing, so KnownBad may skip a kind here; consumers glob.
-	v2 := trace.MarshalV2(rlog)
-	v2Dir := filepath.Join(*root, "internal", "trace", "testdata", "fuzz", "FuzzDecodeV2")
-	if err := os.MkdirAll(v2Dir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	badV2 := chaos.KnownBad(v2, *seed)
-	for kind, data := range badV2 {
+	// Corruptions that confine their damage to one thread segment
+	// salvage instead of failing, so KnownBad may skip a kind; consumers
+	// glob.
+	for kind, data := range chaos.KnownBad(container, *seed) {
 		path := filepath.Join(corruptDir, "v2-"+kind.String()+".rlog")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			log.Fatal(err)
 		}
-		if err := writeSeed(filepath.Join(v2Dir, "chaos-"+kind.String()), data); err != nil {
+		if err := writeSeed(filepath.Join(fuzzDir, "chaos-"+kind.String()), data); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
 	}
-	if err := writeSeed(filepath.Join(v2Dir, "chaos-intact"), v2); err != nil {
+	if err := writeSeed(filepath.Join(fuzzDir, "chaos-intact"), container); err != nil {
 		log.Fatal(err)
 	}
 

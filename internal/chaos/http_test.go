@@ -32,7 +32,7 @@ func recordContainer(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trace.Compress(trace.Marshal(log))
+	return trace.MarshalV2(log)
 }
 
 // TestRunHTTPContract fires the full hostile sweep — every corruption

@@ -89,8 +89,8 @@ func (r *Report) Summary() string {
 }
 
 // Run corrupts the container n times with a deterministic injector and
-// drives each mutant through the full sniffing file-decode path (either
-// container format, thread salvage on, Validate), checking the contract
+// drives each mutant through the full file-decode path (v2 or legacy v1,
+// thread salvage on, Validate), checking the contract
 // on every trial. The optional registry receives chaos.* counters (nil
 // is off, as everywhere).
 func Run(container []byte, n int, seed int64, reg *obs.Registry) *Report {

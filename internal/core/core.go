@@ -60,27 +60,28 @@ type Predicted struct {
 // LogStats measures the recorded log's footprint (§5.1 metrics).
 func (r *Result) LogStats() trace.SizeStats { return trace.Stats(r.Log) }
 
-// LogDigest is the hex SHA-256 of a log's canonical serialization — the
-// content identity audit records attach replay verdicts to. Marshal is
-// deterministic, so the digest is a pure function of the recorded
-// execution.
+// LogDigest is the hex SHA-256 of a log's v2 container — the content
+// identity audit records and manifests attach verdicts to. MarshalV2 is
+// deterministic and is exactly what trace.Write emits, so the digest is
+// a pure function of the recorded execution and equals the sha256sum of
+// its .rlog file.
 func LogDigest(log *trace.Log) string {
-	sum := sha256.Sum256(trace.Marshal(log))
+	sum := sha256.Sum256(trace.MarshalV2(log))
 	return hex.EncodeToString(sum[:])
 }
 
 // DecodeOptions tunes DecodeLogOpts/DecodeLogFrom. The zero value is the
 // strict serial decode.
 type DecodeOptions struct {
-	// Jobs fans v2 segment decode across workers (<= 1 serial; v1 is
-	// inherently serial).
+	// Jobs fans v2 segment decode across workers (<= 1 serial; a legacy
+	// v1 log always decodes serially).
 	Jobs int
 	// Salvage confines v2 per-segment corruption to the segment's
 	// thread where structurally safe: corrupt thread segments are
 	// dropped and reported as faults while the healthy remainder
-	// analyzes. Damage to the header, index, or meta segment — or a v1
-	// log's corruption, which has no segment boundaries to confine it —
-	// still condemns the whole log.
+	// analyzes. Damage to the header, index, or meta segment — or a
+	// legacy v1 log's corruption, which has no segment boundaries to
+	// confine it — still condemns the whole log.
 	Salvage bool
 	// Metrics receives the decode.v2.* counters (nil is off).
 	Metrics *obs.Registry
@@ -88,11 +89,11 @@ type DecodeOptions struct {
 
 // DecodeLogOpts decodes one serialized log container — the exact decode
 // path analyze-dir applies to a .rlog file, shared with the `racer serve`
-// upload handler and the chaos HTTP sweep. The format is sniffed from the
-// magic bytes (v1 and v2 both accepted), and failures are the trace
-// package's typed errors, so rejections stay within the robustness
-// contract. o adds worker fan-out, thread salvage, and metrics; the fault
-// list is non-empty only for a salvaged v2 log.
+// upload handler and the chaos HTTP sweep. v2 containers and legacy v1
+// logs are both accepted, told apart by their magic bytes, and failures
+// are the trace package's typed errors, so rejections stay within the
+// robustness contract. o adds worker fan-out, thread salvage, and
+// metrics; the fault list is non-empty only for a salvaged v2 log.
 func DecodeLogOpts(data []byte, o DecodeOptions) (*trace.Log, []trace.ThreadFault, error) {
 	return trace.DecodeOpts(data, trace.V2Options{
 		Jobs: o.Jobs, QuarantineThreads: o.Salvage, Metrics: o.Metrics,
@@ -101,8 +102,8 @@ func DecodeLogOpts(data []byte, o DecodeOptions) (*trace.Log, []trace.ThreadFaul
 
 // DecodeLogFrom decodes a serialized log straight from an io.ReaderAt —
 // the spooled-upload path: a v2 container is read header, index, then
-// segment by segment, so the full container is never resident; v1 falls
-// back to a whole-buffer read.
+// segment by segment, so the full container is never resident; a legacy
+// v1 log falls back to a whole-buffer read.
 func DecodeLogFrom(r io.ReaderAt, size int64, o DecodeOptions) (*trace.Log, []trace.ThreadFault, error) {
 	return trace.DecodeFrom(r, size, trace.V2Options{
 		Jobs: o.Jobs, QuarantineThreads: o.Salvage, Metrics: o.Metrics,

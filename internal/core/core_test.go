@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 
@@ -88,7 +90,7 @@ func TestAnalyzeLogMatchesAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round-trip the log through serialization before the offline half.
-	log2, err := trace.Unmarshal(trace.Marshal(log))
+	log2, err := trace.Decode(trace.MarshalV2(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,26 +241,28 @@ func TestAnalyzeLogsIsolatesPanics(t *testing.T) {
 	}
 }
 
-// TestDecodeLogBothFormats: DecodeLogOpts and DecodeLogFrom sniff either
-// container format and return the same log the v1 path does.
+// TestDecodeLogBothFormats: DecodeLogOpts and DecodeLogFrom read a v2
+// container and a checked-in legacy v1 recording of the same execution
+// to the same log, the one the v2 twin encodes byte for byte. The raw
+// (uncompressed) v1 layout goes through trace.DecodeOpts and
+// trace.DecodeFrom, which these two forward to, in trace's
+// TestDecodeFromFile.
 func TestDecodeLogBothFormats(t *testing.T) {
-	prog, err := asm.Assemble("core", racySrc)
+	legacy := filepath.Join("..", "..", "testdata", "legacy")
+	want, err := os.ReadFile(filepath.Join(legacy, "v2", "exec11-0.rlog"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	log, _, err := record.Run(prog, machine.Config{Seed: 3})
+	v1, err := os.ReadFile(filepath.Join(legacy, "v1", "exec11-0.rlog"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := trace.Marshal(log)
-	v1 := trace.Compress(want)
-	v2 := trace.MarshalV2(log)
-	for name, data := range map[string][]byte{"v1": v1, "v2": v2, "raw": want} {
+	for name, data := range map[string][]byte{"v1": v1, "v2": want} {
 		got, _, err := DecodeLogOpts(data, DecodeOptions{})
 		if err != nil {
 			t.Fatalf("%s: DecodeLogOpts: %v", name, err)
 		}
-		if !reflect.DeepEqual(trace.Marshal(got), want) {
+		if !bytes.Equal(trace.MarshalV2(got), want) {
 			t.Errorf("%s: DecodeLogOpts round-trip diverged", name)
 		}
 		got2, faults, err := DecodeLogFrom(bytes.NewReader(data), int64(len(data)),
@@ -269,7 +273,7 @@ func TestDecodeLogBothFormats(t *testing.T) {
 		if len(faults) != 0 {
 			t.Errorf("%s: DecodeLogFrom faults = %v on an intact log", name, faults)
 		}
-		if !reflect.DeepEqual(trace.Marshal(got2), want) {
+		if !bytes.Equal(trace.MarshalV2(got2), want) {
 			t.Errorf("%s: DecodeLogFrom round-trip diverged", name)
 		}
 	}

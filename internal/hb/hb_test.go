@@ -426,7 +426,7 @@ wloop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	log2, err := trace.Unmarshal(trace.Marshal(log))
+	log2, err := trace.Decode(trace.MarshalV2(log))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -178,8 +178,7 @@ func TestLogSerializationRoundTripsRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := trace.Marshal(log)
-		log2, err := trace.Unmarshal(raw)
+		log2, err := trace.Decode(trace.MarshalV2(log))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}

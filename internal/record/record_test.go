@@ -268,8 +268,7 @@ main:
   halt
 `
 	log, _ := mustRecord(t, src, machine.Config{Seed: 11})
-	raw := trace.Marshal(log)
-	got, err := trace.Unmarshal(raw)
+	got, err := trace.Decode(trace.MarshalV2(log))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestReplayReproducesRacyMultithread(t *testing.T) {
 
 func TestReplayAfterSerializationRoundTrip(t *testing.T) {
 	log, res := recordSrc(t, racyCounterSrc, machine.Config{Seed: 17})
-	log2, err := trace.Unmarshal(trace.Marshal(log))
+	log2, err := trace.Decode(trace.MarshalV2(log))
 	if err != nil {
 		t.Fatal(err)
 	}

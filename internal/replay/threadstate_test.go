@@ -99,8 +99,7 @@ func TestKeyFrameLogsSerializeAndValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round-trip through serialization preserves frames and replayability.
-	raw := trace.Marshal(log)
-	log2, err := trace.Unmarshal(raw)
+	log2, err := trace.Decode(trace.MarshalV2(log))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,9 +119,6 @@ type Config struct {
 	// the same dual-order replay and appended to the job report, and
 	// their verdicts count toward the job's benign/harmful totals.
 	Predict bool
-	// PredictWindow bounds the prediction solver's search distance
-	// (0 = the predict package default).
-	PredictWindow int
 	// Registry receives the serve.*, memostore.*, and pipeline metrics
 	// (nil is off, as everywhere in obs).
 	Registry *obs.Registry
@@ -503,7 +500,7 @@ func (s *Server) runJob(j *job) {
 func (s *Server) analyze(j *job, log *trace.Log) jobOutcome {
 	results, quarantined := core.AnalyzeLogsInstrumented([]*trace.Log{log}, func(int) classify.Options {
 		return classify.Options{Scenario: j.label, Seed: log.Seed, DB: s.cfg.DB, Memo: s.memo,
-			Predict: s.cfg.Predict, PredictWindow: s.cfg.PredictWindow}
+			Predict: s.cfg.Predict}
 	}, 1, s.reg)
 	if len(quarantined) > 0 {
 		return jobOutcome{err: quarantined[0].Err}

@@ -19,7 +19,7 @@ import (
 	"repro/internal/workloads"
 )
 
-// recordPayload records a scenario and returns its compressed .rlog
+// recordPayload records a scenario and returns its .rlog
 // container — what a client would upload.
 func recordPayload(t *testing.T, name string) []byte {
 	t.Helper()
@@ -35,7 +35,7 @@ func recordPayload(t *testing.T, name string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return trace.Compress(trace.Marshal(log))
+	return trace.MarshalV2(log)
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {

@@ -5,69 +5,46 @@ import (
 	"io"
 )
 
-// Format names an on-disk log container format.
-type Format string
+// MaxRawLogBytes caps how large a log may be: how far a legacy v1
+// container inflates, and how many payload bytes a v2 index may
+// announce. A hostile flate stream can expand ~1000x, so without a
+// ceiling a small corrupt file could balloon into an arbitrarily large
+// allocation; the limit keeps the decode contract — allocation bounded
+// by the input — honest across the container layer too.
+const MaxRawLogBytes = 1 << 30
 
-const (
-	FormatUnknown Format = ""
-	// FormatV1 is the original whole-log container: "RRLZ1" + one flate
-	// stream over the marshalled log (raw "RRLOG" logs sniff as v1 too).
-	FormatV1 Format = "v1"
-	// FormatV2 is the segmented container: "RRSG2" header, segment
-	// index, independently decodable per-thread segments.
-	FormatV2 Format = "v2"
-)
-
-// ParseFormat validates a user-facing format name (the -format flags).
-func ParseFormat(s string) (Format, error) {
-	switch Format(s) {
-	case FormatV1, FormatV2:
-		return Format(s), nil
-	}
-	return FormatUnknown, fmt.Errorf("unknown trace format %q (want v1 or v2)", s)
+// Write serializes log to w as a v2 container (MarshalV2).
+func Write(w io.Writer, log *Log) error {
+	_, err := w.Write(MarshalV2(log))
+	return err
 }
 
-// SniffFormat identifies a container by its magic bytes without decoding
-// anything.
-func SniffFormat(data []byte) Format {
-	if len(data) < 5 {
-		return FormatUnknown
+// Read parses a serialized log from r, as Decode does.
+func Read(r io.Reader) (*Log, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
 	}
-	switch string(data[:5]) {
-	case fileMagic, rawMagic:
-		return FormatV1
-	case fileMagicV2:
-		return FormatV2
-	}
-	return FormatUnknown
+	return Decode(data)
 }
 
-// Decode parses a serialized log of either format, dispatching on the
-// sniffed magic: v1 containers decompress + unmarshal, raw v1 logs
-// unmarshal directly, v2 containers take the segmented decoder (serial,
-// strict). Failures are the package's typed errors in every case.
+// Decode parses a serialized log: a v2 container takes the segmented
+// decoder (serial, strict), and a legacy v1 container or raw v1 log the
+// legacy decoder. Failures are the package's typed errors in every case.
 func Decode(data []byte) (*Log, error) {
 	log, _, err := DecodeOpts(data, V2Options{})
 	return log, err
 }
 
 // DecodeOpts is Decode with the v2 decode options (worker fan-out,
-// thread quarantine, metrics). The v1 path is inherently serial and
-// all-or-nothing, so it ignores everything but opts.Metrics; its fault
-// list is always nil.
+// thread quarantine, metrics). The legacy v1 decoder is serial and
+// all-or-nothing, so it ignores them; its fault list is always nil.
 func DecodeOpts(data []byte, opts V2Options) (*Log, []ThreadFault, error) {
-	switch SniffFormat(data) {
-	case FormatV2:
+	switch magic(data) {
+	case fileMagicV2:
 		return DecodeV2(data, opts)
-	case FormatV1:
-		raw := data
-		if string(data[:5]) == fileMagic {
-			var err error
-			if raw, err = Decompress(data); err != nil {
-				return nil, nil, err
-			}
-		}
-		log, err := Unmarshal(raw)
+	case fileMagic, rawMagic:
+		log, err := decodeV1(data)
 		return log, nil, err
 	}
 	return nil, nil, &DecodeError{Section: "magic", Err: ErrBadMagic}
@@ -77,38 +54,29 @@ func DecodeOpts(data []byte, opts V2Options) (*Log, []ThreadFault, error) {
 // For a v2 container only the header, index, and one segment at a time
 // need be resident — a multi-GB spooled container is never fully
 // materialized — and thread segments still fan across opts.Jobs workers
-// (io.ReaderAt is safe for concurrent reads). v1 containers are
-// whole-log by construction, so that path reads everything and decodes
-// as Decode would.
+// (io.ReaderAt is safe for concurrent reads). A legacy v1 container is
+// one flate stream, so that path reads everything and decodes as Decode
+// would.
 func DecodeFrom(r io.ReaderAt, size int64, opts V2Options) (*Log, []ThreadFault, error) {
-	var magic [5]byte
-	if size < int64(len(magic)) {
+	var head [len(fileMagicV2)]byte
+	if size < int64(len(head)) {
 		return nil, nil, &DecodeError{Section: "magic", Err: ErrBadMagic}
 	}
-	if _, err := r.ReadAt(magic[:], 0); err != nil {
+	if _, err := r.ReadAt(head[:], 0); err != nil {
 		return nil, nil, &DecodeError{Section: "magic", Err: fmt.Errorf("read: %w", err)}
 	}
-	switch SniffFormat(magic[:]) {
-	case FormatV2:
-		hdr := make([]byte, v2HeaderLen)
-		if size < v2HeaderLen {
-			return nil, nil, &DecodeError{Offset: int(size), Section: "v2 header", Err: ErrTruncated}
-		}
+	switch magic(head[:]) {
+	case fileMagicV2:
+		hdr := make([]byte, min(size, v2HeaderLen))
 		if _, err := r.ReadAt(hdr, 0); err != nil {
 			return nil, nil, &DecodeError{Section: "v2 header", Err: fmt.Errorf("read: %w", err)}
 		}
-		// Parse the header alone first: it bounds the index length, so
-		// the index read below is validated before it is allocated.
-		if _, err := parseV2Index(hdr, size); err != nil {
-			var de *DecodeError
-			// An index shorter than the header region is expected here —
-			// everything else is a real header error.
-			if !asDecodeError(err, &de) || de.Section != "v2 index" || de.Err != ErrTruncated {
-				return nil, nil, err
-			}
+		// The header alone bounds the index length, so the index read
+		// below is validated before it is allocated.
+		areaStart, err := parseV2Header(hdr, size)
+		if err != nil {
+			return nil, nil, err
 		}
-		nSegs := int64(le32(hdr[8:12]))
-		areaStart := int64(v2HeaderLen) + nSegs*v2IndexEntryLen
 		full := make([]byte, areaStart)
 		if _, err := r.ReadAt(full, 0); err != nil {
 			return nil, nil, &DecodeError{Section: "v2 index", Err: fmt.Errorf("read: %w", err)}
@@ -119,46 +87,21 @@ func DecodeFrom(r io.ReaderAt, size int64, opts V2Options) (*Log, []ThreadFault,
 			return nil, nil, err
 		}
 		return decodeV2Segments(fileSource{r}, idx, opts)
-	case FormatV1:
+	case fileMagic, rawMagic:
 		data := make([]byte, size)
 		if _, err := r.ReadAt(data, 0); err != nil {
 			return nil, nil, &DecodeError{Section: "container payload", Err: fmt.Errorf("read: %w", err)}
 		}
-		return DecodeOpts(data, opts)
+		log, err := decodeV1(data)
+		return log, nil, err
 	}
 	return nil, nil, &DecodeError{Section: "magic", Err: ErrBadMagic}
 }
 
-// WriteFormat serializes log to w in the named format: v1 is the
-// compressed whole-log container, v2 the segmented container with
-// uncompressed segments.
-func WriteFormat(w io.Writer, log *Log, f Format) error {
-	switch f {
-	case FormatV1:
-		return Write(w, log)
-	case FormatV2:
-		return WriteV2(w, log)
+// magic returns the five-byte magic data opens with ("" when shorter).
+func magic(data []byte) string {
+	if len(data) < len(fileMagicV2) {
+		return ""
 	}
-	return fmt.Errorf("unknown trace format %q", string(f))
-}
-
-// StatsFormat measures log's serialized footprint in the named format
-// (v1: Stats; v2: StatsV2).
-func StatsFormat(log *Log, f Format) SizeStats {
-	if f == FormatV2 {
-		return StatsV2(log)
-	}
-	return Stats(log)
-}
-
-func le32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func asDecodeError(err error, target **DecodeError) bool {
-	de, ok := err.(*DecodeError)
-	if ok {
-		*target = de
-	}
-	return ok
+	return string(data[:len(fileMagicV2)])
 }

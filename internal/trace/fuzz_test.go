@@ -7,23 +7,24 @@ import (
 	"testing"
 )
 
-// FuzzUnmarshal: arbitrary bytes must never panic the parser, and any log
-// it accepts must validate and survive a re-marshal round trip.
+// FuzzUnmarshal: arbitrary bytes must never panic the legacy v1 parser,
+// and any log it accepts must validate and survive a re-marshal round
+// trip. Its checked-in corpus is frozen: nothing writes v1 any more.
 func FuzzUnmarshal(f *testing.F) {
-	f.Add(Marshal(sampleLog()))
+	raw := marshalV1(sampleLog())
+	f.Add(raw)
 	f.Add([]byte("RRLOG"))
 	f.Add([]byte{})
-	raw := Marshal(sampleLog())
 	f.Add(raw[:len(raw)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		log, err := Unmarshal(data)
+		log, err := unmarshalV1(data)
 		if err != nil {
 			return
 		}
 		if err := log.Validate(); err != nil {
-			t.Fatalf("Unmarshal accepted an invalid log: %v", err)
+			t.Fatalf("unmarshalV1 accepted an invalid log: %v", err)
 		}
-		again, err := Unmarshal(Marshal(log))
+		again, err := unmarshalV1(marshalV1(log))
 		if err != nil {
 			t.Fatalf("re-marshal round trip failed: %v", err)
 		}
@@ -33,13 +34,13 @@ func FuzzUnmarshal(f *testing.F) {
 	})
 }
 
-// FuzzDecompress: the container parser must be total.
+// FuzzDecompress: the legacy v1 container parser must be total.
 func FuzzDecompress(f *testing.F) {
-	f.Add(Compress([]byte("hello")))
+	f.Add(compressV1([]byte("hello")))
 	f.Add([]byte("RRLZ1junk"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		raw, err := Decompress(data)
-		if err == nil && !bytes.Equal(Compress(raw)[:5], []byte("RRLZ1")) {
+		raw, err := decompressV1(data)
+		if err == nil && !bytes.Equal(compressV1(raw)[:5], []byte("RRLZ1")) {
 			t.Fatal("recompress lost magic")
 		}
 	})

@@ -7,8 +7,10 @@ import (
 )
 
 // ManifestSchemaID identifies the manifest JSON layout; bump on
-// incompatible change.
-const ManifestSchemaID = "racereplay-manifest/v1"
+// incompatible change. v2 re-keyed LogSHA256 from the retired v1
+// serialization to the v2 container, so a v1 manifest matches no log
+// and is rejected by Validate instead.
+const ManifestSchemaID = "racereplay-manifest/v2"
 
 // Manifest is the record-suite sidecar that carries each recorded
 // log's online-detector verdict across process boundaries. The Online
@@ -31,8 +33,10 @@ type Manifest struct {
 type ManifestEntry struct {
 	// File is the log's base filename within the recording directory.
 	File string `json:"file"`
-	// LogSHA256 is the hex SHA-256 of the log's canonical serialization;
-	// an entry applies only to a file with this exact content identity.
+	// LogSHA256 is the hex SHA-256 of the log's v2 container
+	// (core.LogDigest) — the sha256sum of the .rlog file record-suite
+	// wrote; an entry applies only to a log with this exact content
+	// identity.
 	LogSHA256 string `json:"log_sha256"`
 	// RaceFree reports the online detector's verdict for the recording.
 	RaceFree bool `json:"race_free"`

@@ -107,4 +107,16 @@ func TestReadManifestErrors(t *testing.T) {
 	if _, err := ReadManifest(wrong); err == nil || !strings.Contains(err.Error(), "schema") {
 		t.Errorf("wrong schema: err = %v", err)
 	}
+	// A manifest from before the v2 re-keying: its hashes name v1
+	// serializations, so the whole file is refused rather than matching
+	// nothing in silence.
+	old := filepath.Join(dir, "v1.json")
+	body := `{"schema":"racereplay-manifest/v1","entries":[{"file":"a.rlog","log_sha256":"` +
+		strings.Repeat("ab", 32) + `","race_free":true}]}`
+	if err := os.WriteFile(old, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadManifest(old); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Errorf("v1-schema manifest: err = %v, want schema error", err)
+	}
 }

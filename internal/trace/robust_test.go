@@ -35,7 +35,7 @@ func TestInflatedLengthRejectedBounded(t *testing.T) {
 	raw := e.buf.Bytes()
 
 	var err error
-	delta := allocDelta(func() { _, err = Unmarshal(raw) })
+	delta := allocDelta(func() { _, err = unmarshalV1(raw) })
 	if err == nil {
 		t.Fatal("inflated length accepted")
 	}
@@ -58,7 +58,7 @@ func TestInflatedLengthRejectedBounded(t *testing.T) {
 // a valid log to a huge value: every one must be rejected with
 // ErrLengthOverflow and bounded allocation, never trusted into a make().
 func TestInflatedCountsRejectedBounded(t *testing.T) {
-	raw := Marshal(sampleLog())
+	raw := marshalV1(sampleLog())
 	// Walk the payload and, at every byte position, splice in a maximal
 	// varint in place of the original byte. Wherever that position held a
 	// count or length prefix, the decoder must fail fast; everywhere else
@@ -70,7 +70,7 @@ func TestInflatedCountsRejectedBounded(t *testing.T) {
 		mut = append(mut, raw[:pos]...)
 		mut = append(mut, huge[:n]...)
 		mut = append(mut, raw[pos+1:]...)
-		delta := allocDelta(func() { Unmarshal(mut) })
+		delta := allocDelta(func() { unmarshalV1(mut) })
 		if delta > 4<<20 {
 			t.Fatalf("byte %d: inflated varint drove allocation to %d bytes", pos, delta)
 		}
@@ -78,11 +78,11 @@ func TestInflatedCountsRejectedBounded(t *testing.T) {
 }
 
 func TestTypedDecodeErrors(t *testing.T) {
-	if _, err := Unmarshal([]byte("XXXXX-not-a-log")); !errors.Is(err, ErrBadMagic) {
+	if _, err := unmarshalV1([]byte("XXXXX-not-a-log")); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad magic: err = %v, want ErrBadMagic", err)
 	}
-	raw := Marshal(sampleLog())
-	_, err := Unmarshal(raw[:len(raw)-3])
+	raw := marshalV1(sampleLog())
+	_, err := unmarshalV1(raw[:len(raw)-3])
 	var de *DecodeError
 	if !errors.As(err, &de) {
 		t.Fatalf("truncated log: err = %T (%v), want *DecodeError", err, err)
@@ -90,10 +90,10 @@ func TestTypedDecodeErrors(t *testing.T) {
 	if de.Offset <= 0 || de.Offset > len(raw) {
 		t.Errorf("truncated log: offset = %d out of range", de.Offset)
 	}
-	if _, err := Decompress([]byte("ZZZZZ")); !errors.Is(err, ErrBadMagic) {
+	if _, err := decompressV1([]byte("ZZZZZ")); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("bad container magic: err = %v, want ErrBadMagic", err)
 	}
-	if _, err := Decompress(append([]byte(fileMagic), 0xde, 0xad)); err == nil {
+	if _, err := decompressV1(append([]byte(fileMagic), 0xde, 0xad)); err == nil {
 		t.Error("broken flate stream accepted")
 	}
 }
@@ -118,9 +118,10 @@ func TestValidateTypedErrors(t *testing.T) {
 	}
 }
 
-// TestCorruptCorpusRejected drives the checked-in known-bad corpus
-// through the full file-decode path: every file must be rejected with a
-// typed error, without panicking.
+// TestCorruptCorpusRejected drives the checked-in known-bad corpus, v1
+// and v2 files alike, through the decode path analyze-dir runs (thread
+// salvage on, then Validate): every file must be rejected with a typed
+// error, without panicking.
 func TestCorruptCorpusRejected(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("..", "..", "testdata", "corrupt", "*.rlog"))
 	if err != nil {
@@ -141,12 +142,9 @@ func TestCorruptCorpusRejected(t *testing.T) {
 					t.Errorf("%s: decode panicked: %v", name, r)
 				}
 			}()
-			raw, err := Decompress(data)
+			log, _, err := DecodeOpts(data, V2Options{QuarantineThreads: true})
 			if err == nil {
-				var log *Log
-				if log, err = Unmarshal(raw); err == nil {
-					err = Validate(log)
-				}
+				err = Validate(log)
 			}
 			if err == nil {
 				t.Errorf("%s: known-bad file accepted", name)

@@ -167,7 +167,7 @@ type Log struct {
 
 	// Online is the verdict of the online race detector that watched the
 	// recording, when one was attached. It is an in-memory annotation
-	// only: Marshal never serializes it, so logs decoded from disk always
+	// only: MarshalV2 never serializes it, so logs decoded from disk always
 	// carry nil and take the full offline pass. The offline detector
 	// remains the source of truth; consumers may use a race-free online
 	// verdict to skip work, never to report races.

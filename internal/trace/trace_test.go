@@ -35,9 +35,11 @@ func sampleLog() *Log {
 	return &Log{Prog: p, Seed: 42, Threads: []*ThreadLog{t0}, FinalClock: 2, TotalSteps: 3}
 }
 
+// TestMarshalUnmarshalRoundTrip drives the legacy v1 decoder field by
+// field.
 func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	log := sampleLog()
-	got, err := Unmarshal(Marshal(log))
+	got, err := unmarshalV1(marshalV1(log))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,27 +77,32 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// bothFormats serializes log as a v2 container and as a legacy v1
+// container, for tests that hold for either decoder.
+func bothFormats(log *Log) map[string][]byte {
+	return map[string][]byte{"v1": compressV1(marshalV1(log)), "v2": MarshalV2(log)}
+}
+
 func TestFaultRecordRoundTrip(t *testing.T) {
 	log := sampleLog()
 	log.Threads[0].EndReason = EndFaulted
 	log.Threads[0].Fault = &FaultRec{Kind: 2, PC: 7, Addr: 0x99}
-	got, err := Unmarshal(Marshal(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := got.Threads[0].Fault
-	if f == nil || f.Kind != 2 || f.PC != 7 || f.Addr != 0x99 {
-		t.Errorf("fault = %+v", f)
+	for name, data := range bothFormats(log) {
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		f := got.Threads[0].Fault
+		if f == nil || f.Kind != 2 || f.PC != 7 || f.Addr != 0x99 {
+			t.Errorf("%s: fault = %+v", name, f)
+		}
 	}
 }
 
+// TestCompressedContainerRoundTrip: a legacy v1 container reads back
+// through Read.
 func TestCompressedContainerRoundTrip(t *testing.T) {
-	log := sampleLog()
-	var buf bytes.Buffer
-	if err := Write(&buf, log); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
+	got, err := Read(bytes.NewReader(compressV1(marshalV1(sampleLog()))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,24 +113,24 @@ func TestCompressedContainerRoundTrip(t *testing.T) {
 
 func TestCorruptInputsRejected(t *testing.T) {
 	log := sampleLog()
-	raw := Marshal(log)
+	raw := marshalV1(log)
 
-	if _, err := Unmarshal([]byte("XXXXX")); err == nil {
+	if _, err := unmarshalV1([]byte("XXXXX")); err == nil {
 		t.Error("bad magic accepted")
 	}
-	if _, err := Unmarshal(raw[:len(raw)/2]); err == nil {
+	if _, err := unmarshalV1(raw[:len(raw)/2]); err == nil {
 		t.Error("truncated log accepted")
 	}
 	bad := append([]byte{}, raw...)
 	bad[len(rawMagic)] = 99 // version byte
-	if _, err := Unmarshal(bad); err == nil {
+	if _, err := unmarshalV1(bad); err == nil {
 		t.Error("future version accepted")
 	}
-	if _, err := Decompress([]byte("NOTRRLZ")); err == nil {
+	if _, err := decompressV1([]byte("NOTRRLZ")); err == nil {
 		t.Error("bad container magic accepted")
 	}
-	comp := Compress(raw)
-	if _, err := Decompress(comp[:len(comp)-3]); err == nil {
+	comp := compressV1(raw)
+	if _, err := decompressV1(comp[:len(comp)-3]); err == nil {
 		t.Error("truncated container accepted")
 	}
 }
@@ -230,8 +237,8 @@ func TestEndReasonStrings(t *testing.T) {
 }
 
 // TestUnmarshalTotalOnAllPrefixes: parsing any strict prefix of a valid
-// log must fail cleanly (no panic, no acceptance). This sweeps every
-// error branch in the decoder.
+// v1 log must fail cleanly (no panic, no acceptance). This sweeps every
+// error branch in the legacy decoder.
 func TestUnmarshalTotalOnAllPrefixes(t *testing.T) {
 	log := sampleLog()
 	log.Threads[0].Fault = &FaultRec{Kind: 1, PC: 2, Addr: 3}
@@ -240,13 +247,13 @@ func TestUnmarshalTotalOnAllPrefixes(t *testing.T) {
 		{Idx: 1, PC: 1, View: []LoadRec{{Addr: 0x1000, Val: 11}}},
 		{Idx: 2, PC: 2},
 	}
-	raw := Marshal(log)
+	raw := marshalV1(log)
 	for n := 0; n < len(raw); n++ {
-		if _, err := Unmarshal(raw[:n]); err == nil {
+		if _, err := unmarshalV1(raw[:n]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes accepted", n, len(raw))
 		}
 	}
-	if _, err := Unmarshal(raw); err != nil {
+	if _, err := unmarshalV1(raw); err != nil {
 		t.Fatalf("full log rejected: %v", err)
 	}
 }
@@ -254,11 +261,11 @@ func TestUnmarshalTotalOnAllPrefixes(t *testing.T) {
 // TestUnmarshalTotalOnByteFlips: flipping any single byte must never
 // panic; it may error or may produce a different-but-valid log.
 func TestUnmarshalTotalOnByteFlips(t *testing.T) {
-	raw := Marshal(sampleLog())
+	raw := marshalV1(sampleLog())
 	for i := range raw {
 		mut := append([]byte(nil), raw...)
 		mut[i] ^= 0xFF
-		log, err := Unmarshal(mut)
+		log, err := unmarshalV1(mut)
 		if err == nil {
 			if vErr := log.Validate(); vErr != nil {
 				t.Fatalf("byte %d: accepted an invalid log: %v", i, vErr)
@@ -289,15 +296,17 @@ func TestKeyFrameRoundTrip(t *testing.T) {
 		{Idx: 1, PC: 7, View: []LoadRec{{Addr: 0x1000, Val: 5}, {Addr: 0x2000, Val: 9}}},
 	}
 	log.Threads[0].KeyFrames[0].Regs[3] = 42
-	got, err := Unmarshal(Marshal(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	kf := got.Threads[0].KeyFrames
-	if len(kf) != 1 || kf[0].Idx != 1 || kf[0].PC != 7 || kf[0].Regs[3] != 42 {
-		t.Fatalf("key frame header lost: %+v", kf)
-	}
-	if len(kf[0].View) != 2 || kf[0].View[1].Addr != 0x2000 || kf[0].View[1].Val != 9 {
-		t.Fatalf("key frame view lost: %+v", kf[0].View)
+	for name, data := range bothFormats(log) {
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		kf := got.Threads[0].KeyFrames
+		if len(kf) != 1 || kf[0].Idx != 1 || kf[0].PC != 7 || kf[0].Regs[3] != 42 {
+			t.Fatalf("%s: key frame header lost: %+v", name, kf)
+		}
+		if len(kf[0].View) != 2 || kf[0].View[1].Addr != 0x2000 || kf[0].View[1].Val != 9 {
+			t.Fatalf("%s: key frame view lost: %+v", name, kf[0].View)
+		}
 	}
 }

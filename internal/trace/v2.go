@@ -1,36 +1,33 @@
 package trace
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
-// The v2 container re-lays the log for decode throughput: instead of one
-// flate stream over the whole marshalled log (v1), a fixed self-describing
-// header is followed by a segment index and then independently decodable
-// segments — one meta segment (program + run metadata) and one segment per
-// thread. Segments are stored uncompressed by default so decode is a
-// zero-copy walk over the input buffer (per-segment flate is available
-// behind a header flag for cold storage), and every segment carries a
-// CRC-32C so corruption is localized to the segment it hit. The index is
-// first, so a reader can plan — fan segments across workers, or stream one
-// thread — after reading only header + index.
+// The v2 container is the one log format this package writes. Instead of
+// one flate stream over the whole log (the legacy v1 container, still
+// read by legacy.go), a fixed self-describing header is followed by a
+// segment index and then independently decodable segments — one meta
+// segment (program + run metadata) and one segment per thread. Segments
+// are stored uncompressed, so decode is a zero-copy walk over the input
+// buffer, and every segment carries a CRC-32C so corruption is localized
+// to the segment it hit. The index is first, so a reader can plan — fan
+// segments across workers, or stream one thread — after reading only
+// header + index.
 //
 // Container layout (all fixed-width fields little-endian):
 //
 //	[0:5]    magic "RRSG2"
 //	[5]      version (1)
-//	[6]      flags (bit 0: segments are individually deflated)
+//	[6]      flags (0; a container with any flag set is rejected)
 //	[7]      reserved (0)
 //	[8:12]   segment count
 //	[12:16]  CRC-32C of the index bytes
@@ -44,7 +41,7 @@ import (
 //	[4:8]    thread id (0 for the meta segment)
 //	[8:16]   payload offset, relative to the end of the index
 //	[16:24]  encoded payload length
-//	[24:32]  raw (inflated) payload length; equals encoded when not deflated
+//	[24:32]  raw payload length; always equals the encoded length
 //	[32:36]  CRC-32C of the encoded payload
 //	[36:40]  reserved (0)
 //
@@ -52,16 +49,12 @@ import (
 // encodings v1 lacks: register files are stored sparse (only nonzero
 // registers), and load addresses are signed deltas from the previous load
 // instead of absolute values. Decoding reads varints directly off the
-// input slice — no bytes.Reader indirection — which is where the serial
-// decode win over v1 comes from; the index is where the parallel win
-// comes from.
+// input slice; the index is where the parallel decode win comes from.
 const (
 	fileMagicV2     = "RRSG2"
 	v2Version       = 1
 	v2HeaderLen     = 16
 	v2IndexEntryLen = 40
-
-	flagSegDeflate = 1 << 0
 
 	segKindMeta   = 0
 	segKindThread = 1
@@ -77,17 +70,17 @@ var (
 	errChecksum = errors.New("segment checksum mismatch")
 )
 
-// Minimum encoded sizes of v2 stream entries, for the same count-cap
-// discipline the v1 decoder applies: no count translates into an
-// allocation the remaining bytes cannot justify.
+// Minimum encoded sizes of the v2-only stream entries (see the shared
+// ones in encode.go): no count translates into an allocation the
+// remaining bytes cannot justify.
 const (
 	minLoadV2 = 3 // idx delta + addr delta + value
 	minSeqV2  = 3 // idx delta + ts delta + kind byte
 	minKFV2   = 4 // idx delta + pc + register count + view count
 )
 
-// V2Options tunes DecodeV2 (and the format-sniffing entry points that
-// forward to it; the v1 path ignores everything but Metrics).
+// V2Options tunes DecodeV2 (and Decode, DecodeOpts and DecodeFrom, which
+// forward to it; the legacy v1 decoder ignores every option).
 type V2Options struct {
 	// Jobs is the worker count thread-segment decode fans across
 	// (<= 1 decodes serially). Results are slot-ordered, so the decoded
@@ -123,86 +116,43 @@ type segEntry struct {
 	tid    uint32
 	off    uint64
 	encLen uint64
-	rawLen uint64
 	crc    uint32
 }
 
-// MarshalV2 serializes log into the v2 container with uncompressed
-// segments — the zero-copy layout Write-side tooling defaults to.
-func MarshalV2(log *Log) []byte { return EncodeV2(log, false) }
-
-// EncodeV2 serializes log into the v2 container. With compressSegments
-// each segment payload is individually deflated (best compression), which
-// trades decode throughput for the §5.1 compressed-footprint regime.
-func EncodeV2(log *Log, compressSegments bool) []byte {
+// MarshalV2 serializes log into the v2 container: the bytes Write emits
+// and LogDigest hashes.
+func MarshalV2(log *Log) []byte {
 	payloads := make([][]byte, 0, 1+len(log.Threads))
-	entries := make([]segEntry, 0, 1+len(log.Threads))
 	payloads = append(payloads, encodeMetaV2(log))
-	entries = append(entries, segEntry{kind: segKindMeta})
+	total := len(payloads[0])
 	for _, t := range log.Threads {
 		payloads = append(payloads, encodeThreadV2(t))
-		entries = append(entries, segEntry{kind: segKindThread, tid: uint32(t.TID)})
+		total += len(payloads[len(payloads)-1])
 	}
 
-	var flags byte
-	if compressSegments {
-		flags |= flagSegDeflate
-	}
-	off := uint64(0)
-	total := 0
-	for i, raw := range payloads {
-		enc := raw
-		if compressSegments {
-			enc = deflateBytes(raw)
-		}
-		entries[i].off = off
-		entries[i].encLen = uint64(len(enc))
-		entries[i].rawLen = uint64(len(raw))
-		entries[i].crc = crc32.Checksum(enc, crcTable)
-		off += uint64(len(enc))
-		total += len(enc)
-		payloads[i] = enc
-	}
-
-	idxLen := len(entries) * v2IndexEntryLen
+	idxLen := len(payloads) * v2IndexEntryLen
 	out := make([]byte, v2HeaderLen+idxLen, v2HeaderLen+idxLen+total)
 	copy(out, fileMagicV2)
 	out[5] = v2Version
-	out[6] = flags
-	binary.LittleEndian.PutUint32(out[8:12], uint32(len(entries)))
-	for i, e := range entries {
+	binary.LittleEndian.PutUint32(out[8:12], uint32(len(payloads)))
+	off := uint64(0)
+	for i, p := range payloads {
 		b := out[v2HeaderLen+i*v2IndexEntryLen:]
-		b[0] = e.kind
-		binary.LittleEndian.PutUint32(b[4:8], e.tid)
-		binary.LittleEndian.PutUint64(b[8:16], e.off)
-		binary.LittleEndian.PutUint64(b[16:24], e.encLen)
-		binary.LittleEndian.PutUint64(b[24:32], e.rawLen)
-		binary.LittleEndian.PutUint32(b[32:36], e.crc)
+		if i > 0 {
+			b[0] = segKindThread
+			binary.LittleEndian.PutUint32(b[4:8], uint32(log.Threads[i-1].TID))
+		}
+		binary.LittleEndian.PutUint64(b[8:16], off)
+		binary.LittleEndian.PutUint64(b[16:24], uint64(len(p))) // encoded length
+		binary.LittleEndian.PutUint64(b[24:32], uint64(len(p))) // raw length, the same
+		binary.LittleEndian.PutUint32(b[32:36], crc32.Checksum(p, crcTable))
+		off += uint64(len(p))
 	}
 	binary.LittleEndian.PutUint32(out[12:16], crc32.Checksum(out[v2HeaderLen:v2HeaderLen+idxLen], crcTable))
 	for _, p := range payloads {
 		out = append(out, p...)
 	}
 	return out
-}
-
-// WriteV2 serializes log to w in the v2 container (uncompressed segments).
-func WriteV2(w io.Writer, log *Log) error {
-	_, err := w.Write(MarshalV2(log))
-	return err
-}
-
-func deflateBytes(raw []byte) []byte {
-	var out bytes.Buffer
-	fw, err := flate.NewWriter(&out, flate.BestCompression)
-	if err != nil {
-		panic(err) // only on invalid level
-	}
-	if _, err := fw.Write(raw); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
-	fw.Close()
-	return out.Bytes()
 }
 
 func encodeSparseRegs(e *encoder, regs *[isa.NumRegs]uint64) {
@@ -222,44 +172,10 @@ func encodeSparseRegs(e *encoder, regs *[isa.NumRegs]uint64) {
 }
 
 // encodeMetaV2 serializes the program and run metadata — everything in
-// the log except the threads.
+// the log except the threads — and the thread count.
 func encodeMetaV2(log *Log) []byte {
 	var e encoder
-	p := log.Prog
-	e.str(p.Name)
-	e.bytes(isa.EncodeCode(p.Code))
-	e.u(uint64(p.Entry))
-	addrs := make([]uint64, 0, len(p.Data))
-	for a := range p.Data {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	e.u(uint64(len(addrs)))
-	prevAddr := uint64(0)
-	for _, a := range addrs {
-		e.u(a - prevAddr)
-		prevAddr = a
-		e.u(p.Data[a])
-	}
-	names := make([]string, 0, len(p.Symbols))
-	for n := range p.Symbols {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	e.u(uint64(len(names)))
-	for _, n := range names {
-		e.str(n)
-		e.u(uint64(p.Symbols[n]))
-	}
-
-	e.i(log.Seed)
-	e.u(log.FinalClock)
-	e.u(log.TotalSteps)
-	if log.Deadlocked {
-		e.u(1)
-	} else {
-		e.u(0)
-	}
+	e.meta(log)
 	e.u(uint64(len(log.Threads)))
 	return append([]byte(nil), e.buf.Bytes()...)
 }
@@ -276,14 +192,7 @@ func encodeThreadV2(t *ThreadLog) []byte {
 	e.u(t.Retired)
 	e.u(uint64(t.EndReason))
 	e.u(t.ExitCode)
-	if t.Fault != nil {
-		e.u(1)
-		e.u(uint64(t.Fault.Kind))
-		e.u(uint64(t.Fault.PC))
-		e.u(t.Fault.Addr)
-	} else {
-		e.u(0)
-	}
+	e.fault(t.Fault)
 
 	e.u(uint64(len(t.Loads)))
 	prevIdx, prevAddr := uint64(0), uint64(0)
@@ -295,13 +204,7 @@ func encodeThreadV2(t *ThreadLog) []byte {
 		e.u(l.Val)
 	}
 
-	e.u(uint64(len(t.SysRets)))
-	prevIdx = 0
-	for _, s := range t.SysRets {
-		e.u(s.Idx - prevIdx)
-		prevIdx = s.Idx
-		e.u(s.Res)
-	}
+	e.sysRets(t.SysRets)
 
 	e.u(uint64(len(t.Seqs)))
 	prevIdx, prevTS := uint64(0), uint64(0)
@@ -328,26 +231,23 @@ func encodeThreadV2(t *ThreadLog) []byte {
 		e.u(uint64(kf.PC))
 		regs := kf.Regs
 		encodeSparseRegs(&e, &regs)
-		e.u(uint64(len(kf.View)))
-		prevAddr := uint64(0)
-		for _, v := range kf.View {
-			e.u(v.Addr - prevAddr)
-			prevAddr = v.Addr
-			e.u(v.Val)
-		}
+		e.view(kf.View)
 	}
 	return append([]byte(nil), e.buf.Bytes()...)
 }
 
-// sdec decodes varints directly off a byte slice — the zero-copy
-// counterpart of the v1 decoder's bytes.Reader, with the same typed-error
-// and count-cap discipline. base is the slice's offset within the
-// container, so reported offsets are container-absolute for uncompressed
-// segments (and payload-relative for deflated ones).
+// sdec decodes varints directly off a byte slice, with the typed-error
+// and count-cap discipline every decoder in this package keeps. It reads
+// v2 segments and, through legacy.go, v1 payloads. base is the slice's
+// offset within its container, so reported offsets are
+// container-absolute for v2 segments. An error's section is prefix (the
+// segment or thread being read) followed by section (the part of it),
+// joined only when a decode fails.
 type sdec struct {
 	buf     []byte
 	off     int
 	base    int
+	prefix  string
 	section string
 }
 
@@ -356,7 +256,7 @@ func (d *sdec) in(section string) { d.section = section }
 func (d *sdec) rem() int { return len(d.buf) - d.off }
 
 func (d *sdec) fail(err error) error {
-	return &DecodeError{Offset: d.base + d.off, Section: d.section, Err: err}
+	return &DecodeError{Offset: d.base + d.off, Section: d.prefix + d.section, Err: err}
 }
 
 func (d *sdec) u() (uint64, error) {
@@ -466,78 +366,155 @@ func (d *sdec) done() error {
 	return nil
 }
 
-// decodeMetaV2 parses the meta segment into a log skeleton (no threads)
-// and the thread count the meta announced.
-func decodeMetaV2(payload []byte, base int) (*Log, uint64, error) {
-	d := sdec{buf: payload, base: base}
-	log := &Log{}
+// meta parses the program and run metadata into log, the block v1 and v2
+// lay out alike.
+func (d *sdec) meta(log *Log) error {
 	p := isa.NewProgram("")
-	d.in("segment 0 (meta) program")
+	d.in("program")
 	var err error
 	if p.Name, err = d.str(); err != nil {
-		return nil, 0, err
+		return err
 	}
 	codeBytes, err := d.byteSlice()
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	if p.Code, err = isa.DecodeCode(codeBytes); err != nil {
-		return nil, 0, d.fail(err)
+		return d.fail(err)
 	}
 	entry, err := d.u()
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	p.Entry = int(entry)
-	d.in("segment 0 (meta) program data")
+	d.in("program data")
 	nData, err := d.count(minDataBytes)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	addr := uint64(0)
 	for i := uint64(0); i < nData; i++ {
 		da, err := d.u()
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		addr += da
 		if p.Data[addr], err = d.u(); err != nil {
-			return nil, 0, err
+			return err
 		}
 	}
-	d.in("segment 0 (meta) program symbols")
+	d.in("program symbols")
 	nSyms, err := d.count(minSymBytes)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	for i := uint64(0); i < nSyms; i++ {
 		name, err := d.str()
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		at, err := d.u()
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
 		p.Symbols[name] = int(at)
 	}
 	log.Prog = p
 
-	d.in("segment 0 (meta) run metadata")
+	d.in("run metadata")
 	if log.Seed, err = d.i(); err != nil {
-		return nil, 0, err
+		return err
 	}
 	if log.FinalClock, err = d.u(); err != nil {
-		return nil, 0, err
+		return err
 	}
 	if log.TotalSteps, err = d.u(); err != nil {
-		return nil, 0, err
+		return err
 	}
 	dl, err := d.u()
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
 	log.Deadlocked = dl != 0
+	return nil
+}
+
+// fault parses a thread's optional fault record.
+func (d *sdec) fault(t *ThreadLog) error {
+	v, err := d.u()
+	if err != nil || v == 0 {
+		return err
+	}
+	f := &FaultRec{}
+	if v, err = d.u(); err != nil {
+		return err
+	}
+	f.Kind = int(v)
+	if v, err = d.u(); err != nil {
+		return err
+	}
+	f.PC = int(v)
+	if f.Addr, err = d.u(); err != nil {
+		return err
+	}
+	t.Fault = f
+	return nil
+}
+
+// sysRets parses a thread's syscall-result stream.
+func (d *sdec) sysRets(t *ThreadLog) error {
+	nSys, err := d.count(minSysBytes)
+	if err != nil {
+		return err
+	}
+	idx := uint64(0)
+	t.SysRets = make([]SysRec, 0, nSys)
+	for j := uint64(0); j < nSys; j++ {
+		di, err := d.u()
+		if err != nil {
+			return err
+		}
+		idx += di
+		res, err := d.u()
+		if err != nil {
+			return err
+		}
+		t.SysRets = append(t.SysRets, SysRec{Idx: idx, Res: res})
+	}
+	return nil
+}
+
+// view parses a key frame's memory view.
+func (d *sdec) view() ([]LoadRec, error) {
+	nView, err := d.count(minViewBytes)
+	if err != nil {
+		return nil, err
+	}
+	addr := uint64(0)
+	view := make([]LoadRec, 0, nView)
+	for k := uint64(0); k < nView; k++ {
+		da, err := d.u()
+		if err != nil {
+			return nil, err
+		}
+		addr += da
+		val, err := d.u()
+		if err != nil {
+			return nil, err
+		}
+		view = append(view, LoadRec{Addr: addr, Val: val})
+	}
+	return view, nil
+}
+
+// decodeMetaV2 parses the meta segment into a log skeleton (no threads)
+// and the thread count the meta announced.
+func decodeMetaV2(payload []byte, base int) (*Log, uint64, error) {
+	d := sdec{buf: payload, base: base, prefix: "segment 0 (meta) "}
+	log := &Log{}
+	if err := d.meta(log); err != nil {
+		return nil, 0, err
+	}
 	nThreads, err := d.u()
 	if err != nil {
 		return nil, 0, err
@@ -551,8 +528,8 @@ func decodeMetaV2(payload []byte, base int) (*Log, uint64, error) {
 // decodeThreadV2 parses one thread segment payload. seg and wantTID come
 // from the index; the payload's own thread id must agree.
 func decodeThreadV2(payload []byte, base, seg int, wantTID uint32) (*ThreadLog, error) {
-	d := sdec{buf: payload, base: base}
-	d.in(fmt.Sprintf("segment %d (thread %d) header", seg, wantTID))
+	d := sdec{buf: payload, base: base, prefix: fmt.Sprintf("segment %d (thread %d) ", seg, wantTID)}
+	d.in("header")
 	t := &ThreadLog{}
 	var v uint64
 	var err error
@@ -587,26 +564,11 @@ func decodeThreadV2(payload []byte, base, seg int, wantTID uint32) (*ThreadLog, 
 	if t.ExitCode, err = d.u(); err != nil {
 		return nil, err
 	}
-	if v, err = d.u(); err != nil {
+	if err = d.fault(t); err != nil {
 		return nil, err
 	}
-	if v != 0 {
-		f := &FaultRec{}
-		if v, err = d.u(); err != nil {
-			return nil, err
-		}
-		f.Kind = int(v)
-		if v, err = d.u(); err != nil {
-			return nil, err
-		}
-		f.PC = int(v)
-		if f.Addr, err = d.u(); err != nil {
-			return nil, err
-		}
-		t.Fault = f
-	}
 
-	d.in(fmt.Sprintf("segment %d (thread %d) loads", seg, wantTID))
+	d.in("loads")
 	nLoads, err := d.count(minLoadV2)
 	if err != nil {
 		return nil, err
@@ -631,27 +593,12 @@ func decodeThreadV2(payload []byte, base, seg int, wantTID uint32) (*ThreadLog, 
 		t.Loads = append(t.Loads, LoadRec{Idx: idx, Addr: addr, Val: val})
 	}
 
-	d.in(fmt.Sprintf("segment %d (thread %d) sysrets", seg, wantTID))
-	nSys, err := d.count(minSysBytes)
-	if err != nil {
+	d.in("sysrets")
+	if err = d.sysRets(t); err != nil {
 		return nil, err
 	}
-	idx = 0
-	t.SysRets = make([]SysRec, 0, nSys)
-	for j := uint64(0); j < nSys; j++ {
-		di, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		idx += di
-		res, err := d.u()
-		if err != nil {
-			return nil, err
-		}
-		t.SysRets = append(t.SysRets, SysRec{Idx: idx, Res: res})
-	}
 
-	d.in(fmt.Sprintf("segment %d (thread %d) sequencers", seg, wantTID))
+	d.in("sequencers")
 	nSeqs, err := d.count(minSeqV2)
 	if err != nil {
 		return nil, err
@@ -683,7 +630,7 @@ func decodeThreadV2(payload []byte, base, seg int, wantTID uint32) (*ThreadLog, 
 		t.Seqs = append(t.Seqs, Sequencer{Idx: idx, TS: ts, Kind: SeqKind(kb & 0x7f), Aux: aux})
 	}
 
-	d.in(fmt.Sprintf("segment %d (thread %d) key frames", seg, wantTID))
+	d.in("key frames")
 	nKF, err := d.count(minKFV2)
 	if err != nil {
 		return nil, err
@@ -708,23 +655,8 @@ func decodeThreadV2(payload []byte, base, seg int, wantTID uint32) (*ThreadLog, 
 		if err = d.sparseRegs(&kf.Regs); err != nil {
 			return nil, err
 		}
-		nView, err := d.count(minViewBytes)
-		if err != nil {
+		if kf.View, err = d.view(); err != nil {
 			return nil, err
-		}
-		va := uint64(0)
-		kf.View = make([]LoadRec, 0, nView)
-		for k := uint64(0); k < nView; k++ {
-			da, err := d.u()
-			if err != nil {
-				return nil, err
-			}
-			va += da
-			val, err := d.u()
-			if err != nil {
-				return nil, err
-			}
-			kf.View = append(kf.View, LoadRec{Addr: va, Val: val})
 		}
 		t.KeyFrames = append(t.KeyFrames, kf)
 	}
@@ -760,58 +692,64 @@ func (f fileSource) slice(off int64, n int) ([]byte, error) {
 
 // v2Index is the parsed header + index of a v2 container.
 type v2Index struct {
-	flags     byte
 	entries   []segEntry
 	areaStart int
 }
 
-func (x *v2Index) deflated() bool { return x.flags&flagSegDeflate != 0 }
+func v2Fail(off int, section string, err error) error {
+	return &DecodeError{Offset: off, Section: section, Err: err}
+}
+
+// parseV2Header validates the fixed header of a container of `total`
+// bytes and returns where its segment area starts, so a streaming reader
+// can size the index read before allocating it.
+func parseV2Header(hdr []byte, total int64) (int64, error) {
+	if len(hdr) < len(fileMagicV2) || string(hdr[:len(fileMagicV2)]) != fileMagicV2 {
+		return 0, v2Fail(0, "v2 magic", ErrBadMagic)
+	}
+	if len(hdr) < v2HeaderLen {
+		return 0, v2Fail(len(hdr), "v2 header", ErrTruncated)
+	}
+	if hdr[5] != v2Version {
+		return 0, v2Fail(5, "v2 header", fmt.Errorf("unsupported version %d", hdr[5]))
+	}
+	if hdr[6] != 0 {
+		return 0, v2Fail(6, "v2 header", fmt.Errorf("unknown flags %#x", hdr[6]))
+	}
+	nSegs := binary.LittleEndian.Uint32(hdr[8:12])
+	if nSegs == 0 {
+		return 0, v2Fail(8, "v2 header", fmt.Errorf("container has no segments"))
+	}
+	areaStart := int64(v2HeaderLen) + int64(nSegs)*v2IndexEntryLen
+	if areaStart > total {
+		return 0, v2Fail(8, "v2 header", fmt.Errorf("%w: %d index entries with %d bytes total",
+			ErrLengthOverflow, nSegs, total))
+	}
+	return areaStart, nil
+}
 
 // parseV2Index validates the fixed header and the segment index of a
 // container of `total` bytes, of which hdr holds at least the header and
 // index region. It enforces the canonical packed layout — segment 0 is
-// the meta segment, offsets are contiguous in index order, and the last
-// segment ends exactly at the end of the container — so overlapping or
-// out-of-order index entries are rejected outright.
+// the meta segment, offsets are contiguous in index order, each raw
+// length equals its encoded length, and the last segment ends exactly at
+// the end of the container — so overlapping or out-of-order index
+// entries are rejected outright.
 func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
-	fail := func(off int, section string, err error) error {
-		return &DecodeError{Offset: off, Section: section, Err: err}
-	}
-	if len(hdr) < len(fileMagicV2) || string(hdr[:len(fileMagicV2)]) != fileMagicV2 {
-		return nil, fail(0, "v2 magic", ErrBadMagic)
-	}
-	if len(hdr) < v2HeaderLen {
-		return nil, fail(len(hdr), "v2 header", ErrTruncated)
-	}
-	if hdr[5] != v2Version {
-		return nil, fail(5, "v2 header", fmt.Errorf("unsupported version %d", hdr[5]))
-	}
-	flags := hdr[6]
-	if flags&^byte(flagSegDeflate) != 0 {
-		return nil, fail(6, "v2 header", fmt.Errorf("unknown flags %#x", flags))
-	}
-	nSegs := binary.LittleEndian.Uint32(hdr[8:12])
-	if nSegs == 0 {
-		return nil, fail(8, "v2 header", fmt.Errorf("container has no segments"))
-	}
-	idxLen := int64(nSegs) * v2IndexEntryLen
-	areaStart := int64(v2HeaderLen) + idxLen
-	if areaStart > total {
-		return nil, fail(8, "v2 header", fmt.Errorf("%w: %d index entries with %d bytes total",
-			ErrLengthOverflow, nSegs, total))
+	areaStart, err := parseV2Header(hdr, total)
+	if err != nil {
+		return nil, err
 	}
 	if int64(len(hdr)) < areaStart {
-		return nil, fail(len(hdr), "v2 index", ErrTruncated)
+		return nil, v2Fail(len(hdr), "v2 index", ErrTruncated)
 	}
 	idxBytes := hdr[v2HeaderLen:areaStart]
 	if crc32.Checksum(idxBytes, crcTable) != binary.LittleEndian.Uint32(hdr[12:16]) {
-		return nil, fail(12, "v2 index", errChecksum)
+		return nil, v2Fail(12, "v2 index", errChecksum)
 	}
 
-	deflated := flags&flagSegDeflate != 0
-	entries := make([]segEntry, nSegs)
+	entries := make([]segEntry, len(idxBytes)/v2IndexEntryLen)
 	running := uint64(0)
-	var totalRaw uint64
 	for i := range entries {
 		b := idxBytes[i*v2IndexEntryLen:]
 		e := segEntry{
@@ -819,44 +757,43 @@ func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
 			tid:    binary.LittleEndian.Uint32(b[4:8]),
 			off:    binary.LittleEndian.Uint64(b[8:16]),
 			encLen: binary.LittleEndian.Uint64(b[16:24]),
-			rawLen: binary.LittleEndian.Uint64(b[24:32]),
 			crc:    binary.LittleEndian.Uint32(b[32:36]),
 		}
+		rawLen := binary.LittleEndian.Uint64(b[24:32])
 		entryOff := v2HeaderLen + i*v2IndexEntryLen
 		if i == 0 && e.kind != segKindMeta {
-			return nil, fail(entryOff, "v2 index", fmt.Errorf("segment 0 is kind %d, want meta", e.kind))
+			return nil, v2Fail(entryOff, "v2 index", fmt.Errorf("segment 0 is kind %d, want meta", e.kind))
 		}
 		if i > 0 && e.kind != segKindThread {
-			return nil, fail(entryOff, "v2 index", fmt.Errorf("segment %d is kind %d, want thread", i, e.kind))
+			return nil, v2Fail(entryOff, "v2 index", fmt.Errorf("segment %d is kind %d, want thread", i, e.kind))
 		}
 		if e.off != running {
-			return nil, fail(entryOff, "v2 index", fmt.Errorf("segment %d at offset %d, want packed at %d", i, e.off, running))
+			return nil, v2Fail(entryOff, "v2 index", fmt.Errorf("segment %d at offset %d, want packed at %d", i, e.off, running))
 		}
-		if e.rawLen > MaxRawLogBytes {
-			return nil, fail(entryOff, "v2 index", ErrTooLarge)
+		if rawLen > MaxRawLogBytes {
+			return nil, v2Fail(entryOff, "v2 index", ErrTooLarge)
 		}
-		if !deflated && e.rawLen != e.encLen {
-			return nil, fail(entryOff, "v2 index", fmt.Errorf("segment %d raw length %d != encoded %d without deflate",
-				i, e.rawLen, e.encLen))
+		if rawLen != e.encLen {
+			return nil, v2Fail(entryOff, "v2 index", fmt.Errorf("segment %d raw length %d != encoded %d",
+				i, rawLen, e.encLen))
 		}
 		// Checked before accumulating so a huge encLen cannot wrap running
 		// past the `> total` guard; running <= total holds on entry, so the
 		// subtraction is safe.
 		if e.encLen > uint64(total)-running {
-			return nil, fail(entryOff, "v2 index", ErrTruncated)
+			return nil, v2Fail(entryOff, "v2 index", ErrTruncated)
 		}
 		running += e.encLen
-		totalRaw += e.rawLen
-		if totalRaw > MaxRawLogBytes {
-			return nil, fail(entryOff, "v2 index", ErrTooLarge)
+		if running > MaxRawLogBytes {
+			return nil, v2Fail(entryOff, "v2 index", ErrTooLarge)
 		}
 		entries[i] = e
 	}
 	if int64(running)+areaStart != total {
-		return nil, fail(int(areaStart), "v2 index",
+		return nil, v2Fail(int(areaStart), "v2 index",
 			fmt.Errorf("segments cover %d bytes, container has %d after index", running, total-areaStart))
 	}
-	return &v2Index{flags: flags, entries: entries, areaStart: int(areaStart)}, nil
+	return &v2Index{entries: entries, areaStart: int(areaStart)}, nil
 }
 
 // DecodeV2 parses a v2 container. Thread segments fan across
@@ -873,35 +810,20 @@ func DecodeV2(data []byte, opts V2Options) (*Log, []ThreadFault, error) {
 	return decodeV2Segments(byteSource(data), idx, opts)
 }
 
-// segmentPayload fetches, checksums, and (when flagged) inflates one
-// segment's payload. The returned base is the payload's container offset
-// for error reporting (0 for inflated payloads, whose offsets are
-// payload-relative).
+// segmentPayload fetches and checksums one segment's payload. The
+// returned base is the payload's container offset, for error reporting.
 func segmentPayload(src segSource, idx *v2Index, i int, reg *obs.Registry) ([]byte, int, error) {
 	e := idx.entries[i]
 	off := int64(idx.areaStart) + int64(e.off)
-	enc, err := src.slice(off, int(e.encLen))
+	payload, err := src.slice(off, int(e.encLen))
 	if err != nil {
 		return nil, 0, err
 	}
-	if crc32.Checksum(enc, crcTable) != e.crc {
+	if crc32.Checksum(payload, crcTable) != e.crc {
 		reg.Counter("decode.v2.crc_errors").Inc()
 		return nil, 0, &DecodeError{Offset: int(off), Section: fmt.Sprintf("segment %d", i), Err: errChecksum}
 	}
-	if !idx.deflated() {
-		return enc, int(off), nil
-	}
-	fr := flate.NewReader(bytes.NewReader(enc))
-	defer fr.Close()
-	raw, err := io.ReadAll(io.LimitReader(fr, int64(e.rawLen)+1))
-	if err != nil {
-		return nil, 0, &DecodeError{Offset: int(off), Section: fmt.Sprintf("segment %d", i), Err: fmt.Errorf("inflate: %w", err)}
-	}
-	if uint64(len(raw)) != e.rawLen {
-		return nil, 0, &DecodeError{Offset: int(off), Section: fmt.Sprintf("segment %d", i),
-			Err: fmt.Errorf("segment inflated to %d bytes, index says %d", len(raw), e.rawLen)}
-	}
-	return raw, 0, nil
+	return payload, int(off), nil
 }
 
 func decodeV2Segments(src segSource, idx *v2Index, opts V2Options) (*Log, []ThreadFault, error) {
@@ -1009,15 +931,4 @@ func RewriteV2Segment(data []byte, seg int, mutate func(payload []byte)) bool {
 	binary.LittleEndian.PutUint32(data[12:16],
 		crc32.Checksum(data[v2HeaderLen:idx.areaStart], crcTable))
 	return true
-}
-
-// StatsV2 measures log's v2 serialized footprint: RawBytes is the
-// default (uncompressed-segment) container, CompressedBytes the
-// per-segment deflated variant.
-func StatsV2(log *Log) SizeStats {
-	return SizeStats{
-		Instructions:    log.Instructions(),
-		RawBytes:        len(EncodeV2(log, false)),
-		CompressedBytes: len(EncodeV2(log, true)),
-	}
 }

@@ -65,23 +65,21 @@ func richLog() *Log {
 	return log
 }
 
-// logsEqual compares two logs by their canonical v1 serialization.
-func logsEqual(a, b *Log) bool { return bytes.Equal(Marshal(a), Marshal(b)) }
+// logsEqual compares two logs by their v1 serialization: an encoder
+// independent of the v2 one under test.
+func logsEqual(a, b *Log) bool { return bytes.Equal(marshalV1(a), marshalV1(b)) }
 
 func TestV2RoundTrip(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		log := richLog()
-		data := EncodeV2(log, compress)
-		got, faults, err := DecodeV2(data, V2Options{})
-		if err != nil {
-			t.Fatalf("compress=%v: %v", compress, err)
-		}
-		if len(faults) != 0 {
-			t.Fatalf("compress=%v: unexpected faults %v", compress, faults)
-		}
-		if !logsEqual(got, log) {
-			t.Errorf("compress=%v: decoded log differs from original", compress)
-		}
+	log := richLog()
+	got, faults, err := DecodeV2(MarshalV2(log), V2Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(faults) != 0 {
+		t.Fatalf("unexpected faults %v", faults)
+	}
+	if !logsEqual(got, log) {
+		t.Error("decoded log differs from original")
 	}
 }
 
@@ -116,19 +114,17 @@ func TestV2ParallelDecodeIdentical(t *testing.T) {
 
 func TestDecodeSniffsFormats(t *testing.T) {
 	log := sampleLog()
-	want := Marshal(log)
 	cases := map[string][]byte{
-		"v1-container": Compress(Marshal(log)),
-		"v1-raw":       Marshal(log),
+		"v1-container": compressV1(marshalV1(log)),
+		"v1-raw":       marshalV1(log),
 		"v2":           MarshalV2(log),
-		"v2-deflate":   EncodeV2(log, true),
 	}
 	for name, data := range cases {
 		got, err := Decode(data)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !bytes.Equal(Marshal(got), want) {
+		if !logsEqual(got, log) {
 			t.Errorf("%s: decoded log differs", name)
 		}
 	}
@@ -140,47 +136,42 @@ func TestDecodeSniffsFormats(t *testing.T) {
 	}
 }
 
-func TestSniffFormat(t *testing.T) {
-	log := sampleLog()
-	if f := SniffFormat(Compress(Marshal(log))); f != FormatV1 {
-		t.Errorf("container: %q", f)
-	}
-	if f := SniffFormat(Marshal(log)); f != FormatV1 {
-		t.Errorf("raw: %q", f)
-	}
-	if f := SniffFormat(MarshalV2(log)); f != FormatV2 {
-		t.Errorf("v2: %q", f)
-	}
-	if f := SniffFormat([]byte("junk")); f != FormatUnknown {
-		t.Errorf("junk: %q", f)
-	}
-}
-
-func TestParseFormat(t *testing.T) {
-	for _, s := range []string{"v1", "v2"} {
-		f, err := ParseFormat(s)
-		if err != nil || string(f) != s {
-			t.Errorf("ParseFormat(%q) = %v, %v", s, f, err)
-		}
-	}
-	if _, err := ParseFormat("v3"); err == nil {
-		t.Error("ParseFormat accepted v3")
-	}
-}
-
-func TestWriteFormatRoundTrip(t *testing.T) {
+// TestWriteReadRoundTrip: Write emits exactly MarshalV2's bytes, and
+// Read decodes them back to the log.
+func TestWriteReadRoundTrip(t *testing.T) {
 	log := richLog()
-	for _, f := range []Format{FormatV1, FormatV2} {
-		var buf bytes.Buffer
-		if err := WriteFormat(&buf, log, f); err != nil {
-			t.Fatalf("%s: %v", f, err)
+	var buf bytes.Buffer
+	if err := Write(&buf, log); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), MarshalV2(log)) {
+		t.Fatal("Write did not emit the MarshalV2 container")
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !logsEqual(got, log) {
+		t.Error("round trip differs")
+	}
+}
+
+// TestV2FlagsRejected: the flags byte is 0 in every container this
+// package writes; a set bit — including bit 0, which once announced
+// deflated segments — is rejected with a typed error on both decode
+// paths.
+func TestV2FlagsRejected(t *testing.T) {
+	for _, flags := range []byte{0x01, 0x80} {
+		data := MarshalV2(sampleLog())
+		data[6] = flags
+		_, _, err := DecodeV2(data, V2Options{})
+		var de *DecodeError
+		if !errors.As(err, &de) || de.Section != "v2 header" {
+			t.Errorf("flags %#x: DecodeV2 err = %v, want a v2 header *DecodeError", flags, err)
 		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatalf("%s: %v", f, err)
-		}
-		if !logsEqual(got, log) {
-			t.Errorf("%s: round trip differs", f)
+		_, _, err = DecodeFrom(bytes.NewReader(data), int64(len(data)), V2Options{})
+		if !errors.As(err, &de) || de.Section != "v2 header" {
+			t.Errorf("flags %#x: DecodeFrom err = %v, want a v2 header *DecodeError", flags, err)
 		}
 	}
 }
@@ -289,37 +280,40 @@ func TestV2IndexCorruptionFailsLog(t *testing.T) {
 	}
 }
 
-// encLenOverflowContainer crafts a deflated container whose first thread
-// entry carries an encLen of 2^64-off, so accumulating segment offsets
-// wraps the running sum back to 0; the remaining entries are repacked so
-// every pre-wrap-check invariant (packed offsets, final sum landing on
-// the container end) still holds. The index checksum is recomputed, so
-// only the overflow guard can reject it.
+// encLenOverflowContainer crafts a container whose first thread entry
+// carries an encLen (and equal rawLen) of 2^64-off, so accumulating
+// segment offsets would wrap the running sum back to 0; the remaining
+// entries are repacked so every pre-wrap-check invariant (packed
+// offsets, final sum landing on the container end) still holds. The
+// index checksum is recomputed, so only the index's length checks can
+// reject it.
 func encLenOverflowContainer() []byte {
-	data := append([]byte(nil), EncodeV2(richLog(), true)...)
+	data := MarshalV2(richLog())
 	idx, err := parseV2Index(data, int64(len(data)))
 	if err != nil {
 		panic(err)
 	}
-	entry := func(i int) []byte {
-		return data[v2HeaderLen+i*v2IndexEntryLen : v2HeaderLen+(i+1)*v2IndexEntryLen]
+	setLen := func(i int, n uint64) {
+		entry := data[v2HeaderLen+i*v2IndexEntryLen:]
+		binary.LittleEndian.PutUint64(entry[16:24], n) // encoded
+		binary.LittleEndian.PutUint64(entry[24:32], n) // raw
 	}
-	binary.LittleEndian.PutUint64(entry(1)[16:24], -idx.entries[1].off)
+	setLen(1, -idx.entries[1].off)
 	for i := 2; i < len(idx.entries); i++ {
-		binary.LittleEndian.PutUint64(entry(i)[8:16], 0)
-		binary.LittleEndian.PutUint64(entry(i)[16:24], 0)
+		binary.LittleEndian.PutUint64(data[v2HeaderLen+i*v2IndexEntryLen+8:], 0)
+		setLen(i, 0)
 	}
-	last := entry(len(idx.entries) - 1)
-	binary.LittleEndian.PutUint64(last[16:24], uint64(len(data)-idx.areaStart))
+	setLen(len(idx.entries)-1, uint64(len(data)-idx.areaStart))
 	binary.LittleEndian.PutUint32(data[12:16],
 		crc32.Checksum(data[v2HeaderLen:idx.areaStart], crcTable))
 	return data
 }
 
-// TestV2IndexEncLenOverflow: an index entry whose encoded length wraps
-// the running offset sum past 2^64 must fail with a typed error, never
-// reach segmentPayload with a negative int length (regression: slice
-// bounds panic on a crafted deflated container).
+// TestV2IndexEncLenOverflow: an index entry whose encoded length would
+// wrap the running offset sum past 2^64 must fail with a typed error,
+// never reach segmentPayload with a negative int length (regression:
+// slice bounds panic on a crafted container). The size cap rejects it
+// first; the wrap guard behind it stays as defense in depth.
 func TestV2IndexEncLenOverflow(t *testing.T) {
 	data := encLenOverflowContainer()
 	for _, quarantine := range []bool{false, true} {
@@ -328,8 +322,8 @@ func TestV2IndexEncLenOverflow(t *testing.T) {
 		if !errors.As(err, &de) {
 			t.Fatalf("quarantine=%v: err = %v, want *DecodeError", quarantine, err)
 		}
-		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("quarantine=%v: err = %v, want %v", quarantine, err, ErrTruncated)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("quarantine=%v: err = %v, want %v", quarantine, err, ErrTooLarge)
 		}
 	}
 }
@@ -367,15 +361,25 @@ func TestV2BoundedAllocation(t *testing.T) {
 	}
 }
 
+// TestDecodeFromFile: a compressed v1 log, a raw v1 log and a v2
+// container each decode to the same log in memory (DecodeOpts) and from
+// a file (DecodeFrom).
 func TestDecodeFromFile(t *testing.T) {
 	log := richLog()
 	dir := t.TempDir()
 	cases := map[string][]byte{
-		"v1.rlog":  Compress(Marshal(log)),
-		"v2.rlog":  MarshalV2(log),
-		"v2c.rlog": EncodeV2(log, true),
+		"v1.rlog":    compressV1(marshalV1(log)),
+		"v1raw.rlog": marshalV1(log),
+		"v2.rlog":    MarshalV2(log),
 	}
 	for name, data := range cases {
+		mem, faults, err := DecodeOpts(data, V2Options{Jobs: 4})
+		if err != nil || len(faults) != 0 {
+			t.Fatalf("%s: DecodeOpts: %v (faults %v)", name, err, faults)
+		}
+		if !logsEqual(mem, log) {
+			t.Errorf("%s: DecodeOpts round trip differs", name)
+		}
 		path := filepath.Join(dir, name)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -413,15 +417,39 @@ func TestDecodeFromFile(t *testing.T) {
 // absolute addresses despite the 40-byte-per-segment index.
 func TestV2RawSmallerOnLoadHeavyLogs(t *testing.T) {
 	log := richLog()
-	v1 := Stats(log)
-	v2 := StatsV2(log)
-	if v2.Instructions != v1.Instructions {
-		t.Fatalf("instruction counts differ: %d vs %d", v2.Instructions, v1.Instructions)
+	v1 := len(marshalV1(log))
+	v2 := Stats(log)
+	if v2.RawBytes >= v1 {
+		t.Errorf("v2 raw %d >= v1 raw %d", v2.RawBytes, v1)
 	}
-	if v2.RawBytes >= v1.RawBytes {
-		t.Errorf("v2 raw %d >= v1 raw %d", v2.RawBytes, v1.RawBytes)
-	}
-	if v2.RawBitsPerInstr() > v1.RawBitsPerInstr() {
-		t.Errorf("v2 raw bits/instr %.3f > v1 %.3f", v2.RawBitsPerInstr(), v1.RawBitsPerInstr())
+}
+
+// TestLegacyFilesDecodeToV2Twins: the checked-in v1 recordings, read
+// through both file decode paths, re-encode to their v2 twins byte for
+// byte (the same executions recorded as v2 by the last writer of v1).
+func TestLegacyFilesDecodeToV2Twins(t *testing.T) {
+	legacy := filepath.Join("..", "..", "testdata", "legacy")
+	for _, name := range []string{"exec01-0.rlog", "exec11-0.rlog"} {
+		v1, err := os.ReadFile(filepath.Join(legacy, "v1", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(legacy, "v2", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromBytes, _, err := DecodeOpts(v1, V2Options{})
+		if err != nil {
+			t.Fatalf("%s: DecodeOpts: %v", name, err)
+		}
+		fromFile, _, err := DecodeFrom(bytes.NewReader(v1), int64(len(v1)), V2Options{Jobs: 4})
+		if err != nil {
+			t.Fatalf("%s: DecodeFrom: %v", name, err)
+		}
+		for path, log := range map[string]*Log{"DecodeOpts": fromBytes, "DecodeFrom": fromFile} {
+			if !bytes.Equal(MarshalV2(log), want) {
+				t.Errorf("%s: MarshalV2 of the %s result differs from the v2 twin", name, path)
+			}
+		}
 	}
 }

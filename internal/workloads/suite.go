@@ -117,9 +117,6 @@ type SuiteOptions struct {
 	// path — a race-free observed interleaving is exactly where
 	// prediction has work to do.
 	Predict bool
-	// PredictWindow bounds the prediction solver's region-schedule
-	// search distance (0 = the predict package default).
-	PredictWindow int
 }
 
 // SuiteScenarios lists the suite's executions under seeds scheduler
@@ -266,12 +263,11 @@ func AnalyzeBatch(items []Item, opts SuiteOptions) *SuiteRun {
 	results, quarantined := core.AnalyzeLogsInstrumented(logs, func(k int) classify.Options {
 		it := items[healthy[k]]
 		o := classify.Options{
-			Scenario:      it.Label,
-			Seed:          it.Seed,
-			DB:            opts.DB,
-			NoMemo:        opts.NoMemo,
-			Predict:       opts.Predict,
-			PredictWindow: opts.PredictWindow,
+			Scenario: it.Label,
+			Seed:     it.Seed,
+			DB:       opts.DB,
+			NoMemo:   opts.NoMemo,
+			Predict:  opts.Predict,
 		}
 		if opts.Audit {
 			o.Audit = &audits[healthy[k]]

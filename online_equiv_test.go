@@ -111,7 +111,7 @@ func TestSuiteOnlineEquivalence(t *testing.T) {
 // race-free fast path and degraded inputs. A race-free scenario recorded
 // with the online detector carries an in-memory race-free annotation, so
 // AnalyzeLogs skips the offline decode+HB pass for it; the same log
-// round-tripped through the wire format loses the annotation (Marshal
+// round-tripped through the wire format loses the annotation (MarshalV2
 // never serializes it) and takes the full offline pass. Batched with a
 // racy log and a seeded corruption sweep over it, both routes must yield
 // identical race sets, classifications, and quarantine decisions at one

@@ -151,7 +151,7 @@ type (
 	Predicted = core.Predicted
 	// SuitePredict aggregates the prediction stage across a batch run.
 	SuitePredict = workloads.SuitePredict
-	// Manifest is the record-suite sidecar (racereplay-manifest/v1)
+	// Manifest is the record-suite sidecar (racereplay-manifest/v2)
 	// carrying each log's online verdict across process boundaries.
 	Manifest = trace.Manifest
 	// ManifestEntry is one log's record in a Manifest.
@@ -331,28 +331,12 @@ func AnalyzeSource(name, src string, seed int64) (*Result, error) {
 	return Analyze(prog, Config{Seed: seed}, Options{Scenario: name, Seed: seed})
 }
 
-// WriteLog serializes and compresses a log (v1 container).
+// WriteLog serializes a log to w as a v2 container, the one format
+// the pipeline writes.
 func WriteLog(w io.Writer, log *Log) error { return trace.Write(w, log) }
 
-// LogFormat names an on-disk container format: FormatV1 (whole-log flate
-// container) or FormatV2 (segmented, index-first, parallel decode).
-type LogFormat = trace.Format
-
-const (
-	FormatV1 = trace.FormatV1
-	FormatV2 = trace.FormatV2
-)
-
-// ParseLogFormat validates a -format flag value.
-func ParseLogFormat(s string) (LogFormat, error) { return trace.ParseFormat(s) }
-
-// WriteLogFormat serializes a log to w in the named container format.
-func WriteLogFormat(w io.Writer, log *Log, f LogFormat) error {
-	return trace.WriteFormat(w, log, f)
-}
-
-// ReadLog parses a log written by WriteLog or WriteLogFormat; the
-// container format is sniffed from the magic bytes.
+// ReadLog parses a log written by WriteLog, or a legacy v1 log; the two
+// are told apart by their magic bytes.
 func ReadLog(r io.Reader) (*Log, error) { return trace.Read(r) }
 
 // ThreadFault names one per-thread segment a salvaging v2 decode
@@ -365,7 +349,7 @@ type ThreadFault = trace.ThreadFault
 // in.
 type DecodeOptions = core.DecodeOptions
 
-// DecodeLogOpts decodes one serialized log of either format with v2
+// DecodeLogOpts decodes one serialized log (v2, or legacy v1) with v2
 // worker fan-out and optional thread salvage; see core.DecodeOptions.
 func DecodeLogOpts(data []byte, o DecodeOptions) (*Log, []ThreadFault, error) {
 	return core.DecodeLogOpts(data, o)
@@ -376,13 +360,9 @@ func DecodeLogOpts(data []byte, o DecodeOptions) (*Log, []ThreadFault, error) {
 // *trace.ValidateError naming the failed check.
 func ValidateLog(log *Log) error { return trace.Validate(log) }
 
-// LogStats measures a log's serialized footprint (§5.1 metrics).
+// LogStats measures a log's serialized footprint (§5.1 metrics): the
+// size of the container WriteLog emits, raw and deflated.
 func LogStats(log *Log) SizeStats { return trace.Stats(log) }
-
-// LogStatsFormat measures a log's footprint in the named container
-// format (v2's RawBytes is the default uncompressed-segment container;
-// its CompressedBytes the per-segment deflated variant).
-func LogStatsFormat(log *Log, f LogFormat) SizeStats { return trace.StatsFormat(log, f) }
 
 // LoadDB reads a race database (missing file = empty database).
 func LoadDB(path string) (*DB, error) { return classify.LoadDB(path) }
@@ -418,17 +398,18 @@ func AuditSection(f *AuditFile) string { return report.AuditSection(f) }
 // NewAuditFile returns an empty verdict-provenance envelope.
 func NewAuditFile() *AuditFile { return audit.NewFile() }
 
-// LogDigest is the hex SHA-256 of a log's canonical serialization — the
-// content identity audit records attach replay verdicts to.
+// LogDigest is the hex SHA-256 of a log's v2 container — the content
+// identity audit records attach replay verdicts to, equal to the
+// sha256sum of the file WriteLog writes.
 func LogDigest(log *Log) string { return core.LogDigest(log) }
 
 // ReadAuditFile loads and validates a racereplay-audit/v1 file.
 func ReadAuditFile(path string) (*AuditFile, error) { return audit.ReadFile(path) }
 
 // NewManifest returns an empty record-suite manifest envelope
-// (racereplay-manifest/v1): the sidecar that carries online race-free
+// (racereplay-manifest/v2): the sidecar that carries online race-free
 // verdicts from `racer record-suite -online` to `racer analyze-dir`.
 func NewManifest() *Manifest { return trace.NewManifest() }
 
-// ReadManifest loads and validates a racereplay-manifest/v1 file.
+// ReadManifest loads and validates a racereplay-manifest/v2 file.
 func ReadManifest(path string) (*Manifest, error) { return trace.ReadManifest(path) }
