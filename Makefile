@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/isa
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=30s ./internal/static
 	$(GO) test -fuzz=FuzzPredict -fuzztime=30s ./internal/predict
+	$(GO) test -fuzz=FuzzPipeline -fuzztime=30s ./internal/progen
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

@@ -625,6 +625,9 @@ func cmdPredict(args []string) error {
 	dbPath := fs.String("db", "", "race database for suppression")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
+	if *window < 0 {
+		return fmt.Errorf("-window %d: want a region count >= 0 (0 = default)", *window)
+	}
 	db, err := openDB(*dbPath)
 	if err != nil {
 		return err

@@ -47,6 +47,23 @@ func TestCmdPredictOnLogAndProgram(t *testing.T) {
 	}
 }
 
+// TestCmdPredictRejectsNegativeWindow: a negative -window is invalid
+// input (exit 2, naming the flag), not a silent run at the default.
+func TestCmdPredictRejectsNegativeWindow(t *testing.T) {
+	resetExit(t)
+	var out strings.Builder
+	old := stdout
+	stdout = &out
+	defer func() { stdout = old }()
+	err := cmdPredict([]string{"-window", "-5", "-scenario", "exec01"})
+	if err == nil || !strings.Contains(err.Error(), "-window") {
+		t.Fatalf("predict -window -5: err = %v, want an error naming -window; output:\n%s", err, out.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("predict -window -5 printed a report:\n%s", out.String())
+	}
+}
+
 // TestCmdSuitePredictDeterministicAcrossJobs: the acceptance invariant —
 // suite -predict output is byte-identical at -jobs 1 and -jobs 8, and
 // the predicted section carries the exec17 reordered race.

@@ -3,8 +3,9 @@
 // Every offline engine runs one conflict search (Search): per address
 // touched by two or more threads with at least one non-atomic write, it
 // lists the regions that touched it and hands each cross-thread region
-// pair to a predicate, then emits one instance per conflicting site pair
-// of each accepted pair. Three predicates use it:
+// pair inside the engine's horizon to a predicate, then emits one
+// instance per conflicting site pair of each accepted pair. Three
+// predicates use it:
 //
 //   - Detect is the paper's algorithm: two memory operations race when
 //     they execute in overlapping sequencing regions of different
@@ -18,7 +19,7 @@
 //     synchronization separates them — pairs the interval test misses
 //     (DESIGN.md, ablation A1).
 //   - internal/predict passes Weak-clock concurrency, disjoint held
-//     locksets and its window solver.
+//     locksets and its window solver, and its window as the reach.
 //
 // RegionClocks is the one region-clock builder, over two edge sets:
 // Strict (program order, fork/join, unlock→lock, atomics) and Weak
@@ -108,27 +109,28 @@ func Detect(exec *replay.Execution) *Report {
 // detect.* counters (addresses indexed, region pairs examined vs.
 // conflicting, races and instances found). Nil reg is free.
 func DetectInstrumented(exec *replay.Execution, reg *obs.Registry) *Report {
-	return detect(exec, func(a, b *replay.Region, _ uint64) bool { return a.Overlaps(b) }, reg)
+	return detect(exec, 0, func(a, b *replay.Region, _ uint64) bool { return a.Overlaps(b) }, reg)
 }
 
 // DetectVC runs the vector-clock variant: regions get Strict clocks from
 // the synchronization structure, and conflicting accesses in concurrent
 // regions race. reg receives the same detect.* counters as
-// DetectInstrumented (nil is off).
+// DetectInstrumented (nil is off). Strict-clock concurrency is not
+// monotone in schedule order, so the search reaches every later region.
 func DetectVC(exec *replay.Execution, reg *obs.Registry) (*Report, error) {
 	clocks, err := RegionClocks(exec, Strict)
 	if err != nil {
 		return nil, err
 	}
-	return detect(exec, func(a, b *replay.Region, _ uint64) bool { return Concurrent(clocks, a, b) }, reg), nil
+	return detect(exec, len(exec.Regions), func(a, b *replay.Region, _ uint64) bool { return Concurrent(clocks, a, b) }, reg), nil
 }
 
 // detect collects Search's instances into a report, one race per site
 // pair, and publishes the detect.* counters.
-func detect(exec *replay.Execution, pass func(a, b *replay.Region, addr uint64) bool, reg *obs.Registry) *Report {
+func detect(exec *replay.Execution, reach int, pass func(a, b *replay.Region, addr uint64) bool, reg *obs.Registry) *Report {
 	races := make(map[SitePair]*Race)
 	total := 0
-	st := Search(exec, pass, func(sites SitePair, in Instance) {
+	st := Search(exec, reach, pass, func(sites SitePair, in Instance) {
 		race := races[sites]
 		if race == nil {
 			race = &Race{Sites: sites}
@@ -159,7 +161,8 @@ func detect(exec *replay.Execution, pass func(a, b *replay.Region, addr uint64) 
 type SearchStats struct {
 	Addresses   int // distinct addresses accessed non-atomically
 	ScreenedOut int // of those, touched by one thread or never written
-	RegionPairs int // region pairs examined at the surviving addresses
+	RegionPairs int // region pairs at the surviving addresses, n(n-1)/2 per address
+	Visited     int // of those, the pairs inside the horizon
 	Passed      int // cross-thread region pairs the predicate accepted
 	Blocks      int // (region, pc, kind) blocks at the surviving addresses
 	BlockPairs  int // conflicting block pairs of the accepted region pairs
@@ -185,15 +188,21 @@ type addrScreen struct {
 // Search is the conflict search every offline engine shares. Only
 // addresses touched non-atomically by two or more threads with at least
 // one write survive its screen. Each surviving address's regions are
-// paired in schedule order, and every cross-thread pair (a before b) goes
-// to pass. For each pair pass accepts, emit receives one instance per
-// conflicting site pair (write/write, write/read, read/write), with First
-// from a and Second from b, before pass sees the next pair; so a caller
-// can attach what its predicate found to the pair's instances. Within a
-// region, the accesses to the address collapse to one block per (pc,
-// kind), its first access, and the first block pair of each site pair
-// stands for the rest. Addresses go in ascending order, so the emission
-// order is deterministic.
+// paired in schedule order, and every cross-thread pair (a before b)
+// inside the horizon goes to pass. The horizon admits b while it starts
+// before a ends (the two may overlap) or lies at most reach regions
+// after a. Regions are sorted by StartTS, so the first b past both
+// bounds ends a's pairs: reach 0 visits exactly the pairs that can
+// overlap, and len(exec.Regions) visits every pair.
+//
+// For each pair pass accepts, emit receives one instance per conflicting
+// site pair (write/write, write/read, read/write), with First from a and
+// Second from b, before pass sees the next pair; so a caller can attach
+// what its predicate found to the pair's instances. Within a region, the
+// accesses to the address collapse to one block per (pc, kind), its
+// first access, and the first block pair of each site pair stands for
+// the rest. Addresses go in ascending order, so the emission order is
+// deterministic.
 //
 // The search runs in two passes over the recorded accesses. Pass 1
 // screens every address down to a constant-size summary (slot in a flat
@@ -204,7 +213,7 @@ type addrScreen struct {
 // by region is run-splitting over a sorted slice, and the site-pair
 // dedup is a linear scan over the handful of site pairs one region pair
 // can emit (no global map churn).
-func Search(exec *replay.Execution, pass func(a, b *replay.Region, addr uint64) bool, emit func(SitePair, Instance)) SearchStats {
+func Search(exec *replay.Execution, reach int, pass func(a, b *replay.Region, addr uint64) bool, emit func(SitePair, Instance)) SearchStats {
 	var st SearchStats
 	// Pass 1: screen addresses. Atomic (lock-prefixed) accesses are
 	// synchronization, not data: skip them in both passes.
@@ -307,11 +316,16 @@ func Search(exec *replay.Execution, pass func(a, b *replay.Region, addr uint64) 
 			groups = append(groups, g)
 		}
 		st.Blocks += len(reads) + len(writes)
+		st.RegionPairs += len(groups) * (len(groups) - 1) / 2
 
 		for i := range groups {
+			ga := &groups[i]
 			for j := i + 1; j < len(groups); j++ {
-				ga, gb := &groups[i], &groups[j]
-				st.RegionPairs++
+				gb := &groups[j]
+				if gb.reg.StartTS >= ga.reg.EndTS && gb.reg.Global-ga.reg.Global > reach {
+					break
+				}
+				st.Visited++
 				if ga.reg.TID == gb.reg.TID || !pass(ga.reg, gb.reg, addr) {
 					continue
 				}

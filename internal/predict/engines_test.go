@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -242,4 +243,49 @@ func TestEpochTestMatchesVectorClocks(t *testing.T) {
 		t.Fatalf("vacuous: %d concurrent, %d ordered region pairs", concurrent, ordered)
 	}
 	t.Logf("%d concurrent, %d ordered region pairs", concurrent, ordered)
+}
+
+// TestOverlapHorizonExact: on every engineRuns execution, hb.Search with
+// the overlap predicate emits the same instances at reach 0 as at a
+// reach that visits every pair, with equal Passed, Blocks and
+// BlockPairs; and at reach 0 every visited pair overlaps (Visited ==
+// Passed), so the horizon is tight as well as exact.
+func TestOverlapHorizonExact(t *testing.T) {
+	type emitted struct {
+		sites hb.SitePair
+		a, b  int
+		addr  uint64
+	}
+	search := func(exec *replay.Execution, reach int) ([]emitted, hb.SearchStats) {
+		var out []emitted
+		st := hb.Search(exec, reach, func(a, b *replay.Region, _ uint64) bool { return a.Overlaps(b) },
+			func(sites hb.SitePair, in hb.Instance) {
+				out = append(out, emitted{sites, in.RegionA.Global, in.RegionB.Global, in.Addr})
+			})
+		return out, st
+	}
+	pruned, visited := 0, 0
+	for _, run := range engineRuns(t) {
+		exec := replayRun(t, run)
+		near, ns := search(exec, 0)
+		full, fs := search(exec, len(exec.Regions))
+		if !reflect.DeepEqual(near, full) {
+			t.Fatalf("%s: reach 0 emits %d instances, full reach %d", run.label, len(near), len(full))
+		}
+		if ns.Passed != fs.Passed || ns.Blocks != fs.Blocks || ns.BlockPairs != fs.BlockPairs || ns.RegionPairs != fs.RegionPairs {
+			t.Fatalf("%s: reach 0 stats %+v, full reach %+v", run.label, ns, fs)
+		}
+		if ns.Visited != ns.Passed {
+			t.Fatalf("%s: reach 0 visits %d pairs but only %d overlap", run.label, ns.Visited, ns.Passed)
+		}
+		if fs.Visited != fs.RegionPairs {
+			t.Fatalf("%s: full reach visits %d of %d pairs", run.label, fs.Visited, fs.RegionPairs)
+		}
+		pruned += fs.Visited - ns.Visited
+		visited += ns.Visited
+	}
+	if pruned == 0 || visited == 0 {
+		t.Fatalf("vacuous: %d pairs visited, %d pruned", visited, pruned)
+	}
+	t.Logf("%d pairs visited at reach 0, %d pruned", visited, pruned)
 }

@@ -15,16 +15,19 @@ import (
 )
 
 // FuzzPredict steers the prediction pass over arbitrary well-formed
-// generated programs. Four contracts are under test: totality (the
+// generated programs. Six contracts are under test: totality (the
 // window solver must never panic and must terminate — every loop is
 // bounded by the region count or the window), determinism (the same
 // execution predicted twice yields the same report), subsumption
 // (every race the strict happens-before detector observed must appear
 // among the predicted candidates, since an observed overlap is its own
-// witness), and lock mutual exclusion (every reordered witness passes
-// the independent lock replay of witnessLockError). The shape encoding
-// is shared with progen.FuzzPipeline so a crasher found against the
-// dynamic pipeline replays here directly.
+// witness), lock mutual exclusion (every reordered witness passes the
+// independent lock replay of witnessLockError), the window bound (no
+// reordered witness spans more than the window), and the overlap
+// horizon (hb.Detect's instances equal those of a search that visits
+// every region pair). The shape encoding is shared with
+// progen.FuzzPipeline so a crasher found against the dynamic pipeline
+// replays here directly.
 func FuzzPredict(f *testing.F) {
 	f.Add(int64(1), uint8(0))
 	f.Add(int64(42), uint8(255))
@@ -62,9 +65,24 @@ func FuzzPredict(f *testing.F) {
 					race.Sites, len(rep.Candidates))
 			}
 		}
+		full := map[hb.SitePair][]hb.Instance{}
+		hb.Search(exec, len(exec.Regions), func(a, b *replay.Region, _ uint64) bool { return a.Overlaps(b) },
+			func(sites hb.SitePair, in hb.Instance) { full[sites] = append(full[sites], in) })
+		if len(full) != len(observed.Races) {
+			t.Fatalf("hb.Detect found %d races, a full-reach search %d", len(observed.Races), len(full))
+		}
+		for _, race := range observed.Races {
+			if !reflect.DeepEqual(race.Instances, full[race.Sites]) {
+				t.Fatalf("race %s: hb.Detect has %d instances, a full-reach search %d",
+					race.Sites, len(race.Instances), len(full[race.Sites]))
+			}
+		}
 		for _, c := range rep.Candidates {
 			if c.Witness.Kind != "reordered" {
 				continue
+			}
+			if span := c.Witness.Regions[len(c.Witness.Regions)-1] - c.Witness.Regions[0]; span > rep.Window {
+				t.Fatalf("witness %v spans %d regions, window %d", c.Witness.Regions, span, rep.Window)
 			}
 			if err := witnessLockError(exec, c.Witness); err != nil {
 				t.Fatalf("witness %v cannot execute: %v", c.Witness.Regions, err)

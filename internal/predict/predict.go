@@ -25,7 +25,9 @@
 //     address).
 //  3. Window solver: each surviving region pair must admit a concrete
 //     witness schedule inside a bounded window of the recorded region
-//     schedule. An overlapping pair is its own witness ("observed").
+//     schedule. The window is the search's reach: hb.Search never pairs
+//     regions that neither overlap nor lie within it. An overlapping
+//     pair is its own witness ("observed").
 //     A separated pair (earlier, later) is feasible when the later
 //     thread's intervening region chain can be hoisted to run directly
 //     after the earlier racing region: every cross-thread weak-HB
@@ -61,9 +63,10 @@ const DefaultWindow = 64
 
 // Options tunes a prediction pass.
 type Options struct {
-	// Window bounds the region-schedule distance between the two racing
-	// regions of a reordered candidate (0 = DefaultWindow). Observed
-	// (overlapping) pairs are exempt — they need no reordering.
+	// Window is the conflict search's reach: the region-schedule
+	// distance between the two racing regions of a reordered candidate
+	// (0 = DefaultWindow). Observed (overlapping) pairs are reached at
+	// any distance — they need no reordering.
 	Window int
 	// Metrics, when set, receives the predict.* counters. Nil is free.
 	Metrics *obs.Registry
@@ -92,9 +95,8 @@ type Candidate struct {
 }
 
 // Rejections counts window-solver verdicts against non-overlapping
-// pairs, by the first constraint that failed.
+// pairs inside the window, by the first constraint that failed.
 type Rejections struct {
-	Window  int // racing regions further apart than the window
 	WeakHB  int // a chain region's fork/join predecessor is not in the prefix
 	Lockset int // a chain region needs a lock another thread holds at the hoist point
 	Value   int // a skipped write feeds an address the chain reads
@@ -135,12 +137,15 @@ func (r *Report) NewReport(observed *hb.Report) *hb.Report {
 
 // regionInfo is the per-region precomputation the prefilter and the
 // solver share. Regions share its slices, which are never written once
-// precompute has built them.
+// built. precompute fills the lock fields; the address sets are built on
+// first use (solver.sets), since only the regions of pairs the solver
+// examines need them.
 type regionInfo struct {
 	held   []uint64    // locks held during the region, sorted
 	heldAt []lockOwner // global lock table at region start
 	reads  []uint64    // addresses read (non-atomic), sorted and distinct
 	writes []uint64    // addresses written (non-atomic), sorted and distinct
+	built  bool        // reads and writes are set
 }
 
 type lockOwner struct {
@@ -162,16 +167,17 @@ func Run(exec *replay.Execution, opts Options) *Report {
 	// Weak clocks drop the edge of a join met before the joined thread's
 	// last region; the solver's fork/join check rejects such chains.
 	weak, _ := hb.RegionClocks(exec, hb.Weak)
-	sv := &solver{exec: exec, infos: precompute(exec), window: window, rej: &rep.Rejected}
+	sv := &solver{exec: exec, infos: precompute(exec), rej: &rep.Rejected}
 	sv.spawnReg, sv.lastReg = forkJoinIndex(exec)
 
-	// The strict detector's conflict search, with the prefilter and the
-	// solver as its predicate. Weak-HB concurrency, disjoint held locksets
-	// and window feasibility are properties of the region pair (plus the
-	// racing address for the value check), so they are decided once per
-	// pair, and every instance emitted for the pair carries its witness.
+	// The strict detector's conflict search, reaching window regions
+	// ahead, with the prefilter and the solver as its predicate. Weak-HB
+	// concurrency, disjoint held locksets and the solver's verdict are
+	// properties of the region pair (plus the racing address for the
+	// value check), so they are decided once per pair, and every instance
+	// emitted for the pair carries its witness.
 	var wit Witness
-	st := hb.Search(exec, func(a, b *replay.Region, addr uint64) bool {
+	st := hb.Search(exec, window, func(a, b *replay.Region, addr uint64) bool {
 		if !hb.Concurrent(weak, a, b) || intersects(sv.infos[a.Global].held, sv.infos[b.Global].held) {
 			return false
 		}
@@ -215,7 +221,6 @@ func Run(exec *replay.Execution, opts Options) *Report {
 		}
 		reg.Counter("predict.candidates_observed").Add(uint64(observed))
 		reg.Counter("predict.candidates_reordered").Add(uint64(len(rep.Candidates) - observed))
-		reg.Counter("predict.rejected_window").Add(uint64(rep.Rejected.Window))
 		reg.Counter("predict.rejected_weakhb").Add(uint64(rep.Rejected.WeakHB))
 		reg.Counter("predict.rejected_lockset").Add(uint64(rep.Rejected.Lockset))
 		reg.Counter("predict.rejected_value").Add(uint64(rep.Rejected.Value))
@@ -229,28 +234,33 @@ func Run(exec *replay.Execution, opts Options) *Report {
 type solver struct {
 	exec              *replay.Execution
 	infos             []regionInfo
+	addrs             []uint64 // backing array of the built address sets
 	spawnReg, lastReg map[int]int
-	window            int
 	rej               *Rejections
 	hoisted, skipped  []*replay.Region
 }
 
-// feasible decides whether the region pair (a, b) admits a witness
-// schedule within the window, and returns it. Overlapping pairs are
-// their own witness. Otherwise the later region's thread chain is
+// sets returns r's info with its address sets built.
+func (sv *solver) sets(r *replay.Region) *regionInfo {
+	info := &sv.infos[r.Global]
+	if !info.built {
+		info.reads, sv.addrs = addrSet(sv.addrs, r.Accesses, false)
+		info.writes, sv.addrs = addrSet(sv.addrs, r.Accesses, true)
+		info.built = true
+	}
+	return info
+}
+
+// feasible decides whether the region pair (a, b), a earlier in the
+// schedule, admits a witness schedule, and returns it. hb.Search hands
+// it only pairs that overlap or lie within the window. Overlapping pairs
+// are their own witness. Otherwise the later region's thread chain is
 // hoisted to run directly after the earlier racing region; the checks
 // are ordered cheapest-first and the first failure is counted.
 func (sv *solver) feasible(a, b *replay.Region, addr uint64) (Witness, bool) {
 	infos, rej := sv.infos, sv.rej
-	if a.Global > b.Global {
-		a, b = b, a
-	}
 	if a.Overlaps(b) {
 		return Witness{Kind: "observed", Regions: []int{a.Global, b.Global}}, true
-	}
-	if b.Global-a.Global > sv.window {
-		rej.Window++
-		return Witness{}, false
 	}
 
 	// hoisted: b's thread's regions strictly between a and b in the
@@ -314,11 +324,12 @@ func (sv *solver) feasible(a, b *replay.Region, addr uint64) (Witness, bool) {
 	// write — and no write of a — may feed a chain read. For b itself
 	// the racing address is exempt: disagreement there is the race, and
 	// the dual-order classifier replays both resolutions of it.
+	aw := sv.sets(a).writes
 	for _, c := range hoisted {
-		for _, rd := range infos[c.Global].reads {
-			fed := (c != b || rd != addr) && has(ai.writes, rd)
+		for _, rd := range sv.sets(c).reads {
+			fed := (c != b || rd != addr) && has(aw, rd)
 			for _, s := range skipped {
-				fed = fed || has(infos[s.Global].writes, rd)
+				fed = fed || has(sv.sets(s).writes, rd)
 			}
 			if fed {
 				rej.Value++
@@ -334,22 +345,15 @@ func (sv *solver) feasible(a, b *replay.Region, addr uint64) (Witness, bool) {
 	return Witness{Kind: "reordered", Regions: regions}, true
 }
 
-// precompute walks the schedule once and fills the per-region facts the
-// prefilter and solver consult: the held-lock set during the region,
-// the global lock table at region start, and the region's non-atomic
-// read/write address sets. Lock sets and tables change only at lock and
-// unlock regions, so the regions between share them, and every address
-// set is carved from one backing array.
+// precompute walks the schedule once and fills the per-region lock facts
+// the prefilter and solver consult: the held-lock set during the region
+// and the global lock table at region start. Lock sets and tables change
+// only at lock and unlock regions, so the regions between share them.
 func precompute(exec *replay.Execution) []regionInfo {
 	infos := make([]regionInfo, len(exec.Regions))
 	heldBy := map[int][]uint64{} // tid -> sorted held locks
 	var table []lockOwner
 	stale := true
-	n := 0
-	for _, reg := range exec.Regions {
-		n += len(reg.Accesses)
-	}
-	addrs := make([]uint64, 0, n)
 	for _, reg := range exec.Regions {
 		// Snapshot the global lock table before applying this region's
 		// opening synchronization.
@@ -375,8 +379,6 @@ func precompute(exec *replay.Execution) []regionInfo {
 		info := &infos[reg.Global]
 		info.heldAt = table
 		info.held = heldBy[reg.TID]
-		info.reads, addrs = addrSet(addrs, reg.Accesses, false)
-		info.writes, addrs = addrSet(addrs, reg.Accesses, true)
 	}
 	return infos
 }

@@ -262,23 +262,58 @@ func TestWitnessShape(t *testing.T) {
 	}
 }
 
-// TestWindowBound pins the window knob: a window of 1 can only reorder
-// adjacent regions, so it never yields more candidates than the default.
+// TestWindowBound pins the window as the search's reach: at windows 1,
+// 4 and the default, over the racy counter and the lock hand-off, every
+// reordered witness spans at most the window, and every candidate a
+// narrower window finds (keyed by sites and region pair) a wider one
+// finds too.
 func TestWindowBound(t *testing.T) {
-	exec, _ := analyze(t, shapes["racy-counter"], 4)
-	wide := predict.Run(exec, predict.Options{})
-	narrow := predict.Run(exec, predict.Options{Window: 1})
-	if narrow.Window != 1 || wide.Window != predict.DefaultWindow {
-		t.Fatalf("window plumbing: narrow=%d wide=%d", narrow.Window, wide.Window)
+	type key struct {
+		sites hb.SitePair
+		a, b  int
 	}
-	if len(narrow.Candidates) > len(wide.Candidates) {
-		t.Fatalf("narrow window found more candidates (%d) than the default (%d)",
-			len(narrow.Candidates), len(wide.Candidates))
+	windows := []int{1, 4, predict.DefaultWindow}
+	reordered := make([]int, len(windows))
+	for _, shape := range []struct{ name, src string }{
+		{"racy-counter", shapes["racy-counter"]},
+		{"lock hand-off", lockHandoff},
+	} {
+		for seed := int64(1); seed <= 20; seed++ {
+			exec, _ := analyze(t, shape.src, seed)
+			var narrower map[key]bool
+			for i, w := range windows {
+				rep := predict.Run(exec, predict.Options{Window: w})
+				if rep.Window != w {
+					t.Fatalf("%s seed %d: window %d reported as %d", shape.name, seed, w, rep.Window)
+				}
+				found := map[key]bool{}
+				for _, c := range rep.Candidates {
+					found[key{c.Sites, c.Instance.RegionA.Global, c.Instance.RegionB.Global}] = true
+					if c.Witness.Kind != "reordered" {
+						continue
+					}
+					reordered[i]++
+					if span := c.Witness.Regions[len(c.Witness.Regions)-1] - c.Witness.Regions[0]; span > w {
+						t.Fatalf("%s seed %d window %d: witness %v spans %d regions",
+							shape.name, seed, w, c.Witness.Regions, span)
+					}
+				}
+				for k := range narrower {
+					if !found[k] {
+						t.Fatalf("%s seed %d: window %d lost candidate %s regions %d %d found at window %d",
+							shape.name, seed, w, k.sites, k.a, k.b, windows[i-1])
+					}
+				}
+				narrower = found
+			}
+		}
 	}
-	if narrow.Rejected.Window < wide.Rejected.Window {
-		t.Fatalf("narrow window rejected fewer pairs on distance (%d < %d)",
-			narrow.Rejected.Window, wide.Rejected.Window)
+	// The bound must bind: the default window admits reordered witnesses
+	// that window 1 excludes.
+	if last := len(windows) - 1; reordered[0] >= reordered[last] {
+		t.Fatalf("vacuous: reordered witnesses at windows %v: %v", windows, reordered)
 	}
+	t.Logf("reordered witnesses at windows %v: %v", windows, reordered)
 }
 
 // TestNewReportSubtractsObserved: NewReport must contain exactly the

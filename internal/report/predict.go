@@ -68,9 +68,9 @@ func PredictedReport(p *core.Predicted) string {
 		len(rep.Candidates), observed, len(rep.Candidates)-observed, rep.Window)
 	fmt.Fprintf(&b, "  blocks: %d, pairs screened: %d\n", rep.Blocks, rep.PairsScreened)
 	rj := rep.Rejected
-	if rj.Window+rj.WeakHB+rj.Lockset+rj.Value > 0 {
-		fmt.Fprintf(&b, "  rejected: %d window, %d weak-hb, %d lockset, %d value\n",
-			rj.Window, rj.WeakHB, rj.Lockset, rj.Value)
+	if rj.WeakHB+rj.Lockset+rj.Value > 0 {
+		fmt.Fprintf(&b, "  rejected: %d weak-hb, %d lockset, %d value\n",
+			rj.WeakHB, rj.Lockset, rj.Value)
 	}
 	if len(p.NewRaces.Races) == 0 {
 		b.WriteString("no predicted-new races: every feasible pair already raced as recorded\n")
