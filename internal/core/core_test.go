@@ -111,6 +111,32 @@ func TestAnalyzeLogMatchesAnalyze(t *testing.T) {
 	}
 }
 
+// TestCollectEvidenceObservedSites checks that the evidence names the
+// site of every replayed access under any seed, and no other site.
+func TestCollectEvidenceObservedSites(t *testing.T) {
+	prog, err := asm.Assemble("core", racySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []*Result
+	want := map[string]bool{}
+	for seed := int64(1); seed <= 2; seed++ {
+		res, err := Analyze(prog, machine.Config{Seed: seed}, classify.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, region := range res.Exec.Regions {
+			for _, acc := range region.Accesses {
+				want[acc.Site(prog)] = true
+			}
+		}
+		results = append(results, res)
+	}
+	if got := CollectEvidence(results).ObservedSites; len(want) < 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("observed sites %v, want %v", got, want)
+	}
+}
+
 func TestAnalyzeRejectsBadProgram(t *testing.T) {
 	prog, err := asm.Assemble("empty", "main:\n  halt\n")
 	if err != nil {

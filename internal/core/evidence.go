@@ -29,9 +29,21 @@ func CollectEvidence(results []*Result) static.DynamicEvidence {
 			continue
 		}
 		if r.Exec != nil {
+			// Mark each PC once, then format each distinct one once.
+			prog := r.Exec.Prog
+			seen := make([]bool, len(prog.Code))
 			for _, region := range r.Exec.Regions {
 				for _, acc := range region.Accesses {
-					ev.ObservedSites[acc.Site(r.Exec.Prog)] = true
+					if acc.PC >= 0 && acc.PC < len(seen) {
+						seen[acc.PC] = true
+					} else {
+						ev.ObservedSites[acc.Site(prog)] = true
+					}
+				}
+			}
+			for pc, ok := range seen {
+				if ok {
+					ev.ObservedSites[prog.SiteOf(pc)] = true
 				}
 			}
 		} else {

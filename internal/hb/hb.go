@@ -290,11 +290,9 @@ func Search(exec *replay.Execution, reach int, pass func(a, b *replay.Region, ad
 	var reads, writes []replay.Access
 	var emitted []SitePair
 
-	// Site strings are pure functions of the PC; the bounded package-level
-	// table (sites.go) formats each program's sites once and shares them
-	// across engines, seeds, and the online observer, keeping the hot pair
-	// loops free of fmt work.
-	siteOf := sitesFor(exec.Prog).site
+	// Only the PCs of conflicting block pairs get a site string, each
+	// formatted once (sites.go).
+	memo := siteMemo{prog: exec.Prog}
 
 	for _, addr := range addrs {
 		s := &screens[slotOf[addr]]
@@ -333,7 +331,7 @@ func Search(exec *replay.Execution, reach int, pass func(a, b *replay.Region, ad
 				emitted = emitted[:0]
 				pair := func(a, b replay.Access) {
 					st.BlockPairs++
-					sites := MakeSitePair(siteOf(a.PC), siteOf(b.PC))
+					sites := MakeSitePair(memo.site(a.PC), memo.site(b.PC))
 					for _, e := range emitted {
 						if e == sites {
 							return

@@ -63,8 +63,7 @@ import (
 // considered every sweepEvery sequencers, runs only when the watermark
 // has moved since the previous one.
 type Online struct {
-	prog  *isa.Program
-	table *siteTable
+	sites siteMemo // filled only by foundRace
 	reg   *obs.Registry
 
 	stopOnRace bool
@@ -142,8 +141,7 @@ const maxOnlineRaces = 1024
 // which a machine polls at quantum boundaries (machine.Stopper).
 func NewOnline(prog *isa.Program, reg *obs.Registry, stopOnRace bool) *Online {
 	return &Online{
-		prog:       prog,
-		table:      sitesFor(prog),
+		sites:      siteMemo{prog: prog},
 		reg:        reg,
 		stopOnRace: stopOnRace,
 		window:     make(map[uint64]*windowPage),
@@ -306,7 +304,7 @@ func (o *Online) slot(addr uint64) *[]onlineRec {
 }
 
 func (o *Online) foundRace(pcA, pcB int) {
-	sites := MakeSitePair(o.table.site(pcA), o.table.site(pcB))
+	sites := MakeSitePair(o.sites.site(pcA), o.sites.site(pcB))
 	if _, ok := o.races[sites]; ok {
 		return
 	}

@@ -453,55 +453,3 @@ func TestOnlineEpochPrune(t *testing.T) {
 		t.Fatalf("report says checked=%d pruned=%d, metrics %d/%d", rep.Checked, rep.HBPruned, checked, pruned)
 	}
 }
-
-// TestSiteCacheBounded drives more distinct programs through the
-// detector than the cache admits and checks it never exceeds its cap —
-// the leak the bounded table replaced — while same-program reuse stays
-// cached.
-func TestSiteCacheBounded(t *testing.T) {
-	hb.ResetSiteCacheForTest()
-	r := rand.New(rand.NewSource(42))
-	for i := 0; i < 3*hb.MaxSitePrograms(); i++ {
-		src := progen.Generate(r, progen.BitsConfig(uint8(i), r))
-		prog, err := asm.Assemble("cache", src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		log, _, err := record.Run(prog, machine.Config{Seed: int64(i + 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exec, err := replay.Run(log, replay.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hb.Detect(exec)
-		if got := hb.SiteCacheSizeForTest(); got > hb.MaxSitePrograms() {
-			t.Fatalf("after %d programs the site cache holds %d > cap %d", i+1, got, hb.MaxSitePrograms())
-		}
-	}
-	if got := hb.SiteCacheSizeForTest(); got != hb.MaxSitePrograms() {
-		t.Fatalf("cache should sit at its cap after churn, holds %d", got)
-	}
-	// Reuse: analyzing the same program again must not grow the cache.
-	before := hb.SiteCacheSizeForTest()
-	prog, err := asm.Assemble("cache-reuse", racyCounterSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(1); seed <= 4; seed++ {
-		log, _, err := record.Run(prog, machine.Config{Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exec, err := replay.Run(log, replay.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		hb.Detect(exec)
-	}
-	if got := hb.SiteCacheSizeForTest(); got != before {
-		t.Fatalf("same-program reuse changed the cache size: %d -> %d", before, got)
-	}
-	hb.ResetSiteCacheForTest()
-}

@@ -90,7 +90,7 @@ type addrState struct {
 	state     State
 	firstTid  int
 	candidate lockSet
-	lastSite  string
+	lastPC    int // formatted only when a warning names it
 	warned    bool
 }
 
@@ -147,7 +147,6 @@ func visit(exec *replay.Execution, states map[uint64]*addrState, warnings *[]*Wa
 		st = &addrState{state: Virgin, firstTid: acc.TID}
 		states[acc.Addr] = st
 	}
-	site := acc.Site(exec.Prog)
 
 	switch st.state {
 	case Virgin:
@@ -177,11 +176,11 @@ func visit(exec *replay.Execution, states map[uint64]*addrState, warnings *[]*Wa
 		st.warned = true
 		*warnings = append(*warnings, &Warning{
 			Addr:      acc.Addr,
-			Site:      site,
-			OtherSite: st.lastSite,
+			Site:      acc.Site(exec.Prog),
+			OtherSite: exec.Prog.SiteOf(st.lastPC),
 			Write:     acc.IsWrite,
 			Pos:       pos,
 		})
 	}
-	st.lastSite = site
+	st.lastPC = acc.PC
 }

@@ -190,7 +190,11 @@ main:
 `
 	rep := analyze(t, src, 3)
 	if len(rep.Warnings) == 0 {
-		t.Error("fork/join sharing should be a lockset false positive")
+		t.Fatal("fork/join sharing should be a lockset false positive")
+	}
+	// The child's read shares g; its write empties the candidate set.
+	if w := rep.Warnings[0]; w.Site != "ls:child+3" || w.OtherSite != "ls:child+1" {
+		t.Errorf("warning at %s (earlier access %s), want ls:child+3 (earlier access ls:child+1)", w.Site, w.OtherSite)
 	}
 }
 

@@ -182,6 +182,26 @@ func TestTemplateOfSite(t *testing.T) {
 	}
 }
 
+// TestTemplateLookupIndexed checks that truth lookups come from a
+// once-built index: a lookup costs a few allocations, not a rebuild of
+// every template, and each returned copy owns its Workers.
+func TestTemplateLookupIndexed(t *testing.T) {
+	if n, want := len(templateIndex()), len(All()); n != want {
+		t.Fatalf("index holds %d templates, All builds %d: names must be unique", n, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { TemplateOfSite("suite:red03_store+1") }); n > 4 {
+		t.Errorf("TemplateOfSite allocates %.0f objects per lookup, want at most 4", n)
+	}
+	tm := TemplateOfSite("suite:red03_store+1")
+	want := tm.Workers[0].Entry
+	tm.Workers[0].Entry = "changed"
+	tm.Workers = append(tm.Workers, Worker{Entry: "extra"})
+	again := ByName("red03")
+	if len(again.Workers) != 2 || again.Workers[0].Entry != want {
+		t.Fatalf("changing a returned template changed the next lookup: %+v", again.Workers)
+	}
+}
+
 // TestCensusRobustAcrossExtraSeeds re-runs every scenario under a second
 // scheduler seed and merges: the classification must stay exactly the
 // paper's Table 1 — the benign templates are benign under *any*

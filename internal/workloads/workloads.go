@@ -18,6 +18,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -752,16 +753,27 @@ func All() []Template {
 	return ts
 }
 
-// ByName returns the template whose Name is a prefix of the given race
-// site ("suite:red03_store+2" → red03), or nil.
-func ByName(name string) *Template {
+// templateIndex maps each template's Name to the template, built once:
+// reports look up every race's template, and All builds every template
+// afresh.
+var templateIndex = sync.OnceValue(func() map[string]Template {
+	idx := make(map[string]Template)
 	for _, t := range All() {
-		if t.Name == name {
-			tt := t
-			return &tt
-		}
+		idx[t.Name] = t
 	}
-	return nil
+	return idx
+})
+
+// ByName returns a copy of the template whose Name is a prefix of the
+// given race site ("suite:red03_store+2" → red03), or nil. The copy owns
+// its Workers, so a caller cannot change the index.
+func ByName(name string) *Template {
+	t, ok := templateIndex()[name]
+	if !ok {
+		return nil
+	}
+	t.Workers = slices.Clone(t.Workers)
+	return &t
 }
 
 // TemplateOfSite resolves a race site string back to its template.
