@@ -17,8 +17,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	$(GO) run ./cmd/paperbench -bench-out BENCH_10.json -bench-rounds 5
-	$(GO) run ./cmd/paperbench -check-bench BENCH_10.json
 
 # Regenerate the flight-recorder artifacts: a parallel suite run with the
 # timeline on (load racer-trace.json at https://ui.perfetto.dev) and the

@@ -10,6 +10,7 @@
 package racereplay
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -435,6 +436,128 @@ func BenchmarkServiceScenario(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkAnalyzeRacefree measures the race-free fast path on the
+// race-free service scenario. online=on analyzes the recording with its
+// online race-free verdict attached, so replay, HB detection and
+// classification are skipped; online=off analyzes the same recording
+// round-tripped through the wire format, which does not carry the
+// verdict, so the full offline pass runs. The gap between the two is what
+// the online detector buys on a clean execution.
+func BenchmarkAnalyzeRacefree(b *testing.B) {
+	s := workloads.ServiceScenario()
+	prog, err := s.Program()
+	if err != nil {
+		b.Fatal(err)
+	}
+	fast, orep, err := Record(prog, s.Config(), OnlineConfig{Detect: true}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !orep.RaceFree {
+		b.Fatalf("service raced online (%d pairs); the fast path needs a race-free recording", len(orep.Races))
+	}
+	var wire bytes.Buffer
+	if err := WriteLog(&wire, fast); err != nil {
+		b.Fatal(err)
+	}
+	slow, err := ReadLog(&wire)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		log  *Log
+	}{{"online=on", fast}, {"online=off", slow}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := AnalyzeLog(c.log, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecodeSuite measures container decode throughput: the same
+// synthetic 8-thread log (240k unpredictable loads) decoded from its v2
+// container at one worker and at eight. mb_per_s is container megabytes
+// per second of decode; raw_bits_per_instr is the container's §5.1
+// footprint.
+func BenchmarkDecodeSuite(b *testing.B) {
+	prog, _ := browse(b)
+	log := syntheticLog(prog, 8, 30000)
+	if err := trace.Validate(log); err != nil {
+		b.Fatalf("synthetic log invalid: %v", err)
+	}
+	data := trace.MarshalV2(log)
+	rawBits := trace.Stats(log).RawBitsPerInstr()
+	for _, jobs := range []int{1, 8} {
+		b.Run(fmt.Sprintf("v2/jobs=%d", jobs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := trace.DecodeV2(data, trace.V2Options{Jobs: jobs}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(mbPerS(len(data), float64(b.Elapsed().Nanoseconds())/float64(b.N)), "mb_per_s")
+			b.ReportMetric(rawBits, "raw_bits_per_instr")
+		})
+	}
+}
+
+// syntheticLog builds a deterministic, Validate-clean log sized for the
+// decode benchmarks: nThreads threads, each with loads unpredictable-load
+// records and a sequencer spine, over prog. The access pattern comes from
+// a fixed LCG so every run serializes to identical bytes.
+func syntheticLog(prog *Program, nThreads, loads int) *trace.Log {
+	const seqEvery = 256 // one atomic sequencer per this many loads
+	log := &trace.Log{Prog: prog, Seed: 42}
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		return rng
+	}
+	var clock uint64
+	for tid := 0; tid < nThreads; tid++ {
+		retired := uint64(4 * loads)
+		t := &trace.ThreadLog{
+			TID:       tid,
+			Retired:   retired,
+			EndReason: trace.EndHalted,
+		}
+		clock++
+		t.StartTS = clock
+		t.Seqs = append(t.Seqs, trace.Sequencer{Idx: 0, TS: clock, Kind: trace.SeqStart, Aux: -1})
+		for i := 0; i < loads; i++ {
+			idx := uint64(4*i + 1)
+			t.Loads = append(t.Loads, trace.LoadRec{
+				Idx:  idx,
+				Addr: 0x1000 + next()%4096*8,
+				Val:  next(),
+			})
+			if i%seqEvery == seqEvery-1 {
+				clock++
+				t.Seqs = append(t.Seqs, trace.Sequencer{Idx: idx + 1, TS: clock, Kind: trace.SeqAtomic, Aux: -1})
+			}
+		}
+		clock++
+		t.EndTS = clock
+		t.Seqs = append(t.Seqs, trace.Sequencer{Idx: retired, TS: clock, Kind: trace.SeqEnd, Aux: -1})
+		log.Threads = append(log.Threads, t)
+		log.TotalSteps += retired
+	}
+	log.FinalClock = clock
+	return log
+}
+
+// mbPerS converts a container size and a mean ns/op into decode
+// throughput in megabytes per second.
+func mbPerS(bytes int, nsPerOp float64) float64 {
+	if nsPerOp <= 0 {
+		return 0
+	}
+	return float64(bytes) / (1 << 20) / (nsPerOp / 1e9)
 }
 
 // BenchmarkParallelClassification measures the offline-analysis wall

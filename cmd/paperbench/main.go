@@ -47,23 +47,21 @@ func realMain(args []string, out io.Writer) error {
 	md := fs.Bool("md", false, "emit the tables and figures as GitHub markdown")
 	seeds := fs.Int("seeds", 1, "scheduler seeds recorded per scenario (instances scale with coverage)")
 	jobs := fs.Int("jobs", 0, "analysis workers (0 = GOMAXPROCS); output is identical at any count")
-	benchOut := fs.String("bench-out", "", "measure the offline pipeline with the machine-readable harness and write JSON here (e.g. BENCH_7.json)")
-	benchTime := fs.Duration("bench-time", 200*time.Millisecond, "per-benchmark measurement budget for -bench-out (0 = one iteration)")
-	benchRounds := fs.Int("bench-rounds", 1, "measurement rounds per benchmark for -bench-out; medians over rounds feed -against")
-	checkFile := fs.String("check-bench", "", "validate a -bench-out JSON file against the schema and exit")
-	against := fs.String("against", "", "with -check-bench: baseline bench JSON to diff against; regressions past -tolerance fail")
-	tolerance := fs.Float64("tolerance", 0.25, "allowed median ns/op slowdown vs -against before failing (0.25 = +25%)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// A selector outside the paper's tables and figures, or a seed count
+	// below one, would otherwise run the whole suite and print nothing,
+	// or silently one seed.
+	switch {
+	case *table != 0 && *table != 1 && *table != 2:
+		return fmt.Errorf("-table %d: want 1 or 2", *table)
+	case *figure != 0 && (*figure < 3 || *figure > 5):
+		return fmt.Errorf("-figure %d: want 3, 4 or 5", *figure)
+	case *seeds < 1:
+		return fmt.Errorf("-seeds %d: want a count >= 1", *seeds)
+	}
 	stdout = out
-
-	if *checkFile != "" {
-		return checkBench(*checkFile, *against, *tolerance, out)
-	}
-	if *benchOut != "" {
-		return runBenchOut(*benchOut, *benchTime, *benchRounds, out)
-	}
 
 	all := *table == 0 && *figure == 0 && !*perfOnly && !*perfReport && !*md
 

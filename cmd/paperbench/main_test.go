@@ -1,11 +1,8 @@
 package main
 
 import (
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 func TestTables(t *testing.T) {
@@ -111,52 +108,28 @@ func TestMarkdownFlag(t *testing.T) {
 	}
 }
 
-// TestBenchRegressionGate drives the CI gate end to end: measure with
-// rounds, pass against an identical baseline, fail against a faked-fast
-// one.
-func TestBenchRegressionGate(t *testing.T) {
-	dir := t.TempDir()
-	cur := filepath.Join(dir, "cur.json")
-	var b strings.Builder
-	if err := realMain([]string{"-bench-out", cur, "-bench-time", "0", "-bench-rounds", "3"}, &b); err != nil {
-		t.Fatal(err)
-	}
-
-	// A file compared against itself never regresses.
-	b.Reset()
-	if err := realMain([]string{"-check-bench", cur, "-against", cur}, &b); err != nil {
-		t.Fatalf("self-comparison failed: %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), "no regressions past +25%") {
-		t.Errorf("gate summary missing:\n%s", b.String())
-	}
-
-	// Shrink every baseline number 10x: the current run now regresses.
-	f, err := bench.ReadFile(cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range f.Benchmarks {
-		f.Benchmarks[i].NsPerOp /= 10
-		for j := range f.Benchmarks[i].Samples {
-			f.Benchmarks[i].Samples[j] /= 10
+// TestRejectsBadSelectors: a selector naming no table or figure, or a
+// seed count below one, is an error naming the flag, returned before the
+// suite runs and before anything is printed.
+func TestRejectsBadSelectors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-table", "3"}, "-table"},
+		{[]string{"-table", "-1"}, "-table"},
+		{[]string{"-figure", "6"}, "-figure"},
+		{[]string{"-figure", "2"}, "-figure"},
+		{[]string{"-seeds", "0"}, "-seeds"},
+		{[]string{"-seeds", "-3", "-table", "1"}, "-seeds"},
+	} {
+		var b strings.Builder
+		err := realMain(tc.args, &b)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
 		}
-	}
-	base := filepath.Join(dir, "base.json")
-	if err := f.WriteFile(base); err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	err = realMain([]string{"-check-bench", cur, "-against", base}, &b)
-	if err == nil || !strings.Contains(err.Error(), "regressed past +25%") {
-		t.Fatalf("gate did not trip: err = %v\n%s", err, b.String())
-	}
-	if !strings.Contains(b.String(), "REGRESSION") {
-		t.Errorf("regression lines missing:\n%s", b.String())
-	}
-
-	// Rounds made it into the artifact.
-	if got := len(f.Benchmarks[0].Samples); got != 3 {
-		t.Errorf("benchmark has %d samples, want 3", got)
+		if b.Len() != 0 {
+			t.Errorf("%v printed output:\n%s", tc.args, b.String())
+		}
 	}
 }

@@ -24,12 +24,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"time"
 
-	"repro/internal/bench"
 	"repro/internal/chaos"
 	"repro/internal/classify"
 	"repro/internal/debug"
@@ -519,12 +516,14 @@ func cmdSuite(args []string) error {
 	jobs := fs.Int("jobs", 0, "analysis workers (0 = GOMAXPROCS); output is identical at any count")
 	staticStage := fs.Bool("static", false, "cross-validate static lint candidates against the dynamic results")
 	predictStage := fs.Bool("predict", false, "add the prediction stage: feasible reorderings of each recorded schedule, classified by replay")
-	benchOut := fs.String("bench-out", "", "also write a machine-readable timing sample of this run as bench JSON (stdout is unchanged)")
 	auditOut := fs.String("audit-out", "", "write the verdict-provenance trail (racereplay-audit/v1 JSON) to this file")
 	online := fs.Bool("online", false, "detect races during recording; race-free runs skip the offline pass (report is byte-identical either way)")
 	stopOnRace := fs.Bool("stop-on-race", false, "with -online, end each recording at its first confirmed race")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
+	if err := atLeastOne("seeds", *seeds); err != nil {
+		return err
+	}
 	if *stopOnRace && !*online {
 		return fmt.Errorf("-stop-on-race requires -online")
 	}
@@ -536,16 +535,6 @@ func cmdSuite(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *benchOut != "" && reg == nil {
-		// The bench sample reads the memo counters; a private registry
-		// keeps -bench-out independent of the -metrics flags without
-		// changing what reaches stdout.
-		reg = racereplay.NewMetrics()
-	}
-	var memBefore runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&memBefore)
-	start := time.Now()
 	run, err := racereplay.RunSuite(racereplay.SuiteOptions{
 		DB: db, Seeds: *seeds, Jobs: *jobs, Registry: reg, Static: *staticStage,
 		Audit: *auditOut != "", Online: *online, StopOnRace: *stopOnRace,
@@ -556,11 +545,6 @@ func cmdSuite(args []string) error {
 	}
 	if *auditOut != "" {
 		if err := run.Audit.WriteFile(*auditOut); err != nil {
-			return err
-		}
-	}
-	if *benchOut != "" {
-		if err := writeSuiteBench(*benchOut, *seeds, *jobs, time.Since(start), memBefore, reg); err != nil {
 			return err
 		}
 	}
@@ -583,30 +567,13 @@ func printBatch(run *racereplay.SuiteRun, o report.BatchOptions) {
 	}
 }
 
-// writeSuiteBench records one suite run as a single-sample bench JSON
-// file: wall time, allocation deltas, and the replay cache's hit rate.
-// It writes only to path — suite stdout is byte-identical with and
-// without -bench-out, so the serial/parallel divergence diff can carry
-// the flag.
-func writeSuiteBench(path string, seeds, jobs int, elapsed time.Duration, before runtime.MemStats, reg *racereplay.Metrics) error {
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	snap := reg.Snapshot()
-	hits, misses := snap.Counters["classify.memo.hits"], snap.Counters["classify.memo.misses"]
-	hitrate := 0.0
-	if hits+misses > 0 {
-		hitrate = float64(hits) / float64(hits+misses)
+// atLeastOne rejects a count flag below one, naming the flag: a zero or
+// negative count would otherwise do no work, or silently one unit.
+func atLeastOne(flag string, n int) error {
+	if n < 1 {
+		return fmt.Errorf("-%s %d: want a count >= 1", flag, n)
 	}
-	file := bench.NewFile()
-	file.Benchmarks = append(file.Benchmarks, bench.Result{
-		Name:        fmt.Sprintf("suite/seeds=%d/jobs=%d", seeds, jobs),
-		N:           1,
-		NsPerOp:     float64(elapsed.Nanoseconds()),
-		BytesPerOp:  after.TotalAlloc - before.TotalAlloc,
-		AllocsPerOp: after.Mallocs - before.Mallocs,
-		Metrics:     map[string]float64{"hitrate": hitrate},
-	})
-	return file.WriteFile(path)
+	return nil
 }
 
 // cmdPredict runs the prediction stage over one execution: record (or
@@ -796,6 +763,9 @@ func cmdRecordSuite(args []string) error {
 	online := fs.Bool("online", false, "attach the online race detector and write manifest.json with each log's verdict")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
+	if err := atLeastOne("seeds", *seeds); err != nil {
+		return err
+	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
@@ -1062,6 +1032,9 @@ func cmdChaos(args []string) error {
 	serveURL := fs.String("serve", "", "fire the corruption sweep at a running 'racer serve' endpoint (e.g. http://127.0.0.1:8844) instead of the local decoder")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
+	if err := atLeastOne("corruptions", *n); err != nil {
+		return err
+	}
 	// The target is a recorded scenario's container, or an explicit -log
 	// file swept as-is (a legacy v1 file takes its container-level
 	// corruptions only).

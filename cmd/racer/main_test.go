@@ -503,6 +503,41 @@ func TestCmdChaos(t *testing.T) {
 	}
 }
 
+// TestCountFlagsBelowOneAreRejected: a count flag below one is invalid
+// input (exit 2, naming the flag), refused before any work: no output,
+// no recording directory.
+func TestCountFlagsBelowOneAreRejected(t *testing.T) {
+	resetExit(t)
+	dir := filepath.Join(t.TempDir(), "logs")
+	for _, tc := range []struct {
+		cmd  func([]string) error
+		args []string
+		flag string
+	}{
+		{cmdRecordSuite, []string{"-dir", dir, "-seeds", "0"}, "-seeds"},
+		{cmdRecordSuite, []string{"-dir", dir, "-seeds", "-3"}, "-seeds"},
+		{cmdSuite, []string{"-seeds", "0"}, "-seeds"},
+		{cmdSuite, []string{"-seeds", "-3"}, "-seeds"},
+		{cmdChaos, []string{"-corruptions", "0"}, "-corruptions"},
+		{cmdChaos, []string{"-corruptions", "-5"}, "-corruptions"},
+	} {
+		var out strings.Builder
+		old := stdout
+		stdout = &out
+		err := tc.cmd(tc.args)
+		stdout = old
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed output:\n%s", tc.args, out.String())
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("record-suite created %s before rejecting its flags (stat err = %v)", dir, err)
+	}
+}
+
 // TestCmdSuiteParallelOutputIsByteIdentical drives the full CLI path:
 // the rendered suite report must not change with the worker count.
 func TestCmdSuiteParallelOutputIsByteIdentical(t *testing.T) {
