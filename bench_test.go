@@ -560,28 +560,8 @@ func mbPerS(bytes int, nsPerOp float64) float64 {
 	return float64(bytes) / (1 << 20) / (nsPerOp / 1e9)
 }
 
-// BenchmarkParallelClassification measures the offline-analysis wall
-// clock with instance-level parallelism (a pure implementation lever the
-// paper's offline setting invites).
-func BenchmarkParallelClassification(b *testing.B) {
-	log := getBrowseLog(b)
-	exec, err := Replay(log, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	races := DetectRaces(exec, nil)
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Classify(exec, races, Options{Parallel: par})
-			}
-		})
-	}
-}
-
 // BenchmarkMemoizedClassification measures the dual-order replay stage
-// with the live-in fingerprint cache on and off, serial and fanned out —
-// the tentpole's before/after in one grid. Each iteration classifies
+// with the live-in fingerprint cache on and off. Each iteration classifies
 // with a fresh per-Run cache (the Options zero value), so memo=on
 // measures the steady within-execution hit pattern, not an ever-warmer
 // cross-iteration cache. The hitrate metric reports the cache's hit
@@ -597,24 +577,21 @@ func BenchmarkMemoizedClassification(b *testing.B) {
 		name   string
 		noMemo bool
 	}{{"memo=on", false}, {"memo=off", true}} {
-		for _, workers := range []int{1, 8} {
-			memo, workers := memo, workers
-			b.Run(fmt.Sprintf("%s/workers=%d", memo.name, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					Classify(exec, races, Options{Parallel: workers, NoMemo: memo.noMemo})
-				}
-				b.StopTimer()
-				reg := NewMetrics()
-				Classify(exec, races, Options{Parallel: workers, NoMemo: memo.noMemo, Metrics: reg})
-				snap := reg.Snapshot()
-				h, m := snap.Counters["classify.memo.hits"], snap.Counters["classify.memo.misses"]
-				if h+m > 0 {
-					b.ReportMetric(float64(h)/float64(h+m), "hitrate")
-				} else {
-					b.ReportMetric(0, "hitrate")
-				}
-			})
-		}
+		b.Run(memo.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Classify(exec, races, Options{NoMemo: memo.noMemo})
+			}
+			b.StopTimer()
+			reg := NewMetrics()
+			Classify(exec, races, Options{NoMemo: memo.noMemo, Metrics: reg})
+			snap := reg.Snapshot()
+			h, m := snap.Counters["classify.memo.hits"], snap.Counters["classify.memo.misses"]
+			if h+m > 0 {
+				b.ReportMetric(float64(h)/float64(h+m), "hitrate")
+			} else {
+				b.ReportMetric(0, "hitrate")
+			}
+		})
 	}
 }
 
@@ -648,12 +625,12 @@ func BenchmarkQuantumSensitivity(b *testing.B) {
 	}
 }
 
-// BenchmarkSuite measures the full suite drive at one worker versus a
-// fanned-out pool — the wall-clock case for -jobs. Recording is serial
+// BenchmarkSuite measures the full suite drive at one worker versus
+// several — the wall-clock case for -jobs. Recording is serial
 // in both; only the offline analysis fans out, so the gap is the
 // parallelizable fraction the paper calls out (~280x of native is
 // classification). On a single-core host the jobs>1 runs double as a
-// pool-overhead measurement: they should track jobs=1 closely.
+// fan-out overhead measurement: they should track jobs=1 closely.
 func BenchmarkSuite(b *testing.B) {
 	bench := func(jobs int) func(*testing.B) {
 		return func(b *testing.B) {
@@ -685,7 +662,7 @@ func BenchmarkTimelineOverhead(b *testing.B) {
 		b.Fatal(err)
 	}
 	races := DetectRaces(exec, nil)
-	classify := func(reg *Metrics) { Classify(exec, races, Options{Parallel: 1, Metrics: reg}) }
+	classify := func(reg *Metrics) { Classify(exec, races, Options{Metrics: reg}) }
 
 	classify(nil) // warm the shared caches outside the measurements
 	base := testing.AllocsPerRun(5, func() { classify(nil) })

@@ -48,7 +48,6 @@ func cmdServe(args []string) error {
 		return err
 	}
 	reg := racereplay.NewMetrics()
-	reg.EnableTimeline(0)
 	srv, err := serve.New(serve.Config{
 		DataDir:        *dataDir,
 		Jobs:           *jobs,

@@ -187,39 +187,12 @@ type Options struct {
 	Scenario string
 	// Seed is recorded into samples alongside the scenario.
 	Seed int64
-	// MaxInstancesPerRace bounds how many instances of one race are
-	// analyzed per execution (0 = all). The paper analyzes every instance;
-	// the bound exists for exploratory runs.
-	//
-	// Sampling bias: clipping keeps a *prefix* of the schedule-ordered
-	// instance list, so the analyzed sample over-represents instances
-	// from early regions of the execution. Late-execution behavior (a
-	// race that only exposes a state change after the heap has grown,
-	// say) can be missed entirely under a low bound — the verdict then
-	// rests on early instances only. Clipping is surfaced on the
-	// classify.instances.clipped counter (dropped instances).
-	MaxInstancesPerRace int
-	// MaxSamplesPerRace bounds retained samples (default 4).
-	MaxSamplesPerRace int
 	// DB, when set, suppresses races a developer marked benign.
 	DB *DB
 	// UseOracle enables the §4.2.1 extension: a versioned-memory oracle
 	// lets the virtual processor continue through reads the two regions'
 	// live-ins never captured, instead of declaring a replay failure.
 	UseOracle bool
-	// Parallel runs dual-order instance replays on this many goroutines,
-	// drained from one flattened (race, instance) work list per
-	// execution so races with few instances share the pool with the big
-	// ones. Instances are independent — each virtual processor only
-	// reads the replayed execution — so the result is bit-identical to
-	// the serial run; this is purely a wall-clock lever for the offline
-	// analysis (the paper's 280x stage).
-	//
-	// The value is normalized by sched.Normalize, the same validation
-	// the CLI -jobs flags use: anything below 1 (zero, negatives) means
-	// serial, and values above the core count are honored rather than
-	// silently clamped.
-	Parallel int
 	// Metrics, when set, receives the classify.* counters (instances by
 	// outcome, races by verdict, replay-failure causes) and is forwarded
 	// to the virtual processor for its vproc.* counters.
@@ -259,49 +232,22 @@ type Options struct {
 	Audit *audit.Execution
 }
 
+// maxSamplesPerRace bounds the instance samples one race keeps per
+// execution (see keepSample).
+const maxSamplesPerRace = 4
+
 // Run analyzes every instance of every race in report and returns the
-// per-race classification for this single execution. The dual-order
-// replays of every race are flattened into one work list and drained by
-// a single pool of opts.Parallel workers; results are aggregated by
-// (race, instance) index, so the classification is bit-identical at any
-// worker count.
+// per-race classification for this single execution. The instances are
+// replayed in report order on one goroutine, reusing one vproc.Scratch:
+// the fan-out lives a level up, where a batch analyzes whole executions
+// concurrently (core.AnalyzeLogsInstrumented) and racer serve runs jobs
+// concurrently.
 func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classification {
-	if opts.MaxSamplesPerRace <= 0 {
-		opts.MaxSamplesPerRace = 4
-	}
 	var vopts vproc.Options
 	if opts.UseOracle {
 		vopts.Oracle = replay.BuildVersionedMemory(exec)
 	}
 	vopts.Metrics = opts.Metrics
-
-	// Clip each race's instance list, then flatten every (race, instance)
-	// pair into one shared work list: races with few instances ride the
-	// same pool as the big ones instead of paying a per-race pool
-	// spin-up and getting no speedup at all.
-	instances := make([][]hb.Instance, len(report.Races))
-	results := make([][]vproc.Result, len(report.Races))
-	type workItem struct{ race, inst int }
-	var work []workItem
-	var clipped uint64
-	for ri, race := range report.Races {
-		insts := race.Instances
-		if opts.MaxInstancesPerRace > 0 && len(insts) > opts.MaxInstancesPerRace {
-			clipped += uint64(len(insts) - opts.MaxInstancesPerRace)
-			insts = insts[:opts.MaxInstancesPerRace]
-		}
-		instances[ri] = insts
-		results[ri] = make([]vproc.Result, len(insts))
-		for ii := range insts {
-			work = append(work, workItem{ri, ii})
-		}
-	}
-	if clipped > 0 {
-		// Dropped instances, counted only when the bound actually bit:
-		// the counter's presence is the signal that the sampling bias
-		// documented on MaxInstancesPerRace is in play.
-		opts.Metrics.Counter("classify.instances.clipped").Add(clipped)
-	}
 
 	// The replay cache: on by default, shared when the caller passed one.
 	// A hit skips both region replays and replays the vproc.* counter
@@ -333,50 +279,35 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 			}
 		}
 	}
-	var fps [][]vproc.Fingerprint
-	if opts.Audit != nil {
-		fps = make([][]vproc.Fingerprint, len(report.Races))
-		for ri := range instances {
-			fps[ri] = make([]vproc.Fingerprint, len(instances[ri]))
-		}
-	}
 	cHits := opts.Metrics.Counter("classify.memo.hits")
 	cMisses := opts.Metrics.Counter("classify.memo.misses")
-
-	workers := sched.Normalize(opts.Parallel, 1)
-	// Worker-local virtual-processor scratch: all items of worker w run
-	// sequentially on it, so slot w is never shared.
-	scratches := make([]vproc.Scratch, max(workers, 1))
-	sched.ForEachWorker(workers, len(work), func(wk, k int) {
-		w := work[k]
+	var sc vproc.Scratch
+	// dualReplay classifies one instance of race ri, returning its result
+	// and live-in fingerprint (zero without a fingerprinter).
+	dualReplay := func(ri int, inst hb.Instance) (res vproc.Result, fp vproc.Fingerprint) {
 		// Panic isolation per instance: a dual-order replay that panics
 		// (a corrupt log can trip invariants the decoder cannot check)
 		// records a ReplayFailure outcome instead of crashing the batch.
 		err := sched.Guard(opts.Metrics, func() error {
-			pair := racePair(instances[w.race][w.inst])
-			var fp vproc.Fingerprint
+			pair := racePair(inst)
 			if fper != nil {
 				fp = fper.Instance(pair, vopts, salt)
-				if fps != nil {
-					fps[w.race][w.inst] = fp
-				}
 			}
 			if memo != nil {
-				if res, ok := memo.Lookup(fp); ok {
+				var ok bool
+				if res, ok = memo.Lookup(fp); ok {
 					cHits.Inc()
-					opts.Metrics.Emit("classify.memo.hit", uint64(w.race))
+					opts.Metrics.Emit("classify.memo.hit", uint64(ri))
 					countCachedReplay(opts.Metrics, res)
-					results[w.race][w.inst] = res
 					return nil
 				}
 				cMisses.Inc()
-				opts.Metrics.Emit("classify.memo.miss", uint64(w.race))
-				res := vproc.AnalyzeScratch(exec, pair, vopts, &scratches[wk])
+				opts.Metrics.Emit("classify.memo.miss", uint64(ri))
+				res = vproc.Analyze(exec, pair, vopts, &sc)
 				memo.Store(fp, res)
-				results[w.race][w.inst] = res
 				return nil
 			}
-			results[w.race][w.inst] = vproc.AnalyzeScratch(exec, pair, vopts, &scratches[wk])
+			res = vproc.Analyze(exec, pair, vopts, &sc)
 			return nil
 		})
 		if err != nil {
@@ -384,16 +315,14 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 			// The panic interrupted the dual replay, so neither order has
 			// an individual outcome; the audit trail records the panic for
 			// both rather than claiming either order ran clean.
-			results[w.race][w.inst] = vproc.Result{
+			res = vproc.Result{
 				Outcome:    vproc.ReplayFailure,
 				FailReason: reason,
 				OrigFail:   reason,
 				AltFail:    reason,
 			}
 		}
-	})
-	if memo != nil {
-		opts.Metrics.Gauge("classify.memo.bytes").Set(float64(memo.Bytes()))
+		return res, fp
 	}
 
 	cls := &Classification{}
@@ -404,8 +333,9 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 	for ri, race := range report.Races {
 		rr := &RaceResult{Sites: race.Sites}
 		kinds := make(map[vproc.Outcome]int)
-		for ii, inst := range instances[ri] {
-			res := results[ri][ii]
+		var ar audit.Race
+		for _, inst := range race.Instances {
+			res, fp := dualReplay(ri, inst)
 			rr.Total++
 			switch res.Outcome {
 			case vproc.NoStateChange:
@@ -416,7 +346,7 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 				rr.RF++
 				countFailureCause(opts.Metrics, res.FailReason)
 			}
-			rr.keepSample(kinds, opts.MaxSamplesPerRace, InstanceSample{
+			rr.keepSample(kinds, maxSamplesPerRace, InstanceSample{
 				Scenario:     opts.Scenario,
 				Seed:         opts.Seed,
 				Outcome:      res.Outcome,
@@ -436,21 +366,7 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 				FirstIsWrite: inst.First.IsWrite,
 				SecondWrite:  inst.Second.IsWrite,
 			})
-		}
-		rr.recompute()
-		if opts.DB != nil && opts.DB.IsMarkedBenign(rr.Sites) {
-			rr.Suppressed = true
-		}
-		if opts.Audit != nil {
-			ar := audit.Race{
-				SiteA:      rr.Sites.A,
-				SiteB:      rr.Sites.B,
-				Verdict:    rr.Verdict.String(),
-				Group:      rr.Group.String(),
-				Suppressed: rr.Suppressed,
-			}
-			for ii := range instances[ri] {
-				res := results[ri][ii]
+			if opts.Audit != nil {
 				orig, alt := res.OrigFail, res.AltFail
 				if orig == "" {
 					orig = "ok"
@@ -459,16 +375,28 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 					alt = "ok"
 				}
 				ar.Instances = append(ar.Instances, audit.Instance{
-					Fingerprint: hex.EncodeToString(fps[ri][ii][:]),
+					Fingerprint: hex.EncodeToString(fp[:]),
 					Outcome:     res.Outcome.String(),
 					OrigOrder:   orig,
 					AltOrder:    alt,
 					Diffs:       len(res.Diffs),
 				})
 			}
+		}
+		rr.recompute()
+		if opts.DB != nil && opts.DB.IsMarkedBenign(rr.Sites) {
+			rr.Suppressed = true
+		}
+		if opts.Audit != nil {
+			ar.SiteA, ar.SiteB = rr.Sites.A, rr.Sites.B
+			ar.Verdict, ar.Group = rr.Verdict.String(), rr.Group.String()
+			ar.Suppressed = rr.Suppressed
 			auditRaces[rr] = ar
 		}
 		cls.Races = append(cls.Races, rr)
+	}
+	if memo != nil {
+		opts.Metrics.Gauge("classify.memo.bytes").Set(float64(memo.Bytes()))
 	}
 	sortRaces(cls.Races)
 	if opts.Audit != nil {

@@ -159,54 +159,6 @@ func TestSamplesCarryReproductionCoordinates(t *testing.T) {
 	}
 }
 
-func TestMaxInstancesPerRaceBounds(t *testing.T) {
-	// Force many instances by looping the redundant writer.
-	src := `
-.entry main
-.word g 5
-worker:
-  ldi r5, 10
-wloop:
-  ldi r2, g
-  ldi r3, 5
-wstore:
-  st [r2+0], r3
-  sys sysnop
-  addi r5, r5, -1
-  bne r5, r0, wloop
-  ldi r1, 0
-  sys exit
-main:
-  ldi r1, worker
-  ldi r2, 0
-  sys spawn
-  mov r6, r1
-  ldi r1, worker
-  ldi r2, 1
-  sys spawn
-  mov r7, r1
-  mov r1, r6
-  sys join
-  mov r1, r7
-  sys join
-  halt
-`
-	for seed := int64(1); seed <= 20; seed++ {
-		full := classifySrc(t, src, seed, Options{})
-		if full.TotalInstances() < 3 {
-			continue
-		}
-		capped := classifySrc(t, src, seed, Options{MaxInstancesPerRace: 2})
-		for _, r := range capped.Races {
-			if r.Total > 2 {
-				t.Errorf("race %v analyzed %d instances, cap was 2", r.Sites, r.Total)
-			}
-		}
-		return
-	}
-	t.Skip("no seed with enough instances")
-}
-
 func TestMergeAccumulatesAcrossExecutions(t *testing.T) {
 	var parts []*Classification
 	for seed := int64(1); seed <= 6; seed++ {
@@ -445,7 +397,7 @@ func TestMergeIgnoresNilParts(t *testing.T) {
 // TestSampleRetentionKeepsLaterKindsWithRoom is the regression test for
 // the keep condition that contradicted its own comment: once an SC/RF
 // sample existed, later No-State-Change instances were never sampled
-// even with room under MaxSamplesPerRace.
+// even with room under maxSamplesPerRace.
 func TestSampleRetentionKeepsLaterKindsWithRoom(t *testing.T) {
 	rr := &RaceResult{}
 	kinds := make(map[vproc.Outcome]int)
@@ -492,75 +444,6 @@ func TestSampleRetentionEvictsDuplicateForNewKind(t *testing.T) {
 	for _, s := range rr.Samples {
 		if s.IdxA == 99 {
 			t.Error("duplicate of a represented kind displaced a sample")
-		}
-	}
-}
-
-// TestNegativeParallelRunsSerially: Options.Parallel below zero is
-// normalized (via sched.Normalize) instead of spinning up a bogus pool,
-// and the result matches the serial classification.
-func TestNegativeParallelRunsSerially(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		serial := classifySrc(t, redundantWriters, seed, Options{})
-		neg := classifySrc(t, redundantWriters, seed, Options{Parallel: -7})
-		if len(serial.Races) != len(neg.Races) {
-			t.Fatalf("seed %d: race counts differ", seed)
-		}
-		for i := range serial.Races {
-			a, b := serial.Races[i], neg.Races[i]
-			if a.Sites != b.Sites || a.NSC != b.NSC || a.SC != b.SC || a.RF != b.RF {
-				t.Fatalf("seed %d: race %v differs under negative Parallel", seed, a.Sites)
-			}
-		}
-	}
-}
-
-// TestParallelClassificationIsIdentical: the parallel path must be
-// bit-identical to serial (instances are independent and results are
-// aggregated by index).
-func TestParallelClassificationIsIdentical(t *testing.T) {
-	src := `
-.entry main
-.word g 0
-worker:
-  ldi r5, 8
-wloop:
-  ldi r2, g
-  ld r3, [r2+0]
-  addi r3, r3, 1
-wst:
-  st [r2+0], r3
-  sys sysnop
-  addi r5, r5, -1
-  bne r5, r0, wloop
-  ldi r1, 0
-  sys exit
-main:
-  ldi r1, worker
-  ldi r2, 0
-  sys spawn
-  mov r6, r1
-  ldi r1, worker
-  sys spawn
-  mov r7, r1
-  mov r1, r6
-  sys join
-  mov r1, r7
-  sys join
-  halt
-`
-	for seed := int64(1); seed <= 6; seed++ {
-		serial := classifySrc(t, src, seed, Options{})
-		par := classifySrc(t, src, seed, Options{Parallel: 8})
-		if len(serial.Races) != len(par.Races) {
-			t.Fatalf("seed %d: race counts differ", seed)
-		}
-		for i := range serial.Races {
-			a, b := serial.Races[i], par.Races[i]
-			if a.Sites != b.Sites || a.NSC != b.NSC || a.SC != b.SC || a.RF != b.RF || a.Group != b.Group {
-				t.Fatalf("seed %d: race %v differs: serial %d/%d/%d vs parallel %d/%d/%d",
-					seed, a.Sites, a.NSC, a.SC, a.RF, b.NSC, b.SC, b.RF)
-			}
 		}
 	}
 }

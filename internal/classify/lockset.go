@@ -6,7 +6,6 @@ import (
 	"repro/internal/hb"
 	"repro/internal/lockset"
 	"repro/internal/replay"
-	"repro/internal/vproc"
 )
 
 // LocksetVerdict is the replay checker's judgement of one lockset warning
@@ -55,7 +54,8 @@ type LocksetTriage struct {
 // TriageLockset runs the paper's replay checker over an Eraser report:
 // for each warned address, every cross-thread conflicting access pair is
 // either proven ordered (no race — the warning is a false positive for
-// that pair) or replayed in both orders and classified.
+// that pair) or replayed in both orders and classified. Each warning's
+// racy pairs go through Run as one race, under opts.
 func TriageLockset(exec *replay.Execution, rep *lockset.Report, opts Options) []LocksetTriage {
 	// Group the execution's accesses by address once.
 	type ref struct {
@@ -70,11 +70,6 @@ func TriageLockset(exec *replay.Execution, rep *lockset.Report, opts Options) []
 			}
 			byAddr[acc.Addr] = append(byAddr[acc.Addr], ref{acc, reg})
 		}
-	}
-
-	var vopts vproc.Options
-	if opts.UseOracle {
-		vopts.Oracle = replay.BuildVersionedMemory(exec)
 	}
 
 	var out []LocksetTriage
@@ -110,22 +105,13 @@ func TriageLockset(exec *replay.Execution, rep *lockset.Report, opts Options) []
 				})
 			}
 		}
-		for _, inst := range pairs {
-			res := vproc.AnalyzeOpts(exec, vproc.RacePair{
-				RegionA: inst.RegionA, RegionB: inst.RegionB,
-				IdxA: inst.First.Idx, IdxB: inst.Second.Idx,
-				PCA: inst.First.PC, PCB: inst.Second.PC,
-				Addr: inst.Addr,
-			}, vopts)
-			tr.RacyInstances++
-			switch res.Outcome {
-			case vproc.NoStateChange:
-				tr.NSC++
-			case vproc.StateChange:
-				tr.SC++
-			default:
-				tr.RF++
-			}
+		// The racy pairs are one race to the classifier: Run replays
+		// them in both orders, under the memo and the per-instance panic
+		// guard every classification gets.
+		if tr.RacyInstances = len(pairs); tr.RacyInstances > 0 {
+			race := &hb.Race{Sites: hb.MakeSitePair(w.Site, w.OtherSite), Instances: pairs}
+			rr := Run(exec, &hb.Report{Races: []*hb.Race{race}, TotalInstances: len(pairs)}, opts).Races[0]
+			tr.NSC, tr.SC, tr.RF = rr.NSC, rr.SC, rr.RF
 		}
 		switch {
 		case tr.RacyInstances == 0:

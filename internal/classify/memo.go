@@ -156,7 +156,7 @@ func (m *Memo) HitRate() float64 {
 var oracleSalts atomic.Uint64
 
 // countCachedReplay replays a cache hit's effect on the vproc.* stage
-// counters, exactly as vproc.AnalyzeScratch would have counted the
+// counters, exactly as vproc.Analyze would have counted the
 // live replay. This keeps every counter except classify.memo.* (and
 // timing) identical between memo-on and memo-off runs — the equivalence
 // the suite tests pin down. The failed order is recovered from the

@@ -250,12 +250,13 @@ func Quarantine(reg *obs.Registry, index int, label string, err error) Quarantin
 // entry (ascending by index) describing the failure. len(results) is
 // always len(logs).
 //
-// A non-nil reg receives stage metrics. Each worker publishes spans
-// through a fork of reg; forks are adopted in input order after the
-// batch drains, so the merged replay/detect/classify ladder is identical
-// at every worker count. The pool additionally publishes its sched.*
-// metrics, every recovered panic increments sched.panics, and every
-// quarantined item increments robust.quarantined.
+// A non-nil reg receives stage metrics. Every log, at every worker
+// count, publishes through its own fork of reg (sched.ForEachFork);
+// forks are adopted in input order after the batch drains, so the
+// merged replay/detect/classify ladder, the metric names and the
+// timeline lanes are identical at every worker count. The batch also
+// publishes sched.*, every recovered panic increments sched.panics,
+// and every quarantined item increments robust.quarantined.
 func AnalyzeLogsInstrumented(logs []*trace.Log, optsFor func(i int) classify.Options, jobs int, reg *obs.Registry) ([]*Result, []Quarantined) {
 	results := make([]*Result, len(logs))
 	errs := make([]error, len(logs))
@@ -265,9 +266,15 @@ func AnalyzeLogsInstrumented(logs []*trace.Log, optsFor func(i int) classify.Opt
 	// the shared cache. Callers that set their own Memo — or NoMemo —
 	// keep their setting.
 	memo := classify.NewMemo()
-	analyze := func(i int, reg *obs.Registry) {
+	jobs = sched.Normalize(jobs, sched.DefaultJobs())
+	sched.ForEachFork(reg, jobs, len(logs), func(i int, reg *obs.Registry) {
 		errs[i] = sched.Guard(reg, func() (err error) {
 			o := optsFor(i)
+			// Name the fork's timeline lane after the work item, so the
+			// exported trace reads "exec01#1", not an anonymous worker.
+			if o.Scenario != "" {
+				reg.LabelLane(o.Scenario)
+			}
 			if o.Memo == nil && !o.NoMemo {
 				o.Memo = memo
 			}
@@ -277,22 +284,7 @@ func AnalyzeLogsInstrumented(logs []*trace.Log, optsFor func(i int) classify.Opt
 			results[i], err = AnalyzeLog(logs[i], o)
 			return err
 		})
-	}
-	jobs = sched.Normalize(jobs, sched.DefaultJobs())
-	if jobs <= 1 || len(logs) < 2 {
-		for i := range logs {
-			analyze(i, reg)
-		}
-	} else {
-		sched.ForEachFork(reg, jobs, len(logs), func(i int, fork *obs.Registry) {
-			// Name the fork's timeline lane after the work item, so the
-			// exported trace reads "exec01#1", not an anonymous worker.
-			if label := optsFor(i).Scenario; label != "" {
-				fork.LabelLane(label)
-			}
-			analyze(i, fork)
-		})
-	}
+	})
 	var quarantined []Quarantined
 	for i, err := range errs {
 		if err != nil {

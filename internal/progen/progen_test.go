@@ -147,12 +147,12 @@ func TestVprocDualOrderIsOrderSymmetric(t *testing.T) {
 					RegionA: inst.RegionA, RegionB: inst.RegionB,
 					IdxA: inst.First.Idx, IdxB: inst.Second.Idx,
 					PCA: inst.First.PC, PCB: inst.Second.PC, Addr: inst.Addr,
-				})
+				}, vproc.Options{}, nil)
 				rev := vproc.Analyze(res.Exec, vproc.RacePair{
 					RegionA: inst.RegionB, RegionB: inst.RegionA,
 					IdxA: inst.Second.Idx, IdxB: inst.First.Idx,
 					PCA: inst.Second.PC, PCB: inst.First.PC, Addr: inst.Addr,
-				})
+				}, vproc.Options{}, nil)
 				// NoStateChange is symmetric; the harmful outcomes may
 				// differ in kind (a failure in one presentation can be a
 				// state change in the other) but not in verdict class.

@@ -26,10 +26,11 @@ var (
 // stay FIFO among themselves, but a tenant with a thousand queued jobs
 // cannot starve a tenant with one.
 //
-// Unlike Pool, a FairQueue is built for indefinite operation: it has no
-// Wait, and Close/Drain separate the two shutdown concerns — stop
-// intake and let consumers finish the backlog (Close), or stop intake
-// and abandon the backlog to a journal for the next process (Drain).
+// Unlike ForEachFork's fixed batch, a FairQueue is built for indefinite
+// operation: it never finishes on its own, and Close/Drain separate the
+// two shutdown concerns — stop intake and let consumers finish the
+// backlog (Close), or stop intake and abandon the backlog to a journal
+// for the next process (Drain).
 type FairQueue[T any] struct {
 	mu        sync.Mutex
 	cond      *sync.Cond

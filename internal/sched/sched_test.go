@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,91 +37,6 @@ func TestDefaultJobsIsGOMAXPROCS(t *testing.T) {
 	}
 }
 
-func TestPoolRunsEveryTaskExactlyOnce(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		const n = 200
-		var ran [n]atomic.Int32
-		p := NewPool(workers, nil)
-		for i := 0; i < n; i++ {
-			i := i
-			p.Submit(func() { ran[i].Add(1) })
-		}
-		p.Wait()
-		for i := range ran {
-			if got := ran[i].Load(); got != 1 {
-				t.Fatalf("workers=%d: task %d ran %d times", workers, i, got)
-			}
-		}
-	}
-}
-
-func TestPoolPublishesMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPool(2, reg)
-	const n = 10
-	for i := 0; i < n; i++ {
-		p.Submit(func() {})
-	}
-	p.Wait()
-	snap := reg.Snapshot()
-	if got := snap.Counters["sched.tasks_submitted"]; got != n {
-		t.Errorf("tasks_submitted = %d, want %d", got, n)
-	}
-	if got := snap.Counters["sched.tasks_completed"]; got != n {
-		t.Errorf("tasks_completed = %d, want %d", got, n)
-	}
-	if got := snap.Gauges["sched.workers"]; got != 2 {
-		t.Errorf("workers gauge = %v, want 2", got)
-	}
-	if got := snap.Gauges["sched.queue_depth"]; got != 0 {
-		t.Errorf("final queue_depth = %v, want 0", got)
-	}
-	if snap.Gauges["sched.queue_peak"] < 1 {
-		t.Errorf("queue_peak = %v, want >= 1", snap.Gauges["sched.queue_peak"])
-	}
-	if got := snap.Histograms["sched.task_latency_ns"].Count; got != n {
-		t.Errorf("task_latency_ns count = %d, want %d", got, n)
-	}
-	util := snap.Gauges["sched.worker_utilization"]
-	if util < 0 || util > 1 {
-		t.Errorf("worker_utilization = %v, want within [0, 1]", util)
-	}
-}
-
-// TestPoolConcurrencyUnderRace exercises the pool with shared-counter
-// tasks; run under -race this is the scheduler's data-race check.
-func TestPoolConcurrencyUnderRace(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPool(8, reg)
-	var total atomic.Int64
-	for i := 0; i < 500; i++ {
-		i := i
-		p.Submit(func() {
-			total.Add(int64(i))
-			reg.Counter("test.bumps").Inc()
-		})
-	}
-	p.Wait()
-	want := int64(500 * 499 / 2)
-	if total.Load() != want {
-		t.Errorf("total = %d, want %d", total.Load(), want)
-	}
-	if got := reg.Snapshot().Counters["test.bumps"]; got != 500 {
-		t.Errorf("bumps = %d, want 500", got)
-	}
-}
-
-func TestPoolSubmitAfterWaitPanics(t *testing.T) {
-	p := NewPool(1, nil)
-	p.Wait()
-	defer func() {
-		if recover() == nil {
-			t.Error("Submit after Wait did not panic")
-		}
-	}()
-	p.Submit(func() {})
-}
-
 func TestForEachCoversRangeAtAnyWidth(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 64} {
 		const n = 100
@@ -141,31 +57,44 @@ func TestForEachCoversRangeAtAnyWidth(t *testing.T) {
 	}
 }
 
-// TestPoolSurvivesPanickingTasks: a panicking job must not kill its
-// worker — the rest of the queue still drains, Wait returns, and the
-// panic is counted on sched.panics.
-func TestPoolSurvivesPanickingTasks(t *testing.T) {
-	reg := obs.NewRegistry()
-	p := NewPool(2, reg)
-	var ok atomic.Int32
-	for i := 0; i < 20; i++ {
-		i := i
-		p.Submit(func() {
+// TestForEachForkSurvivesPanickingItems: a panicking item must not take
+// its batch down. The other items still run, ForEachFork returns, and
+// each panic is counted on sched.panics and marked on the item's own
+// lane, at one worker as at several.
+func TestForEachForkSurvivesPanickingItems(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		tl := reg.EnableTimeline(0)
+		var ok atomic.Int32
+		ForEachFork(reg, workers, 20, func(i int, reg *obs.Registry) {
+			reg.LabelLane(fmt.Sprintf("item%02d", i))
 			if i%4 == 0 {
 				panic("job exploded")
 			}
 			ok.Add(1)
 		})
-	}
-	p.Wait()
-	if got := ok.Load(); got != 15 {
-		t.Errorf("%d healthy tasks ran, want 15", got)
-	}
-	if got := reg.Counter("sched.panics").Value(); got != 5 {
-		t.Errorf("sched.panics = %d, want 5", got)
-	}
-	if got := reg.Counter("sched.tasks_completed").Value(); got != 20 {
-		t.Errorf("sched.tasks_completed = %d, want 20", got)
+		if got := ok.Load(); got != 15 {
+			t.Errorf("workers=%d: %d healthy items ran, want 15", workers, got)
+		}
+		if got := reg.Counter("sched.panics").Value(); got != 5 {
+			t.Errorf("workers=%d: sched.panics = %d, want 5", workers, got)
+		}
+		if got := reg.Counter("sched.tasks_completed").Value(); got != 20 {
+			t.Errorf("workers=%d: sched.tasks_completed = %d, want 20", workers, got)
+		}
+		// Events merge in timestamp order, so concurrent items' marks
+		// interleave; compare the set of marked lanes.
+		snap := tl.Snapshot()
+		var marked []string
+		for _, e := range snap.Events {
+			if e.Name == "sched.panic" {
+				marked = append(marked, snap.Lanes[e.Lane].Label)
+			}
+		}
+		sort.Strings(marked)
+		if want := []string{"item00", "item04", "item08", "item12", "item16"}; !reflect.DeepEqual(marked, want) {
+			t.Errorf("workers=%d: sched.panic marked on lanes %v, want %v", workers, marked, want)
+		}
 	}
 }
 
@@ -260,7 +189,7 @@ func TestForEachForkSameAtAnyWorkerCount(t *testing.T) {
 }
 
 // TestForEachForkDefaultFansOut: workers = 0 means DefaultJobs workers,
-// as for NewPool, not a serial run — two items must be able to run at
+// as for every jobs knob, not a serial run — two items must be able to run at
 // once.
 func TestForEachForkDefaultFansOut(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
@@ -281,5 +210,29 @@ func TestForEachForkDefaultFansOut(t *testing.T) {
 	})
 	if got := reg.Snapshot().Gauges["sched.workers"]; got != 4 {
 		t.Errorf("sched.workers = %v at workers = 0 with GOMAXPROCS 4, want 4", got)
+	}
+}
+
+// TestForEachForkPublishesMetrics: the sched.* family is the same at
+// every worker count, one included, and sched.panics reads 0 rather
+// than being absent when nothing panicked.
+func TestForEachForkPublishesMetrics(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		reg := obs.NewRegistry()
+		const n = 10
+		ForEachFork(reg, workers, n, func(int, *obs.Registry) {})
+		snap := reg.Snapshot()
+		if got := snap.Counters["sched.tasks_completed"]; got != n {
+			t.Errorf("workers=%d: tasks_completed = %d, want %d", workers, got, n)
+		}
+		if got, ok := snap.Counters["sched.panics"]; !ok || got != 0 {
+			t.Errorf("workers=%d: sched.panics = %d (present %v), want a present 0", workers, got, ok)
+		}
+		if got := snap.Gauges["sched.workers"]; got != float64(workers) {
+			t.Errorf("workers=%d: workers gauge = %v", workers, got)
+		}
+		if got := snap.Histograms["sched.task_latency_ns"].Count; got != n {
+			t.Errorf("workers=%d: task_latency_ns count = %d, want %d", workers, got, n)
+		}
 	}
 }

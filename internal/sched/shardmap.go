@@ -3,8 +3,8 @@ package sched
 import "sync"
 
 // ShardedMap is a concurrency-safe map sharded across independently
-// locked segments, so the classification workers' memo lookups do not
-// serialize on one mutex. The zero value is not usable; use
+// locked segments, so the memo lookups of executions analyzed
+// concurrently do not serialize on one mutex. The zero value is not usable; use
 // NewShardedMap. Shard selection is by the caller-supplied hash — for
 // keys that are already uniform digests (the classifier's live-in
 // fingerprints) the hash is just a prefix read, so a lookup costs one

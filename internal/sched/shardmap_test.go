@@ -55,31 +55,3 @@ func TestShardedMapConcurrent(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", m.Len(), n)
 	}
 }
-
-func TestForEachWorkerCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
-		const n = 200
-		var mu sync.Mutex
-		seen := make(map[int]int)
-		maxWorker := 0
-		ForEachWorker(workers, n, func(w, i int) {
-			mu.Lock()
-			seen[i]++
-			if w > maxWorker {
-				maxWorker = w
-			}
-			mu.Unlock()
-		})
-		if len(seen) != n {
-			t.Fatalf("workers=%d: covered %d of %d indices", workers, len(seen), n)
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
-			}
-		}
-		if maxWorker >= workers {
-			t.Fatalf("workers=%d: saw worker id %d", workers, maxWorker)
-		}
-	}
-}

@@ -548,6 +548,46 @@ func TestServeIsDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestConcurrentJobSpansStayFlat: every job publishes its stage spans
+// through a fork of the daemon's registry, adopted when the job ends,
+// so concurrent jobs never open a stage under another job's open stage.
+// With four workers, each stage sits at the top level with one cycle per
+// finished job, and no span has children.
+func TestConcurrentJobSpansStayFlat(t *testing.T) {
+	payloads := [][]byte{recordPayload(t, "browse"), recordPayload(t, "service")}
+	reg := obs.NewRegistry()
+	srv, ts := newTestServer(t, Config{Jobs: 4, Registry: reg})
+	ids := make([]string, 24)
+	for i := range ids {
+		resp, body := upload(t, ts, fmt.Sprintf("t%d", i%4), fmt.Sprintf("up%02d.rlog", i), payloads[i%2])
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("upload %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		ids[i] = jobID(t, body)
+	}
+	done := uint64(0)
+	for _, id := range ids {
+		if waitTerminal(t, srv, id).Status == StatusDone {
+			done++
+		}
+	}
+	if done == 0 {
+		t.Fatal("no job finished")
+	}
+	counts := map[string]uint64{}
+	for _, sp := range reg.Snapshot().Spans {
+		counts[sp.Name] = sp.Count
+		if len(sp.Children) > 0 {
+			t.Errorf("span %q has %d children, want none: a job's stages nested under another's", sp.Name, len(sp.Children))
+		}
+	}
+	for _, stage := range []string{"replay", "detect", "classify"} {
+		if counts[stage] != done {
+			t.Errorf("top-level %s count = %d, want %d (one per finished job); top level: %v", stage, counts[stage], done, counts)
+		}
+	}
+}
+
 // TestStaleSpoolSweep: spool files orphaned by a crash between
 // CreateTemp and the rename into place are removed on the next startup,
 // while real job payloads survive the sweep.

@@ -1,15 +1,15 @@
 // Live-in fingerprints: a canonical content hash over everything a
 // dual-order replay can observe, so two instances with equal
-// fingerprints are guaranteed equal AnalyzeOpts results. The
-// classifier's memoization cache (classify.Memo) keys on these.
+// fingerprints are guaranteed equal Analyze results. The classifier's
+// memoization cache (classify.Memo) keys on these.
 //
 // The fingerprint is deliberately relative: region digests exclude the
 // absolute instruction indices, timestamps, and schedule position of a
 // region, so a region that recurs with byte-identical live-in state
 // later in the execution (the paper's Figure 3 recurrence) hashes
-// equal and its instances hit the cache. Everything AnalyzeOpts reads
-// is covered — see docs/PERFORMANCE.md for the input-by-input
-// soundness argument:
+// equal and its instances hit the cache. Everything Analyze reads is
+// covered — see docs/PERFORMANCE.md for the input-by-input soundness
+// argument:
 //
 //   - program code (machine.Step executes Prog.Code; vproc reads no
 //     other program state),
@@ -173,7 +173,7 @@ func (f *Fingerprinter) regionDigest(r *replay.Region) [32]byte {
 // Instance fingerprints one race instance under the given options.
 // oracleSalt distinguishes oracle configurations; it is ignored when
 // opts.Oracle is nil (the oracle-free replay is execution-independent).
-// The pair is canonicalized exactly as AnalyzeOpts canonicalizes it, so
+// The pair is canonicalized exactly as Analyze canonicalizes it, so
 // the fingerprint is a property of the instance, not of how the caller
 // ordered the regions.
 func (f *Fingerprinter) Instance(pair RacePair, opts Options, oracleSalt uint64) Fingerprint {

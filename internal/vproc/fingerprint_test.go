@@ -78,7 +78,7 @@ func TestFingerprintDistinguishesLiveInMemory(t *testing.T) {
 // TestFingerprintCanonicalizesPairOrder: the fingerprint is a property
 // of the instance, not of how the caller ordered the regions — swapping
 // A and B (with their indices and PCs) must hash identically, exactly
-// as AnalyzeOpts canonicalizes before replaying.
+// as Analyze canonicalizes before replaying.
 func TestFingerprintCanonicalizesPairOrder(t *testing.T) {
 	checked := false
 	for seed := int64(1); seed <= 10 && !checked; seed++ {
@@ -124,7 +124,7 @@ func TestEqualFingerprintsEqualResults(t *testing.T) {
 			for _, inst := range race.Instances {
 				pair := pairOf(inst)
 				fp := fper.Instance(pair, Options{}, 0)
-				res := AnalyzeOpts(exec, pair, Options{})
+				res := Analyze(exec, pair, Options{}, nil)
 				if prev, ok := byFp[fp]; ok {
 					collisions++
 					if !reflect.DeepEqual(prev.res, res) {
@@ -142,9 +142,10 @@ func TestEqualFingerprintsEqualResults(t *testing.T) {
 	}
 }
 
-// TestAnalyzeScratchMatchesAnalyzeOpts: one Scratch reused across every
-// instance must yield results deeply equal to fresh-allocation analysis —
-// the allocation-lean path cannot leak state between instances.
+// TestAnalyzeScratchMatchesAnalyzeOpts: Analyze with one Scratch reused
+// across every instance must yield results deeply equal to Analyze with
+// a nil scratch (fresh state per call) — the allocation-lean path cannot
+// leak state between instances.
 func TestAnalyzeScratchMatchesAnalyzeOpts(t *testing.T) {
 	var sc Scratch
 	instances := 0
@@ -153,8 +154,8 @@ func TestAnalyzeScratchMatchesAnalyzeOpts(t *testing.T) {
 		for _, race := range rep.Races {
 			for _, inst := range race.Instances {
 				pair := pairOf(inst)
-				fresh := AnalyzeOpts(exec, pair, Options{})
-				reused := AnalyzeScratch(exec, pair, Options{}, &sc)
+				fresh := Analyze(exec, pair, Options{}, nil)
+				reused := Analyze(exec, pair, Options{}, &sc)
 				if !reflect.DeepEqual(fresh, reused) {
 					t.Fatalf("seed %d %s: scratch result %+v != fresh result %+v",
 						seed, race.Sites, reused, fresh)

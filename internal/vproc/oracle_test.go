@@ -70,8 +70,8 @@ main:
 			for _, inst := range race.Instances {
 				// Only instances where the recorded reader took the skip
 				// path expose the unknown read under the flipped order.
-				base := Analyze(exec, pairOf(inst))
-				withOracle := AnalyzeOpts(exec, pairOf(inst), Options{Oracle: oracle})
+				base := Analyze(exec, pairOf(inst), Options{}, nil)
+				withOracle := Analyze(exec, pairOf(inst), Options{Oracle: oracle}, nil)
 				if base.Outcome == ReplayFailure && withOracle.Outcome == NoStateChange {
 					sawBoth = true
 				}
@@ -137,11 +137,11 @@ main:
 		oracle := replay.BuildVersionedMemory(exec)
 		for _, race := range rep.Races {
 			for _, inst := range race.Instances {
-				base := Analyze(exec, pairOf(inst))
+				base := Analyze(exec, pairOf(inst), Options{}, nil)
 				if base.Outcome != ReplayFailure {
 					continue
 				}
-				withOracle := AnalyzeOpts(exec, pairOf(inst), Options{Oracle: oracle})
+				withOracle := Analyze(exec, pairOf(inst), Options{Oracle: oracle}, nil)
 				if withOracle.Outcome != ReplayFailure {
 					t.Errorf("seed %d: control-flow failure changed to %v with oracle", seed, withOracle.Outcome)
 				}

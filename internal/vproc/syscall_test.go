@@ -59,7 +59,7 @@ main:
 				continue
 			}
 			for _, inst := range race.Instances {
-				res := Analyze(exec, pairOf(inst))
+				res := Analyze(exec, pairOf(inst), Options{}, nil)
 				// Whatever the verdict, the opener must not break replay
 				// with a bogus reason.
 				if res.Outcome == ReplayFailure &&
@@ -119,7 +119,7 @@ main:
 		exec, rep := pipeline(t, src, seed)
 		for _, race := range rep.Races {
 			for _, inst := range race.Instances {
-				res := Analyze(exec, pairOf(inst))
+				res := Analyze(exec, pairOf(inst), Options{}, nil)
 				if res.Outcome == ReplayFailure &&
 					(strings.Contains(res.FailReason, "unreplayable") ||
 						strings.Contains(res.FailReason, "diverged before")) {
@@ -200,7 +200,7 @@ cskip:
 				continue
 			}
 			for _, inst := range race.Instances {
-				res := Analyze(exec, pairOf(inst))
+				res := Analyze(exec, pairOf(inst), Options{}, nil)
 				if res.Outcome == ReplayFailure {
 					sawBadFree = true
 				}
@@ -256,7 +256,7 @@ main:
 				continue
 			}
 			for _, inst := range race.Instances {
-				res := Analyze(exec, pairOf(inst))
+				res := Analyze(exec, pairOf(inst), Options{}, nil)
 				if res.Outcome == ReplayFailure {
 					t.Errorf("seed %d: print opener broke replay: %s", seed, res.FailReason)
 				}
@@ -307,7 +307,7 @@ main:
 		exec, rep := pipeline(t, src, seed)
 		for _, race := range rep.Races {
 			for _, inst := range race.Instances {
-				res := Analyze(exec, pairOf(inst))
+				res := Analyze(exec, pairOf(inst), Options{}, nil)
 				if res.Outcome == ReplayFailure && strings.Contains(res.FailReason, "unreplayable") {
 					t.Errorf("seed %d: %s", seed, res.FailReason)
 				}

@@ -115,27 +115,15 @@ type Options struct {
 	// the paper runs without it.
 	Oracle *replay.VersionedMemory
 	// Metrics, when set, counts dual-order replays and their outcomes
-	// (vproc.* counters). The counters are atomic, so the parallel
-	// classification fan-out can share one registry.
+	// (vproc.* counters). The counters are atomic, so executions
+	// analyzed concurrently can share one registry.
 	Metrics *obs.Registry
-}
-
-// Analyze replays the race instance in both orders and classifies it
-// with the paper's base configuration (no oracle).
-func Analyze(exec *replay.Execution, pair RacePair) Result {
-	return AnalyzeOpts(exec, pair, Options{})
-}
-
-// AnalyzeOpts replays the race instance in both orders under the given
-// options and classifies it.
-func AnalyzeOpts(exec *replay.Execution, pair RacePair, opts Options) Result {
-	return AnalyzeScratch(exec, pair, opts, nil)
 }
 
 // Scratch holds the reusable working state of one virtual-processor
 // invocation: the copy-on-read memory views, heap bookkeeping, and the
-// comparison buffers. A worker that analyzes many instances passes the
-// same Scratch to every AnalyzeScratch call and pays the map and slice
+// comparison buffers. A caller that analyzes many instances passes the
+// same Scratch to every Analyze call and pays the map and slice
 // allocations only once; the maps are cleared, not reallocated, between
 // instances. A Scratch must not be shared between concurrent calls.
 // Results never alias scratch memory, so they stay valid (and safe to
@@ -178,9 +166,11 @@ func (s *vpScratch) reset() {
 	s.output = s.output[:0]
 }
 
-// AnalyzeScratch is AnalyzeOpts reusing sc's buffers for the replay's
-// working state. A nil sc allocates fresh state (exactly AnalyzeOpts).
-func AnalyzeScratch(exec *replay.Execution, pair RacePair, opts Options, sc *Scratch) Result {
+// Analyze replays the race instance in both orders under opts and
+// classifies it; the zero Options is the paper's base configuration (no
+// oracle, no metrics). sc's buffers hold the replay's working state; a
+// nil sc allocates fresh state.
+func Analyze(exec *replay.Execution, pair RacePair, opts Options, sc *Scratch) Result {
 	// Canonicalize: region A is the earlier-scheduled region. The
 	// "original order" approximation and the prefix execution order are
 	// defined by the schedule, not by how the caller happened to present

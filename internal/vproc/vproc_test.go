@@ -46,7 +46,7 @@ func analyzeAll(t *testing.T, exec *replay.Execution, rep *hb.Report) map[string
 	out := make(map[string][]Result)
 	for _, race := range rep.Races {
 		for _, inst := range race.Instances {
-			out[race.Sites.String()] = append(out[race.Sites.String()], Analyze(exec, pairOf(inst)))
+			out[race.Sites.String()] = append(out[race.Sites.String()], Analyze(exec, pairOf(inst), Options{}, nil))
 		}
 	}
 	return out

@@ -310,7 +310,7 @@ func TestStressScenarioEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Analyze(prog, s.Config(), classify.Options{Scenario: "stress", Parallel: 4})
+	res, err := core.Analyze(prog, s.Config(), classify.Options{Scenario: "stress"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package workloads
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -10,22 +11,36 @@ import (
 )
 
 // deterministicCounters is the counter space that must match exactly
-// across worker counts. It drops the sched.* namespace (worker busy/idle
-// nanoseconds are timing-dependent by construction) and folds the memo's
-// hit/miss split into its lookup total: two concurrent workers can both
-// miss on one fingerprint before either stores it, so the split varies
-// from run to run while hits+misses (one lookup per instance) does not.
+// across worker counts: every counter, with the memo's hit/miss split
+// folded into its lookup total. Two concurrent workers can both miss on
+// one fingerprint before either stores it, so the split varies from run
+// to run while hits+misses (one lookup per instance) does not.
 func deterministicCounters(snap obs.Snapshot) map[string]uint64 {
 	out := make(map[string]uint64, len(snap.Counters))
 	for name, v := range snap.Counters {
-		switch {
-		case strings.HasPrefix(name, "sched."):
-		case name == "classify.memo.hits" || name == "classify.memo.misses":
+		switch name {
+		case "classify.memo.hits", "classify.memo.misses":
 			out["classify.memo.lookups"] += v
 		default:
 			out[name] = v
 		}
 	}
+	return out
+}
+
+// metricNames lists every counter, gauge and histogram name, sorted.
+func metricNames(snap obs.Snapshot) []string {
+	var out []string
+	for name := range snap.Counters {
+		out = append(out, "counter "+name)
+	}
+	for name := range snap.Gauges {
+		out = append(out, "gauge "+name)
+	}
+	for name := range snap.Histograms {
+		out = append(out, "histogram "+name)
+	}
+	sort.Strings(out)
 	return out
 }
 
@@ -45,10 +60,10 @@ func spanShape(spans []obs.SpanSnapshot) []string {
 	return out
 }
 
-// TestSuiteParallelMatchesSerial is the tentpole's determinism contract:
-// the suite analyzed on one worker and on eight produces identical
-// scenario results, identical merged classification, identical stage
-// counters (sched.* and the memo hit/miss split excluded), and the same
+// TestSuiteParallelMatchesSerial is the determinism contract: the suite
+// analyzed on one worker and on eight produces identical scenario
+// results, identical merged classification, identical counters (the
+// memo hit/miss split folded), the same metric names and the same
 // merged span ladder.
 func TestSuiteParallelMatchesSerial(t *testing.T) {
 	regSerial := obs.NewRegistry()
@@ -82,6 +97,9 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 	snapSerial, snapPar := regSerial.Snapshot(), regPar.Snapshot()
 	if a, b := deterministicCounters(snapSerial), deterministicCounters(snapPar); !reflect.DeepEqual(a, b) {
 		t.Errorf("stage counters differ between jobs=1 and jobs=8:\nserial: %v\nparallel: %v", a, b)
+	}
+	if a, b := metricNames(snapSerial), metricNames(snapPar); !reflect.DeepEqual(a, b) {
+		t.Errorf("metric names differ between jobs=1 and jobs=8:\nserial: %v\nparallel: %v", a, b)
 	}
 	if a, b := spanShape(snapSerial.Spans), spanShape(snapPar.Spans); !reflect.DeepEqual(a, b) {
 		t.Errorf("span ladder differs between jobs=1 and jobs=8:\nserial: %v\nparallel: %v", a, b)

@@ -76,14 +76,14 @@ type SuiteOptions struct {
 	// Seeds is the number of scheduler seeds per scenario (the base
 	// seed plus fixed offsets); values below 1 mean 1.
 	Seeds int
-	// Jobs bounds the worker pool for the offline half (replay, detect,
+	// Jobs bounds the workers for the offline half (replay, detect,
 	// classify, static). Values below 1 mean GOMAXPROCS; 1 runs
 	// serially. The merged output is byte-identical at every worker
 	// count.
 	Jobs int
 	// Registry, when non-nil, receives pipeline metrics: the merged
 	// "suite/native|record|replay|detect|classify" span ladder, every
-	// stage's counters, and the pool's sched.* metrics.
+	// stage's counters, and the batch's sched.* metrics.
 	Registry *obs.Registry
 	// Static adds the static cross-validation stage: every base scenario
 	// is lint-analyzed ahead of execution and its candidates joined

@@ -36,7 +36,7 @@ func renderSuiteRun(run *workloads.SuiteRun) string {
 // comparableMetrics strips the metrics that are allowed to differ
 // between memo-on and memo-off runs: the cache's own classify.memo.*
 // counters and gauge, and everything timing-dependent (wall-clock
-// counters/histograms ending in _ns, the pool's load gauges). Every
+// counters/histograms ending in _ns, the sched.* gauges). Every
 // remaining metric — the vproc.* replay counters included, thanks to
 // the hit-side counter replay — must match exactly.
 func comparableMetrics(snap obs.Snapshot) (map[string]uint64, map[string]float64, map[string]obs.HistogramSnapshot) {

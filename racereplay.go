@@ -313,10 +313,10 @@ func AnalyzeLog(log *Log, opts Options) (*Result, error) { return core.AnalyzeLo
 // are identical to calling AnalyzeLog on each log serially. The batch
 // never aborts: a log that fails (or panics) leaves a nil result slot
 // and a Quarantined entry describing the failure. A non-nil reg receives
-// stage metrics: worker span trees are folded into reg in input order,
-// so the merged ladder — like the results — is byte-identical at every
-// worker count. The pool also publishes its sched.* metrics, and every
-// quarantined item increments robust.quarantined.
+// stage metrics: every log's span tree is folded into reg in input
+// order, so the merged ladder — like the results — is byte-identical at
+// every worker count. The batch also publishes its sched.* metrics, and
+// every quarantined item increments robust.quarantined.
 func AnalyzeLogs(logs []*Log, optsFor func(i int) Options, jobs int, reg *Metrics) ([]*Result, []Quarantined) {
 	return core.AnalyzeLogsInstrumented(logs, optsFor, jobs, reg)
 }
