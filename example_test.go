@@ -71,9 +71,10 @@ func ExampleReplay() {
 	// 3 threads, 1 unique races
 }
 
-// ExampleReplayTo demonstrates time travel: replaying a prefix of the
-// region schedule reconstructs the state at that earlier point.
-func ExampleReplayTo() {
+// ExampleExecution_Memory demonstrates time travel: one replay's memory
+// history answers what memory held after any prefix of the region
+// schedule.
+func ExampleExecution_Memory() {
 	src := `
 .word counter 0
 main:
@@ -94,14 +95,14 @@ main:
 	if err != nil {
 		log.Fatal(err)
 	}
-	full, _ := racereplay.Replay(rlog, nil)
+	full, err := racereplay.Replay(rlog, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	counterAddr := uint64(0x1000)
 	for _, n := range []int{len(full.Regions), 2, 1} {
-		exec, err := racereplay.ReplayTo(rlog, n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("after %d regions: counter = %d\n", n, exec.FinalMem[counterAddr])
+		v, _ := full.Memory().Before(counterAddr, n)
+		fmt.Printf("after %d regions: counter = %d\n", n, v)
 	}
 	// Output:
 	// after 3 regions: counter = 2

@@ -1,9 +1,9 @@
 // Timetravel: reverse execution over a replay log — the iDNA facility the
 // paper couples with its race reports ("time travel debugging", §1).
 //
-// A replay log pins down the whole execution, so "stepping backwards" is
-// just replaying a shorter prefix of the sequencing-region schedule. This
-// example records a producer/consumer run, then walks the shared
+// A replay log pins down the whole execution, so "stepping backwards" is a
+// query on one replay's memory history, not a re-execution. This example
+// records a producer/consumer run, replays it once, then walks the shared
 // counter's value backwards in time to find the region that first made it
 // non-zero — the kind of root-cause search a developer does from a race
 // report.
@@ -67,15 +67,12 @@ func main() {
 		counterAddr = a
 	}
 
-	// Walk backwards: replay ever-shorter prefixes and watch the counter.
+	// Walk backwards: read the counter after ever-shorter prefixes.
 	fmt.Println("\ntime travel (region prefix -> counter value):")
+	mem := full.Memory()
 	last := ^uint64(0)
 	for n := len(full.Regions); n >= 1; n-- {
-		exec, err := racereplay.ReplayTo(rlog, n)
-		if err != nil {
-			log.Fatal(err)
-		}
-		v := exec.FinalMem[counterAddr]
+		v, _ := mem.Before(counterAddr, n)
 		if v != last {
 			fmt.Printf("  after %2d regions: counter = %d\n", n, v)
 			last = v

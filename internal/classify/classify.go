@@ -245,7 +245,7 @@ const maxSamplesPerRace = 4
 func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classification {
 	var vopts vproc.Options
 	if opts.UseOracle {
-		vopts.Oracle = replay.BuildVersionedMemory(exec)
+		vopts.Oracle = exec.Memory()
 	}
 	vopts.Metrics = opts.Metrics
 

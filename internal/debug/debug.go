@@ -5,9 +5,11 @@
 // potentially harmful data races", §1).
 //
 // Navigation is at sequencing-region granularity: position p means "the
-// first p regions of the schedule have executed". Stepping backwards is
-// replaying a shorter prefix — the log makes any point in time
-// reconstructible.
+// first p regions of the schedule have executed". The debugger replays
+// the log once, and every position is then a query, forwards or
+// backwards alike: memory from the execution's memory history, a
+// thread's registers from the entry state of its next region, and its
+// output from the prints its regions opened with.
 package debug
 
 import (
@@ -15,108 +17,75 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
-// Debugger navigates one recorded execution. Seeks are served from the
-// nearest key frame (a replay.Snapshot taken every few regions during the
-// initial pass), so stepping backwards costs O(checkpoint interval), not
-// O(prefix).
+// Debugger navigates one recorded execution: one replay and a position.
 type Debugger struct {
-	log    *trace.Log
-	sess   *replay.Session
-	full   *replay.Execution // the session's execution, fully processed once
-	vm     *replay.VersionedMemory
-	frames []*replay.Snapshot // key frames, ascending by position
+	full *replay.Execution
+	pos  int // regions executed so far
 }
 
-// New builds a debugger positioned at the end of the execution.
+// New replays log and builds a debugger positioned at the end of the
+// execution.
 func New(log *trace.Log) (*Debugger, error) {
-	sess, err := replay.NewSession(log, replay.Options{})
+	full, err := replay.Run(log, replay.Options{})
 	if err != nil {
 		return nil, err
 	}
-	d := &Debugger{log: log, sess: sess, full: sess.Exec()}
-	// Initial pass: process everything, dropping a key frame every
-	// `interval` regions (including one at position 0).
-	total := len(d.full.Regions)
-	interval := 1
-	for interval*interval < total {
-		interval++
-	}
-	for !sess.Done() {
-		if sess.Pos()%interval == 0 {
-			d.frames = append(d.frames, sess.Snapshot())
-		}
-		if err := sess.StepRegion(); err != nil {
-			return nil, err
-		}
-	}
-	if _, err := sess.Finish(); err != nil {
-		return nil, err
-	}
-	d.vm = replay.BuildVersionedMemory(d.full)
-	return d, nil
+	return &Debugger{full: full, pos: len(full.Regions)}, nil
 }
 
 // Len returns the number of sequencing regions in the schedule.
 func (d *Debugger) Len() int { return len(d.full.Regions) }
 
 // Pos returns the current position (regions executed so far).
-func (d *Debugger) Pos() int { return d.sess.Pos() }
+func (d *Debugger) Pos() int { return d.pos }
 
-// Seek repositions to pos (clamped to [1, Len]): restore the nearest key
-// frame at or before pos (only when moving backwards past the current
-// position) and step forward the remainder.
-func (d *Debugger) Seek(pos int) error {
-	if pos < 1 {
-		pos = 1
-	}
-	if pos > d.Len() {
-		pos = d.Len()
-	}
-	if pos < d.sess.Pos() {
-		frame := d.frames[0]
-		for _, f := range d.frames {
-			if f.Pos() <= pos {
-				frame = f
-			} else {
-				break
-			}
-		}
-		d.sess.Restore(frame)
-	}
-	for d.sess.Pos() < pos {
-		if err := d.sess.StepRegion(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Seek repositions to pos, clamped to [1, Len].
+func (d *Debugger) Seek(pos int) { d.pos = min(max(pos, 1), d.Len()) }
 
 // Step advances n regions (negative steps backwards).
-func (d *Debugger) Step(n int) error { return d.Seek(d.Pos() + n) }
+func (d *Debugger) Step(n int) { d.Seek(d.pos + n) }
 
 // Mem reads the reconstructed memory image at the current position.
 // Unwritten addresses read as zero (and report false).
 func (d *Debugger) Mem(addr uint64) (uint64, bool) {
-	v, ok := d.sess.Exec().FinalMem[addr]
-	return v, ok
+	return d.full.Memory().Before(addr, d.pos)
 }
 
-// Thread returns the architectural state of tid at the current position.
+// Thread returns the architectural state of tid at the current position:
+// the entry state of tid's first region not yet run, or its final state
+// when every region has run.
 func (d *Debugger) Thread(tid int) (machine.Cpu, bool) {
-	return d.sess.ThreadCpu(tid)
+	t := d.full.Thread(tid)
+	if t == nil {
+		return machine.Cpu{}, false
+	}
+	if i := sort.Search(len(t.Regions), func(i int) bool { return t.Regions[i].Global >= d.pos }); i < len(t.Regions) {
+		return t.Regions[i].StartCpu, true
+	}
+	return t.FinalCpu, true
 }
 
-// Output returns what tid has printed up to the current position.
+// Output returns what tid has printed up to the current position: one
+// value for each of tid's regions that has run and opens with sys print
+// (every retired syscall opens a region).
 func (d *Debugger) Output(tid int) []int64 {
-	if t := d.sess.Exec().Thread(tid); t != nil {
-		return t.Output
+	t := d.full.Thread(tid)
+	if t == nil {
+		return nil
 	}
-	return nil
+	k := 0
+	for _, r := range t.Regions {
+		if r.Global < d.pos && r.StartSyscall == isa.SysPrint {
+			k++
+		}
+	}
+	return t.Output[:k]
 }
 
 // Region describes schedule entry i (independent of position).
@@ -151,8 +120,8 @@ type Write struct {
 	Val uint64
 }
 
-// FirstWriteTo finds the earliest schedule position at which addr holds a
-// non-zero value — a root-cause search helper.
+// FirstWriteTo finds the earliest write to addr, of any value — a
+// root-cause search helper.
 func (d *Debugger) FirstWriteTo(addr uint64) (Write, bool) {
 	ws := d.WritesTo(addr)
 	if len(ws) == 0 {
@@ -165,32 +134,31 @@ func (d *Debugger) FirstWriteTo(addr uint64) (Write, bool) {
 // straight from the log (resuming from a key frame when the log has
 // them) — finer than the debugger's region-granular position.
 func (d *Debugger) ThreadStateAt(tid int, idx uint64) (*replay.ThreadState, error) {
-	return replay.ThreadStateAt(d.log, tid, idx, nil)
+	return replay.ThreadStateAt(d.full.Log, tid, idx, nil)
 }
 
-// ValueBefore asks the versioned memory what addr held before schedule
+// ValueBefore asks the memory history what addr held before schedule
 // entry global ran.
 func (d *Debugger) ValueBefore(addr uint64, global int) (uint64, bool) {
-	return d.vm.Before(addr, global)
+	return d.full.Memory().Before(addr, global)
 }
 
 // Summary renders the current position: which region just ran, per-thread
 // progress.
 func (d *Debugger) Summary() string {
 	var b strings.Builder
-	pos := d.Pos()
-	fmt.Fprintf(&b, "position %d/%d", pos, d.Len())
-	if pos >= 1 {
-		r := d.full.Regions[pos-1]
+	fmt.Fprintf(&b, "position %d/%d", d.pos, d.Len())
+	if d.pos >= 1 {
+		r := d.full.Regions[d.pos-1]
 		fmt.Fprintf(&b, "  (last region: thread %d, %s..%s, instructions %d..%d)",
 			r.TID, r.StartKind, r.EndKind, r.StartIdx, r.EndIdx)
 	}
 	b.WriteString("\n")
-	for _, t := range d.sess.Exec().Threads {
-		cpu, _ := d.sess.ThreadCpu(t.TID)
+	for _, t := range d.full.Threads {
+		cpu, _ := d.Thread(t.TID)
 		fmt.Fprintf(&b, "  thread %d: pc %d (%s)", t.TID, cpu.PC, d.full.Prog.SiteOf(cpu.PC))
-		if len(t.Output) > 0 {
-			fmt.Fprintf(&b, " output %v", t.Output)
+		if out := d.Output(t.TID); len(out) > 0 {
+			fmt.Fprintf(&b, " output %v", out)
 		}
 		b.WriteString("\n")
 	}

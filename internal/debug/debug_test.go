@@ -1,6 +1,7 @@
 package debug
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -8,7 +9,9 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/record"
+	"repro/internal/replay"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 const counterSrc = `
@@ -68,9 +71,7 @@ func TestDebuggerSeekAndMemory(t *testing.T) {
 	// Walk backwards: the value must be non-increasing and reach 0.
 	prev := uint64(50)
 	for pos := d.Len(); pos >= 1; pos-- {
-		if err := d.Seek(pos); err != nil {
-			t.Fatal(err)
-		}
+		d.Seek(pos)
 		v, _ := d.Mem(counterAddr)
 		if v > prev {
 			t.Fatalf("counter increased going backwards: %d -> %d at pos %d", prev, v, pos)
@@ -88,19 +89,17 @@ func TestDebuggerStepAndClamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Seek(1); err != nil {
-		t.Fatal(err)
+	d.Seek(1)
+	if d.Step(2); d.Pos() != 3 {
+		t.Fatalf("step: pos = %d", d.Pos())
 	}
-	if err := d.Step(2); err != nil || d.Pos() != 3 {
-		t.Fatalf("step: pos = %d, err %v", d.Pos(), err)
+	if d.Step(-1); d.Pos() != 2 {
+		t.Fatalf("back: pos = %d", d.Pos())
 	}
-	if err := d.Step(-1); err != nil || d.Pos() != 2 {
-		t.Fatalf("back: pos = %d, err %v", d.Pos(), err)
-	}
-	if err := d.Step(-99); err != nil || d.Pos() != 1 {
+	if d.Step(-99); d.Pos() != 1 {
 		t.Fatalf("clamp low: pos = %d", d.Pos())
 	}
-	if err := d.Step(999); err != nil || d.Pos() != d.Len() {
+	if d.Step(999); d.Pos() != d.Len() {
 		t.Fatalf("clamp high: pos = %d", d.Pos())
 	}
 }
@@ -131,15 +130,11 @@ func TestDebuggerWritesTo(t *testing.T) {
 		t.Error("phantom write")
 	}
 	// Seeking to just before the first write shows 0; just after shows 10.
-	if err := d.Seek(first.Pos - 1); err != nil {
-		t.Fatal(err)
-	}
+	d.Seek(first.Pos - 1)
 	if v, _ := d.Mem(isa.DataBase); v != 0 {
 		t.Errorf("before first write: %d, want 0", v)
 	}
-	if err := d.Seek(first.Pos); err != nil {
-		t.Fatal(err)
-	}
+	d.Seek(first.Pos)
 	if v, _ := d.Mem(isa.DataBase); v != 10 {
 		t.Errorf("after first write: %d, want 10", v)
 	}
@@ -250,4 +245,152 @@ func TestREPLTstate(t *testing.T) {
 	if !strings.Contains(out.String(), "error:") {
 		t.Error("bad tid should error")
 	}
+}
+
+// TestREPLParsesArgumentsStrictly: a malformed number or address is an
+// error that changes nothing, a missing argument keeps its default, and
+// an address is hex only with a 0x or 0X prefix.
+func TestREPLParsesArgumentsStrictly(t *testing.T) {
+	log := recordCounter(t)
+	for _, c := range []struct {
+		name    string
+		script  string
+		want    []string // lines the transcript must contain
+		notWant []string // substrings it must not contain
+		pos     int      // the last position printed, 0 to skip
+	}{
+		{name: "step defaults to one", script: "seek 5\nstep", pos: 6},
+		{name: "back defaults to one", script: "seek 5\nback", pos: 4},
+		{name: "seek defaults to one", script: "seek 5\nseek", pos: 1},
+		{name: "bad step count", script: "seek 5\nstep abc\npos",
+			want: []string{`error: bad number "abc"`}, pos: 5},
+		{name: "bad back count", script: "seek 5\nback 2x\npos",
+			want: []string{`error: bad number "2x"`}, pos: 5},
+		{name: "bad seek position", script: "seek 5\nseek 7y\npos",
+			want: []string{`error: bad number "7y"`}, pos: 5},
+		{name: "bad regs thread", script: "regs x",
+			want: []string{`error: bad number "x"`}, notWant: []string{"pc="}},
+		{name: "bad output thread", script: "output 1z",
+			want: []string{`error: bad number "1z"`}, notWant: []string{"output:"}},
+		{name: "bad tstate thread", script: "tstate z 3",
+			want: []string{`error: bad number "z"`}, notWant: []string{"instructions: pc="}},
+		{name: "negative tstate index", script: "tstate 1 -1",
+			want: []string{"error: negative instruction index -1"}, notWant: []string{"instructions: pc="}},
+		{name: "tstate index defaults to zero", script: "tstate 1",
+			want: []string{"thread 1 after 0 instructions: pc=0"}},
+		{name: "lower-case hex address", script: "mem 0x1000",
+			want: []string{"mem[0x1000] = 50"}},
+		{name: "upper-case hex address", script: "mem 0X1000",
+			want: []string{"mem[0x1000] = 50"}},
+		{name: "decimal address", script: "mem 4096",
+			want: []string{"mem[0x1000] = 50"}},
+		{name: "leading zero is decimal, not octal", script: "mem 010",
+			want: []string{"mem[0xa] = 0 (never written up to here)"}},
+		{name: "bare hex prefix", script: "mem 0x",
+			want: []string{`error: bad address "0x"`}},
+		{name: "bad hex digit", script: "writes 0x10g0",
+			want: []string{`error: bad address "0x10g0"`}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var out strings.Builder
+			if err := REPL(log, strings.NewReader("seek 999\n"+c.script+"\nquit\n"), &out); err != nil {
+				t.Fatal(err)
+			}
+			text := out.String()
+			lines := strings.Split(text, "\n")
+			for _, w := range c.want {
+				found := false
+				for _, l := range lines {
+					found = found || l == w
+				}
+				if !found {
+					t.Errorf("transcript lacks line %q:\n%s", w, text)
+				}
+			}
+			for _, nw := range c.notWant {
+				if strings.Contains(text, nw) {
+					t.Errorf("transcript contains %q:\n%s", nw, text)
+				}
+			}
+			if c.pos > 0 {
+				last := ""
+				for _, l := range lines {
+					if strings.HasPrefix(l, "position ") {
+						last = l
+					}
+				}
+				if want := fmt.Sprintf("position %d/", c.pos); !strings.HasPrefix(last, want) {
+					t.Errorf("last position line %q, want %q...:\n%s", last, want, text)
+				}
+			}
+		})
+	}
+}
+
+// TestDebuggerMatchesThreadStateAt checks the debugger's thread states
+// against replay.ThreadStateAt, which replays one thread on its own from
+// its log: at every position of every suite log, each thread's registers
+// must equal its state after the instructions of its regions that have
+// run. At the end, each thread's output must be all it printed.
+func TestDebuggerMatchesThreadStateAt(t *testing.T) {
+	seeds := 2
+	if testing.Short() {
+		seeds = 1
+	}
+	checked, failed := 0, 0
+	for _, sc := range workloads.SuiteScenarios(seeds) {
+		prog, err := sc.Program()
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, _, err := record.Run(prog, sc.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := New(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states := map[[2]uint64]machine.Cpu{} // (tid, idx) → reference state
+		for pos := 1; pos <= d.Len(); pos++ {
+			d.Seek(pos)
+			for _, tl := range log.Threads {
+				// The instructions run so far: up to the first region of
+				// the thread that has not run, or all of them.
+				idx := tl.Retired
+				for _, r := range d.full.Thread(tl.TID).Regions {
+					if r.Global >= pos {
+						idx = r.StartIdx
+						break
+					}
+				}
+				key := [2]uint64{uint64(tl.TID), idx}
+				want, ok := states[key]
+				if !ok {
+					st, err := replay.ThreadStateAt(log, tl.TID, idx, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = st.Cpu
+					states[key] = want
+				}
+				if got, _ := d.Thread(tl.TID); got != want {
+					if failed++; failed <= 3 {
+						t.Errorf("%s seed %d pos %d thread %d: debugger %+v, ThreadStateAt(%d) %+v",
+							sc.Name, sc.Seed, pos, tl.TID, got, idx, want)
+					}
+				}
+				checked++
+			}
+		}
+		for _, th := range d.full.Threads {
+			if got := d.Output(th.TID); fmt.Sprint(got) != fmt.Sprint(th.Output) {
+				t.Errorf("%s seed %d thread %d: output at the end %v, printed %v", sc.Name, sc.Seed, th.TID, got, th.Output)
+			}
+		}
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d thread states differ", failed, checked)
+	}
+	t.Logf("%d thread states checked", checked)
 }

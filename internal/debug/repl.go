@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/machine"
 	"repro/internal/trace"
 )
 
@@ -30,156 +31,167 @@ func REPL(log *trace.Log, in io.Reader, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := d.Seek(1); err != nil {
-		return err
-	}
+	d.Seek(1)
 	fmt.Fprintf(out, "time-travel debugger: %d regions, %d threads (type 'help')\n", d.Len(), len(d.full.Threads))
 	sc := bufio.NewScanner(in)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 {
 			continue
 		}
-		fields := strings.Fields(line)
-		cmd, args := fields[0], fields[1:]
-		switch cmd {
-		case "quit", "q", "exit":
+		if cmd := fields[0]; cmd == "quit" || cmd == "q" || cmd == "exit" {
 			return nil
-		case "help":
-			fmt.Fprintln(out, "commands: pos step back seek mem regs tstate output regions writes first quit")
-		case "pos":
-			fmt.Fprint(out, d.Summary())
-		case "step":
-			n := argInt(args, 0, 1)
-			if err := d.Step(n); err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			fmt.Fprint(out, d.Summary())
-		case "back":
-			n := argInt(args, 0, 1)
-			if err := d.Step(-n); err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			fmt.Fprint(out, d.Summary())
-		case "seek":
-			if err := d.Seek(argInt(args, 0, 1)); err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			fmt.Fprint(out, d.Summary())
-		case "mem":
-			addr, err := parseAddr(args)
-			if err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			v, known := d.Mem(addr)
-			if known {
-				fmt.Fprintf(out, "mem[0x%x] = %d\n", addr, v)
-			} else {
-				fmt.Fprintf(out, "mem[0x%x] = 0 (never written up to here)\n", addr)
-			}
-		case "regs":
-			tid := argInt(args, 0, 0)
-			cpu, ok := d.Thread(tid)
-			if !ok {
-				fmt.Fprintf(out, "no thread %d\n", tid)
-				continue
-			}
-			fmt.Fprintf(out, "thread %d pc=%d\n", tid, cpu.PC)
-			for i, r := range cpu.Regs {
-				if r != 0 {
-					fmt.Fprintf(out, "  r%-2d = %d\n", i, r)
-				}
-			}
-		case "tstate":
-			tid := argInt(args, 0, 0)
-			idx := argInt(args, 1, 0)
-			st, err := d.ThreadStateAt(tid, uint64(idx))
-			if err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			fmt.Fprintf(out, "thread %d after %d instructions: pc=%d\n", tid, idx, st.Cpu.PC)
-			for i, r := range st.Cpu.Regs {
-				if r != 0 {
-					fmt.Fprintf(out, "  r%-2d = %d\n", i, r)
-				}
-			}
-		case "output":
-			tid := argInt(args, 0, 0)
-			fmt.Fprintf(out, "thread %d output: %v\n", tid, d.Output(tid))
-		case "regions":
-			for i := 0; i < d.Len(); i++ {
-				r, _ := d.Region(i)
-				marker := "  "
-				if i == d.Pos()-1 {
-					marker = "=>"
-				}
-				fmt.Fprintf(out, "%s %3d thread %d  [%s..%s)  idx %d..%d  (%d accesses)\n",
-					marker, i+1, r.TID, r.StartKind, r.EndKind, r.StartIdx, r.EndIdx, len(r.Accesses))
-			}
-		case "writes":
-			addr, err := parseAddr(args)
-			if err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			ws := d.WritesTo(addr)
-			if len(ws) == 0 {
-				fmt.Fprintf(out, "no writes to 0x%x\n", addr)
-				continue
-			}
-			for _, w := range ws {
-				fmt.Fprintf(out, "  pos %3d: thread %d stores %d (pc %d, %s)\n",
-					w.Pos, w.TID, w.Val, w.PC, d.full.Prog.SiteOf(w.PC))
-			}
-		case "first":
-			addr, err := parseAddr(args)
-			if err != nil {
-				fmt.Fprintln(out, "error:", err)
-				continue
-			}
-			if w, ok := d.FirstWriteTo(addr); ok {
-				fmt.Fprintf(out, "first write at pos %d: thread %d stores %d (%s)\n",
-					w.Pos, w.TID, w.Val, d.full.Prog.SiteOf(w.PC))
-			} else {
-				fmt.Fprintf(out, "0x%x is never written\n", addr)
-			}
-		default:
-			fmt.Fprintf(out, "unknown command %q (try 'help')\n", cmd)
+		}
+		if err := d.command(out, fields[0], fields[1:]); err != nil {
+			fmt.Fprintln(out, "error:", err)
 		}
 	}
 	return sc.Err()
 }
 
-func argInt(args []string, i, def int) int {
+// command runs one REPL command other than quit. A malformed argument is
+// an error, returned before the command changes anything.
+func (d *Debugger) command(out io.Writer, cmd string, args []string) error {
+	switch cmd {
+	case "help":
+		fmt.Fprintln(out, "commands: pos step back seek mem regs tstate output regions writes first quit")
+	case "pos":
+		fmt.Fprint(out, d.Summary())
+	case "step", "back", "seek":
+		n, err := intArg(args, 0, 1)
+		if err != nil {
+			return err
+		}
+		switch cmd {
+		case "step":
+			d.Step(n)
+		case "back":
+			d.Step(-n)
+		case "seek":
+			d.Seek(n)
+		}
+		fmt.Fprint(out, d.Summary())
+	case "mem":
+		addr, err := parseAddr(args)
+		if err != nil {
+			return err
+		}
+		if v, known := d.Mem(addr); known {
+			fmt.Fprintf(out, "mem[0x%x] = %d\n", addr, v)
+		} else {
+			fmt.Fprintf(out, "mem[0x%x] = 0 (never written up to here)\n", addr)
+		}
+	case "regs":
+		tid, err := intArg(args, 0, 0)
+		if err != nil {
+			return err
+		}
+		cpu, ok := d.Thread(tid)
+		if !ok {
+			fmt.Fprintf(out, "no thread %d\n", tid)
+			return nil
+		}
+		fmt.Fprintf(out, "thread %d pc=%d\n", tid, cpu.PC)
+		printRegs(out, cpu)
+	case "tstate":
+		tid, err := intArg(args, 0, 0)
+		if err != nil {
+			return err
+		}
+		idx, err := intArg(args, 1, 0)
+		if err != nil {
+			return err
+		}
+		if idx < 0 {
+			return fmt.Errorf("negative instruction index %d", idx)
+		}
+		st, err := d.ThreadStateAt(tid, uint64(idx))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "thread %d after %d instructions: pc=%d\n", tid, idx, st.Cpu.PC)
+		printRegs(out, st.Cpu)
+	case "output":
+		tid, err := intArg(args, 0, 0)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "thread %d output: %v\n", tid, d.Output(tid))
+	case "regions":
+		for i := 0; i < d.Len(); i++ {
+			r, _ := d.Region(i)
+			marker := "  "
+			if i == d.Pos()-1 {
+				marker = "=>"
+			}
+			fmt.Fprintf(out, "%s %3d thread %d  [%s..%s)  idx %d..%d  (%d accesses)\n",
+				marker, i+1, r.TID, r.StartKind, r.EndKind, r.StartIdx, r.EndIdx, len(r.Accesses))
+		}
+	case "writes":
+		addr, err := parseAddr(args)
+		if err != nil {
+			return err
+		}
+		ws := d.WritesTo(addr)
+		if len(ws) == 0 {
+			fmt.Fprintf(out, "no writes to 0x%x\n", addr)
+		}
+		for _, w := range ws {
+			fmt.Fprintf(out, "  pos %3d: thread %d stores %d (pc %d, %s)\n",
+				w.Pos, w.TID, w.Val, w.PC, d.full.Prog.SiteOf(w.PC))
+		}
+	case "first":
+		addr, err := parseAddr(args)
+		if err != nil {
+			return err
+		}
+		if w, ok := d.FirstWriteTo(addr); ok {
+			fmt.Fprintf(out, "first write at pos %d: thread %d stores %d (%s)\n",
+				w.Pos, w.TID, w.Val, d.full.Prog.SiteOf(w.PC))
+		} else {
+			fmt.Fprintf(out, "0x%x is never written\n", addr)
+		}
+	default:
+		fmt.Fprintf(out, "unknown command %q (try 'help')\n", cmd)
+	}
+	return nil
+}
+
+// printRegs prints the non-zero registers of cpu.
+func printRegs(out io.Writer, cpu machine.Cpu) {
+	for i, r := range cpu.Regs {
+		if r != 0 {
+			fmt.Fprintf(out, "  r%-2d = %d\n", i, r)
+		}
+	}
+}
+
+// intArg parses args[i] as a decimal integer, or returns def when the
+// argument is absent.
+func intArg(args []string, i, def int) (int, error) {
 	if i >= len(args) {
-		return def
+		return def, nil
 	}
 	n, err := strconv.Atoi(args[i])
 	if err != nil {
-		return def
+		return 0, fmt.Errorf("bad number %q", args[i])
 	}
-	return n
+	return n, nil
 }
 
+// parseAddr parses an address: hex with a 0x or 0X prefix, decimal
+// otherwise.
 func parseAddr(args []string) (uint64, error) {
 	if len(args) == 0 {
 		return 0, fmt.Errorf("address required")
 	}
-	v, err := strconv.ParseUint(strings.TrimPrefix(args[0], "0x"), hexOrDec(args[0]), 64)
+	s, base := args[0], 10
+	if len(s) > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
+		s, base = s[2:], 16
+	}
+	v, err := strconv.ParseUint(s, base, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad address %q", args[0])
 	}
 	return v, nil
-}
-
-func hexOrDec(s string) int {
-	if strings.HasPrefix(s, "0x") {
-		return 16
-	}
-	return 10
 }

@@ -12,7 +12,8 @@ import (
 
 // FuzzPipeline lets the fuzzer steer both the program shape and the
 // scheduler: whatever it picks, the full record→replay→detect→classify
-// pipeline must succeed and hold its invariants.
+// pipeline must succeed and hold its invariants, and the detector and the
+// memory history must agree with their references (reference_test.go).
 func FuzzPipeline(f *testing.F) {
 	f.Add(int64(1), int64(1), uint8(0))
 	f.Add(int64(42), int64(7), uint8(255))
@@ -36,6 +37,12 @@ func FuzzPipeline(f *testing.F) {
 			if rr.NSC+rr.SC+rr.RF != rr.Total {
 				t.Fatal("inconsistent outcome counts")
 			}
+		}
+		if _, err := checkDetect(res.Exec, res.Races); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkHistory(res.Exec); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

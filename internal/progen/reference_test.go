@@ -1,0 +1,241 @@
+package progen
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/asm"
+	"repro/internal/hb"
+	"repro/internal/isa"
+	"repro/internal/machine"
+	"repro/internal/record"
+	"repro/internal/replay"
+	"repro/internal/workloads"
+)
+
+// The references below are the plainest loops the definitions allow.
+// They share no code with what they check, so a fast path that drifts
+// from its definition shows up as a disagreement.
+
+// instanceKey identifies a race instance: its site pair, its address,
+// and its two regions in schedule order.
+type instanceKey struct {
+	sites  hb.SitePair
+	addr   uint64
+	ga, gb int
+}
+
+// checkDetect compares hb.Detect's instances with the paper's definition
+// of a data race (§3): every pair of non-atomic accesses to one address,
+// at least one a write, in overlapping regions of different threads.
+// Detect must report each reference key exactly once and nothing else.
+// Every access must also lie in its region (its thread, an instruction
+// index in the region's range), which is what the definition reads the
+// regions' access lists as. It returns the number of keys and the first
+// disagreement.
+func checkDetect(exec *replay.Execution, rep *hb.Report) (int, error) {
+	sites := map[int]string{}
+	site := func(pc int) string {
+		s, ok := sites[pc]
+		if !ok {
+			s = exec.Prog.SiteOf(pc)
+			sites[pc] = s
+		}
+		return s
+	}
+
+	type ref struct {
+		acc replay.Access
+		reg *replay.Region
+	}
+	byAddr := map[uint64][]ref{} // each address's accesses, in schedule order
+	for _, r := range exec.Regions {
+		for _, a := range r.Accesses {
+			if a.TID != r.TID || a.Idx < r.StartIdx || a.Idx >= r.EndIdx {
+				return 0, fmt.Errorf("region %d (thread %d, instructions %d..%d) holds access %+v",
+					r.Global, r.TID, r.StartIdx, r.EndIdx, a)
+			}
+			if !a.Atomic {
+				byAddr[a.Addr] = append(byAddr[a.Addr], ref{a, r})
+			}
+		}
+	}
+	want := map[instanceKey]bool{}
+	for addr, refs := range byAddr {
+		for i, x := range refs {
+			for _, y := range refs[i+1:] {
+				if (x.acc.IsWrite || y.acc.IsWrite) && x.reg.Overlaps(y.reg) {
+					want[instanceKey{hb.MakeSitePair(site(x.acc.PC), site(y.acc.PC)), addr, x.reg.Global, y.reg.Global}] = true
+				}
+			}
+		}
+	}
+
+	got := map[instanceKey]bool{}
+	for _, race := range rep.Races {
+		for _, inst := range race.Instances {
+			k := instanceKey{hb.MakeSitePair(site(inst.First.PC), site(inst.Second.PC)), inst.Addr, inst.RegionA.Global, inst.RegionB.Global}
+			if k.sites != race.Sites {
+				return 0, fmt.Errorf("hb.Detect files instance %v under race %v", k, race.Sites)
+			}
+			if got[k] {
+				return 0, fmt.Errorf("hb.Detect repeats instance %v", k)
+			}
+			got[k] = true
+		}
+	}
+	var missing, extra []instanceKey
+	for k := range want {
+		if !got[k] {
+			missing = append(missing, k)
+		}
+	}
+	for k := range got {
+		if !want[k] {
+			extra = append(extra, k)
+		}
+	}
+	if len(missing)+len(extra) > 0 {
+		return 0, fmt.Errorf("hb.Detect vs the definition: %d keys missing (e.g. %v), %d extra (e.g. %v)",
+			len(missing), firstKey(missing), len(extra), firstKey(extra))
+	}
+	return len(want), nil
+}
+
+func firstKey(ks []instanceKey) any {
+	if len(ks) == 0 {
+		return nil
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].ga < ks[j].ga || ks[i].ga == ks[j].ga && ks[i].gb < ks[j].gb })
+	return ks[0]
+}
+
+// checkHistory compares the execution's memory history with a plain walk
+// of the regions in schedule order that keeps one image map. The walk
+// gives each region's live-ins by the rule the replayer once applied
+// eagerly (the image's value; else the region's first read of the
+// address; an address it only writes stays unknown) and the image before
+// every position. LiveIn must match it for every region and every
+// address the region touches (and know nothing of the others), and
+// Before at every position for every address the run touches. It
+// returns the first disagreement.
+func checkHistory(exec *replay.Execution) error {
+	mem := exec.Memory()
+	var all []uint64 // every address the run touches
+	for _, r := range exec.Regions {
+		for _, a := range r.Accesses {
+			all = append(all, a.Addr)
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	all = dedup(all)
+
+	image := map[uint64]uint64{}
+	for g := 0; ; g++ {
+		for _, addr := range all {
+			want, wantOK := image[addr]
+			if got, ok := mem.Before(addr, g); got != want || ok != wantOK {
+				return fmt.Errorf("Before(0x%x, %d) = %d,%v, want %d,%v", addr, g, got, ok, want, wantOK)
+			}
+		}
+		if g == len(exec.Regions) {
+			return nil
+		}
+		r := exec.Regions[g]
+		liveIn := map[uint64]uint64{}
+		for _, a := range r.Accesses {
+			if _, seen := liveIn[a.Addr]; seen {
+				continue
+			}
+			if v, ok := image[a.Addr]; ok {
+				liveIn[a.Addr] = v
+			} else if !a.IsWrite {
+				liveIn[a.Addr] = a.Val
+			}
+		}
+		for _, addr := range all {
+			want, wantOK := liveIn[addr]
+			if got, ok := mem.LiveIn(addr, g); got != want || ok != wantOK {
+				return fmt.Errorf("LiveIn(0x%x, region %d) = %d,%v, want %d,%v", addr, g, got, ok, want, wantOK)
+			}
+		}
+		for _, a := range r.Accesses {
+			image[a.Addr] = a.Val
+		}
+	}
+}
+
+func dedup(s []uint64) []uint64 {
+	out := s[:0]
+	for i, v := range s {
+		if i == 0 || v != s[i-1] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// TestReferencesAgree runs the hb.Detect and memory-history references
+// over 400 generated programs under each scheduler policy, the 18 suite
+// scenarios, browse and service, and counts the executions each one
+// disagrees on.
+func TestReferencesAgree(t *testing.T) {
+	keys, runs, detectFails, historyFails := 0, 0, 0, 0
+	check := func(name string, prog *isa.Program, cfg machine.Config) {
+		t.Helper()
+		log, _, err := record.Run(prog, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		exec, err := replay.Run(log, replay.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runs++
+		n, err := checkDetect(exec, hb.Detect(exec))
+		keys += n
+		if err != nil {
+			if detectFails++; detectFails <= 3 {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+		if err := checkHistory(exec); err != nil {
+			if historyFails++; historyFails <= 3 {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+	}
+	programs := 400
+	if testing.Short() {
+		programs = 40
+	}
+	policies := []machine.SchedPolicy{machine.PolicyRandom, machine.PolicyRoundRobin, machine.PolicyPCT}
+	for i := 0; i < programs; i++ {
+		r := rand.New(rand.NewSource(int64(3000 + i)))
+		src := Generate(r, Random(r))
+		prog, err := asm.Assemble("ref", src)
+		if err != nil {
+			t.Fatalf("program %d: %v", i, err)
+		}
+		for _, p := range policies {
+			check(fmt.Sprintf("program %d policy %d", i, p), prog, machine.Config{Seed: int64(i), Policy: p, MaxSteps: 1 << 20})
+		}
+	}
+	for _, sc := range append(workloads.Scenarios(), workloads.BrowseScenario(), workloads.ServiceScenario()) {
+		prog, err := sc.Program()
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		check(sc.Name, prog, sc.Config())
+	}
+	if detectFails+historyFails > 0 {
+		t.Fatalf("of %d executions, hb.Detect disagrees with its reference on %d and the memory history on %d",
+			runs, detectFails, historyFails)
+	}
+	if keys == 0 {
+		t.Fatal("no race instance checked")
+	}
+	t.Logf("%d executions, %d instance keys agree", runs, keys)
+}

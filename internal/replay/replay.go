@@ -8,15 +8,18 @@
 // To reconstruct the global picture, replay processes one sequencing
 // region at a time, in the order of the regions' starting sequencer
 // timestamps — exactly the iDNA replayer's schedule. Along the way it
-// rebuilds a global memory image and records, for every region, the
-// per-address live-in values, the register state at region entry, and
+// records, for every region, the register state at region entry and
 // every data access. Those are the inputs the happens-before detector and
-// the classification virtual processor consume.
+// the classification virtual processor consume. The execution's memory
+// history (Execution.Memory), built from the accesses on first use,
+// answers what any address held at any point of the schedule: a region's
+// live-ins, the §4.2.1 oracle, and time travel all read it.
 package replay
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -50,10 +53,9 @@ type Region struct {
 	StartKind        trace.SeqKind
 	EndKind          trace.SeqKind
 
-	StartCpu  machine.Cpu       // architectural state at region entry
-	Accesses  []Access          // data accesses, in execution order
-	LiveIn    map[uint64]uint64 // pre-region values of addresses the region touches
-	HeapEpoch int               // heap events applied before this region ran
+	StartCpu  machine.Cpu // architectural state at region entry
+	Accesses  []Access    // data accesses, in execution order
+	HeapEpoch int         // heap events applied before this region ran
 
 	// Annotations for the opening synchronization instruction (the one
 	// whose sequencer starts this region), filled in during replay.
@@ -101,7 +103,16 @@ type Execution struct {
 	Threads    []*ThreadReplay
 	Regions    []*Region // all regions in schedule (start-timestamp) order
 	HeapEvents []HeapEvent
-	FinalMem   map[uint64]uint64 // reconstructed global memory image
+
+	memOnce sync.Once
+	mem     *VersionedMemory
+}
+
+// Memory returns the execution's memory history, building it from the
+// regions' accesses on first use. It is safe for concurrent use.
+func (e *Execution) Memory() *VersionedMemory {
+	e.memOnce.Do(func() { e.mem = buildVersionedMemory(e.Regions) })
+	return e.mem
 }
 
 // Thread returns the replay of tid, or nil.
@@ -145,16 +156,10 @@ func (e *Execution) BlockAt(base uint64, epoch int) (uint64, bool) {
 
 // Options tunes a replay.
 type Options struct {
-	// SkipAccesses disables access/live-in collection; the replay then
-	// only reproduces per-thread state (used by the replay-overhead
-	// benchmark, which measures pure re-execution).
+	// SkipAccesses disables access collection, leaving the memory history
+	// empty; the replay then only reproduces per-thread state (used by the
+	// replay-overhead benchmark, which measures pure re-execution).
 	SkipAccesses bool
-	// StopAfterRegions, when positive, replays only that many regions of
-	// the global schedule and stops. This is the time-travel primitive:
-	// replaying successively shorter prefixes steps the whole execution
-	// backwards (iDNA's reverse debugging works the same way — replay to
-	// an earlier point).
-	StopAfterRegions int
 	// Metrics, when set, receives the replay stage counters (regions
 	// replayed, instructions re-executed, injected loads and syscall
 	// results). Nil costs nothing on the hot path.
@@ -164,48 +169,10 @@ type Options struct {
 // Run replays log completely. It fails if the log is internally
 // inconsistent (corrupt, truncated, or not produced by the recorder).
 func Run(log *trace.Log, opts Options) (*Execution, error) {
-	sess, err := NewSession(log, opts)
-	if err != nil {
-		return nil, err
-	}
-	limit := len(sess.exec.Regions)
-	if opts.StopAfterRegions > 0 && opts.StopAfterRegions < limit {
-		limit = opts.StopAfterRegions
-	}
-	for sess.Pos() < limit {
-		if err := sess.StepRegion(); err != nil {
-			return nil, err
-		}
-	}
-	return sess.Finish()
-}
-
-// Session is a resumable replay: regions are processed one at a time, and
-// the whole replay state can be snapshotted and restored — the analogue
-// of iDNA's key frames, and what gives the time-travel debugger O(gap)
-// seeks instead of O(prefix) replays.
-type Session struct {
-	log       *trace.Log
-	opts      Options
-	exec      *Execution
-	replayers map[int]*threadReplayer
-	pos       int          // regions processed so far
-	cRegions  *obs.Counter // replay.regions (nil when uninstrumented)
-
-	accScratch []Access // reusable access collection buffer (see StepRegion)
-}
-
-// NewSession validates the log, builds the per-thread replayers, and
-// carves the region schedule without executing anything.
-func NewSession(log *trace.Log, opts Options) (*Session, error) {
 	if err := log.Validate(); err != nil {
 		return nil, err
 	}
-	exec := &Execution{
-		Log:      log,
-		Prog:     log.Prog,
-		FinalMem: make(map[uint64]uint64),
-	}
+	exec := &Execution{Log: log, Prog: log.Prog}
 
 	// Build per-thread replayers and carve their region lists.
 	replayers := make(map[int]*threadReplayer, len(log.Threads))
@@ -239,183 +206,40 @@ func NewSession(log *trace.Log, opts Options) (*Session, error) {
 	for i, r := range exec.Regions {
 		r.Global = i
 	}
-	s := &Session{log: log, opts: opts, exec: exec, replayers: replayers}
-	if opts.Metrics != nil {
-		s.cRegions = opts.Metrics.Counter("replay.regions")
-		opts.Metrics.Counter("replay.executions").Inc()
-		opts.Metrics.Counter("replay.threads").Add(uint64(len(log.Threads)))
-		opts.Metrics.Emit("replay.regions", uint64(len(exec.Regions)))
-	}
-	return s, nil
-}
+	cRegions := opts.Metrics.Counter("replay.regions")
+	opts.Metrics.Counter("replay.executions").Inc()
+	opts.Metrics.Counter("replay.threads").Add(uint64(len(log.Threads)))
+	opts.Metrics.Emit("replay.regions", uint64(len(exec.Regions)))
 
-// Exec exposes the (partially processed) execution.
-func (s *Session) Exec() *Execution { return s.exec }
-
-// Pos returns how many regions of the schedule have been processed.
-func (s *Session) Pos() int { return s.pos }
-
-// Done reports whether the whole schedule has been processed.
-func (s *Session) Done() bool { return s.pos >= len(s.exec.Regions) }
-
-// ThreadCpu returns the architectural state of tid as of the current
-// position.
-func (s *Session) ThreadCpu(tid int) (machine.Cpu, bool) {
-	tr, ok := s.replayers[tid]
-	if !ok {
-		return machine.Cpu{}, false
-	}
-	return tr.cpu, true
-}
-
-// StepRegion processes the next region of the schedule.
-func (s *Session) StepRegion() error {
-	if s.Done() {
-		return fmt.Errorf("replay: session already at the end")
-	}
-	region := s.exec.Regions[s.pos]
-	tr := s.replayers[region.TID]
-	s.cRegions.Add(1)
-	region.HeapEpoch = len(s.exec.HeapEvents)
-	scratchBacked := false
-	if region.Accesses == nil && !s.opts.SkipAccesses {
-		// First processing: collect accesses into the session's reusable
-		// buffer, then shrink-copy below. Most instructions of a region are
-		// not data accesses, so sizing an allocation by region length would
-		// waste most of it, and the exact count is only known afterwards.
-		region.Accesses = s.accScratch[:0]
-		scratchBacked = true
-	}
-	region.Accesses = region.Accesses[:0] // reprocessing after Restore starts clean
-	if err := tr.runRegion(region); err != nil {
-		return err
-	}
-	if scratchBacked {
-		s.accScratch = region.Accesses[:0] // keep the grown buffer for the next region
-		exact := make([]Access, len(region.Accesses))
-		copy(exact, region.Accesses)
-		region.Accesses = exact
-	}
-	if !s.opts.SkipAccesses {
-		// Live-in: the pre-region global image restricted to the region's
-		// footprint, completed by the region's own first loads for
-		// addresses the image has not seen yet.
-		region.LiveIn = make(map[uint64]uint64, len(region.Accesses)/4+1)
-		for _, a := range region.Accesses {
-			if _, seen := region.LiveIn[a.Addr]; seen {
-				continue
-			}
-			if v, ok := s.exec.FinalMem[a.Addr]; ok {
-				region.LiveIn[a.Addr] = v
-			} else if !a.IsWrite {
-				region.LiveIn[a.Addr] = a.Val
-			}
-			// First access is a write and the image has no value:
-			// genuinely unknown; leave absent.
+	// Replay the schedule one region at a time. Accesses collect into one
+	// reusable buffer and are shrink-copied per region: most instructions
+	// of a region are not data accesses, so sizing an allocation by region
+	// length would waste most of it, and the exact count is only known
+	// afterwards.
+	var scratch []Access
+	for _, region := range exec.Regions {
+		cRegions.Add(1)
+		region.HeapEpoch = len(exec.HeapEvents)
+		region.Accesses = scratch[:0]
+		if err := replayers[region.TID].runRegion(region); err != nil {
+			return nil, err
 		}
-		for _, a := range region.Accesses {
-			s.exec.FinalMem[a.Addr] = a.Val
-		}
+		accs := region.Accesses
+		scratch = accs[:0] // keep the grown buffer for the next region
+		region.Accesses = make([]Access, len(accs))
+		copy(region.Accesses, accs)
 	}
-	s.pos++
-	return nil
-}
 
-// Finish runs the end-of-replay consistency checks and returns the
-// execution. For complete sessions every thread must have consumed its
-// whole log; partial sessions (time travel) skip that check and trim the
-// region list to what ran.
-func (s *Session) Finish() (*Execution, error) {
-	complete := s.Done() && s.opts.StopAfterRegions == 0
-	for _, tl := range s.log.Threads {
-		tr := s.replayers[tl.TID]
-		if complete && tr.idx != tl.Retired {
+	// Every thread must have consumed its whole log.
+	for _, tl := range log.Threads {
+		tr := replayers[tl.TID]
+		if tr.idx != tl.Retired {
 			return nil, fmt.Errorf("replay: thread %d stopped at %d of %d instructions",
 				tl.TID, tr.idx, tl.Retired)
 		}
 		tr.result.FinalCpu = tr.cpu
 	}
-	if !complete && s.pos < len(s.exec.Regions) {
-		s.exec.Regions = s.exec.Regions[:s.pos]
-	}
-	return s.exec, nil
-}
-
-// Snapshot captures the complete replay state at the current position.
-type Snapshot struct {
-	pos        int
-	heapEvents int
-	finalMem   map[uint64]uint64
-	threads    map[int]threadSnap
-}
-
-// Pos returns the schedule position the snapshot was taken at.
-func (sn *Snapshot) Pos() int { return sn.pos }
-
-type threadSnap struct {
-	cpu       machine.Cpu
-	idx       uint64
-	loadPtr   int
-	sysPtr    int
-	mem       map[uint64]uint64
-	outputLen int
-}
-
-// Snapshot captures the session state (a key frame).
-func (s *Session) Snapshot() *Snapshot {
-	sn := &Snapshot{
-		pos:        s.pos,
-		heapEvents: len(s.exec.HeapEvents),
-		finalMem:   copyMap(s.exec.FinalMem),
-		threads:    make(map[int]threadSnap, len(s.replayers)),
-	}
-	for tid, tr := range s.replayers {
-		sn.threads[tid] = threadSnap{
-			cpu:       tr.cpu,
-			idx:       tr.idx,
-			loadPtr:   tr.loadPtr,
-			sysPtr:    tr.sysPtr,
-			mem:       copyMap(tr.mem),
-			outputLen: len(tr.result.Output),
-		}
-	}
-	return sn
-}
-
-// Restore rewinds (or fast-forwards) the session to a snapshot.
-func (s *Session) Restore(sn *Snapshot) {
-	s.pos = sn.pos
-	s.exec.HeapEvents = s.exec.HeapEvents[:sn.heapEvents]
-	s.exec.FinalMem = copyMap(sn.finalMem)
-	for tid, ts := range sn.threads {
-		tr := s.replayers[tid]
-		tr.cpu = ts.cpu
-		tr.idx = ts.idx
-		tr.loadPtr = ts.loadPtr
-		tr.sysPtr = ts.sysPtr
-		tr.mem = copyMap(ts.mem)
-		tr.result.Output = tr.result.Output[:ts.outputLen]
-		tr.err = nil
-		tr.cur = nil
-	}
-}
-
-func copyMap(m map[uint64]uint64) map[uint64]uint64 {
-	c := make(map[uint64]uint64, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-// StateAt replays the first n regions of the schedule and returns the
-// partial execution: thread states and the reconstructed memory image as
-// of that point. Calling it with decreasing n is reverse execution.
-func StateAt(log *trace.Log, n int) (*Execution, error) {
-	if n <= 0 {
-		n = 1
-	}
-	return Run(log, Options{StopAfterRegions: n})
+	return exec, nil
 }
 
 // threadReplayer replays one thread from its log.
@@ -454,14 +278,12 @@ func newThreadReplayer(prog *isa.Program, tl *trace.ThreadLog, exec *Execution, 
 			EndReason: tl.EndReason,
 			ExitCode:  tl.ExitCode,
 		},
+		cInstr:   opts.Metrics.Counter("replay.instructions"),
+		cLoadInj: opts.Metrics.Counter("replay.loads_injected"),
+		cSysInj:  opts.Metrics.Counter("replay.sysrets_injected"),
 	}
 	tr.cpu.PC = tl.InitPC
 	tr.cpu.Regs = tl.InitRegs
-	if opts.Metrics != nil {
-		tr.cInstr = opts.Metrics.Counter("replay.instructions")
-		tr.cLoadInj = opts.Metrics.Counter("replay.loads_injected")
-		tr.cSysInj = opts.Metrics.Counter("replay.sysrets_injected")
-	}
 
 	// Carve regions from the sequencer list: region k spans
 	// [seq[k].Idx, seq[k+1].Idx) and [seq[k].TS, seq[k+1].TS).

@@ -275,9 +275,18 @@ main:
 func TestLiveInReconstruction(t *testing.T) {
 	src := `
 .word g 5
+.word h 1
+.word k 2
 main:
   ldi r2, g
   ld r3, [r2+0]
+  ldi r5, h
+  ldi r6, 8
+  st [r5+0], r6
+  ldi r5, k
+  ldi r6, 3
+  st [r5+0], r6
+  ld r7, [r5+0]
   fence
   addi r3, r3, 2
   st [r2+0], r3
@@ -290,28 +299,40 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Find g's address.
-	var gAddr uint64
+	addrOf := map[uint64]uint64{}
 	for a, v := range log.Prog.Data {
-		if v == 5 {
-			gAddr = a
-		}
+		addrOf[v] = a
 	}
+	gAddr, hAddr, kAddr := addrOf[5], addrOf[1], addrOf[2]
 	t0 := exec.Thread(0)
 	if len(t0.Regions) != 3 {
 		t.Fatalf("regions = %d, want 3", len(t0.Regions))
 	}
-	if v, ok := t0.Regions[0].LiveIn[gAddr]; !ok || v != 5 {
-		t.Errorf("region 0 live-in[g] = %d,%v, want 5", v, ok)
+	mem := exec.Memory()
+	for _, c := range []struct {
+		name   string
+		addr   uint64
+		region int
+		want   uint64
+		known  bool
+	}{
+		{"g in region 0 (its own first read)", gAddr, 0, 5, true},
+		{"g in region 1 (region 0's value)", gAddr, 1, 5, true},
+		{"g in region 2 (region 1's write)", gAddr, 2, 7, true},
+		{"h in region 0 (first touched by a write)", hAddr, 0, 0, false},
+		{"h in region 1 (not touched)", hAddr, 1, 0, false},
+		{"k in region 0 (read after its own write)", kAddr, 0, 3, true},
+	} {
+		v, ok := mem.LiveIn(c.addr, t0.Regions[c.region].Global)
+		if v != c.want || ok != c.known {
+			t.Errorf("%s: live-in = %d,%v, want %d,%v", c.name, v, ok, c.want, c.known)
+		}
 	}
-	if v, ok := t0.Regions[1].LiveIn[gAddr]; !ok || v != 5 {
-		t.Errorf("region 1 live-in[g] = %d,%v, want 5", v, ok)
+	if v, ok := mem.Before(gAddr, len(exec.Regions)); !ok || v != 7 {
+		t.Errorf("final image[g] = %d,%v, want 7", v, ok)
 	}
-	if v, ok := t0.Regions[2].LiveIn[gAddr]; !ok || v != 7 {
-		t.Errorf("region 2 live-in[g] = %d,%v, want 7", v, ok)
-	}
-	if exec.FinalMem[gAddr] != 7 {
-		t.Errorf("final image[g] = %d, want 7", exec.FinalMem[gAddr])
+	if v, ok := mem.Before(hAddr, 1); !ok || v != 8 {
+		t.Errorf("image[h] after region 0 = %d,%v, want 8", v, ok)
 	}
 }
 
@@ -421,8 +442,13 @@ func TestSkipAccessesStillReproduces(t *testing.T) {
 		t.Error("SkipAccesses changed replayed output")
 	}
 	for _, r := range exec.Regions {
-		if len(r.Accesses) != 0 || r.LiveIn != nil {
+		if len(r.Accesses) != 0 {
 			t.Fatal("SkipAccesses should not collect accesses")
+		}
+	}
+	for addr := range log.Prog.Data {
+		if _, ok := exec.Memory().Before(addr, len(exec.Regions)); ok {
+			t.Errorf("SkipAccesses: memory history knows 0x%x", addr)
 		}
 	}
 }
@@ -522,50 +548,41 @@ main:
 
 func TestTimeTravelPrefixes(t *testing.T) {
 	log, _ := recordSrc(t, racyCounterSrc, machine.Config{Seed: 9})
-	full, err := replay.Run(log, replay.Options{})
+	exec, err := replay.Run(log, replay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := len(full.Regions)
+	total := len(exec.Regions)
 	if total < 3 {
 		t.Skip("too few regions")
 	}
-	// Replaying prefix n must process exactly n regions, and the memory
-	// image must evolve monotonically toward the full image.
+	// The last value the run gave each address it touched.
+	final := map[uint64]uint64{}
+	for _, r := range exec.Regions {
+		for _, a := range r.Accesses {
+			final[a.Addr] = a.Val
+		}
+	}
+	// The image after n regions only grows going forward in time, and
+	// after all of them it is the final image.
+	mem := exec.Memory()
 	prev := -1
-	for _, n := range []int{1, total / 2, total} {
-		exec, err := replay.StateAt(log, n)
-		if err != nil {
-			t.Fatal(err)
+	for n := 0; n <= total; n++ {
+		known := 0
+		for addr := range final {
+			if _, ok := mem.Before(addr, n); ok {
+				known++
+			}
 		}
-		if len(exec.Regions) != n {
-			t.Fatalf("prefix %d processed %d regions", n, len(exec.Regions))
+		if known < prev {
+			t.Errorf("memory image shrank going forward in time, at %d regions", n)
 		}
-		if len(exec.FinalMem) < prev {
-			t.Error("memory image shrank going forward in time")
+		prev = known
+	}
+	for addr, v := range final {
+		if got, ok := mem.Before(addr, total); !ok || got != v {
+			t.Errorf("image after %d regions: mem[0x%x] = %d,%v, want %d", total, addr, got, ok, v)
 		}
-		prev = len(exec.FinalMem)
-	}
-	// The full prefix equals the plain replay.
-	last, err := replay.StateAt(log, total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for addr, v := range full.FinalMem {
-		if last.FinalMem[addr] != v {
-			t.Fatalf("memory image differs at 0x%x", addr)
-		}
-	}
-}
-
-func TestStateAtClampsToOne(t *testing.T) {
-	log, _ := recordSrc(t, racyCounterSrc, machine.Config{Seed: 2})
-	exec, err := replay.StateAt(log, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exec.Regions) != 1 {
-		t.Errorf("regions = %d, want 1", len(exec.Regions))
 	}
 }
 

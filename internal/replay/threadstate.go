@@ -36,7 +36,7 @@ func ThreadStateAt(log *trace.Log, tid int, idx uint64, reg *obs.Registry) (*Thr
 
 	// Scratch execution: per-thread replay does not need the region
 	// schedule, but the replayer records heap events into its exec.
-	exec := &Execution{Log: log, Prog: log.Prog, FinalMem: make(map[uint64]uint64)}
+	exec := &Execution{Log: log, Prog: log.Prog}
 	tr := newThreadReplayer(log.Prog, tl, exec, Options{SkipAccesses: true})
 
 	// Resume from the nearest key frame at or before idx.

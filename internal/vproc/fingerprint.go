@@ -18,8 +18,9 @@
 //     the owning TID (SysGettid and Diff labels), the closing sync PC
 //     (completion detection), the log's EndReason (the recorded-
 //     boundary stop for budget-ended threads), the opening syscall's
-//     recorded result if any, and the full live-in memory map (both
-//     regions' maps are readable through liveInFor's peer fallback),
+//     recorded result if any, and the live-in value of every address
+//     the region touches, from the execution's memory history (both
+//     regions' are readable through liveInFor's peer fallback),
 //   - per instance: the racing operations' offsets within their
 //     regions, their recorded PCs, the racing address, and the heap
 //     event prefix both regions replay against (poisoning and
@@ -38,7 +39,7 @@ package vproc
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -119,8 +120,23 @@ func (f *Fingerprinter) regionDigest(r *replay.Region) [32]byte {
 	if p := f.regions[r.Global].Load(); p != nil {
 		return *p
 	}
+	// Live-in memory, in canonical (sorted-address) order: the distinct
+	// addresses the region touches, except those it only writes.
+	addrs := make([]uint64, len(r.Accesses))
+	for i, a := range r.Accesses {
+		addrs[i] = a.Addr
+	}
+	slices.Sort(addrs)
+	mem := f.exec.Memory()
+	var live []uint64 // address, value pairs
+	for _, a := range slices.Compact(addrs) {
+		if v, ok := mem.LiveIn(a, r.Global); ok {
+			live = append(live, a, v)
+		}
+	}
+
 	le := binary.LittleEndian
-	b := make([]byte, 0, 8*len(r.StartCpu.Regs)+8*8+16*len(r.LiveIn))
+	b := make([]byte, 0, 8*len(r.StartCpu.Regs)+8*8+8*len(live))
 	// Live-in architectural state and the region's relative extent.
 	for _, reg := range r.StartCpu.Regs {
 		b = le.AppendUint64(b, reg)
@@ -153,16 +169,10 @@ func (f *Fingerprinter) regionDigest(r *replay.Region) [32]byte {
 		b = le.AppendUint64(b, res)
 	}
 
-	// Live-in memory, in canonical (sorted-address) order.
-	addrs := make([]uint64, 0, len(r.LiveIn))
-	for a := range r.LiveIn {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	b = le.AppendUint64(b, uint64(len(addrs)))
-	for _, a := range addrs {
-		b = le.AppendUint64(b, a)
-		b = le.AppendUint64(b, r.LiveIn[a])
+	// Live-in memory: the count, then each address and value.
+	b = le.AppendUint64(b, uint64(len(live)/2))
+	for _, x := range live {
+		b = le.AppendUint64(b, x)
 	}
 
 	d := sha256.Sum256(b)

@@ -3,6 +3,8 @@ package vproc
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/replay"
 )
 
 // fpSrc races two workers on g (one store, one load) so every seed that
@@ -42,29 +44,29 @@ func TestFingerprintDistinguishesLiveInMemory(t *testing.T) {
 				pair := pairOf(inst)
 				before := NewFingerprinter(exec).Instance(pair, Options{}, 0)
 
-				// Mutate one live-in memory value the replay can read. The
-				// fingerprinter caches region digests, so a fresh one is
-				// built for the mutated execution.
-				region := pair.RegionA
-				if len(region.LiveIn) == 0 {
-					region = pair.RegionB
+				// Change one live-in memory value the replay can read: on a
+				// fresh replay, before it builds its memory history, change
+				// the recorded access the live-in comes from.
+				fresh, err := replay.Run(exec.Log, replay.Options{})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(region.LiveIn) == 0 {
+				src := liveInSource(fresh, fresh.Regions[pair.RegionA.Global])
+				if src == nil {
+					src = liveInSource(fresh, fresh.Regions[pair.RegionB.Global])
+				}
+				if src == nil {
 					continue
 				}
-				var addr uint64
-				for a := range region.LiveIn {
-					addr = a
-					break
-				}
-				old := region.LiveIn[addr]
-				region.LiveIn[addr] = old + 1
-				after := NewFingerprinter(exec).Instance(pair, Options{}, 0)
-				region.LiveIn[addr] = old
+				src.Val++
+				mut := pair
+				mut.RegionA = fresh.Regions[pair.RegionA.Global]
+				mut.RegionB = fresh.Regions[pair.RegionB.Global]
+				after := NewFingerprinter(fresh).Instance(mut, Options{}, 0)
 
 				if before == after {
-					t.Fatalf("seed %d %s: fingerprint unchanged after mutating live-in mem[0x%x]",
-						seed, race.Sites, addr)
+					t.Fatalf("seed %d %s: fingerprint unchanged after changing live-in mem[0x%x]",
+						seed, race.Sites, src.Addr)
 				}
 				tested = true
 			}
@@ -73,6 +75,31 @@ func TestFingerprintDistinguishesLiveInMemory(t *testing.T) {
 	if !tested {
 		t.Fatal("no instance with live-in memory was ever observed")
 	}
+}
+
+// liveInSource returns the recorded access that r's live-in value of its
+// first-touched address comes from: the last access to it by the latest
+// earlier region, or else r's own first read of it. Nil when that live-in
+// is unknown.
+func liveInSource(exec *replay.Execution, r *replay.Region) *replay.Access {
+	if len(r.Accesses) == 0 {
+		return nil
+	}
+	addr := r.Accesses[0].Addr
+	for g := r.Global - 1; g >= 0; g-- {
+		accs := exec.Regions[g].Accesses
+		for i := len(accs) - 1; i >= 0; i-- {
+			if accs[i].Addr == addr {
+				return &accs[i]
+			}
+		}
+	}
+	for i := range r.Accesses {
+		if a := &r.Accesses[i]; a.Addr == addr && !a.IsWrite {
+			return a
+		}
+	}
+	return nil
 }
 
 // TestFingerprintCanonicalizesPairOrder: the fingerprint is a property

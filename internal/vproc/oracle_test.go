@@ -1,10 +1,6 @@
 package vproc
 
-import (
-	"testing"
-
-	"repro/internal/replay"
-)
+import "testing"
 
 // TestOracleContinuesThroughUnknownReads reproduces the §4.2.1 situation:
 // a benign race whose alternative order reads an address the recorded
@@ -65,7 +61,7 @@ main:
 	sawBoth := false
 	for seed := int64(1); seed <= 40 && !sawBoth; seed++ {
 		exec, rep := pipeline(t, src, seed)
-		oracle := replay.BuildVersionedMemory(exec)
+		oracle := exec.Memory()
 		for _, race := range rep.Races {
 			for _, inst := range race.Instances {
 				// Only instances where the recorded reader took the skip
@@ -134,7 +130,7 @@ main:
 	checked := false
 	for seed := int64(1); seed <= 40 && !checked; seed++ {
 		exec, rep := pipeline(t, src, seed)
-		oracle := replay.BuildVersionedMemory(exec)
+		oracle := exec.Memory()
 		for _, race := range rep.Races {
 			for _, inst := range race.Instances {
 				base := Analyze(exec, pairOf(inst), Options{}, nil)

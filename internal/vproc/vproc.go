@@ -386,17 +386,18 @@ func newVP(exec *replay.Execution, pair RacePair, sc *vpScratch) *vp {
 // liveInFor resolves a first read of addr by a thread running `own`: the
 // thread prefers the value its own region observed at entry (that is what
 // keeps prefix replay on the recorded path), and falls back to the other
-// region's live-in for addresses only the peer captured.
+// region's live-in for addresses only the peer captured. Both come from
+// the execution's memory history.
 func (v *vp) liveInFor(own *replay.Region, addr uint64) (uint64, bool) {
-	if val, ok := own.LiveIn[addr]; ok {
+	mem := v.exec.Memory()
+	if val, ok := mem.LiveIn(addr, own.Global); ok {
 		return val, true
 	}
 	other := v.regA
 	if own == v.regA {
 		other = v.regB
 	}
-	val, ok := other.LiveIn[addr]
-	return val, ok
+	return mem.LiveIn(addr, other.Global)
 }
 
 func (v *vp) poisoned(addr uint64) bool {

@@ -279,7 +279,7 @@ func TestServiceScenarioRuns(t *testing.T) {
 		}
 	}
 	wantReq := 101 + 102 + 103 + 104 + 105 + 106 + 107 + 108
-	if got := exec.Exec.FinalMem[accAddr]; got != uint64(4*120*wantReq) {
+	if got, _ := exec.Exec.Memory().Before(accAddr, len(exec.Exec.Regions)); got != uint64(4*120*wantReq) {
 		t.Errorf("accumulator = %d, want %d", got, 4*120*wantReq)
 	}
 	// Fully synchronized: no races.

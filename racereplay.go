@@ -214,18 +214,15 @@ func ThreadStateAt(log *Log, tid int, idx uint64) (*replay.ThreadState, error) {
 }
 
 // Replay re-executes a recorded log deterministically, reconstructing
-// sequencing regions, accesses, and live-ins. A non-nil reg times it
-// under a "replay" span and receives the replay.* counters.
+// sequencing regions, their entry states and their accesses. Time travel
+// is a query on the result: Memory().Before(addr, n) is what addr held
+// after the first n regions. A non-nil reg times the replay under a
+// "replay" span and receives the replay.* counters.
 func Replay(log *Log, reg *Metrics) (*Execution, error) {
 	sp := reg.StartSpan("replay")
 	defer sp.End()
 	return replay.Run(log, replay.Options{Metrics: reg})
 }
-
-// ReplayTo replays only the first n regions of the schedule — the
-// time-travel primitive: replaying successively shorter prefixes steps
-// the execution backwards (iDNA's reverse debugging).
-func ReplayTo(log *Log, n int) (*Execution, error) { return replay.StateAt(log, n) }
 
 // DetectRaces runs the paper's happens-before detector over a replayed
 // execution. It reports no false positives with respect to the recording.

@@ -105,24 +105,6 @@ func TestPublicLogRoundTrip(t *testing.T) {
 	}
 }
 
-func TestPublicReplayTo(t *testing.T) {
-	prog, err := Assemble("demo", demoSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, _, err := Record(prog, Config{Seed: 2}, OnlineConfig{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec, err := ReplayTo(log, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exec.Regions) != 2 {
-		t.Errorf("prefix regions = %d, want 2", len(exec.Regions))
-	}
-}
-
 func TestPublicSuiteAccessors(t *testing.T) {
 	if len(Suite()) != 18 {
 		t.Errorf("suite scenarios = %d, want 18", len(Suite()))
