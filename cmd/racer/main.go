@@ -940,16 +940,16 @@ func cmdAnalyzeDir(args []string) error {
 }
 
 // programOf names the static group of a log file. Files from
-// record-suite are named "<scenario>-<k>.rlog", so the group is the
-// name minus its "-<k>" suffix and pools the dynamic evidence of one
-// program's seeds, exactly like the live suite; foreign file names fall
-// back to one group per file. Programs decoded from logs carry no
-// data-symbol table, so the static section's candidate cells render as
-// hex addresses.
+// record-suite are named "<scenario>-<k>.rlog" with k in decimal
+// digits, so the group is the name minus its "-<k>" suffix and pools the
+// dynamic evidence of one program's seeds, exactly like the live suite;
+// any other name (run-7days.rlog, a-0x1f.rlog) is a group of its own.
+// Programs decoded from logs carry no data-symbol table, so the static
+// section's candidate cells render as hex addresses.
 func programOf(file string) string {
 	base := strings.TrimSuffix(file, ".rlog")
 	if i := strings.LastIndexByte(base, '-'); i > 0 {
-		if _, err := fmt.Sscanf(base[i+1:], "%d", new(int)); err == nil {
+		if k := base[i+1:]; k != "" && strings.Trim(k, "0123456789") == "" {
 			return base[:i]
 		}
 	}

@@ -634,6 +634,30 @@ func TestAnalyzeDirDivergence(t *testing.T) {
 	}
 }
 
+// TestProgramOfStripsOnlySeedSuffixes: analyze-dir groups a log under
+// its file name minus the "-<k>" seed suffix record-suite writes, and
+// only when that suffix is all digits; any other name is its own group.
+func TestProgramOfStripsOnlySeedSuffixes(t *testing.T) {
+	for file, want := range map[string]string{
+		"exec01-0.rlog":   "exec01",
+		"exec01-17.rlog":  "exec01",
+		"run-1.rlog":      "run",
+		"run-7days.rlog":  "run-7days",
+		"run-2b.rlog":     "run-2b",
+		"a-0x1f.rlog":     "a-0x1f",
+		"a-+3.rlog":       "a-+3",
+		"a- 3.rlog":       "a- 3",
+		"a-.rlog":         "a-",
+		"-3.rlog":         "-3",
+		"plain.rlog":      "plain",
+		"dash-name-2.log": "dash-name-2.log",
+	} {
+		if got := programOf(file); got != want {
+			t.Errorf("programOf(%q) = %q, want %q", file, got, want)
+		}
+	}
+}
+
 // TestRecordSuiteByteTotal: the byte total record-suite prints is what
 // it wrote — the summed sizes of its .rlog files.
 func TestRecordSuiteByteTotal(t *testing.T) {

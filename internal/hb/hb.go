@@ -1,11 +1,12 @@
 // Package hb finds data races in a replayed execution.
 //
-// Every offline engine runs one conflict search (Search): per address
-// touched by two or more threads with at least one non-atomic write, it
-// lists the regions that touched it and hands each cross-thread region
-// pair inside the engine's horizon to a predicate, then emits one
-// instance per conflicting site pair of each accepted pair. Three
-// predicates use it:
+// Every offline engine runs one conflict search (Search) over the
+// execution's address index (replay.Execution.Memory, built once and
+// shared): per address touched by two or more threads with at least one
+// non-atomic write, it lists the regions that touched it and hands each
+// cross-thread region pair inside the engine's horizon to a predicate,
+// then emits one instance per conflicting site pair of each accepted
+// pair. Three predicates use it:
 //
 //   - Detect is the paper's algorithm: two memory operations race when
 //     they execute in overlapping sequencing regions of different
@@ -168,27 +169,12 @@ type SearchStats struct {
 	BlockPairs  int // conflicting block pairs of the accepted region pairs
 }
 
-// accessRef ties an access to its region for the per-address index.
-type accessRef struct {
-	acc replay.Access
-	reg *replay.Region
-}
-
-// addrScreen is the per-address screening summary plus the address's
-// cursor into the shared reference buffer once it survives the screen.
-type addrScreen struct {
-	tid         int32 // first thread observed touching the address
-	refs        int32 // non-atomic accesses (for exact buffer sizing)
-	start, next int32 // range into the shared ref buffer (pass 2)
-	multiThread bool  // a second thread touched it
-	hasWrite    bool  // at least one non-atomic write
-	keep        bool  // survived the screen
-}
-
-// Search is the conflict search every offline engine shares. Only
-// addresses touched non-atomically by two or more threads with at least
-// one write survive its screen. Each surviving address's regions are
-// paired in schedule order, and every cross-thread pair (a before b)
+// Search is the conflict search every offline engine shares. It reads
+// the execution's per-address index (exec.Memory(), built on first use
+// and shared with the other engines and the classifier), whose screen
+// keeps only addresses touched non-atomically by two or more threads
+// with at least one non-atomic write. Each surviving address's regions
+// are paired in schedule order, and every cross-thread pair (a before b)
 // inside the horizon goes to pass. The horizon admits b while it starts
 // before a ends (the two may overlap) or lies at most reach regions
 // after a. Regions are sorted by StartTS, so the first b past both
@@ -199,84 +185,20 @@ type addrScreen struct {
 // site pair (write/write, write/read, read/write), with First from a and
 // Second from b, before pass sees the next pair; so a caller can attach
 // what its predicate found to the pair's instances. Within a region, the
-// accesses to the address collapse to one block per (pc, kind), its
-// first access, and the first block pair of each site pair stands for
-// the rest. Addresses go in ascending order, so the emission order is
-// deterministic.
+// non-atomic accesses to the address collapse to one block per (pc,
+// kind), its first access, and the first block pair of each site pair
+// stands for the rest; a region whose accesses to the address are all
+// atomic takes no part. Addresses go in ascending order, so the emission
+// order is deterministic.
 //
-// The search runs in two passes over the recorded accesses. Pass 1
-// screens every address down to a constant-size summary (slot in a flat
-// slice; the only per-access map op is the address→slot lookup), which
-// on real workloads drops almost every address. Pass 2 copies the
-// surviving addresses' references into one exactly-sized shared buffer,
-// each address a contiguous range, in region schedule order. So grouping
-// by region is run-splitting over a sorted slice, and the site-pair
-// dedup is a linear scan over the handful of site pairs one region pair
-// can emit (no global map churn).
+// An address's accesses are in schedule order in the index, and one
+// region's are contiguous, so grouping by region is run-splitting over
+// a sorted slice, and the site-pair dedup is a linear scan over the
+// handful of site pairs one region pair can emit (no global map churn).
 func Search(exec *replay.Execution, reach int, pass func(a, b *replay.Region, addr uint64) bool, emit func(SitePair, Instance)) SearchStats {
-	var st SearchStats
-	// Pass 1: screen addresses. Atomic (lock-prefixed) accesses are
-	// synchronization, not data: skip them in both passes.
-	slotOf := make(map[uint64]int32)
-	var screens []addrScreen
-	for _, region := range exec.Regions {
-		for _, acc := range region.Accesses {
-			if acc.Atomic {
-				continue
-			}
-			slot, ok := slotOf[acc.Addr]
-			if !ok {
-				slot = int32(len(screens))
-				screens = append(screens, addrScreen{tid: int32(region.TID)})
-				slotOf[acc.Addr] = slot
-			}
-			s := &screens[slot]
-			if s.tid != int32(region.TID) {
-				s.multiThread = true
-			}
-			s.hasWrite = s.hasWrite || acc.IsWrite
-			s.refs++
-		}
-	}
-	st.Addresses = len(screens)
-
-	// Lay out one contiguous range per surviving address in a shared
-	// buffer, and list the survivors in ascending address order.
-	var addrs []uint64
-	totalKept := int32(0)
-	for addr, slot := range slotOf {
-		s := &screens[slot]
-		if s.multiThread && s.hasWrite {
-			s.keep = true
-			addrs = append(addrs, addr)
-		} else {
-			st.ScreenedOut++
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, addr := range addrs {
-		s := &screens[slotOf[addr]]
-		s.start, s.next = totalKept, totalKept
-		totalKept += s.refs
-	}
-
-	// Pass 2: copy the survivors' references into their ranges, walking
-	// regions in schedule order so each range is sorted by Region.Global.
-	refBuf := make([]accessRef, totalKept)
-	if totalKept > 0 {
-		for _, region := range exec.Regions {
-			for _, acc := range region.Accesses {
-				if acc.Atomic {
-					continue
-				}
-				s := &screens[slotOf[acc.Addr]]
-				if s.keep {
-					refBuf[s.next] = accessRef{acc: acc, reg: region}
-					s.next++
-				}
-			}
-		}
-	}
+	mem := exec.Memory()
+	addrs, data := mem.Screen()
+	st := SearchStats{Addresses: data, ScreenedOut: data - len(addrs)}
 
 	// Scratch reused across addresses: per-region blocks (reads and
 	// writes in shared backing buffers, in first-access order) and the
@@ -295,23 +217,23 @@ func Search(exec *replay.Execution, reach int, pass func(a, b *replay.Region, ad
 	memo := siteMemo{prog: exec.Prog}
 
 	for _, addr := range addrs {
-		s := &screens[slotOf[addr]]
-		refs := refBuf[s.start:s.next]
-
-		// Run-split by region: within the range, references are in region
-		// schedule order, and one region's accesses are contiguous.
+		refs := mem.Refs(addr)
 		groups, reads, writes = groups[:0], reads[:0], writes[:0]
 		for i := 0; i < len(refs); {
-			g := group{reg: refs[i].reg, rLo: len(reads), wLo: len(writes)}
-			for ; i < len(refs) && refs[i].reg == g.reg; i++ {
-				if acc := refs[i].acc; acc.IsWrite {
+			g := group{reg: exec.Regions[refs[i].Region], rLo: len(reads), wLo: len(writes)}
+			for ; i < len(refs) && int(refs[i].Region) == g.reg.Global; i++ {
+				switch acc := g.reg.Accesses[refs[i].Index]; {
+				case acc.Atomic: // synchronization, not data
+				case acc.IsWrite:
 					writes = addBlock(writes, g.wLo, acc)
-				} else {
+				default:
 					reads = addBlock(reads, g.rLo, acc)
 				}
 			}
 			g.rHi, g.wHi = len(reads), len(writes)
-			groups = append(groups, g)
+			if g.rHi > g.rLo || g.wHi > g.wLo {
+				groups = append(groups, g)
+			}
 		}
 		st.Blocks += len(reads) + len(writes)
 		st.RegionPairs += len(groups) * (len(groups) - 1) / 2

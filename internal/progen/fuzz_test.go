@@ -41,6 +41,9 @@ func FuzzPipeline(f *testing.F) {
 		if _, err := checkDetect(res.Exec, res.Races); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := checkDetectVC(res.Exec); err != nil {
+			t.Fatal(err)
+		}
 		if err := checkHistory(res.Exec); err != nil {
 			t.Fatal(err)
 		}

@@ -12,6 +12,8 @@ import (
 	"repro/internal/machine"
 	"repro/internal/record"
 	"repro/internal/replay"
+	"repro/internal/trace"
+	"repro/internal/vclock"
 	"repro/internal/workloads"
 )
 
@@ -29,13 +31,86 @@ type instanceKey struct {
 
 // checkDetect compares hb.Detect's instances with the paper's definition
 // of a data race (§3): every pair of non-atomic accesses to one address,
-// at least one a write, in overlapping regions of different threads.
-// Detect must report each reference key exactly once and nothing else.
-// Every access must also lie in its region (its thread, an instruction
-// index in the region's range), which is what the definition reads the
-// regions' access lists as. It returns the number of keys and the first
-// disagreement.
+// at least one a write, in overlapping regions of different threads. It
+// returns the number of keys and the first disagreement.
 func checkDetect(exec *replay.Execution, rep *hb.Report) (int, error) {
+	return checkEngine(exec, "hb.Detect", rep, (*replay.Region).Overlaps)
+}
+
+// checkDetectVC compares hb.DetectVC's instances with the same plain loop
+// under the vector-clock test: two regions of different threads are
+// concurrent when neither's referenceClocks clock is LessEq the other's.
+func checkDetectVC(exec *replay.Execution) (int, error) {
+	rep, err := hb.DetectVC(exec, nil)
+	if err != nil {
+		return 0, fmt.Errorf("hb.DetectVC: %v", err)
+	}
+	clocks, err := referenceClocks(exec)
+	if err != nil {
+		return 0, err
+	}
+	return checkEngine(exec, "hb.DetectVC", rep, func(a, b *replay.Region) bool {
+		ca, cb := clocks[a.Global], clocks[b.Global]
+		return a.TID != b.TID && !ca.LessEq(cb) && !cb.LessEq(ca)
+	})
+}
+
+// referenceClocks gives every region a vector clock straight from the
+// replay's sync annotations: the join of the clocks of the regions that
+// precede it by one edge, ticked on its own thread. The edges are
+// program order (the thread's previous region), spawn → child (the
+// region that ends at the spawn → the child's first region), child end →
+// join (the child's last region → the region its join opens), unlock →
+// later lock (the region that ends at an unlock → every later region a
+// lock of the same address opens) and atomic → later atomic (a region an
+// atomic opens → every later region an atomic on the same address
+// opens). An edge into an earlier region of the schedule is an error.
+func referenceClocks(exec *replay.Execution) ([]vclock.VC, error) {
+	prev := func(r *replay.Region) *replay.Region {
+		if r.Ordinal == 0 {
+			return nil
+		}
+		return exec.Thread(r.TID).Regions[r.Ordinal-1]
+	}
+	clocks := make([]vclock.VC, len(exec.Regions))
+	for g, r := range exec.Regions {
+		preds := []*replay.Region{prev(r)}
+		for _, o := range exec.Regions {
+			switch {
+			case r.Ordinal == 0 && o.SpawnChild == r.TID:
+				preds = append(preds, prev(o))
+			case r.JoinTarget >= 0 && o.TID == r.JoinTarget && o.EndKind == trace.SeqEnd:
+				preds = append(preds, o)
+			case o.Global >= g: // lock and atomic edges come from earlier regions only
+			case r.StartKind == trace.SeqLock && o.StartKind == trace.SeqUnlock && o.SyncAddr == r.SyncAddr:
+				preds = append(preds, prev(o))
+			case r.StartKind == trace.SeqAtomic && o.StartKind == trace.SeqAtomic && o.SyncAddr == r.SyncAddr:
+				preds = append(preds, o)
+			}
+		}
+		var vc vclock.VC
+		for _, p := range preds {
+			if p == nil {
+				continue
+			}
+			if p.Global >= g {
+				return nil, fmt.Errorf("region %d has an edge into region %d, which the schedule runs first", p.Global, g)
+			}
+			vc = vc.Join(clocks[p.Global])
+		}
+		clocks[g] = vc.Tick(r.TID)
+	}
+	return clocks, nil
+}
+
+// checkEngine compares an engine's instances with the plainest loop over
+// every pair of non-atomic accesses to one address, at least one a
+// write, in regions that concurrent accepts. The engine must report each
+// reference key exactly once and nothing else. Every access must also
+// lie in its region (its thread, an instruction index in the region's
+// range), which is what the loop reads the regions' access lists as. It
+// returns the number of keys and the first disagreement.
+func checkEngine(exec *replay.Execution, name string, rep *hb.Report, concurrent func(a, b *replay.Region) bool) (int, error) {
 	sites := map[int]string{}
 	site := func(pc int) string {
 		s, ok := sites[pc]
@@ -66,7 +141,7 @@ func checkDetect(exec *replay.Execution, rep *hb.Report) (int, error) {
 	for addr, refs := range byAddr {
 		for i, x := range refs {
 			for _, y := range refs[i+1:] {
-				if (x.acc.IsWrite || y.acc.IsWrite) && x.reg.Overlaps(y.reg) {
+				if (x.acc.IsWrite || y.acc.IsWrite) && concurrent(x.reg, y.reg) {
 					want[instanceKey{hb.MakeSitePair(site(x.acc.PC), site(y.acc.PC)), addr, x.reg.Global, y.reg.Global}] = true
 				}
 			}
@@ -78,10 +153,10 @@ func checkDetect(exec *replay.Execution, rep *hb.Report) (int, error) {
 		for _, inst := range race.Instances {
 			k := instanceKey{hb.MakeSitePair(site(inst.First.PC), site(inst.Second.PC)), inst.Addr, inst.RegionA.Global, inst.RegionB.Global}
 			if k.sites != race.Sites {
-				return 0, fmt.Errorf("hb.Detect files instance %v under race %v", k, race.Sites)
+				return 0, fmt.Errorf("%s files instance %v under race %v", name, k, race.Sites)
 			}
 			if got[k] {
-				return 0, fmt.Errorf("hb.Detect repeats instance %v", k)
+				return 0, fmt.Errorf("%s repeats instance %v", name, k)
 			}
 			got[k] = true
 		}
@@ -98,8 +173,8 @@ func checkDetect(exec *replay.Execution, rep *hb.Report) (int, error) {
 		}
 	}
 	if len(missing)+len(extra) > 0 {
-		return 0, fmt.Errorf("hb.Detect vs the definition: %d keys missing (e.g. %v), %d extra (e.g. %v)",
-			len(missing), firstKey(missing), len(extra), firstKey(extra))
+		return 0, fmt.Errorf("%s vs its reference: %d keys missing (e.g. %v), %d extra (e.g. %v)",
+			name, len(missing), firstKey(missing), len(extra), firstKey(extra))
 	}
 	return len(want), nil
 }
@@ -177,12 +252,12 @@ func dedup(s []uint64) []uint64 {
 	return out
 }
 
-// TestReferencesAgree runs the hb.Detect and memory-history references
-// over 400 generated programs under each scheduler policy, the 18 suite
-// scenarios, browse and service, and counts the executions each one
-// disagrees on.
+// TestReferencesAgree runs the hb.Detect, hb.DetectVC and memory-history
+// references over 400 generated programs under each scheduler policy,
+// the 18 suite scenarios, browse and service, and counts the executions
+// each one disagrees on.
 func TestReferencesAgree(t *testing.T) {
-	keys, runs, detectFails, historyFails := 0, 0, 0, 0
+	keys, vcKeys, runs, detectFails, vcFails, historyFails := 0, 0, 0, 0, 0, 0
 	check := func(name string, prog *isa.Program, cfg machine.Config) {
 		t.Helper()
 		log, _, err := record.Run(prog, cfg)
@@ -198,6 +273,13 @@ func TestReferencesAgree(t *testing.T) {
 		keys += n
 		if err != nil {
 			if detectFails++; detectFails <= 3 {
+				t.Errorf("%s: %v", name, err)
+			}
+		}
+		n, err = checkDetectVC(exec)
+		vcKeys += n
+		if err != nil {
+			if vcFails++; vcFails <= 3 {
 				t.Errorf("%s: %v", name, err)
 			}
 		}
@@ -230,12 +312,12 @@ func TestReferencesAgree(t *testing.T) {
 		}
 		check(sc.Name, prog, sc.Config())
 	}
-	if detectFails+historyFails > 0 {
-		t.Fatalf("of %d executions, hb.Detect disagrees with its reference on %d and the memory history on %d",
-			runs, detectFails, historyFails)
+	if detectFails+vcFails+historyFails > 0 {
+		t.Fatalf("of %d executions, hb.Detect disagrees with its reference on %d, hb.DetectVC on %d and the memory history on %d",
+			runs, detectFails, vcFails, historyFails)
 	}
-	if keys == 0 {
+	if keys == 0 || vcKeys == 0 {
 		t.Fatal("no race instance checked")
 	}
-	t.Logf("%d executions, %d instance keys agree", runs, keys)
+	t.Logf("%d executions, %d hb.Detect and %d hb.DetectVC instance keys agree", runs, keys, vcKeys)
 }

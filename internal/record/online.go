@@ -27,14 +27,15 @@ type OnlineConfig struct {
 	// deterministic for a given seed.
 	StopOnFirstRace bool
 	// KeyFrameInterval, when positive, records key frames every that
-	// many retired instructions.
+	// many retired instructions; with Detect set, every
+	// DownsampleFactor times that many from the first confirmed race on.
 	KeyFrameInterval uint64
-	// DownsampleFactor multiplies the key-frame interval once a race is
-	// confirmed: the run's fate is sealed (full offline analysis), so
-	// dense resume points stop paying for themselves. 0 means the
-	// default of 8; 1 disables down-sampling.
-	DownsampleFactor uint64
 }
+
+// DownsampleFactor multiplies the key-frame interval once the online
+// detector confirms a race: the run's fate is sealed (full offline
+// analysis), so dense resume points stop paying for themselves.
+const DownsampleFactor = 8
 
 // RunOnline records prog with the online detector attached (per oc) and
 // returns the log — annotated with the verdict — plus the machine result

@@ -191,21 +191,19 @@ func (r *Recorder) publishMetrics(res *machine.Result) {
 // log every interval retired instructions — iDNA's mid-log resume points,
 // enabling replay.ThreadStateAt to answer per-thread state queries
 // without replaying from instruction zero. When an online detector rides
-// along, the interval widens by factor the first time it confirms a race:
-// the run's fate is sealed (full offline analysis), so dense resume
-// points stop paying for themselves.
+// along, the interval widens by DownsampleFactor the first time it
+// confirms a race.
 type keyFramer struct {
 	*Recorder
 	interval    uint64
 	online      *hb.Online // nil without online detection
-	factor      uint64
 	downsampled bool
 }
 
 // AfterRetire implements machine.KeyFramer.
 func (r *keyFramer) AfterRetire(t *machine.Thread) {
-	if r.online != nil && !r.downsampled && r.factor > 1 && r.online.Raced() {
-		r.interval *= r.factor
+	if r.online != nil && !r.downsampled && r.online.Raced() {
+		r.interval *= DownsampleFactor
 		r.downsampled = true
 		r.Metrics.Counter("record.keyframes.downsampled").Inc()
 	}
@@ -260,11 +258,7 @@ func run(prog *isa.Program, cfg machine.Config, oc OnlineConfig, reg *obs.Regist
 		observers = append(observers, online)
 	}
 	if oc.KeyFrameInterval > 0 {
-		kf := &keyFramer{Recorder: rec, interval: oc.KeyFrameInterval, online: online, factor: oc.DownsampleFactor}
-		if kf.factor == 0 {
-			kf.factor = 8
-		}
-		observers[0] = kf
+		observers[0] = &keyFramer{Recorder: rec, interval: oc.KeyFrameInterval, online: online}
 	}
 	if reg != nil {
 		observers = append(observers, machine.NewMetricsObserver(reg))

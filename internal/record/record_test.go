@@ -1,10 +1,12 @@
 package record
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -353,5 +355,94 @@ loop:
 	}
 	if err := log.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeyFramesWidenAtFirstRace: with the online detector on, key frames
+// sit on multiples of the interval N until the first confirmed race and
+// on multiples of DownsampleFactor*N after it, and the widening counts
+// once. With detection off, the same schedule gets a frame at every
+// multiple of N and nothing widens.
+func TestKeyFramesWidenAtFirstRace(t *testing.T) {
+	const n = 4
+	prog, err := asm.Assemble("kf", `
+.entry main
+.word c 0
+worker:
+  ldi r2, 60
+wloop:
+  ldi r4, c
+  ld r5, [r4+0]
+  addi r5, r5, 1
+  st [r4+0], r5
+  addi r2, r2, -1
+  bne r2, r0, wloop
+  ldi r1, 0
+  sys exit
+main:
+  ldi r1, worker
+  sys spawn
+  mov r6, r1
+  ldi r1, worker
+  sys spawn
+  mov r7, r1
+  mov r1, r6
+  sys join
+  mov r1, r7
+  sys join
+  halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(detect bool) (*trace.Log, uint64) {
+		reg := obs.NewRegistry()
+		log, _, rep, err := RunOnlineInstrumented(prog, machine.Config{Seed: 3}, OnlineConfig{Detect: detect, KeyFrameInterval: n}, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if detect && rep.RaceFree {
+			t.Fatal("the counter does not race at this seed")
+		}
+		return log, reg.Snapshot().Counters["record.keyframes.downsampled"]
+	}
+	plain, plainWidened := record(false)
+	online, widened := record(true)
+	if plainWidened != 0 || widened != 1 {
+		t.Errorf("record.keyframes.downsampled = %d without detection, %d with, want 0 and 1", plainWidened, widened)
+	}
+	cut := false // some thread lost a frame to the widening
+	for _, tl := range plain.Threads {
+		every := tl.KeyFrames
+		if uint64(len(every)) != tl.Retired/n {
+			t.Fatalf("thread %d: %d frames over %d instructions without detection, want one per %d", tl.TID, len(every), tl.Retired, n)
+		}
+		// With detection, a thread keeps every frame up to its first
+		// missing one, then only the multiples of DownsampleFactor*n.
+		kept := online.Thread(tl.TID).KeyFrames
+		var want []uint64
+		widenedAt := uint64(0)
+		for i, kf := range every {
+			if kf.Idx != uint64(i+1)*n {
+				t.Fatalf("thread %d: frame %d at %d without detection, want %d", tl.TID, i, kf.Idx, (i+1)*n)
+			}
+			if widenedAt == 0 && (i >= len(kept) || kept[i].Idx != kf.Idx) {
+				widenedAt = kf.Idx
+			}
+			if widenedAt == 0 || kf.Idx%(DownsampleFactor*n) == 0 {
+				want = append(want, kf.Idx)
+			}
+		}
+		var got []uint64
+		for _, kf := range kept {
+			got = append(got, kf.Idx)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("thread %d: frames at %v with detection, want %v", tl.TID, got, want)
+		}
+		cut = cut || widenedAt != 0
+	}
+	if !cut {
+		t.Error("no thread's key frames widened after the race")
 	}
 }

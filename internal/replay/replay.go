@@ -11,8 +11,8 @@
 // records, for every region, the register state at region entry and
 // every data access. Those are the inputs the happens-before detector and
 // the classification virtual processor consume. The execution's memory
-// history (Execution.Memory), built from the accesses on first use,
-// answers what any address held at any point of the schedule: a region's
+// history (Execution.Memory), built from the accesses on first use, is
+// its one per-address index: the detectors' conflict search, a region's
 // live-ins, the §4.2.1 oracle, and time travel all read it.
 package replay
 
@@ -108,8 +108,11 @@ type Execution struct {
 	mem     *VersionedMemory
 }
 
-// Memory returns the execution's memory history, building it from the
-// regions' accesses on first use. It is safe for concurrent use.
+// Memory returns the execution's memory history, its one per-address
+// index, built on first use by whichever caller asks first. It is safe
+// for concurrent use. The index relies on each Region.Global being the
+// region's position in Regions, which Run guarantees, and on nothing
+// editing the regions' accesses after first use.
 func (e *Execution) Memory() *VersionedMemory {
 	e.memOnce.Do(func() { e.mem = buildVersionedMemory(e.Regions) })
 	return e.mem

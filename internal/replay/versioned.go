@@ -1,87 +1,145 @@
 package replay
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
-// VersionedMemory is an execution's memory history: for every address,
-// the value each region left it with, in schedule order. It is the only
-// memory an Execution carries (Execution.Memory builds it on first use,
-// in one pass over the replayed accesses), and every position query is a
-// binary search:
+// VersionedMemory is an execution's one per-address index and its memory
+// history: every replayed access, grouped by address and, per address, in
+// schedule order. Execution.Memory builds it on first use. It answers the
+// paper's two per-address questions:
 //
-//   - Before is the memory image at any point of the schedule: time
-//     travel, the final image, and the §4.2.1 extension the classifier
-//     consults under its UseOracle option (ablation A3), which lets an
-//     alternative order that reads outside the two regions' live-ins
-//     continue instead of failing.
-//   - LiveIn is what a region saw on entry at an address it touches, the
-//     state the virtual processor starts each race instance from (§4.2).
+//   - Which accesses can race (§3)? Screen and Refs are all the offline
+//     engines' conflict search (hb.Search) reads.
+//   - What did an address hold? Before is the image at any point of the
+//     schedule: time travel, the final image, and the §4.2.1 oracle the
+//     classifier consults under UseOracle (ablation A3). LiveIn is what a
+//     region saw on entry, the state the virtual processor starts each
+//     race instance from (§4.2). Both binary-search by region.
+//
+// An entry names its access (Ref) instead of copying it.
 type VersionedMemory struct {
-	slot map[uint64]int32 // address → index into hist
-	hist []addrHistory
+	regions []*Region
+	slot    map[uint64]int32 // address → index into hist
+	hist    []addrHistory
+	refs    []Ref    // every access, one contiguous range per address
+	shared  []uint64 // Screen's addresses, ascending
+	data    int      // addresses accessed non-atomically
 }
 
-// addrHistory is one address's history.
+// Ref names one replayed access: Accesses[Index] of the region whose
+// schedule index (Region.Global) is Region.
+type Ref struct{ Region, Index int32 }
+
+// addrHistory is one address's range of refs and the screen's summary of
+// it, taken over non-atomic accesses only: atomics are synchronization,
+// not data.
 type addrHistory struct {
-	versions []version // one per region that touched the address, ascending
-	// The first region to touch the address: its first read of it, if it
-	// reads it at all (possibly after writing it).
-	firstRead    uint64
-	hasFirstRead bool
-}
-
-type version struct {
-	global int // region (schedule index) that observed/wrote the value
-	val    uint64
+	addr    uint64
+	lo, hi  int32 // range into refs
+	tid     int32 // first thread to access the address non-atomically, or -1
+	shared  bool  // a second thread accessed it non-atomically
+	written bool  // a non-atomic access wrote it
 }
 
 // buildVersionedMemory indexes every access of regions, which must be in
-// schedule order.
+// schedule order with regions[g].Global == g.
 func buildVersionedMemory(regions []*Region) *VersionedMemory {
-	vm := &VersionedMemory{slot: make(map[uint64]int32)}
+	n := 0
 	for _, reg := range regions {
+		n += len(reg.Accesses)
+	}
+	vm := &VersionedMemory{regions: regions, slot: make(map[uint64]int32), refs: make([]Ref, n)}
+	// Pass 1, the only map lookups: count each address's accesses (in hi
+	// for now), run the screen, and note each access's slot for pass 2.
+	slots := make([]int32, 0, n)
+	for _, reg := range regions {
+		tid := int32(reg.TID)
 		for _, acc := range reg.Accesses {
 			s, ok := vm.slot[acc.Addr]
 			if !ok {
 				s = int32(len(vm.hist))
 				vm.slot[acc.Addr] = s
-				vm.hist = append(vm.hist, addrHistory{})
+				vm.hist = append(vm.hist, addrHistory{addr: acc.Addr, tid: -1})
 			}
+			slots = append(slots, s)
 			h := &vm.hist[s]
-			// One version per (addr, region): keep the last value the
-			// region gave the address.
-			if n := len(h.versions); n > 0 && h.versions[n-1].global == reg.Global {
-				h.versions[n-1].val = acc.Val
-			} else {
-				h.versions = append(h.versions, version{global: reg.Global, val: acc.Val})
+			h.hi++
+			if acc.Atomic {
+				continue
 			}
-			if !acc.IsWrite && !h.hasFirstRead && len(h.versions) == 1 {
-				h.firstRead, h.hasFirstRead = acc.Val, true
+			if h.tid < 0 {
+				h.tid = tid
+				vm.data++
+			} else if h.tid != tid {
+				h.shared = true
 			}
+			h.written = h.written || acc.IsWrite
+		}
+	}
+	// Give each address its range; hi becomes the range's fill cursor,
+	// and pass 2 leaves it at the range's end.
+	next := int32(0)
+	for i := range vm.hist {
+		h := &vm.hist[i]
+		count := h.hi
+		h.lo, h.hi = next, next
+		next += count
+		if h.shared && h.written {
+			vm.shared = append(vm.shared, h.addr)
+		}
+	}
+	slices.Sort(vm.shared)
+	k := 0
+	for _, reg := range regions {
+		for i := range reg.Accesses {
+			h := &vm.hist[slots[k]]
+			vm.refs[h.hi] = Ref{Region: int32(reg.Global), Index: int32(i)}
+			h.hi++
+			k++
 		}
 	}
 	return vm
 }
 
-// search returns addr's history (nil when no region touched it) and the
-// index of its first version with schedule index >= global.
-func (vm *VersionedMemory) search(addr uint64, global int) (*addrHistory, int) {
+// Screen is the conflict search's address screen, taken over non-atomic
+// accesses only. data counts the addresses accessed non-atomically, and
+// shared lists in ascending order those of them that two or more threads
+// access and at least one access writes: the only addresses where a data
+// race can occur.
+func (vm *VersionedMemory) Screen() (shared []uint64, data int) { return vm.shared, vm.data }
+
+// Refs returns addr's accesses in schedule order, atomic ones included
+// (nil when no region touched addr). A region's accesses are contiguous,
+// in execution order. The caller must not modify the slice.
+func (vm *VersionedMemory) Refs(addr uint64) []Ref {
 	s, ok := vm.slot[addr]
 	if !ok {
-		return nil, 0
+		return nil
 	}
 	h := &vm.hist[s]
-	return h, sort.Search(len(h.versions), func(i int) bool { return h.versions[i].global >= global })
+	return vm.refs[h.lo:h.hi]
 }
 
-// Before returns the value addr held before region global ran: the value
-// recorded by the latest region with schedule index < global. The second
-// result is false when no earlier region ever touched the address.
+// search returns addr's accesses and the index of the first one in a
+// region with schedule index >= global.
+func (vm *VersionedMemory) search(addr uint64, global int) ([]Ref, int) {
+	refs := vm.Refs(addr)
+	return refs, sort.Search(len(refs), func(i int) bool { return int(refs[i].Region) >= global })
+}
+
+func (vm *VersionedMemory) access(r Ref) *Access { return &vm.regions[r.Region].Accesses[r.Index] }
+
+// Before returns the value addr held before region global ran: the last
+// value the latest region with schedule index < global gave it. The
+// second result is false when no earlier region ever touched the address.
 func (vm *VersionedMemory) Before(addr uint64, global int) (uint64, bool) {
-	h, i := vm.search(addr, global)
+	refs, i := vm.search(addr, global)
 	if i == 0 {
 		return 0, false
 	}
-	return h.versions[i-1].val, true
+	return vm.access(refs[i-1]).Val, true
 }
 
 // LiveIn returns the value addr held when region global started, for an
@@ -90,12 +148,20 @@ func (vm *VersionedMemory) Before(addr uint64, global int) (uint64, bool) {
 // false when the region does not touch addr, or when it is the first
 // region to touch addr and only writes it: that value is unknown.
 func (vm *VersionedMemory) LiveIn(addr uint64, global int) (uint64, bool) {
-	h, i := vm.search(addr, global)
+	refs, i := vm.search(addr, global)
 	switch {
-	case h == nil || i == len(h.versions) || h.versions[i].global != global:
+	case i == len(refs) || int(refs[i].Region) != global:
 		return 0, false
 	case i > 0:
-		return h.versions[i-1].val, true
+		return vm.access(refs[i-1]).Val, true
 	}
-	return h.firstRead, h.hasFirstRead
+	for _, r := range refs {
+		if int(r.Region) != global {
+			break
+		}
+		if acc := vm.access(r); !acc.IsWrite {
+			return acc.Val, true
+		}
+	}
+	return 0, false
 }

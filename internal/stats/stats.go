@@ -56,8 +56,10 @@ func Percentile(sorted []int, p float64) float64 {
 	if lo == hi {
 		return float64(sorted[lo])
 	}
-	frac := rank - float64(lo)
-	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
+	// a + (b-a)*f stays within [a, b]; a*(1-f) + b*f can round past b
+	// when a == b.
+	a, b := float64(sorted[lo]), float64(sorted[hi])
+	return a + (b-a)*(rank-float64(lo))
 }
 
 // String renders the summary on one line.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -87,7 +88,13 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 }
 
+// TestPercentileMonotone: percentiles never decrease with p, and each
+// lies between the two samples it interpolates.
 func TestPercentileMonotone(t *testing.T) {
+	// a*(1-f) + b*f rounds 41 to 41.000000000000007 here.
+	if got := Percentile([]int{41, 41}, 20); got != 41 {
+		t.Errorf("Percentile([41 41], 20) = %v, want 41", got)
+	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		xs := make([]int, 1+r.Intn(30))
@@ -98,7 +105,9 @@ func TestPercentileMonotone(t *testing.T) {
 		prev := -1.0
 		for p := 0.0; p <= 100; p += 10 {
 			v := Percentile(xs, p)
-			if v < prev {
+			rank := p / 100 * float64(len(xs)-1)
+			lo, hi := xs[int(math.Floor(rank))], xs[int(math.Ceil(rank))]
+			if v < prev || v < float64(lo) || v > float64(hi) {
 				return false
 			}
 			prev = v

@@ -120,8 +120,8 @@ type (
 	// AuditFile; Options.Audit points classification at one to fill.
 	AuditExecution = audit.Execution
 	// OnlineConfig controls the online race detector attached to a
-	// recording: detection on/off, stop-on-first-race, and key-frame
-	// down-sampling once a race is confirmed.
+	// recording: detection on/off, stop-on-first-race, and the key-frame
+	// interval, widened eightfold once a race is confirmed.
 	OnlineConfig = record.OnlineConfig
 	// OnlineReport is the online detector's verdict for one recording:
 	// race-free or the distinct racy site pairs seen, plus screening
