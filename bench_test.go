@@ -155,9 +155,10 @@ func BenchmarkNativeExecution(b *testing.B) {
 // attached (the paper's ~6x stage).
 //
 // This is also the zero-cost-when-disabled guard for the observability
-// layer: Record takes no registry, so it attaches the recorder directly
-// (no observer fan-out) and the recorder's per-event tallies are plain
-// int increments. Measured before/after instrumenting the pipeline
+// layer: the recorder is the machine's only observer with or without a
+// registry, and its per-event tallies, machine.* included, are plain int
+// increments published once at the end. Measured before/after
+// instrumenting the pipeline
 // (-benchtime=2s -count=5, Xeon 2.10GHz): seed 9.19–13.87 ms/op
 // (median 10.06), instrumented tree 9.38–10.41 ms/op (median 9.89) —
 // the delta is inside run-to-run noise.

@@ -2,19 +2,28 @@
 // classification pipeline:
 //
 //	racer run <prog.rasm>            run a program natively
-//	racer record <prog.rasm> -o L    record an execution into a replay log
+//	racer record -o L <prog.rasm>    record an execution into a replay log
 //	racer replay <L>                 replay a log and show per-thread output
 //	racer detect <L>                 find data races (happens-before)
 //	racer classify <L>               classify races by dual-order replay
 //	racer scenario -name exec01      analyze a built-in workload scenario
 //	racer suite                      analyze all 18 scenarios and summarize
 //	racer predict <prog.rasm>        predict feasible races beyond the recording
+//	racer lint <prog.rasm>           static race analysis, no execution
+//	racer record-suite -dir D        record every scenario's log into D
+//	racer analyze-dir -dir D         analyze a directory of recorded logs
+//	racer validate <L...>            decode and check logs without analyzing
+//	racer audit <F.json>             render a verdict-provenance trail
+//	racer chaos                      fuzz the decoder (or a serve endpoint)
+//	racer profile                    run the suite under a live metrics server
+//	racer serve                      long-running analysis daemon over HTTP
 //	racer mark-benign -db F -race R  record a developer triage verdict
+//	racer debug <L>                  time-travel debugger over a replay log
 //	racer disasm <prog.rasm>         disassemble a program
 //	racer scenarios                  list the built-in workload scenarios
 //
-// Every subcommand takes -seed to pick the scheduler interleaving; equal
-// seeds reproduce identical executions.
+// The commands that run or record a program take -seed to pick the
+// scheduler interleaving; equal seeds reproduce identical executions.
 package main
 
 import (
@@ -132,7 +141,10 @@ commands (flags come before the file argument):
                                             -stop-on-race ends the run at the
                                             first confirmed race
   replay <LOG>                              deterministically replay a log
-  detect [-detector hb|vc|lockset] <LOG>    find data races in a replayed log
+  detect [-detector hb|vc|lockset [-triage]] <LOG>
+                                            find data races in a replayed log;
+                                            -triage replay-classifies the
+                                            lockset warnings
   classify [-db FILE] [-race "A <-> B"] <LOG>
                                             classify races by dual-order replay
   scenario -name NAME [-db FILE] [-online]
@@ -181,14 +193,6 @@ commands (flags come before the file argument):
                                         'racer serve' endpoint instead and
                                         fail on any 5xx, handler panic, or
                                         dead service
-
--jobs bounds the analysis worker pool (0 = GOMAXPROCS); results are
-byte-identical at every worker count.
-
-exit codes: 0 clean; 1 the analysis reported potentially harmful races;
-2 corrupt or invalid input (failed validation, quarantined log files) or
-any hard error. Corrupt logs in a batch are quarantined — listed in the
-report's quarantine section — and the analysis completes over the rest.
   profile [-addr A] [-iterations N]     run the suite under a live metrics +
                                         pprof HTTP server
   serve [-addr A] [-data DIR] [-jobs N] [-queue N] [-deadline D]
@@ -198,12 +202,20 @@ report's quarantine section — and the analysis completes over the rest.
                                         persistent replay memo in -data
                                         (see docs/SERVICE.md)
   mark-benign -db FILE -race "A <-> B"  record a developer benign verdict
-
-most commands also take -metrics[=text|json|prom] and -metrics-out FILE to
-emit pipeline observability data (stage spans, counters, histograms).
   debug <LOG>                           time-travel debugger over a replay log
   disasm <prog.rasm>                    disassemble an assembled program
   scenarios                             list built-in workload scenarios
+
+-jobs bounds the analysis worker pool (0 = GOMAXPROCS); results are
+byte-identical at every worker count.
+
+exit codes: 0 clean; 1 the analysis reported potentially harmful races;
+2 corrupt or invalid input (failed validation, quarantined log files) or
+any hard error. Corrupt logs in a batch are quarantined — listed in the
+report's quarantine section — and the analysis completes over the rest.
+
+most commands also take -metrics[=text|json|prom] and -metrics-out FILE to
+emit pipeline observability data (stage spans, counters, histograms).
 `)
 }
 
@@ -374,6 +386,9 @@ func cmdDetect(args []string) error {
 	triage := fs.Bool("triage", false, "with -detector lockset: replay-triage the warnings")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
+	if *triage && *detector != "lockset" {
+		return fmt.Errorf("-triage requires -detector lockset")
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("detect wants one log file")
 	}
@@ -393,7 +408,7 @@ func cmdDetect(args []string) error {
 	case "hb":
 		printRaces(racereplay.DetectRaces(exec, reg))
 	case "vc":
-		rep, err := racereplay.DetectRacesVC(exec)
+		rep, err := racereplay.DetectRacesVC(exec, reg)
 		if err != nil {
 			return err
 		}
@@ -406,7 +421,7 @@ func cmdDetect(args []string) error {
 		}
 		if *triage {
 			fmt.Fprintln(stdout, "replay triage of the lockset report (paper section 2.2.2):")
-			for _, tr := range racereplay.TriageLockset(exec, rep, racereplay.Options{}) {
+			for _, tr := range racereplay.TriageLockset(exec, rep, racereplay.Options{Metrics: reg}) {
 				fmt.Fprintf(stdout, "  addr 0x%x: %v (ordered pairs %d; racy instances %d: %d nsc, %d sc, %d rf)\n",
 					tr.Warning.Addr, tr.Verdict, tr.OrderedPairs, tr.RacyInstances, tr.NSC, tr.SC, tr.RF)
 			}

@@ -108,7 +108,7 @@ func TestRecordKeyFramesMetrics(t *testing.T) {
 		t.Errorf("record.instructions = %d, want the printed %d", got, instructions)
 	}
 	if snap.Counters["machine.sequencers"] == 0 {
-		t.Error("machine.sequencers is zero: the metrics observer did not ride along")
+		t.Error("machine.sequencers is zero: the recorder did not publish its event counts")
 	}
 }
 
@@ -205,6 +205,50 @@ func TestCmdProfile(t *testing.T) {
 	for _, want := range []string{"profiling server on http://", "iteration 1/1 done", "overhead ladder"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("profile output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestCmdDetectFlags: every detector publishes its stage into -metrics,
+// lockset triage publishes the classifier's counters, and -triage
+// without the lockset detector is rejected by name before any work.
+func TestCmdDetectFlags(t *testing.T) {
+	prog := writeProg(t)
+	logPath := filepath.Join(t.TempDir(), "t.rlog")
+	capture(t, func() error { return cmdRecord([]string{"-seed", "6", "-o", logPath, prog}) })
+
+	snap := extractJSON(t, capture(t, func() error {
+		return cmdDetect([]string{"-detector", "vc", "-metrics=json", logPath})
+	}))
+	if snap.Counters["detect.executions"] != 1 || snap.Counters["detect.region_pairs_examined"] == 0 {
+		t.Errorf("-detector vc: detect.* counters missing: %v", snap.Counters)
+	}
+	detectSpan := false
+	for _, sp := range snap.Spans {
+		detectSpan = detectSpan || sp.Name == "detect"
+	}
+	if !detectSpan {
+		t.Errorf("-detector vc: no detect span in %+v", snap.Spans)
+	}
+
+	snap = extractJSON(t, capture(t, func() error {
+		return cmdDetect([]string{"-detector", "lockset", "-triage", "-metrics=json", logPath})
+	}))
+	if snap.Counters["classify.executions"] == 0 || snap.Counters["classify.instances_total"] == 0 {
+		t.Errorf("-detector lockset -triage: classify.* counters missing: %v", snap.Counters)
+	}
+
+	for _, args := range [][]string{{"-triage", logPath}, {"-detector", "vc", "-triage", logPath}} {
+		var out strings.Builder
+		old := stdout
+		stdout = &out
+		err := cmdDetect(args)
+		stdout = old
+		if err == nil || !strings.Contains(err.Error(), "-triage") {
+			t.Errorf("%v: err = %v, want an error naming -triage", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v printed output:\n%s", args, out.String())
 		}
 	}
 }

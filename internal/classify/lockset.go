@@ -57,51 +57,42 @@ type LocksetTriage struct {
 // that pair) or replayed in both orders and classified. Each warning's
 // racy pairs go through Run as one race, under opts.
 func TriageLockset(exec *replay.Execution, rep *lockset.Report, opts Options) []LocksetTriage {
-	// Group the execution's accesses by address once.
-	type ref struct {
-		acc replay.Access
-		reg *replay.Region
-	}
-	byAddr := make(map[uint64][]ref)
-	for _, reg := range exec.Regions {
-		for _, acc := range reg.Accesses {
-			if acc.Atomic {
-				continue
-			}
-			byAddr[acc.Addr] = append(byAddr[acc.Addr], ref{acc, reg})
-		}
-	}
-
+	mem := exec.Memory()
 	var out []LocksetTriage
 	for _, w := range rep.Warnings {
 		tr := LocksetTriage{Warning: w}
-		refs := byAddr[w.Addr]
-		// One representative pair per (region pair): the same dedup the
-		// happens-before detector applies.
+		// The address's accesses in schedule order, atomic ones skipped
+		// (they are synchronization, not data). One representative pair
+		// per (region pair): the same dedup the happens-before detector
+		// applies.
+		refs := mem.Refs(w.Addr)
 		type pairKey struct{ a, b int }
 		seen := make(map[pairKey]bool)
 		var pairs []hb.Instance
-		for i := 0; i < len(refs); i++ {
-			for j := i + 1; j < len(refs); j++ {
-				a, b := refs[i], refs[j]
-				if a.reg.TID == b.reg.TID {
+		for i, ri := range refs {
+			ra := exec.Regions[ri.Region]
+			a := &ra.Accesses[ri.Index]
+			if a.Atomic {
+				continue
+			}
+			for _, rj := range refs[i+1:] {
+				rb := exec.Regions[rj.Region]
+				b := &rb.Accesses[rj.Index]
+				if b.Atomic || ra.TID == rb.TID || (!a.IsWrite && !b.IsWrite) {
 					continue
 				}
-				if !a.acc.IsWrite && !b.acc.IsWrite {
-					continue
-				}
-				if !a.reg.Overlaps(b.reg) {
+				if !ra.Overlaps(rb) {
 					tr.OrderedPairs++
 					continue
 				}
-				k := pairKey{a.reg.Global, b.reg.Global}
+				k := pairKey{ra.Global, rb.Global}
 				if seen[k] {
 					continue
 				}
 				seen[k] = true
 				pairs = append(pairs, hb.Instance{
-					First: a.acc, Second: b.acc,
-					RegionA: a.reg, RegionB: b.reg, Addr: w.Addr,
+					First: *a, Second: *b,
+					RegionA: ra, RegionB: rb, Addr: w.Addr,
 				})
 			}
 		}

@@ -4,24 +4,25 @@ import (
 	"sort"
 
 	"repro/internal/isa"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
-// Online is a machine.Observer that runs the paper's region-overlap race
-// check *while the program executes*, in the style of Ronsse & De
-// Bosschere's on-the-fly detectors, so a recording can end with a
-// raced/race-free verdict and skip the offline decode+HB pass when clean.
+// Online runs the paper's region-overlap race check *while the program
+// executes*, in the style of Ronsse & De Bosschere's on-the-fly
+// detectors, so a recording can end with a raced/race-free verdict and
+// skip the offline decode+HB pass when clean. The recorder
+// (internal/record) feeds it: after its own work on each machine event it
+// passes on the thread starts and ends, the sequencers and the data
+// accesses, reduced to the fields the check reads.
 //
 // The decisive test is exactly the offline one: two data accesses race
 // when their sequencing regions (the intervals between consecutive
 // sequencer timestamps on each thread) overlap, the threads differ, at
 // least one access is a write, and neither is atomic. Regions are
-// maintained incrementally from the same observer callbacks the recorder
-// consumes, so the online verdict matches Detect on the recorded log by
-// construction:
+// maintained incrementally from the same events the recorder logs, so
+// the online verdict matches Detect on the recorded log by construction:
 //
 //   - both regions still open  => their intervals overlap (each started
 //     before the other has ended);
@@ -137,8 +138,9 @@ const sweepEvery = 64
 const maxOnlineRaces = 1024
 
 // NewOnline builds an online detector for prog. reg may be nil (metrics
-// off). stopOnRace makes StopRequested return true once a race is seen,
-// which a machine polls at quantum boundaries (machine.Stopper).
+// off). stopOnRace makes StopRequested return true once a race is seen;
+// the recorder relays it to the machine, which polls at quantum
+// boundaries.
 func NewOnline(prog *isa.Program, reg *obs.Registry, stopOnRace bool) *Online {
 	return &Online{
 		sites:      siteMemo{prog: prog},
@@ -166,24 +168,25 @@ func (o *Online) openRegion(th *onlineThread, tid int, ts uint64) {
 	o.regions = append(o.regions, onlineRegion{epoch: epoch{tid, th.vc[tid]}, start: ts})
 }
 
-// ThreadStarted implements machine.Observer. The child's first region
-// opens at the spawn timestamp; its clock is completed when the parent's
-// spawn sequencer (same timestamp) fires, before the child can run.
-func (o *Online) ThreadStarted(t *machine.Thread, startTS uint64) {
-	for len(o.threads) <= t.ID {
+// ThreadStarted opens thread tid's first region at startTS, the spawn
+// timestamp (0 for the main thread). The child's clock is completed when
+// the parent's spawn sequencer (same timestamp) fires, before the child
+// can run.
+func (o *Online) ThreadStarted(tid int, startTS uint64) {
+	for len(o.threads) <= tid {
 		o.threads = append(o.threads, onlineThread{})
 	}
-	th := &o.threads[t.ID]
-	*th = onlineThread{started: true, vc: vclock.New(t.ID + 1).Tick(t.ID)}
-	o.openRegion(th, t.ID, startTS)
+	th := &o.threads[tid]
+	*th = onlineThread{started: true, vc: vclock.New(tid + 1).Tick(tid)}
+	o.openRegion(th, tid, startTS)
 	if startTS > 0 {
-		o.spawned = t.ID
+		o.spawned = tid
 	}
 }
 
-// ThreadEnded implements machine.Observer.
-func (o *Online) ThreadEnded(t *machine.Thread, endTS uint64) {
-	th := o.thread(t.ID)
+// ThreadEnded closes thread tid's last region at endTS.
+func (o *Online) ThreadEnded(tid int, endTS uint64) {
+	th := o.thread(tid)
 	if th == nil || th.ended {
 		return
 	}
@@ -191,12 +194,12 @@ func (o *Online) ThreadEnded(t *machine.Thread, endTS uint64) {
 	th.ended = true
 }
 
-// Sequencer implements machine.Observer: it closes the current region and
-// opens the next. A spawn sequencer additionally joins the parent's clock
-// into the waiting child's — taken *before* the parent ticks for its next
-// region, so the parent's post-spawn regions stay concurrent with the
-// child while everything up to the spawn happens-before it.
-func (o *Online) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum int64) {
+// Sequencer closes thread tid's current region at ts and opens the next.
+// A spawn sequencer additionally joins the parent's clock into the
+// waiting child's — taken *before* the parent ticks for its next region,
+// so the parent's post-spawn regions stay concurrent with the child while
+// everything up to the spawn happens-before it.
+func (o *Online) Sequencer(tid int, ts uint64) {
 	th := o.thread(tid)
 	if th == nil || th.ended {
 		return
@@ -214,27 +217,16 @@ func (o *Online) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum int
 	}
 }
 
-// Load implements machine.Observer.
-func (o *Online) Load(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
-	o.access(tid, pc, addr, atomic, false)
-}
-
-// Store implements machine.Observer.
-func (o *Online) Store(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
-	o.access(tid, pc, addr, atomic, true)
-}
-
-// SyscallRet implements machine.Observer.
-func (o *Online) SyscallRet(tid int, idx uint64, res uint64) {}
-
-// StopRequested implements machine.Stopper.
+// StopRequested reports whether a stop-on-race detector has seen a race.
 func (o *Online) StopRequested() bool { return o.stop }
 
 // Raced reports whether any race has been observed so far. Safe to call
 // mid-run (e.g. by a down-sampling key-frame recorder).
 func (o *Online) Raced() bool { return len(o.races) > 0 }
 
-func (o *Online) access(tid, pc int, addr uint64, atomic, isWrite bool) {
+// Access screens one successful data access by thread tid at pc against
+// the window, then records it there.
+func (o *Online) Access(tid, pc int, addr uint64, atomic, isWrite bool) {
 	if pc >= 0 && pc < len(o.pcSeen) && !o.pcSeen[pc] {
 		o.pcSeen[pc] = true
 		o.pcCount++

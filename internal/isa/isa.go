@@ -150,42 +150,11 @@ func (op Op) IsSync() bool {
 	return false
 }
 
-// IsBranch reports whether op may transfer control (excluding Halt).
-func (op Op) IsBranch() bool {
-	switch op {
-	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu, OpJmp, OpJmpr, OpCall, OpRet:
-		return true
-	}
-	return false
-}
-
 // IsCondBranch reports whether op is a conditional branch: control either
 // falls through to pc+1 or transfers to the Imm target.
 func (op Op) IsCondBranch() bool {
 	switch op {
 	case OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		return true
-	}
-	return false
-}
-
-// IsAtomic reports whether op is a lock-prefixed data access (Cas, Xadd,
-// Xchg). Atomics are synchronization, not data: the happens-before
-// detector and the static analyzer both exclude them from race candidates.
-func (op Op) IsAtomic() bool {
-	switch op {
-	case OpCas, OpXadd, OpXchg:
-		return true
-	}
-	return false
-}
-
-// IsMemRMW reports whether op is one of the non-atomic read-modify-write
-// memory instructions (orm/andm/xorm/addm) — a data read and write in one
-// instruction, with no sequencer.
-func (op Op) IsMemRMW() bool {
-	switch op {
-	case OpOrm, OpAndm, OpXorm, OpAddm:
 		return true
 	}
 	return false

@@ -59,9 +59,11 @@ type Thread struct {
 	yield    bool
 }
 
-// Observer receives the machine's execution events. The recorder is the
-// canonical implementation; all callbacks fire only for effects that
-// actually happened (a faulting access produces no Load/Store event).
+// Observer receives the machine's execution events. A run has at most
+// one: every recording hands the machine the recorder (internal/record),
+// which passes events on to whatever rides along. All callbacks fire
+// only for effects that actually happened (a faulting access produces no
+// Load/Store event).
 type Observer interface {
 	// ThreadStarted fires when a thread becomes live, after its initial
 	// Cpu state is final. startTS is the sequencer timestamp ordering the

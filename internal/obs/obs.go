@@ -7,8 +7,8 @@
 //  1. Nil is off. Every method is safe on a nil *Registry, nil *Counter,
 //     nil *Gauge, nil *Histogram, and nil *Span, and does nothing. Code
 //     can be instrumented unconditionally; passing no registry keeps the
-//     uninstrumented hot paths identical to before (the recorder is still
-//     attached directly to the machine, with no fan-out wrapper).
+//     uninstrumented hot paths identical to before (the recorder tallies
+//     into plain ints and publishes once, at the end of the run).
 //  2. Stages own names. Metric names are dot-separated, prefixed by the
 //     stage that emits them ("record.loads_logged", "replay.regions",
 //     "detect.region_pairs_examined", "classify.instances_sc",

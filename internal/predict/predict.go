@@ -105,7 +105,7 @@ type Rejections struct {
 // Report is the prediction pass output for one execution.
 type Report struct {
 	Candidates []*Candidate // feasible pairs, sorted by site pair then regions
-	Window     int          // effective window
+	Window     int          // requested window (a salvaged execution is searched at reach 0)
 
 	PairsScreened int // conflicting block pairs of the region pairs that passed
 	Blocks        int // access blocks formed
@@ -170,6 +170,14 @@ func Run(exec *replay.Execution, opts Options) *Report {
 	sv := &solver{exec: exec, infos: precompute(exec), rej: &rep.Rejected}
 	sv.spawnReg, sv.lastReg = forkJoinIndex(exec)
 
+	// A salvaged log lost whole threads, and with them fork, join and
+	// lock events that may order what survives, so it is searched at
+	// reach 0: its observed pairs stay and nothing is reordered.
+	reach := window
+	if len(exec.Log.DroppedThreads) > 0 {
+		reach = 0
+	}
+
 	// The strict detector's conflict search, reaching window regions
 	// ahead, with the prefilter and the solver as its predicate. Weak-HB
 	// concurrency, disjoint held locksets and the solver's verdict are
@@ -177,7 +185,7 @@ func Run(exec *replay.Execution, opts Options) *Report {
 	// value check), so they are decided once per pair, and every instance
 	// emitted for the pair carries its witness.
 	var wit Witness
-	st := hb.Search(exec, window, func(a, b *replay.Region, addr uint64) bool {
+	st := hb.Search(exec, reach, func(a, b *replay.Region, addr uint64) bool {
 		if !hb.Concurrent(weak, a, b) || intersects(sv.infos[a.Global].held, sv.infos[b.Global].held) {
 			return false
 		}

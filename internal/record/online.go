@@ -1,6 +1,6 @@
-// Online recording: the recorder and the hb.Online detector share one
-// observer fan-out, so a single execution yields both the replay log and
-// a raced/race-free verdict with no second decode pass. The verdict rides
+// Online recording: the recorder holds the hb.Online detector and feeds
+// it each event after logging it, so a single execution yields both the
+// replay log and a raced/race-free verdict with no second decode pass. The verdict rides
 // on the log as the in-memory trace.OnlineInfo annotation; the offline
 // detector stays the source of truth whenever the verdict is "raced".
 package record
@@ -16,9 +16,9 @@ import (
 // OnlineConfig selects what rides along a recording: the online race
 // detector and key frames. The zero value is a plain recording.
 type OnlineConfig struct {
-	// Detect attaches the hb.Online observer. When false the run is a
-	// plain recording (key frames still honored) and no annotation is
-	// stamped on the log.
+	// Detect gives the recorder an hb.Online detector. When false the run
+	// is a plain recording (key frames still honored) and no annotation
+	// is stamped on the log.
 	Detect bool
 	// StopOnFirstRace ends the run at the next scheduling-quantum
 	// boundary after the first race is observed. The truncated log is
@@ -46,7 +46,7 @@ func RunOnline(prog *isa.Program, cfg machine.Config, oc OnlineConfig) (*trace.L
 }
 
 // RunOnlineInstrumented is RunOnline with stage metrics: the record span,
-// the recorder counters, the machine.MetricsObserver, and the
+// the recorder's record.* and machine.* counters, and the
 // detect.online.* family all publish into reg. A nil reg records without
 // metrics.
 func RunOnlineInstrumented(prog *isa.Program, cfg machine.Config, oc OnlineConfig, reg *obs.Registry) (*trace.Log, *machine.Result, *hb.OnlineReport, error) {

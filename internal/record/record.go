@@ -1,5 +1,6 @@
-// Package record implements the iDNA-style recorder: a machine.Observer
-// that builds self-contained per-thread replay logs while the program runs.
+// Package record implements the iDNA-style recorder: the machine's one
+// observer, which builds self-contained per-thread replay logs while the
+// program runs.
 //
 // The economy of the log comes from the predictability rule (iDNA's
 // load-based checkpointing): the recorder keeps, per thread, the memory
@@ -9,6 +10,12 @@
 // or in iDNA's world a system call or DMA) since the thread last saw it.
 // Everything else about the thread's execution is deterministic and is
 // regenerated at replay time.
+//
+// Whatever else watches a recording rides on the recorder rather than
+// beside it: the online race detector (hb.Online) is called after the
+// recorder's own work on each event and answers the machine's stop
+// polls, and the machine.* event counters are the recorder's own tallies,
+// published at the end of the run.
 package record
 
 import (
@@ -21,23 +28,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Recorder builds a trace.Log from machine observer callbacks. Use Run for
-// the common record-a-whole-program case.
-type Recorder struct {
+// recorder builds a trace.Log from machine observer callbacks; run hands
+// it (or its key-framing wrapper) to the machine as the run's observer.
+type recorder struct {
 	prog    *isa.Program
 	seed    int64
 	threads map[int]*threadRec
-	order   []int // tids in start order
+	order   []int         // tids in start order
+	ended   []int         // tids in end order (ThreadEnded calls)
+	online  *hb.Online    // nil without online detection
+	metrics *obs.Registry // receives the counters at finish; nil is off
 
-	// Metrics, when set, receives the recorder's stage counters at
-	// Finish (loads logged vs. predicted, sequencers, stores). The
-	// per-event path only bumps plain ints, so recording with metrics
-	// off is unchanged.
-	Metrics *obs.Registry
-
+	// Event tallies, published at finish. The per-event path only bumps
+	// plain ints, so recording with metrics off is unchanged.
 	nLoads       uint64 // loads observed
 	nLoadsLogged uint64 // loads the predictability rule had to log
 	nStores      uint64
+	nAtomics     uint64 // lock-prefixed loads and stores
 	nSeqs        uint64
 	nSysRets     uint64
 }
@@ -48,17 +55,8 @@ type threadRec struct {
 	done bool
 }
 
-// New returns a Recorder for prog; pass it as machine.Config.Observer.
-func New(prog *isa.Program, seed int64) *Recorder {
-	return &Recorder{
-		prog:    prog,
-		seed:    seed,
-		threads: make(map[int]*threadRec),
-	}
-}
-
 // ThreadStarted implements machine.Observer.
-func (r *Recorder) ThreadStarted(t *machine.Thread, startTS uint64) {
+func (r *recorder) ThreadStarted(t *machine.Thread, startTS uint64) {
 	tl := &trace.ThreadLog{
 		TID:     t.ID,
 		StartTS: startTS,
@@ -68,10 +66,13 @@ func (r *Recorder) ThreadStarted(t *machine.Thread, startTS uint64) {
 	tl.Seqs = append(tl.Seqs, trace.Sequencer{Idx: 0, TS: startTS, Kind: trace.SeqStart, Aux: -1})
 	r.threads[t.ID] = &threadRec{log: tl, view: make(map[uint64]uint64)}
 	r.order = append(r.order, t.ID)
+	if r.online != nil {
+		r.online.ThreadStarted(t.ID, startTS)
+	}
 }
 
 // Load implements machine.Observer, applying the predictability rule.
-func (r *Recorder) Load(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
+func (r *recorder) Load(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
 	tr := r.threads[tid]
 	r.nLoads++
 	if v, known := tr.view[addr]; !known || v != val {
@@ -79,16 +80,28 @@ func (r *Recorder) Load(tid int, idx uint64, pc int, addr, val uint64, atomic bo
 		r.nLoadsLogged++
 	}
 	tr.view[addr] = val
+	if atomic {
+		r.nAtomics++
+	}
+	if r.online != nil {
+		r.online.Access(tid, pc, addr, atomic, false)
+	}
 }
 
 // Store implements machine.Observer.
-func (r *Recorder) Store(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
+func (r *recorder) Store(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
 	r.threads[tid].view[addr] = val
 	r.nStores++
+	if atomic {
+		r.nAtomics++
+	}
+	if r.online != nil {
+		r.online.Access(tid, pc, addr, atomic, true)
+	}
 }
 
 // Sequencer implements machine.Observer.
-func (r *Recorder) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum int64) {
+func (r *recorder) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum int64) {
 	tr := r.threads[tid]
 	aux := int64(-1)
 	kind := trace.KindForOp(op)
@@ -97,17 +110,24 @@ func (r *Recorder) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum i
 	}
 	tr.log.Seqs = append(tr.log.Seqs, trace.Sequencer{Idx: idx, TS: ts, Kind: kind, Aux: aux})
 	r.nSeqs++
+	if r.online != nil {
+		r.online.Sequencer(tid, ts)
+	}
 }
 
 // SyscallRet implements machine.Observer.
-func (r *Recorder) SyscallRet(tid int, idx uint64, r0 uint64) {
+func (r *recorder) SyscallRet(tid int, idx uint64, r0 uint64) {
 	tr := r.threads[tid]
 	tr.log.SysRets = append(tr.log.SysRets, trace.SysRec{Idx: idx, Res: r0})
 	r.nSysRets++
 }
 
+// StopRequested implements machine.Stopper: a stop-on-race online
+// detector has seen a race.
+func (r *recorder) StopRequested() bool { return r.online != nil && r.online.StopRequested() }
+
 // ThreadEnded implements machine.Observer.
-func (r *Recorder) ThreadEnded(t *machine.Thread, endTS uint64) {
+func (r *recorder) ThreadEnded(t *machine.Thread, endTS uint64) {
 	tr := r.threads[t.ID]
 	tl := tr.log
 	tl.EndTS = endTS
@@ -126,12 +146,16 @@ func (r *Recorder) ThreadEnded(t *machine.Thread, endTS uint64) {
 	}
 	tl.Seqs = append(tl.Seqs, trace.Sequencer{Idx: t.Retired, TS: endTS, Kind: trace.SeqEnd, Aux: -1})
 	tr.done = true
+	r.ended = append(r.ended, t.ID)
+	if r.online != nil {
+		r.online.ThreadEnded(t.ID, endTS)
+	}
 }
 
-// Finish assembles the trace.Log after the machine run completes. Threads
+// finish assembles the trace.Log after the machine run completes. Threads
 // still live at budget exhaustion get a synthetic SeqEnd past the final
 // clock so their last region is closed.
-func (r *Recorder) Finish(res *machine.Result) *trace.Log {
+func (r *recorder) finish(res *machine.Result) *trace.Log {
 	log := &trace.Log{
 		Prog:       r.prog,
 		Seed:       r.seed,
@@ -168,11 +192,24 @@ func (r *Recorder) Finish(res *machine.Result) *trace.Log {
 // publishMetrics flushes the recorder's event tallies into the registry
 // (no-op without one). The loads split is the predictability rule's
 // effectiveness: loads_predicted were reconstructed from the thread's
-// own view and cost zero log bytes.
-func (r *Recorder) publishMetrics(res *machine.Result) {
-	reg := r.Metrics
+// own view and cost zero log bytes. The machine.* family counts the
+// machine's raw event stream, which the recorder sees whole; the
+// per-thread instruction histogram takes its samples in end order.
+func (r *recorder) publishMetrics(res *machine.Result) {
+	reg := r.metrics
 	if reg == nil {
 		return
+	}
+	reg.Counter("machine.loads").Add(r.nLoads)
+	reg.Counter("machine.stores").Add(r.nStores)
+	reg.Counter("machine.atomic_ops").Add(r.nAtomics)
+	reg.Counter("machine.sequencers").Add(r.nSeqs)
+	reg.Counter("machine.syscall_returns").Add(r.nSysRets)
+	reg.Counter("machine.threads_started").Add(uint64(len(r.order)))
+	reg.Counter("machine.threads_ended").Add(uint64(len(r.ended)))
+	perThread := reg.Histogram("machine.instructions_per_thread")
+	for _, tid := range r.ended {
+		perThread.Observe(int(r.threads[tid].log.Retired))
 	}
 	reg.Counter("record.instructions").Add(res.TotalSteps)
 	reg.Counter("record.threads").Add(uint64(len(r.order)))
@@ -187,16 +224,15 @@ func (r *Recorder) publishMetrics(res *machine.Result) {
 	}
 }
 
-// keyFramer is a Recorder that also drops a key frame into each thread's
+// keyFramer is a recorder that also drops a key frame into each thread's
 // log every interval retired instructions — iDNA's mid-log resume points,
 // enabling replay.ThreadStateAt to answer per-thread state queries
-// without replaying from instruction zero. When an online detector rides
-// along, the interval widens by DownsampleFactor the first time it
+// without replaying from instruction zero. With online detection, the
+// interval widens by DownsampleFactor the first time the detector
 // confirms a race.
 type keyFramer struct {
-	*Recorder
+	*recorder
 	interval    uint64
-	online      *hb.Online // nil without online detection
 	downsampled bool
 }
 
@@ -205,7 +241,7 @@ func (r *keyFramer) AfterRetire(t *machine.Thread) {
 	if r.online != nil && !r.downsampled && r.online.Raced() {
 		r.interval *= DownsampleFactor
 		r.downsampled = true
-		r.Metrics.Counter("record.keyframes.downsampled").Inc()
+		r.metrics.Counter("record.keyframes.downsampled").Inc()
 	}
 	if t.Retired%r.interval != 0 {
 		return
@@ -235,46 +271,37 @@ func RunInstrumented(prog *isa.Program, cfg machine.Config, reg *obs.Registry) (
 	return log, res, err
 }
 
-// run is the one recording body. A single execution feeds a set of
-// observers: the recorder (a key-framer when oc.KeyFrameInterval > 0),
-// the hb.Online detector when oc.Detect is set, and a
-// machine.MetricsObserver when reg is non-nil. NewMultiObserver drops the
-// absent ones and unwraps a lone observer, so a plain recording hands the
-// machine the bare *Recorder and pays no fan-out.
+// run is the one recording body. The recorder is the machine's only
+// observer: a key-framer when oc.KeyFrameInterval > 0, holding the
+// hb.Online detector when oc.Detect is set, which it feeds after its own
+// work on each event and asks whether to stop.
 //
 // With reg set, the run is timed under a "record" span, the recorder
-// publishes its counters, and the log's size is reported as the paper's
-// bits/instruction gauges. The size measurement compresses the log, which
-// is bookkeeping rather than recording, so it happens after the span
-// ends.
+// publishes its record.* and machine.* counters, and the log's size is
+// reported as the paper's bits/instruction gauges. The size measurement
+// compresses the log, which is bookkeeping rather than recording, so it
+// happens after the span ends.
 func run(prog *isa.Program, cfg machine.Config, oc OnlineConfig, reg *obs.Registry) (*trace.Log, *machine.Result, *hb.OnlineReport, error) {
 	sp := reg.StartSpan("record")
-	rec := New(prog, cfg.Seed)
-	rec.Metrics = reg
-	var online *hb.Online
-	observers := []machine.Observer{rec}
+	rec := &recorder{prog: prog, seed: cfg.Seed, threads: make(map[int]*threadRec), metrics: reg}
 	if oc.Detect {
-		online = hb.NewOnline(prog, reg, oc.StopOnFirstRace)
-		observers = append(observers, online)
+		rec.online = hb.NewOnline(prog, reg, oc.StopOnFirstRace)
 	}
+	cfg.Observer = rec
 	if oc.KeyFrameInterval > 0 {
-		observers[0] = &keyFramer{Recorder: rec, interval: oc.KeyFrameInterval, online: online}
+		cfg.Observer = &keyFramer{recorder: rec, interval: oc.KeyFrameInterval}
 	}
-	if reg != nil {
-		observers = append(observers, machine.NewMetricsObserver(reg))
-	}
-	cfg.Observer = machine.NewMultiObserver(observers...)
 	m, err := machine.New(prog, cfg)
 	if err != nil {
 		sp.End()
 		return nil, nil, nil, err
 	}
 	res := m.Run()
-	log := rec.Finish(res)
+	log := rec.finish(res)
 	var rep *hb.OnlineReport
-	if online != nil {
-		rep = online.Report(res.Stopped)
-		log.Online = online.Info(res.Stopped)
+	if rec.online != nil {
+		rep = rec.online.Report(res.Stopped)
+		log.Online = rec.online.Info(res.Stopped)
 	}
 	sp.End()
 	if err := log.Validate(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -444,5 +445,112 @@ main:
 	}
 	if !cut {
 		t.Error("no thread's key frames widened after the race")
+	}
+}
+
+// eventTap is a bare machine observer that tallies the raw event stream
+// and each thread's retired instructions in end order.
+type eventTap struct {
+	counts  map[string]uint64
+	retired []int
+}
+
+func (e *eventTap) ThreadStarted(t *machine.Thread, startTS uint64) { e.counts["threads_started"]++ }
+func (e *eventTap) ThreadEnded(t *machine.Thread, endTS uint64) {
+	e.counts["threads_ended"]++
+	e.retired = append(e.retired, int(t.Retired))
+}
+func (e *eventTap) Load(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
+	e.access("loads", atomic)
+}
+func (e *eventTap) Store(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
+	e.access("stores", atomic)
+}
+func (e *eventTap) access(kind string, atomic bool) {
+	e.counts[kind]++
+	if atomic {
+		e.counts["atomic_ops"]++
+	}
+}
+func (e *eventTap) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum int64) {
+	e.counts["sequencers"]++
+}
+func (e *eventTap) SyscallRet(tid int, idx uint64, res uint64) { e.counts["syscall_returns"]++ }
+
+// TestMachineCountersMatchEventTap checks the recorder's machine.*
+// counters and its instructions-per-thread histogram against a tap on a
+// bare machine run of the same seed, for a plain recording and for one
+// with the online detector and key frames riding along.
+func TestMachineCountersMatchEventTap(t *testing.T) {
+	prog, err := asm.Assemble("tap", `
+.entry main
+.word g 0
+.word l 0
+worker:
+  ldi r2, g
+  ldi r4, l
+  lock [r4+0]
+  ld r3, [r2+0]
+  addi r3, r3, 1
+  st [r2+0], r3
+  unlock [r4+0]
+  ldi r5, 1
+  xadd r6, [r2+0], r5
+  ldi r1, 0
+  sys exit
+main:
+  ldi r1, worker
+  ldi r2, 0
+  sys spawn
+  mov r8, r1
+  ldi r1, worker
+  sys spawn
+  mov r9, r1
+  mov r1, r8
+  sys join
+  mov r1, r9
+  sys join
+  ldi r2, g
+  ld r1, [r2+0]
+  sys print
+  halt
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 3
+	tap := &eventTap{counts: map[string]uint64{}}
+	m, err := machine.New(prog, machine.Config{Seed: seed, Observer: tap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run()
+	for _, kind := range []string{"loads", "stores", "atomic_ops", "sequencers", "syscall_returns", "threads_started", "threads_ended"} {
+		if tap.counts[kind] == 0 {
+			t.Fatalf("the program produced no %s", kind)
+		}
+	}
+	sum, lo, hi := 0, tap.retired[0], tap.retired[0]
+	for _, n := range tap.retired {
+		sum += n
+		lo, hi = min(lo, n), max(hi, n)
+	}
+
+	for _, oc := range []OnlineConfig{{}, {Detect: true, KeyFrameInterval: 4}} {
+		reg := obs.NewRegistry()
+		if _, _, _, err := RunOnlineInstrumented(prog, machine.Config{Seed: seed}, oc, reg); err != nil {
+			t.Fatal(err)
+		}
+		snap := reg.Snapshot()
+		for kind, want := range tap.counts {
+			if got := snap.Counters["machine."+kind]; got != want {
+				t.Errorf("%+v: machine.%s = %d, want %d", oc, kind, got, want)
+			}
+		}
+		h := snap.Histograms["machine.instructions_per_thread"]
+		if h.Count != uint64(len(tap.retired)) || h.Sum != int64(sum) || h.Min != lo || h.Max != hi {
+			t.Errorf("%+v: machine.instructions_per_thread = %+v, want count %d sum %d min %d max %d",
+				oc, h, len(tap.retired), sum, lo, hi)
+		}
 	}
 }

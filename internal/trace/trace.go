@@ -172,6 +172,14 @@ type Log struct {
 	// remains the source of truth; consumers may use a race-free online
 	// verdict to skip work, never to report races.
 	Online *OnlineInfo
+
+	// DroppedThreads lists, in segment order, the TIDs whose thread
+	// segments a salvaging v2 decode (V2Options.QuarantineThreads)
+	// dropped; nil for a whole log. Like Online it is in-memory only:
+	// MarshalV2 never serializes it. The missing threads took fork, join
+	// and lock events with them, so predict.Run proposes no reordering
+	// of such a log.
+	DroppedThreads []int
 }
 
 // OnlineInfo summarizes what the online detector saw during recording.

@@ -890,6 +890,9 @@ func decodeV2Segments(src segSource, idx *v2Index, opts V2Options) (*Log, []Thre
 	reg.Counter("decode.v2.logs").Inc()
 	reg.Counter("decode.v2.segments").Add(uint64(len(idx.entries)))
 	reg.Counter("decode.v2.quarantined_threads").Add(uint64(len(faults)))
+	for _, f := range faults {
+		log.DroppedThreads = append(log.DroppedThreads, f.TID)
+	}
 	return log, faults, nil
 }
 

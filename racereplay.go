@@ -234,8 +234,14 @@ func DetectRaces(exec *Execution, reg *Metrics) *RaceSet {
 	return hb.DetectInstrumented(exec, reg)
 }
 
-// DetectRacesVC runs the vector-clock ablation detector (DESIGN.md A1).
-func DetectRacesVC(exec *Execution) (*RaceSet, error) { return hb.DetectVC(exec, nil) }
+// DetectRacesVC runs the vector-clock ablation detector (DESIGN.md A1)
+// under a "detect" span, publishing the same detect.* counters as
+// DetectRaces into reg (nil is off).
+func DetectRacesVC(exec *Execution, reg *Metrics) (*RaceSet, error) {
+	sp := reg.StartSpan("detect")
+	defer sp.End()
+	return hb.DetectVC(exec, reg)
+}
 
 // DetectRacesLockset runs the Eraser-style lockset baseline over a
 // replayed execution (it can report false positives).

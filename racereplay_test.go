@@ -157,7 +157,7 @@ func TestPublicVCAndLocksetDetectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	interval := DetectRaces(exec, nil)
-	vc, err := DetectRacesVC(exec)
+	vc, err := DetectRacesVC(exec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
