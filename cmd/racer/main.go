@@ -911,12 +911,10 @@ func cmdAnalyzeDir(args []string) error {
 		it := &items[i]
 		data, err := os.ReadFile(entries[i])
 		if err == nil {
+			// DecodeLogOpts validates the log it returns.
 			it.Log, faults[i], err = racereplay.DecodeLogOpts(data, racereplay.DecodeOptions{
 				Jobs: segJobs, Salvage: true, Metrics: reg,
 			})
-		}
-		if err == nil {
-			err = racereplay.ValidateLog(it.Log)
 		}
 		it.Err = err
 	})

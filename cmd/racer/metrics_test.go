@@ -42,7 +42,7 @@ func TestSuiteMetricsJSON(t *testing.T) {
 		"classify.executions", "classify.instances_total", "classify.races",
 		"report.scenarios", "report.unique_races", "report.instances",
 		"native.executions",
-		"machine.loads", "machine.sequencers",
+		"record.loads_total", "record.sequencers",
 		"vproc.instances_analyzed", "vproc.order_replays",
 	} {
 		if snap.Counters[c] == 0 {
@@ -82,7 +82,7 @@ func TestSuiteMetricsJSON(t *testing.T) {
 func TestRunMetricsText(t *testing.T) {
 	path := writeProg(t)
 	out := capture(t, func() error { return cmdRun([]string{"-metrics", path}) })
-	for _, want := range []string{"spans:", "record", "counters:", "record.loads_logged", "machine.loads"} {
+	for _, want := range []string{"spans:", "record", "counters:", "record.loads_logged", "record.loads_total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("text metrics missing %q:\n%s", want, out)
 		}
@@ -107,8 +107,8 @@ func TestRecordKeyFramesMetrics(t *testing.T) {
 	if got := snap.Counters["record.instructions"]; got != instructions {
 		t.Errorf("record.instructions = %d, want the printed %d", got, instructions)
 	}
-	if snap.Counters["machine.sequencers"] == 0 {
-		t.Error("machine.sequencers is zero: the recorder did not publish its event counts")
+	if snap.Counters["record.sequencers"] == 0 {
+		t.Error("record.sequencers is zero: the recorder did not publish its event counts")
 	}
 }
 

@@ -9,12 +9,12 @@
 // strings and integers only, no internal types, versioned by SchemaID.
 // Everything in a File is a deterministic function of the analyzed
 // inputs — records are byte-identical at any worker count. The one
-// subtlety is the cache column: whether a concrete lookup hit the
-// shared memo depends on worker interleaving, so CacheHit is *derived*
+// subtlety is the cache column: which instance of a shared fingerprint
+// replays depends on worker interleaving, so CacheHit is *derived*
 // (DeriveCacheHits) as "would the canonical serial schedule have hit",
 // i.e. every instance after the first occurrence of its fingerprint in
-// file order. At one worker the derivation and the runtime agree
-// exactly; at N workers the records still agree with the serial run.
+// file order. The memo replays each fingerprint once, so the derived
+// hit and miss totals equal the runtime memo's at every worker count.
 package audit
 
 import (

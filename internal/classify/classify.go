@@ -194,8 +194,8 @@ type Options struct {
 	// live-ins never captured, instead of declaring a replay failure.
 	UseOracle bool
 	// Metrics, when set, receives the classify.* counters (instances by
-	// outcome, races by verdict, replay-failure causes) and is forwarded
-	// to the virtual processor for its vproc.* counters.
+	// outcome, races by verdict, replay-failure causes) and the vproc.*
+	// counters, which Run publishes from each instance's result.
 	Metrics *obs.Registry
 	// NoMemo disables the dual-order replay cache. Memoization is on by
 	// default (the zero Options memoizes within the Run): equal live-in
@@ -227,8 +227,8 @@ type Options struct {
 	// orders' outcomes. The caller owns the execution envelope
 	// (scenario, seed, log hash) and the file-level CacheHit
 	// derivation (audit.File.DeriveCacheHits) — Run leaves CacheHit
-	// false, because the runtime hit pattern depends on worker
-	// interleaving while the audit trail must not.
+	// false, because which instance of a shared fingerprint replays
+	// depends on worker interleaving while the audit trail must not.
 	Audit *audit.Execution
 }
 
@@ -247,12 +247,9 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 	if opts.UseOracle {
 		vopts.Oracle = exec.Memory()
 	}
-	vopts.Metrics = opts.Metrics
 
 	// The replay cache: on by default, shared when the caller passed one.
-	// A hit skips both region replays and replays the vproc.* counter
-	// effects instead, so every metric except classify.memo.* is
-	// identical with and without the cache.
+	// With NoMemo it stays nil, and a nil Memo's Do just replays.
 	memo := opts.Memo
 	if memo == nil && !opts.NoMemo {
 		memo = NewMemo()
@@ -293,21 +290,18 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 			if fper != nil {
 				fp = fper.Instance(pair, vopts, salt)
 			}
+			var hit bool
+			res, hit = memo.Do(fp, func() vproc.Result { return vproc.Analyze(exec, pair, vopts, &sc) })
 			if memo != nil {
-				var ok bool
-				if res, ok = memo.Lookup(fp); ok {
+				if hit {
 					cHits.Inc()
 					opts.Metrics.Emit("classify.memo.hit", uint64(ri))
-					countCachedReplay(opts.Metrics, res)
-					return nil
+				} else {
+					cMisses.Inc()
+					opts.Metrics.Emit("classify.memo.miss", uint64(ri))
 				}
-				cMisses.Inc()
-				opts.Metrics.Emit("classify.memo.miss", uint64(ri))
-				res = vproc.Analyze(exec, pair, vopts, &sc)
-				memo.Store(fp, res)
-				return nil
 			}
-			res = vproc.Analyze(exec, pair, vopts, &sc)
+			countOrders(opts.Metrics, res)
 			return nil
 		})
 		if err != nil {
@@ -465,6 +459,26 @@ func publishMetrics(reg *obs.Registry, cls *Classification) {
 		if r.Suppressed {
 			reg.Counter("classify.races_suppressed").Inc()
 		}
+	}
+}
+
+// countOrders publishes one instance's vproc.* counters from its
+// result, whether the memo served it or it was just replayed, so the
+// counters are the same with and without the memo. Both orders always
+// run; a replay failure names the original order when it failed
+// (OrigFail), and the alternative order otherwise.
+func countOrders(reg *obs.Registry, res vproc.Result) {
+	reg.Counter("vproc.instances_analyzed").Inc()
+	reg.Counter("vproc.order_replays").Add(2)
+	switch res.Outcome {
+	case vproc.ReplayFailure:
+		if res.OrigFail != "" {
+			reg.Counter("vproc.order_failures_original").Inc()
+		} else {
+			reg.Counter("vproc.order_failures_alternative").Inc()
+		}
+	case vproc.StateChange:
+		reg.Counter("vproc.liveout_diffs").Add(uint64(len(res.Diffs)))
 	}
 }
 

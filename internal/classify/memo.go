@@ -1,12 +1,9 @@
 package classify
 
 import (
-	"encoding/binary"
-	"strings"
+	"sync"
 	"sync/atomic"
 
-	"repro/internal/obs"
-	"repro/internal/sched"
 	"repro/internal/vproc"
 )
 
@@ -15,30 +12,41 @@ import (
 // equal results, so a hit returns the stored {Outcome, FailReason,
 // Diffs} verbatim and skips both region replays.
 //
-// The cache is sharded and concurrency-safe: the classification workers
-// of one Run share it without coordination beyond a per-shard mutex,
-// and one Memo can be shared across executions (core.AnalyzeLogsInstrumented
-// wires one per batch) — fingerprints are content hashes, so instances from
-// different executions of the same program collide exactly when their
-// replay inputs are identical. Entries are never invalidated: a
-// fingerprint covers everything the replay can observe, so a cached
-// result cannot go stale (docs/PERFORMANCE.md spells out the
-// invariant). Concurrent misses on the same fingerprint may both
-// compute; both compute the same result and the first writer wins.
+// Each fingerprint is replayed at most once (Do): the first caller
+// replays it, and callers that arrive meanwhile wait for that result
+// instead of replaying too. One Memo can be shared across executions
+// analyzed concurrently (core.AnalyzeLogsInstrumented wires one per
+// batch) — fingerprints are content hashes, so instances from different
+// executions of the same program collide exactly when their replay
+// inputs are identical — and the hit/miss split is then a function of
+// the batch alone: one miss per distinct fingerprint, at any worker
+// count. Entries are never invalidated: a fingerprint covers everything
+// the replay can observe, so a cached result cannot go stale
+// (docs/PERFORMANCE.md spells out the invariant).
 //
 // A Memo can additionally be backed by a second-level persistent cache
-// (NewMemoBacked): lookups that miss in memory fall through to the
-// backing, and stored results are written through, so replay verdicts
-// survive process restarts. memostore.Store is the shipped backing.
+// (NewMemoBacked): the first caller for a fingerprint missing from
+// memory asks the backing before replaying, and replayed results are
+// written through, so replay verdicts survive process restarts.
+// memostore.Store is the shipped backing.
 //
-// The zero value is not usable; use NewMemo.
+// The zero value is not usable; use NewMemo. A nil *Memo caches
+// nothing: its Do just replays.
 type Memo struct {
-	m       *sched.ShardedMap[vproc.Fingerprint, vproc.Result]
+	mu sync.Mutex
+	// done is broadcast whenever a pending entry is resolved or cleared;
+	// the callers waiting on one recheck their fingerprint.
+	done sync.Cond
+	// results holds every stored result, and a pendingOutcome entry for
+	// each fingerprint whose first caller is still replaying it.
+	results map[vproc.Fingerprint]vproc.Result
 	backing Backing
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	bytes   atomic.Uint64
+
+	hits, misses, bytes uint64
 }
+
+// pendingOutcome marks a results entry whose replay is in flight.
+const pendingOutcome vproc.Outcome = -1
 
 // Backing is a second-level result cache behind the in-memory Memo —
 // typically persistent (memostore.Store implements it). Implementations
@@ -52,10 +60,6 @@ type Backing interface {
 	Put(vproc.Fingerprint, vproc.Result)
 }
 
-// memoShards is sized for a worker pool, not for the key space: enough
-// shards that GOMAXPROCS-ish workers rarely contend on one mutex.
-const memoShards = 64
-
 // Approximate per-entry retained sizes for the bytes gauge, in bytes:
 // the fingerprint key plus the Result header (Outcome + string header +
 // slice header), map bucket overhead ignored; each Diff adds its struct
@@ -68,98 +72,108 @@ const (
 
 // NewMemo returns an empty replay cache.
 func NewMemo() *Memo {
-	return &Memo{
-		m: sched.NewShardedMap[vproc.Fingerprint, vproc.Result](memoShards, func(k vproc.Fingerprint) uint64 {
-			// Fingerprints are uniform sha256 digests; any 8 bytes shard evenly.
-			return binary.LittleEndian.Uint64(k[:8])
-		}),
-	}
+	m := &Memo{results: make(map[vproc.Fingerprint]vproc.Result)}
+	m.done.L = &m.mu
+	return m
 }
 
-// NewMemoBacked returns an empty in-memory cache layered over b:
-// misses fall through to b.Get (a backing hit is promoted into memory
-// and counted as a memo hit), and newly stored results are written
-// through with b.Put. A nil b is exactly NewMemo.
+// NewMemoBacked returns an empty in-memory cache layered over b: a
+// fingerprint missing from memory is looked up with b.Get before it is
+// replayed (a backing hit is promoted into memory and counted as a memo
+// hit), and replayed results are written through with b.Put. A nil b is
+// exactly NewMemo.
 func NewMemoBacked(b Backing) *Memo {
 	m := NewMemo()
 	m.backing = b
 	return m
 }
 
-// Lookup returns the cached result for fp, counting the hit or miss.
-// With a backing attached, an in-memory miss consults it before being
-// declared a miss.
-func (m *Memo) Lookup(fp vproc.Fingerprint) (vproc.Result, bool) {
-	res, ok := m.m.Load(fp)
-	if ok {
-		m.hits.Add(1)
+// Do returns the result for fp and whether the cache served it. The
+// first caller for a fingerprint missing from memory asks the backing,
+// if any, and otherwise calls replay (a miss); every other caller is a
+// hit, and one that arrives while the first is still working waits for
+// its result. If replay panics, the pending entry is cleared and the
+// waiters woken, so one of them replays in turn; the panicking call
+// counts neither a hit nor a miss. On a nil *Memo, Do just calls
+// replay.
+func (m *Memo) Do(fp vproc.Fingerprint, replay func() vproc.Result) (res vproc.Result, hit bool) {
+	if m == nil {
+		return replay(), false
+	}
+	m.mu.Lock()
+	res, hit = m.results[fp]
+	for hit && res.Outcome == pendingOutcome {
+		m.done.Wait()
+		res, hit = m.results[fp]
+	}
+	if hit {
+		m.hits++
+		m.mu.Unlock()
 		return res, true
 	}
+	m.results[fp] = vproc.Result{Outcome: pendingOutcome}
+	m.mu.Unlock()
+
+	resolved := false
+	defer func() {
+		if !resolved {
+			m.mu.Lock()
+			delete(m.results, fp)
+			m.mu.Unlock()
+			m.done.Broadcast()
+		}
+	}()
 	if m.backing != nil {
-		if res, ok := m.backing.Get(fp); ok {
-			// Promote without writing back: the backing already holds
-			// the entry, so only the in-memory layer needs it.
-			m.storeLocal(fp, res)
-			m.hits.Add(1)
-			return res, true
+		// A backing hit is promoted without being written back: the
+		// backing already holds the entry. The backing is read from
+		// outside the program, so an entry that reads as pending is a
+		// miss; stored, it would keep this fingerprint's callers waiting.
+		res, hit = m.backing.Get(fp)
+		hit = hit && res.Outcome != pendingOutcome
+	}
+	if !hit {
+		res = replay()
+		if m.backing != nil {
+			m.backing.Put(fp, res)
 		}
 	}
-	m.misses.Add(1)
-	return res, false
-}
-
-// Store caches res under fp. First writer wins; later writers of the
-// same fingerprint (concurrent misses) are dropped, which is sound
-// because equal fingerprints imply equal results. With a backing
-// attached, a first write is also written through to it.
-func (m *Memo) Store(fp vproc.Fingerprint, res vproc.Result) {
-	if m.storeLocal(fp, res) && m.backing != nil {
-		m.backing.Put(fp, res)
+	m.mu.Lock()
+	m.results[fp] = res
+	m.bytes += uint64(memoEntryBytes + len(res.FailReason) + memoDiffBytes*len(res.Diffs))
+	if hit {
+		m.hits++
+	} else {
+		m.misses++
 	}
-}
-
-// storeLocal inserts into the in-memory layer only, reporting whether
-// this call was the first writer.
-func (m *Memo) storeLocal(fp vproc.Fingerprint, res vproc.Result) bool {
-	if m.m.Store(fp, res) {
-		m.bytes.Add(uint64(memoEntryBytes + len(res.FailReason) + memoDiffBytes*len(res.Diffs)))
-		return true
-	}
-	return false
+	resolved = true
+	m.mu.Unlock()
+	m.done.Broadcast()
+	return res, hit
 }
 
 // Hits returns the lifetime hit count.
-func (m *Memo) Hits() uint64 { return m.hits.Load() }
+func (m *Memo) Hits() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.hits
+}
 
 // Misses returns the lifetime miss count.
-func (m *Memo) Misses() uint64 { return m.misses.Load() }
+func (m *Memo) Misses() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.misses
+}
 
 // Bytes returns the approximate retained size of the cached results.
-func (m *Memo) Bytes() uint64 { return m.bytes.Load() }
+func (m *Memo) Bytes() uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.bytes
+}
 
 // oracleSalts distinguishes the oracle configurations of successive
 // classification passes: oracle answers depend on the whole execution,
 // so oracle-mode fingerprints are only shareable within one Run (see
 // vproc.Fingerprinter.Instance).
 var oracleSalts atomic.Uint64
-
-// countCachedReplay replays a cache hit's effect on the vproc.* stage
-// counters, exactly as vproc.Analyze would have counted the
-// live replay. This keeps every counter except classify.memo.* (and
-// timing) identical between memo-on and memo-off runs — the equivalence
-// the suite tests pin down. The failed order is recovered from the
-// FailReason prefix runOrder always emits.
-func countCachedReplay(reg *obs.Registry, res vproc.Result) {
-	reg.Counter("vproc.instances_analyzed").Inc()
-	reg.Counter("vproc.order_replays").Add(2)
-	switch res.Outcome {
-	case vproc.ReplayFailure:
-		if strings.HasPrefix(res.FailReason, "original order: ") {
-			reg.Counter("vproc.order_failures_original").Inc()
-		} else {
-			reg.Counter("vproc.order_failures_alternative").Inc()
-		}
-	case vproc.StateChange:
-		reg.Counter("vproc.liveout_diffs").Add(uint64(len(res.Diffs)))
-	}
-}

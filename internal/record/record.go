@@ -192,20 +192,17 @@ func (r *recorder) finish(res *machine.Result) *trace.Log {
 // publishMetrics flushes the recorder's event tallies into the registry
 // (no-op without one). The loads split is the predictability rule's
 // effectiveness: loads_predicted were reconstructed from the thread's
-// own view and cost zero log bytes. The machine.* family counts the
-// machine's raw event stream, which the recorder sees whole; the
-// per-thread instruction histogram takes its samples in end order.
+// own view and cost zero log bytes. The recorder sees the machine's
+// whole event stream, so the record.* event counters are also the
+// machine's; the machine.* family holds only what the log does not
+// count (atomic ops, ended threads), and the per-thread instruction
+// histogram takes its samples in end order.
 func (r *recorder) publishMetrics(res *machine.Result) {
 	reg := r.metrics
 	if reg == nil {
 		return
 	}
-	reg.Counter("machine.loads").Add(r.nLoads)
-	reg.Counter("machine.stores").Add(r.nStores)
 	reg.Counter("machine.atomic_ops").Add(r.nAtomics)
-	reg.Counter("machine.sequencers").Add(r.nSeqs)
-	reg.Counter("machine.syscall_returns").Add(r.nSysRets)
-	reg.Counter("machine.threads_started").Add(uint64(len(r.order)))
 	reg.Counter("machine.threads_ended").Add(uint64(len(r.ended)))
 	perThread := reg.Histogram("machine.instructions_per_thread")
 	for _, tid := range r.ended {

@@ -477,10 +477,22 @@ func (e *eventTap) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum i
 }
 func (e *eventTap) SyscallRet(tid int, idx uint64, res uint64) { e.counts["syscall_returns"]++ }
 
-// TestMachineCountersMatchEventTap checks the recorder's machine.*
-// counters and its instructions-per-thread histogram against a tap on a
-// bare machine run of the same seed, for a plain recording and for one
-// with the online detector and key frames riding along.
+// recorderCounter names the counter the recorder publishes for each
+// event kind the tap tallies.
+var recorderCounter = map[string]string{
+	"loads":           "record.loads_total",
+	"stores":          "record.stores",
+	"atomic_ops":      "machine.atomic_ops",
+	"sequencers":      "record.sequencers",
+	"syscall_returns": "record.syscall_returns",
+	"threads_started": "record.threads",
+	"threads_ended":   "machine.threads_ended",
+}
+
+// TestMachineCountersMatchEventTap checks the recorder's event counters
+// and its instructions-per-thread histogram against a tap on a bare
+// machine run of the same seed, for a plain recording and for one with
+// the online detector and key frames riding along.
 func TestMachineCountersMatchEventTap(t *testing.T) {
 	prog, err := asm.Assemble("tap", `
 .entry main
@@ -543,8 +555,8 @@ main:
 		}
 		snap := reg.Snapshot()
 		for kind, want := range tap.counts {
-			if got := snap.Counters["machine."+kind]; got != want {
-				t.Errorf("%+v: machine.%s = %d, want %d", oc, kind, got, want)
+			if got := snap.Counters[recorderCounter[kind]]; got != want {
+				t.Errorf("%+v: %s = %d, want %d", oc, recorderCounter[kind], got, want)
 			}
 		}
 		h := snap.Histograms["machine.instructions_per_thread"]

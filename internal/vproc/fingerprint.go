@@ -40,8 +40,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/replay"
 )
@@ -53,16 +51,16 @@ type Fingerprint [32]byte
 // Fingerprinter computes instance fingerprints for one execution,
 // caching the per-execution work: the program hash (computed eagerly —
 // every fingerprint needs it), the rolling heap-event prefix hashes,
-// and one lazily computed digest per region, stored lock-free so the
-// classification workers share the cache without coordination.
+// and one digest per region, each filled on first use. A Fingerprinter
+// is not safe for concurrent use: classify.Run builds one per execution
+// and fingerprints its instances on one goroutine.
 type Fingerprinter struct {
 	exec     *replay.Execution
 	progHash [32]byte
 
-	heapOnce   sync.Once
-	heapPrefix [][32]byte // heapPrefix[i] = digest of HeapEvents[:i]
+	heapPrefix [][32]byte // heapPrefix[i] = digest of HeapEvents[:i]; nil until first use
 
-	regions []atomic.Pointer[[32]byte] // indexed by Region.Global
+	regions []*[32]byte // indexed by Region.Global; nil until that region's first use
 }
 
 // NewFingerprinter builds a fingerprinter for exec.
@@ -75,7 +73,7 @@ func NewFingerprinter(exec *replay.Execution) *Fingerprinter {
 	return &Fingerprinter{
 		exec:     exec,
 		progHash: sha256.Sum256(b),
-		regions:  make([]atomic.Pointer[[32]byte], len(exec.Regions)),
+		regions:  make([]*[32]byte, len(exec.Regions)),
 	}
 }
 
@@ -90,19 +88,18 @@ func NewFingerprinter(exec *replay.Execution) *Fingerprinter {
 // heapPrefixAt returns the digest of exec.HeapEvents[:epoch], building
 // the rolling prefix table on first use.
 func (f *Fingerprinter) heapPrefixAt(epoch int) [32]byte {
-	f.heapOnce.Do(func() {
+	if f.heapPrefix == nil {
 		events := f.exec.HeapEvents
-		prefixes := make([][32]byte, len(events)+1)
+		f.heapPrefix = make([][32]byte, len(events)+1)
 		var buf [56]byte // prev digest + kind + base + size
 		for i, ev := range events {
-			b := append(buf[:0], prefixes[i][:]...)
+			b := append(buf[:0], f.heapPrefix[i][:]...)
 			b = binary.LittleEndian.AppendUint64(b, uint64(ev.Kind))
 			b = binary.LittleEndian.AppendUint64(b, ev.Base)
 			b = binary.LittleEndian.AppendUint64(b, ev.Size)
-			prefixes[i+1] = sha256.Sum256(b)
+			f.heapPrefix[i+1] = sha256.Sum256(b)
 		}
-		f.heapPrefix = prefixes
-	})
+	}
 	if epoch < 0 {
 		epoch = 0
 	}
@@ -114,10 +111,8 @@ func (f *Fingerprinter) heapPrefixAt(epoch int) [32]byte {
 
 // regionDigest returns the cached digest of everything a dual-order
 // replay can observe about one region, computing it on first use.
-// Concurrent first use may compute the digest twice; both computations
-// produce the same bytes, so the race is benign.
 func (f *Fingerprinter) regionDigest(r *replay.Region) [32]byte {
-	if p := f.regions[r.Global].Load(); p != nil {
+	if p := f.regions[r.Global]; p != nil {
 		return *p
 	}
 	// Live-in memory, in canonical (sorted-address) order: the distinct
@@ -176,7 +171,7 @@ func (f *Fingerprinter) regionDigest(r *replay.Region) [32]byte {
 	}
 
 	d := sha256.Sum256(b)
-	f.regions[r.Global].Store(&d)
+	f.regions[r.Global] = &d
 	return d
 }
 

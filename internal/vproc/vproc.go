@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/trace"
 )
@@ -114,10 +113,6 @@ type Options struct {
 	// "log enough information to continue" extension. The base tool of
 	// the paper runs without it.
 	Oracle *replay.VersionedMemory
-	// Metrics, when set, counts dual-order replays and their outcomes
-	// (vproc.* counters). The counters are atomic, so executions
-	// analyzed concurrently can share one registry.
-	Metrics *obs.Registry
 }
 
 // Scratch holds the reusable working state of one virtual-processor
@@ -168,8 +163,9 @@ func (s *vpScratch) reset() {
 
 // Analyze replays the race instance in both orders under opts and
 // classifies it; the zero Options is the paper's base configuration (no
-// oracle, no metrics). sc's buffers hold the replay's working state; a
-// nil sc allocates fresh state.
+// oracle). sc's buffers hold the replay's working state; a nil sc
+// allocates fresh state. Analyze publishes no metrics: classify counts
+// the vproc.* counters from the Result, cached or replayed alike.
 func Analyze(exec *replay.Execution, pair RacePair, opts Options, sc *Scratch) Result {
 	// Canonicalize: region A is the earlier-scheduled region. The
 	// "original order" approximation and the prefix execution order are
@@ -183,18 +179,13 @@ func Analyze(exec *replay.Execution, pair RacePair, opts Options, sc *Scratch) R
 	if sc == nil {
 		sc = &Scratch{}
 	}
-	reg := opts.Metrics
-	reg.Counter("vproc.instances_analyzed").Inc()
-	reg.Counter("vproc.order_replays").Add(2)
 	orig, failO := runOrder(exec, pair, true, opts, &sc.slots[0])
 	alt, failA := runOrder(exec, pair, false, opts, &sc.slots[1])
 	if failO != "" {
-		reg.Counter("vproc.order_failures_original").Inc()
 		return Result{Outcome: ReplayFailure, FailReason: "original order: " + failO,
 			OrigFail: failO, AltFail: failA}
 	}
 	if failA != "" {
-		reg.Counter("vproc.order_failures_alternative").Inc()
 		return Result{Outcome: ReplayFailure, FailReason: "alternative order: " + failA,
 			AltFail: failA}
 	}
@@ -202,7 +193,6 @@ func Analyze(exec *replay.Execution, pair RacePair, opts Options, sc *Scratch) R
 	if len(diffs) == 0 {
 		return Result{Outcome: NoStateChange}
 	}
-	reg.Counter("vproc.liveout_diffs").Add(uint64(len(diffs)))
 	return Result{Outcome: StateChange, Diffs: diffs}
 }
 

@@ -10,24 +10,6 @@ import (
 	"repro/internal/obs"
 )
 
-// deterministicCounters is the counter space that must match exactly
-// across worker counts: every counter, with the memo's hit/miss split
-// folded into its lookup total. Two concurrent workers can both miss on
-// one fingerprint before either stores it, so the split varies from run
-// to run while hits+misses (one lookup per instance) does not.
-func deterministicCounters(snap obs.Snapshot) map[string]uint64 {
-	out := make(map[string]uint64, len(snap.Counters))
-	for name, v := range snap.Counters {
-		switch name {
-		case "classify.memo.hits", "classify.memo.misses":
-			out["classify.memo.lookups"] += v
-		default:
-			out[name] = v
-		}
-	}
-	return out
-}
-
 // metricNames lists every counter, gauge and histogram name, sorted.
 func metricNames(snap obs.Snapshot) []string {
 	var out []string
@@ -63,8 +45,8 @@ func spanShape(spans []obs.SpanSnapshot) []string {
 // TestSuiteParallelMatchesSerial is the determinism contract: the suite
 // analyzed on one worker and on eight produces identical scenario
 // results, identical merged classification, identical counters (the
-// memo hit/miss split folded), the same metric names and the same
-// merged span ladder.
+// memo's hit/miss split included: each fingerprint replays once), the
+// same metric names and the same merged span ladder.
 func TestSuiteParallelMatchesSerial(t *testing.T) {
 	regSerial := obs.NewRegistry()
 	serial, err := RunSuite(SuiteOptions{Seeds: 2, Jobs: 1, Registry: regSerial})
@@ -95,7 +77,7 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 	}
 
 	snapSerial, snapPar := regSerial.Snapshot(), regPar.Snapshot()
-	if a, b := deterministicCounters(snapSerial), deterministicCounters(snapPar); !reflect.DeepEqual(a, b) {
+	if a, b := snapSerial.Counters, snapPar.Counters; !reflect.DeepEqual(a, b) {
 		t.Errorf("stage counters differ between jobs=1 and jobs=8:\nserial: %v\nparallel: %v", a, b)
 	}
 	if a, b := metricNames(snapSerial), metricNames(snapPar); !reflect.DeepEqual(a, b) {

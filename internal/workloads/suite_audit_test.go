@@ -16,7 +16,8 @@ func TestSuiteAuditByteIdenticalAcrossJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunSuite(SuiteOptions{Jobs: 8, Audit: true})
+	parallelReg := obs.NewRegistry()
+	parallel, err := RunSuite(SuiteOptions{Jobs: 8, Audit: true, Registry: parallelReg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,26 +42,55 @@ func TestSuiteAuditByteIdenticalAcrossJobs(t *testing.T) {
 		t.Fatalf("executions = %d, want %d scenarios + %d quarantined",
 			len(serial.Audit.Executions), len(serial.Scenarios), len(serial.Quarantined))
 	}
-	var insts int
+	var insts, origFails, altFails, diffs int
 	for _, e := range serial.Audit.Executions {
 		for _, r := range e.Races {
 			insts += len(r.Instances)
+			for _, in := range r.Instances {
+				diffs += in.Diffs
+				if in.Outcome == "replay-failure" {
+					if in.OrigOrder != "ok" {
+						origFails++
+					} else {
+						altFails++
+					}
+				}
+			}
 		}
 	}
 	if want := serial.Merged.TotalInstances(); insts != want {
 		t.Fatalf("audit instances = %d, want %d (merged classification total)", insts, want)
 	}
 
-	// At one worker the canonical cache derivation and the runtime memo
-	// agree exactly: derived hits must equal the classify.memo.hits
-	// counter of the serial run.
-	hits, misses := serial.Audit.CacheHits()
-	if got := serialReg.Counter("classify.memo.hits").Value(); uint64(hits) != got {
-		t.Fatalf("derived cache hits = %d, runtime memo hits at jobs=1 = %d", hits, got)
+	// classify publishes the vproc.* counters from each instance's
+	// result, cached or replayed, so they follow the per-instance
+	// evidence exactly.
+	for name, want := range map[string]int{
+		"vproc.instances_analyzed":         insts,
+		"vproc.order_replays":              2 * insts,
+		"vproc.order_failures_original":    origFails,
+		"vproc.order_failures_alternative": altFails,
+		"vproc.liveout_diffs":              diffs,
+	} {
+		if got := serialReg.Counter(name).Value(); got != uint64(want) {
+			t.Errorf("%s = %d, want %d from the audit trail", name, got, want)
+		}
 	}
-	if uint64(misses) != serialReg.Counter("classify.memo.misses").Value() {
-		t.Fatalf("derived cache misses = %d, runtime = %d",
-			misses, serialReg.Counter("classify.memo.misses").Value())
+	if origFails == 0 || altFails == 0 {
+		t.Errorf("suite replay failures: %d original, %d alternative; want both orders represented", origFails, altFails)
+	}
+
+	// The memo replays each fingerprint once, so at any worker count the
+	// canonical cache derivation and the runtime memo agree exactly:
+	// derived hits and misses equal the classify.memo.* counters.
+	hits, misses := serial.Audit.CacheHits()
+	for jobs, reg := range map[int]*obs.Registry{1: serialReg, 8: parallelReg} {
+		if got := reg.Counter("classify.memo.hits").Value(); uint64(hits) != got {
+			t.Errorf("derived cache hits = %d, runtime memo hits at jobs=%d = %d", hits, jobs, got)
+		}
+		if got := reg.Counter("classify.memo.misses").Value(); uint64(misses) != got {
+			t.Errorf("derived cache misses = %d, runtime at jobs=%d = %d", misses, jobs, got)
+		}
 	}
 	if hits == 0 {
 		t.Error("suite exposes recurring instances; derived cache hits should be > 0")

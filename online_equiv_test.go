@@ -15,16 +15,15 @@ import (
 // onlineComparableMetrics strips the metrics that are allowed to differ
 // between online-on and online-off runs: the online detector's own
 // detect.online.* counters and gauge (they only exist when the detector
-// is wired in), the memo cache counters (concurrent workers can race to
-// the same fingerprint, so hit/miss splits are not schedule-stable), and
-// everything timing-dependent. Every remaining metric — the offline
-// detect.*, classify.*, record.* and vproc.* families — must match
+// is wired in), the memo's classify.memo.bytes gauge, and everything
+// timing-dependent. Every remaining metric — the offline detect.*,
+// classify.* (the memo's hit and miss counters included: each
+// fingerprint replays once), record.* and vproc.* families — must match
 // exactly, because the online observer is passive and the offline pass
 // still runs in full whenever a scenario races.
 func onlineComparableMetrics(snap obs.Snapshot) (map[string]uint64, map[string]float64, map[string]obs.HistogramSnapshot) {
 	skip := func(name string) bool {
 		return strings.HasPrefix(name, "detect.online.") ||
-			strings.HasPrefix(name, "classify.memo.") ||
 			strings.HasPrefix(name, "record.keyframes.") ||
 			strings.HasSuffix(name, "_ns")
 	}
@@ -37,7 +36,7 @@ func onlineComparableMetrics(snap obs.Snapshot) (map[string]uint64, map[string]f
 	}
 	gauges := map[string]float64{}
 	for name, v := range snap.Gauges {
-		if skip(name) || strings.HasPrefix(name, "sched.") {
+		if skip(name) || strings.HasPrefix(name, "sched.") || name == "classify.memo.bytes" {
 			continue
 		}
 		gauges[name] = v
