@@ -54,9 +54,11 @@ import (
 // each access unchanged. Within one access, pairs are found in the
 // window's record order, which is deterministic.
 //
-// The window is laid out in pages of per-word record lists, like
-// machine.Memory, so an access writes the page map only when it touches
-// a new page. A watermark sweep keeps it bounded: a closed region whose
+// The window is laid out in 64-word pages of per-word record lists, as
+// the recorder's per-thread views are, so an access writes the page map
+// only when it touches a new page. Unlike those views and
+// machine.Memory's 1,024-word pages, it keeps no last-page cache: every
+// access reads the page map. A watermark sweep keeps it bounded: a closed region whose
 // end falls at or below the minimum open-region start across live
 // threads can overlap no future access, and its records are evicted,
 // along with pages left empty. The watermark never falls, and every

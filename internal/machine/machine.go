@@ -112,7 +112,7 @@ type Config struct {
 	MaxQuantum   int    // max instructions per scheduling quantum (default 12)
 	MaxSteps     uint64 // global retired-instruction budget (default 8M)
 	MaxThreads   int    // spawn limit (default 64)
-	MaxHeapWords uint64 // heap budget (default 1M words)
+	MaxHeapWords uint64 // heap budget (default 1M words); the heap never reaches isa.StackBase
 	Observer     Observer
 
 	// Policy selects the interleaving strategy (default PolicyRandom).
@@ -169,7 +169,8 @@ type Machine struct {
 	liveCnt  int
 	deadlock bool
 	ss       schedState
-	runBuf   []*Thread // reusable runnable-thread collection buffer
+	runnable []*Thread // the runnable threads in ID order, while !runStale
+	runStale bool      // a thread spawned, blocked, woke or ended since runnable was built
 	env      threadEnv // the Env handed to Step, aimed at the thread being stepped
 }
 
@@ -184,13 +185,14 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	}
 	cfg = cfg.withDefaults()
 	m := &Machine{
-		prog:    prog,
-		cfg:     cfg,
-		mem:     NewMemory(cfg.MaxHeapWords),
-		locks:   make(map[uint64]int),
-		sched:   rand.New(rand.NewSource(cfg.Seed)),
-		entropy: cfg.EntropySeed,
-		obs:     cfg.Observer,
+		prog:     prog,
+		cfg:      cfg,
+		mem:      NewMemory(cfg.MaxHeapWords),
+		locks:    make(map[uint64]int),
+		sched:    rand.New(rand.NewSource(cfg.Seed)),
+		entropy:  cfg.EntropySeed,
+		obs:      cfg.Observer,
+		runStale: true,
 	}
 	m.env.m = m
 	if kf, ok := cfg.Observer.(KeyFramer); ok {
@@ -279,7 +281,8 @@ func (m *Machine) stepThread(t *Thread) {
 		ins = m.prog.Code[t.Cpu.PC]
 	}
 	idx := t.Retired
-	if ins.Op.IsSync() {
+	isSync := ins.Op.IsSync()
+	if isSync {
 		// Pre-allocate the timestamp so a spawn performed inside the
 		// syscall can hand it to the child as its start timestamp.
 		m.pendTS = m.nextTS()
@@ -290,7 +293,7 @@ func (m *Machine) stepThread(t *Thread) {
 	case StepContinue:
 		t.Retired++
 		m.retired++
-		if ins.Op.IsSync() {
+		if isSync {
 			m.emitSequencer(t, idx, ins)
 		}
 		if m.kf != nil {
@@ -304,7 +307,7 @@ func (m *Machine) stepThread(t *Thread) {
 	case StepExited:
 		t.Retired++
 		m.retired++
-		if ins.Op.IsSync() {
+		if isSync {
 			m.emitSequencer(t, idx, ins)
 		}
 		t.State = Exited
@@ -313,6 +316,7 @@ func (m *Machine) stepThread(t *Thread) {
 		// State was set by the env (BlockedLock / BlockedJoin); the
 		// pre-allocated timestamp is simply discarded, leaving a gap in
 		// the clock, which is harmless.
+		m.runStale = true
 	case StepFault:
 		t.State = Faulted
 		t.Fault = f
@@ -334,6 +338,7 @@ func (m *Machine) emitSequencer(t *Thread, idx uint64, ins isa.Instr) {
 func (m *Machine) endThread(t *Thread) {
 	t.EndTS = m.nextTS()
 	m.liveCnt--
+	m.runStale = true
 	// Wake joiners.
 	for _, w := range m.threads {
 		if w.State == BlockedJoin && w.waitTid == t.ID {
@@ -409,6 +414,7 @@ func (e *threadEnv) Unlock(addr uint64, pc int) *Fault {
 	for _, w := range e.m.threads {
 		if w.State == BlockedLock && w.waitAddr == addr {
 			w.State = Runnable
+			e.m.runStale = true
 		}
 	}
 	return nil
@@ -463,6 +469,7 @@ func (e *threadEnv) Syscall(cpu *Cpu, num int64, pc int) (SysOutcome, *Fault) {
 		child.Cpu.Regs[isa.SP] = isa.StackTop(child.ID)
 		m.threads = append(m.threads, child)
 		m.liveCnt++
+		m.runStale = true
 		m.assignPriority(child.ID)
 		if m.obs != nil {
 			m.obs.ThreadStarted(child, child.StartTS)

@@ -12,30 +12,45 @@ const (
 	pageMask  = pageWords - 1
 )
 
+// memPage is one 1,024-word page of memory and its poison bits, one per
+// word. The words live in their own 8 KiB array: with the bits beside
+// them the allocation would fall into the next size class.
+type memPage struct {
+	words  *[pageWords]uint64
+	poison [pageWords / 64]uint64
+}
+
+func (p *memPage) poisoned(off uint64) bool {
+	return p.poison[off>>6]&(1<<(off&63)) != 0
+}
+
 // Memory is the RVM's word-granular flat address space, backed by pages
-// allocated on demand (unmapped words read as zero). It also owns the heap
-// bump allocator and the use-after-free poison set: freed blocks are never
-// reused, so dangling accesses fault deterministically.
+// allocated on demand (unmapped words read as zero) behind a one-page
+// cache. It also owns the heap bump allocator and the use-after-free
+// poison bits: freed blocks are never reused, so dangling accesses fault
+// deterministically.
 type Memory struct {
-	pages    map[uint64]*[pageWords]uint64
+	pages    map[uint64]*memPage
+	lastPN   uint64 // page number of last; ^0 matches no address
+	last     *memPage
 	heapNext uint64
+	heapEnd  uint64            // first word past the heap
 	blocks   map[uint64]uint64 // live allocation base -> size in words
-	poisoned map[uint64]struct{}
-	maxHeap  uint64
 }
 
 // NewMemory returns an empty memory whose heap can grow to maxHeapWords
-// (0 means a generous default).
+// (0 means a generous default), and never into the thread stacks at
+// isa.StackBase.
 func NewMemory(maxHeapWords uint64) *Memory {
 	if maxHeapWords == 0 {
 		maxHeapWords = 1 << 20
 	}
 	return &Memory{
-		pages:    make(map[uint64]*[pageWords]uint64),
+		pages:    make(map[uint64]*memPage),
+		lastPN:   ^uint64(0),
 		heapNext: isa.HeapBase,
+		heapEnd:  isa.HeapBase + min(maxHeapWords, isa.StackBase-isa.HeapBase),
 		blocks:   make(map[uint64]uint64),
-		poisoned: make(map[uint64]struct{}),
-		maxHeap:  maxHeapWords,
 	}
 }
 
@@ -46,53 +61,61 @@ func (m *Memory) LoadInit(data map[uint64]uint64) {
 	}
 }
 
-func (m *Memory) page(addr uint64, create bool) *[pageWords]uint64 {
-	pn := addr >> pageShift
+// page returns page number pn, or nil when it is unmapped and create is
+// false.
+func (m *Memory) page(pn uint64, create bool) *memPage {
+	if pn == m.lastPN {
+		return m.last
+	}
 	p := m.pages[pn]
-	if p == nil && create {
-		p = new([pageWords]uint64)
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = &memPage{words: new([pageWords]uint64)}
 		m.pages[pn] = p
 	}
+	m.lastPN, m.last = pn, p
 	return p
 }
 
 func (m *Memory) read(addr uint64) uint64 {
-	if p := m.page(addr, false); p != nil {
-		return p[addr&pageMask]
+	if p := m.page(addr>>pageShift, false); p != nil {
+		return p.words[addr&pageMask]
 	}
 	return 0
 }
 
 func (m *Memory) write(addr uint64, v uint64) {
-	m.page(addr, true)[addr&pageMask] = v
-}
-
-// check validates an address for a data access.
-func (m *Memory) check(addr uint64, pc int) *Fault {
-	if addr < isa.NullGuardTop {
-		return &Fault{Kind: FaultNullAccess, PC: pc, Addr: addr}
-	}
-	if _, bad := m.poisoned[addr]; bad {
-		return &Fault{Kind: FaultUseAfterFree, PC: pc, Addr: addr}
-	}
-	return nil
+	m.page(addr>>pageShift, true).words[addr&pageMask] = v
 }
 
 // Load reads the word at addr, faulting on null-guard or poisoned
 // addresses.
 func (m *Memory) Load(addr uint64, pc int) (uint64, *Fault) {
-	if f := m.check(addr, pc); f != nil {
-		return 0, f
+	if addr < isa.NullGuardTop {
+		return 0, &Fault{Kind: FaultNullAccess, PC: pc, Addr: addr}
 	}
-	return m.read(addr), nil
+	p := m.page(addr>>pageShift, false)
+	if p == nil {
+		return 0, nil
+	}
+	if p.poisoned(addr & pageMask) {
+		return 0, &Fault{Kind: FaultUseAfterFree, PC: pc, Addr: addr}
+	}
+	return p.words[addr&pageMask], nil
 }
 
 // Store writes the word at addr with the same checks as Load.
 func (m *Memory) Store(addr, v uint64, pc int) *Fault {
-	if f := m.check(addr, pc); f != nil {
-		return f
+	if addr < isa.NullGuardTop {
+		return &Fault{Kind: FaultNullAccess, PC: pc, Addr: addr}
 	}
-	m.write(addr, v)
+	p := m.page(addr>>pageShift, true)
+	if p.poisoned(addr & pageMask) {
+		return &Fault{Kind: FaultUseAfterFree, PC: pc, Addr: addr}
+	}
+	p.words[addr&pageMask] = v
 	return nil
 }
 
@@ -103,15 +126,14 @@ func (m *Memory) Alloc(n uint64, pc int) (uint64, *Fault) {
 	if n == 0 {
 		n = 1
 	}
-	if m.heapNext+n > isa.HeapBase+m.maxHeap {
+	if n > m.heapEnd-m.heapNext {
 		return 0, &Fault{Kind: FaultOOM, PC: pc}
 	}
 	base := m.heapNext
 	m.heapNext += n
 	m.blocks[base] = n
-	for i := uint64(0); i < n; i++ {
-		m.write(base+i, 0)
-	}
+	// Only a page something was written to can hold a nonzero word.
+	m.eachPage(base, n, false, func(p *memPage, lo, hi uint64) { clear(p.words[lo:hi]) })
 	return base, nil
 }
 
@@ -124,10 +146,26 @@ func (m *Memory) Free(base uint64, pc int) *Fault {
 		return &Fault{Kind: FaultBadFree, PC: pc, Addr: base}
 	}
 	delete(m.blocks, base)
-	for i := uint64(0); i < n; i++ {
-		m.poisoned[base+i] = struct{}{}
-	}
+	m.eachPage(base, n, true, func(p *memPage, lo, hi uint64) {
+		for off := lo; off < hi; off++ {
+			p.poison[off>>6] |= 1 << (off & 63)
+		}
+	})
 	return nil
+}
+
+// eachPage calls fn with each page the n words from base span and the
+// offsets [lo, hi) of those words on it, skipping unmapped pages unless
+// create is set.
+func (m *Memory) eachPage(base, n uint64, create bool, fn func(p *memPage, lo, hi uint64)) {
+	for addr, end := base, base+n; addr < end; {
+		lo := addr & pageMask
+		hi := min(pageWords, lo+(end-addr))
+		if p := m.page(addr>>pageShift, create); p != nil {
+			fn(p, lo, hi)
+		}
+		addr += hi - lo
+	}
 }
 
 // BlockSize returns the size of the live block at base, or false.
@@ -149,8 +187,8 @@ func (m *Memory) Blocks() []Block {
 
 // Poisoned reports whether addr belongs to a freed block.
 func (m *Memory) Poisoned(addr uint64) bool {
-	_, bad := m.poisoned[addr]
-	return bad
+	p := m.page(addr>>pageShift, false)
+	return p != nil && p.poisoned(addr&pageMask)
 }
 
 // Block is one live heap allocation.

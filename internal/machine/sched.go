@@ -93,10 +93,16 @@ func (m *Machine) assignPriority(tid int) {
 }
 
 // pickPolicy chooses the next thread according to the configured policy.
-// Returns nil when nothing is runnable.
+// Returns nil when nothing is runnable. The runnable list is rebuilt
+// only after a thread spawned, blocked, woke or ended; it is always in
+// thread-ID order, so keeping it picks the same thread as rebuilding it
+// every quantum would.
 func (m *Machine) pickPolicy() *Thread {
-	runnable := appendRunnable(m.runBuf[:0], m.threads)
-	m.runBuf = runnable
+	if m.runStale {
+		m.runnable = appendRunnable(m.runnable[:0], m.threads)
+		m.runStale = false
+	}
+	runnable := m.runnable
 	if len(runnable) == 0 {
 		for _, t := range m.threads {
 			if t.State == BlockedLock || t.State == BlockedJoin {

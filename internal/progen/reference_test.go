@@ -3,6 +3,7 @@ package progen
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -242,6 +243,104 @@ func checkHistory(exec *replay.Execution) error {
 	}
 }
 
+// refRecorder is a machine.Observer that applies iDNA's predictable-load
+// rule by its definition: each thread keeps a plain map of the values it
+// last read or wrote, and a load is logged when its address is missing
+// from that map or holds another value. It also keeps each thread's
+// syscall results and sequencers, with the start and end pseudo
+// entries.
+type refRecorder struct {
+	threads map[int]*refThread
+	order   []int // tids in start order
+}
+
+type refThread struct {
+	view    map[uint64]uint64
+	loads   []trace.LoadRec
+	sysRets []trace.SysRec
+	seqs    []trace.Sequencer
+	ended   bool
+}
+
+func (r *refRecorder) ThreadStarted(t *machine.Thread, startTS uint64) {
+	r.threads[t.ID] = &refThread{
+		view: map[uint64]uint64{},
+		seqs: []trace.Sequencer{{Idx: 0, TS: startTS, Kind: trace.SeqStart, Aux: -1}},
+	}
+	r.order = append(r.order, t.ID)
+}
+
+func (r *refRecorder) ThreadEnded(t *machine.Thread, endTS uint64) {
+	th := r.threads[t.ID]
+	th.seqs = append(th.seqs, trace.Sequencer{Idx: t.Retired, TS: endTS, Kind: trace.SeqEnd, Aux: -1})
+	th.ended = true
+}
+
+func (r *refRecorder) Load(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
+	th := r.threads[tid]
+	if v, ok := th.view[addr]; !ok || v != val {
+		th.loads = append(th.loads, trace.LoadRec{Idx: idx, Addr: addr, Val: val})
+	}
+	th.view[addr] = val
+}
+
+func (r *refRecorder) Store(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
+	r.threads[tid].view[addr] = val
+}
+
+func (r *refRecorder) Sequencer(tid int, idx uint64, ts uint64, op isa.Op, sysNum int64) {
+	aux := int64(-1)
+	if op == isa.OpSys {
+		aux = sysNum
+	}
+	th := r.threads[tid]
+	th.seqs = append(th.seqs, trace.Sequencer{Idx: idx, TS: ts, Kind: trace.KindForOp(op), Aux: aux})
+}
+
+func (r *refRecorder) SyscallRet(tid int, idx uint64, res uint64) {
+	th := r.threads[tid]
+	th.sysRets = append(th.sysRets, trace.SysRec{Idx: idx, Res: res})
+}
+
+// checkRecorder runs prog under cfg again with refRecorder as the
+// observer and compares each thread's logged loads, syscall results and
+// sequencers with the recorder's log of the same run. A thread still
+// live when the run ends gets the end pseudo entry the log gives it: in
+// start order, timestamps past the final clock.
+func checkRecorder(prog *isa.Program, cfg machine.Config, log *trace.Log) error {
+	ref := &refRecorder{threads: map[int]*refThread{}}
+	cfg.Observer = ref
+	m, err := machine.New(prog, cfg)
+	if err != nil {
+		return err
+	}
+	res := m.Run()
+	ts := res.FinalClock
+	for _, tid := range ref.order {
+		if th := ref.threads[tid]; !th.ended {
+			ts++
+			th.seqs = append(th.seqs, trace.Sequencer{Idx: res.Threads[tid].Retired, TS: ts, Kind: trace.SeqEnd, Aux: -1})
+		}
+	}
+	if len(log.Threads) != len(ref.order) {
+		return fmt.Errorf("recorder logged %d threads, reference %d", len(log.Threads), len(ref.order))
+	}
+	for i, tl := range log.Threads {
+		th := ref.threads[ref.order[i]]
+		switch {
+		case tl.TID != ref.order[i]:
+			return fmt.Errorf("recorder's thread %d is %d, reference %d", i, tl.TID, ref.order[i])
+		case !reflect.DeepEqual(tl.Loads, th.loads):
+			return fmt.Errorf("thread %d: recorder logged %d loads, reference %d (or their contents differ)", tl.TID, len(tl.Loads), len(th.loads))
+		case !reflect.DeepEqual(tl.SysRets, th.sysRets):
+			return fmt.Errorf("thread %d: recorder logged %d syscall results, reference %d (or their contents differ)", tl.TID, len(tl.SysRets), len(th.sysRets))
+		case !reflect.DeepEqual(tl.Seqs, th.seqs):
+			return fmt.Errorf("thread %d: recorder logged %d sequencers, reference %d (or their contents differ)", tl.TID, len(tl.Seqs), len(th.seqs))
+		}
+	}
+	return nil
+}
+
 func dedup(s []uint64) []uint64 {
 	out := s[:0]
 	for i, v := range s {
@@ -252,17 +351,22 @@ func dedup(s []uint64) []uint64 {
 	return out
 }
 
-// TestReferencesAgree runs the hb.Detect, hb.DetectVC and memory-history
-// references over 400 generated programs under each scheduler policy,
-// the 18 suite scenarios, browse and service, and counts the executions
-// each one disagrees on.
+// TestReferencesAgree runs the hb.Detect, hb.DetectVC, memory-history
+// and recorder references over 400 generated programs under each
+// scheduler policy, the 18 suite scenarios, browse and service, and
+// counts the executions each one disagrees on.
 func TestReferencesAgree(t *testing.T) {
-	keys, vcKeys, runs, detectFails, vcFails, historyFails := 0, 0, 0, 0, 0, 0
+	keys, vcKeys, runs, detectFails, vcFails, historyFails, recorderFails := 0, 0, 0, 0, 0, 0, 0
 	check := func(name string, prog *isa.Program, cfg machine.Config) {
 		t.Helper()
 		log, _, err := record.Run(prog, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if err := checkRecorder(prog, cfg, log); err != nil {
+			if recorderFails++; recorderFails <= 3 {
+				t.Errorf("%s: %v", name, err)
+			}
 		}
 		exec, err := replay.Run(log, replay.Options{})
 		if err != nil {
@@ -312,9 +416,9 @@ func TestReferencesAgree(t *testing.T) {
 		}
 		check(sc.Name, prog, sc.Config())
 	}
-	if detectFails+vcFails+historyFails > 0 {
-		t.Fatalf("of %d executions, hb.Detect disagrees with its reference on %d, hb.DetectVC on %d and the memory history on %d",
-			runs, detectFails, vcFails, historyFails)
+	if detectFails+vcFails+historyFails+recorderFails > 0 {
+		t.Fatalf("of %d executions, hb.Detect disagrees with its reference on %d, hb.DetectVC on %d, the memory history on %d and the recorder on %d",
+			runs, detectFails, vcFails, historyFails, recorderFails)
 	}
 	if keys == 0 || vcKeys == 0 {
 		t.Fatal("no race instance checked")

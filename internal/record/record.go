@@ -19,7 +19,8 @@
 package record
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/hb"
 	"repro/internal/isa"
@@ -33,8 +34,7 @@ import (
 type recorder struct {
 	prog    *isa.Program
 	seed    int64
-	threads map[int]*threadRec
-	order   []int         // tids in start order
+	threads []*threadRec  // indexed by tid, which is also start order
 	ended   []int         // tids in end order (ThreadEnded calls)
 	online  *hb.Online    // nil without online detection
 	metrics *obs.Registry // receives the counters at finish; nil is off
@@ -51,8 +51,81 @@ type recorder struct {
 
 type threadRec struct {
 	log  *trace.ThreadLog
-	view map[uint64]uint64
+	view view
 	done bool
+}
+
+const (
+	viewPageShift = 6
+	viewPageWords = 1 << viewPageShift
+)
+
+// view is the memory one thread can reconstruct from its own loads and
+// stores: pages of 64 words, each with a mask of the words the thread
+// knows, behind a one-page cache. Small pages keep a thread that
+// touches a few scattered words small; the cache keeps a run of accesses
+// to nearby words off the page map.
+type view struct {
+	pages  map[uint64]*viewPage
+	lastPN uint64 // page number of last; ^0 matches no address
+	last   *viewPage
+}
+
+type viewPage struct {
+	known uint64 // bit i: the thread knows vals[i]
+	vals  [viewPageWords]uint64
+}
+
+func newView() view {
+	return view{pages: make(map[uint64]*viewPage), lastPN: ^uint64(0)}
+}
+
+// page returns the page holding addr, creating it if needed.
+func (v *view) page(addr uint64) *viewPage {
+	pn := addr >> viewPageShift
+	if pn == v.lastPN {
+		return v.last
+	}
+	p := v.pages[pn]
+	if p == nil {
+		p = new(viewPage)
+		v.pages[pn] = p
+	}
+	v.lastPN, v.last = pn, p
+	return p
+}
+
+// set records that the thread last saw val at addr, and reports whether
+// it already knew that value there.
+func (v *view) set(addr, val uint64) (knew bool) {
+	p := v.page(addr)
+	off := addr & (viewPageWords - 1)
+	bit := uint64(1) << off
+	if p.known&bit == 0 {
+		p.known |= bit
+	} else if p.vals[off] == val {
+		return true
+	}
+	p.vals[off] = val
+	return false
+}
+
+// entries lists the view in address order.
+func (v *view) entries() []trace.LoadRec {
+	pns := make([]uint64, 0, len(v.pages))
+	for pn := range v.pages {
+		pns = append(pns, pn)
+	}
+	slices.Sort(pns)
+	var out []trace.LoadRec
+	for _, pn := range pns {
+		p := v.pages[pn]
+		for known := p.known; known != 0; known &= known - 1 {
+			off := uint64(bits.TrailingZeros64(known))
+			out = append(out, trace.LoadRec{Addr: pn<<viewPageShift | off, Val: p.vals[off]})
+		}
+	}
+	return out
 }
 
 // ThreadStarted implements machine.Observer.
@@ -64,8 +137,7 @@ func (r *recorder) ThreadStarted(t *machine.Thread, startTS uint64) {
 	}
 	tl.InitRegs = t.Cpu.Regs
 	tl.Seqs = append(tl.Seqs, trace.Sequencer{Idx: 0, TS: startTS, Kind: trace.SeqStart, Aux: -1})
-	r.threads[t.ID] = &threadRec{log: tl, view: make(map[uint64]uint64)}
-	r.order = append(r.order, t.ID)
+	r.threads = append(r.threads, &threadRec{log: tl, view: newView()})
 	if r.online != nil {
 		r.online.ThreadStarted(t.ID, startTS)
 	}
@@ -75,11 +147,10 @@ func (r *recorder) ThreadStarted(t *machine.Thread, startTS uint64) {
 func (r *recorder) Load(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
 	tr := r.threads[tid]
 	r.nLoads++
-	if v, known := tr.view[addr]; !known || v != val {
+	if !tr.view.set(addr, val) {
 		tr.log.Loads = append(tr.log.Loads, trace.LoadRec{Idx: idx, Addr: addr, Val: val})
 		r.nLoadsLogged++
 	}
-	tr.view[addr] = val
 	if atomic {
 		r.nAtomics++
 	}
@@ -90,7 +161,7 @@ func (r *recorder) Load(tid int, idx uint64, pc int, addr, val uint64, atomic bo
 
 // Store implements machine.Observer.
 func (r *recorder) Store(tid int, idx uint64, pc int, addr, val uint64, atomic bool) {
-	r.threads[tid].view[addr] = val
+	r.threads[tid].view.set(addr, val)
 	r.nStores++
 	if atomic {
 		r.nAtomics++
@@ -164,16 +235,9 @@ func (r *recorder) finish(res *machine.Result) *trace.Log {
 		Deadlocked: res.Deadlocked,
 	}
 	extraTS := res.FinalClock
-	for _, tid := range r.order {
-		tr := r.threads[tid]
+	for tid, tr := range r.threads {
 		if !tr.done {
-			var mt *machine.Thread
-			for _, t := range res.Threads {
-				if t.ID == tid {
-					mt = t
-					break
-				}
-			}
+			mt := res.Threads[tid]
 			extraTS++
 			tr.log.Retired = mt.Retired
 			tr.log.EndTS = extraTS
@@ -209,7 +273,7 @@ func (r *recorder) publishMetrics(res *machine.Result) {
 		perThread.Observe(int(r.threads[tid].log.Retired))
 	}
 	reg.Counter("record.instructions").Add(res.TotalSteps)
-	reg.Counter("record.threads").Add(uint64(len(r.order)))
+	reg.Counter("record.threads").Add(uint64(len(r.threads)))
 	reg.Counter("record.loads_total").Add(r.nLoads)
 	reg.Counter("record.loads_logged").Add(r.nLoadsLogged)
 	reg.Counter("record.loads_predicted").Add(r.nLoads - r.nLoadsLogged)
@@ -244,12 +308,7 @@ func (r *keyFramer) AfterRetire(t *machine.Thread) {
 		return
 	}
 	tr := r.threads[t.ID]
-	view := make([]trace.LoadRec, 0, len(tr.view))
-	for addr, val := range tr.view {
-		view = append(view, trace.LoadRec{Addr: addr, Val: val})
-	}
-	sort.Slice(view, func(i, j int) bool { return view[i].Addr < view[j].Addr })
-	kf := trace.KeyFrame{Idx: t.Retired, PC: t.Cpu.PC, View: view}
+	kf := trace.KeyFrame{Idx: t.Retired, PC: t.Cpu.PC, View: tr.view.entries()}
 	kf.Regs = t.Cpu.Regs
 	tr.log.KeyFrames = append(tr.log.KeyFrames, kf)
 }
@@ -280,7 +339,7 @@ func RunInstrumented(prog *isa.Program, cfg machine.Config, reg *obs.Registry) (
 // happens after the span ends.
 func run(prog *isa.Program, cfg machine.Config, oc OnlineConfig, reg *obs.Registry) (*trace.Log, *machine.Result, *hb.OnlineReport, error) {
 	sp := reg.StartSpan("record")
-	rec := &recorder{prog: prog, seed: cfg.Seed, threads: make(map[int]*threadRec), metrics: reg}
+	rec := &recorder{prog: prog, seed: cfg.Seed, metrics: reg}
 	if oc.Detect {
 		rec.online = hb.NewOnline(prog, reg, oc.StopOnFirstRace)
 	}
