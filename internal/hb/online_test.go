@@ -453,3 +453,42 @@ func TestOnlineEpochPrune(t *testing.T) {
 		t.Fatalf("report says checked=%d pruned=%d, metrics %d/%d", rep.Checked, rep.HBPruned, checked, pruned)
 	}
 }
+
+// TestOnlineWindowCacheSurvivesSweep drives the detector by hand so that
+// watermark sweeps evict the only record on the window page the last
+// access cached, deleting the page. The next access to that page must
+// land in the window, not in the deleted page: thread 0 writes the
+// address again, moves to another page, and thread 1's concurrent write
+// must find thread 0's record and race with it. Each round has three
+// sequencers, so over the rounds a sweep falls on every position of the
+// round, whatever the sweep cadence.
+func TestOnlineWindowCacheSurvivesSweep(t *testing.T) {
+	prog, err := asm.Assemble("sweep", "main:\n  st [r2+0], r1\n  st [r2+0], r1\n  ld r1, [r2+64]\n  halt\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const addr = 0x1000
+	reg := obs.NewRegistry()
+	o := hb.NewOnline(prog, reg, false)
+	o.ThreadStarted(0, 0)
+	o.ThreadStarted(1, 1) // spawned by thread 0's sequencer at 1
+	ts := uint64(1)
+	o.Sequencer(0, ts)
+	for round := 0; round < 200; round++ {
+		o.Access(0, 0, addr, false, true)
+		for _, tid := range []int{0, 1, 1} {
+			ts++
+			o.Sequencer(tid, ts)
+		}
+	}
+	o.Access(0, 0, addr, false, true)
+	o.Access(0, 2, addr+64, false, false)
+	o.Access(1, 1, addr, false, true)
+	rep := o.Report(false)
+	if evicted := reg.Counter("detect.online.evicted").Value(); evicted == 0 {
+		t.Fatal("no sweep evicted a record; the test no longer exercises the sweep")
+	}
+	if rep.RaceFree {
+		t.Fatal("thread 1's write missed thread 0's concurrent write to the same address")
+	}
+}

@@ -317,25 +317,25 @@ func TestFaultAndStateStrings(t *testing.T) {
 
 func TestMemoryAccessors(t *testing.T) {
 	m := NewMemory(0)
-	m.Poke(0x5000, 42)
-	if m.Peek(0x5000) != 42 {
+	m.poke(0x5000, 42)
+	if m.peek(0x5000) != 42 {
 		t.Error("peek/poke")
 	}
 	base, f := m.Alloc(3, 0)
 	if f != nil {
 		t.Fatal(f)
 	}
-	if n, ok := m.BlockSize(base); !ok || n != 3 {
-		t.Errorf("BlockSize = %d,%v", n, ok)
+	if n, ok := m.blocks[base]; !ok || n != 3 {
+		t.Errorf("block size = %d,%v", n, ok)
 	}
-	if _, ok := m.BlockSize(0x9999); ok {
+	if _, ok := m.blocks[0x9999]; ok {
 		t.Error("phantom block")
 	}
 	// Page-boundary write/read.
 	edge := uint64(pageWords - 1)
-	m.Poke(edge, 1)
-	m.Poke(edge+1, 2)
-	if m.Peek(edge) != 1 || m.Peek(edge+1) != 2 {
+	m.poke(edge, 1)
+	m.poke(edge+1, 2)
+	if m.peek(edge) != 1 || m.peek(edge+1) != 2 {
 		t.Error("page boundary")
 	}
 }
@@ -347,7 +347,7 @@ func TestMachineAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run()
-	if m.Mem() == nil || len(m.Threads()) != 1 {
+	if m.mem == nil || len(m.Threads()) != 1 {
 		t.Error("accessors broken")
 	}
 	if m.Clock() == 0 {

@@ -214,9 +214,6 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Mem exposes the machine's memory for post-run inspection.
-func (m *Machine) Mem() *Memory { return m.mem }
-
 // Threads exposes the thread table (valid after Run).
 func (m *Machine) Threads() []*Thread { return m.threads }
 

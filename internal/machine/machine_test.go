@@ -622,19 +622,19 @@ func TestMemoryBlocksTable(t *testing.T) {
 		t.Fatal(f)
 	}
 	b, _ := m.Alloc(2, 0)
-	if got := m.Blocks(); len(got) != 2 || got[0].Base != a || got[1].Base != b {
+	if got := m.liveBlocks(); len(got) != 2 || got[0].Base != a || got[1].Base != b {
 		t.Errorf("blocks = %v", got)
 	}
 	if err := m.Free(a, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Poisoned(a) || !m.Poisoned(a+3) {
+	if !m.poisonedAt(a) || !m.poisonedAt(a+3) {
 		t.Error("freed words should be poisoned")
 	}
-	if m.Poisoned(b) {
+	if m.poisonedAt(b) {
 		t.Error("live block should not be poisoned")
 	}
-	if got := m.Blocks(); len(got) != 1 || got[0].Base != b {
+	if got := m.liveBlocks(); len(got) != 1 || got[0].Base != b {
 		t.Errorf("blocks after free = %v", got)
 	}
 }

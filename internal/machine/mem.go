@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"sort"
-
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 const (
 	pageShift = 10
@@ -77,13 +73,6 @@ func (m *Memory) page(pn uint64, create bool) *memPage {
 	}
 	m.lastPN, m.last = pn, p
 	return p
-}
-
-func (m *Memory) read(addr uint64) uint64 {
-	if p := m.page(addr>>pageShift, false); p != nil {
-		return p.words[addr&pageMask]
-	}
-	return 0
 }
 
 func (m *Memory) write(addr uint64, v uint64) {
@@ -167,37 +156,3 @@ func (m *Memory) eachPage(base, n uint64, create bool, fn func(p *memPage, lo, h
 		addr += hi - lo
 	}
 }
-
-// BlockSize returns the size of the live block at base, or false.
-func (m *Memory) BlockSize(base uint64) (uint64, bool) {
-	n, ok := m.blocks[base]
-	return n, ok
-}
-
-// Blocks returns the live allocation table (base -> size), sorted by base.
-// The replayer uses this to seed virtual-processor live-in heap state.
-func (m *Memory) Blocks() []Block {
-	out := make([]Block, 0, len(m.blocks))
-	for base, n := range m.blocks {
-		out = append(out, Block{Base: base, Size: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
-}
-
-// Poisoned reports whether addr belongs to a freed block.
-func (m *Memory) Poisoned(addr uint64) bool {
-	p := m.page(addr>>pageShift, false)
-	return p != nil && p.poisoned(addr&pageMask)
-}
-
-// Block is one live heap allocation.
-type Block struct {
-	Base, Size uint64
-}
-
-// Peek reads a word without access checks (debugger/analysis use only).
-func (m *Memory) Peek(addr uint64) uint64 { return m.read(addr) }
-
-// Poke writes a word without access checks (analysis use only).
-func (m *Memory) Poke(addr, v uint64) { m.write(addr, v) }

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -22,7 +24,7 @@ func TestHeapStopsAtStacks(t *testing.T) {
 		t.Fatal(f)
 	}
 	base, f := m.Alloc(isa.StackWords, 0)
-	if v := m.Peek(top); v != 7 {
+	if v := m.peek(top); v != 7 {
 		t.Fatalf("thread 0's stack word reads %d after Alloc returned 0x%x, %v; want 7", v, base, f)
 	}
 	if f == nil || f.Kind != FaultOOM {
@@ -35,6 +37,37 @@ func TestHeapStopsAtStacks(t *testing.T) {
 	}
 }
 
+// heapBlock is one live heap allocation.
+type heapBlock struct {
+	Base, Size uint64
+}
+
+// peek, poke, poisonedAt and liveBlocks read and write a Memory without
+// access checks, for the tests.
+func (m *Memory) peek(addr uint64) uint64 {
+	if p := m.page(addr>>pageShift, false); p != nil {
+		return p.words[addr&pageMask]
+	}
+	return 0
+}
+
+func (m *Memory) poke(addr, v uint64) { m.write(addr, v) }
+
+func (m *Memory) poisonedAt(addr uint64) bool {
+	p := m.page(addr>>pageShift, false)
+	return p != nil && p.poisoned(addr&pageMask)
+}
+
+// liveBlocks returns the live allocation table, sorted by base.
+func (m *Memory) liveBlocks() []heapBlock {
+	out := make([]heapBlock, 0, len(m.blocks))
+	for base, n := range m.blocks {
+		out = append(out, heapBlock{Base: base, Size: n})
+	}
+	slices.SortFunc(out, func(a, b heapBlock) int { return cmp.Compare(a.Base, b.Base) })
+	return out
+}
+
 // memModel is machine.Memory by its definition: a map of words, the
 // blocks handed out in address order with a map of the live ones, and
 // the freed blocks, whose words are poisoned. The heap has the same
@@ -42,8 +75,8 @@ func TestHeapStopsAtStacks(t *testing.T) {
 type memModel struct {
 	words    map[uint64]uint64
 	live     map[uint64]uint64 // live block base -> size
-	handed   []Block           // every block handed out, in address order
-	freed    []Block
+	handed   []heapBlock       // every block handed out, in address order
+	freed    []heapBlock
 	heapNext uint64
 	heapEnd  uint64
 }
@@ -104,7 +137,7 @@ func (m *memModel) alloc(n uint64, pc int) (uint64, *Fault) {
 	base := m.heapNext
 	m.heapNext += n
 	m.live[base] = n
-	m.handed = append(m.handed, Block{Base: base, Size: n})
+	m.handed = append(m.handed, heapBlock{Base: base, Size: n})
 	for a := range m.words {
 		if a >= base && a < base+n {
 			delete(m.words, a)
@@ -119,12 +152,12 @@ func (m *memModel) free(base uint64, pc int) *Fault {
 		return &Fault{Kind: FaultBadFree, PC: pc, Addr: base}
 	}
 	delete(m.live, base)
-	m.freed = append(m.freed, Block{Base: base, Size: n})
+	m.freed = append(m.freed, heapBlock{Base: base, Size: n})
 	return nil
 }
 
-func (m *memModel) blocks() []Block {
-	out := []Block{}
+func (m *memModel) blocks() []heapBlock {
+	out := []heapBlock{}
 	for _, b := range m.handed {
 		if _, ok := m.live[b.Base]; ok {
 			out = append(out, b)
@@ -134,9 +167,9 @@ func (m *memModel) blocks() []Block {
 }
 
 // FuzzMemory drives machine.Memory and memModel through the same
-// byte-driven sequence of Load, Store, Alloc, Free, Peek, Poke,
-// Poisoned, BlockSize and Blocks calls and requires equal results and
-// faults. The first byte picks the heap budget; each later operation
+// byte-driven sequence of Load, Store, Alloc, Free, peek, poke,
+// poisonedAt, live-block lookups and liveBlocks calls and requires equal
+// results and faults. The first byte picks the heap budget; each later operation
 // takes an opcode byte and an operand byte. Addresses land on the null
 // guard, around the blocks handed out so far (inside, at and past their
 // ends), in the heap not yet handed out (so Alloc must zero what was
@@ -155,9 +188,9 @@ func FuzzMemory(f *testing.F) {
 		}
 		budget := []uint64{0, 3000, 64}[int(data[0])%3]
 		mem, ref := NewMemory(budget), newMemModel(budget)
-		block := func(k uint64) (Block, bool) {
+		block := func(k uint64) (heapBlock, bool) {
 			if len(ref.handed) == 0 {
-				return Block{}, false
+				return heapBlock{}, false
 			}
 			return ref.handed[k%uint64(len(ref.handed))], true
 		}
@@ -223,25 +256,25 @@ func FuzzMemory(f *testing.F) {
 				got, want = fmt.Sprintf("Free(0x%x) = %v", a, mem.Free(a, pc)), fmt.Sprintf("Free(0x%x) = %v", a, ref.free(a, pc))
 			case 4:
 				a := addr(b)
-				got, want = fmt.Sprintf("Peek(0x%x) = %d", a, mem.Peek(a)), fmt.Sprintf("Peek(0x%x) = %d", a, ref.words[a])
+				got, want = fmt.Sprintf("peek(0x%x) = %d", a, mem.peek(a)), fmt.Sprintf("peek(0x%x) = %d", a, ref.words[a])
 			case 5:
 				a, v := addr(b), uint64(i)+1
-				mem.Poke(a, v)
+				mem.poke(a, v)
 				ref.words[a] = v
 			case 6:
 				a := addr(b)
-				got, want = fmt.Sprintf("Poisoned(0x%x) = %v", a, mem.Poisoned(a)), fmt.Sprintf("Poisoned(0x%x) = %v", a, ref.poisoned(a))
+				got, want = fmt.Sprintf("poisonedAt(0x%x) = %v", a, mem.poisonedAt(a)), fmt.Sprintf("poisonedAt(0x%x) = %v", a, ref.poisoned(a))
 			case 7:
 				a := addr(b)
 				if blk, ok := block(uint64(b >> 4)); ok && b&8 != 0 {
 					a = blk.Base
 				}
-				n, ok := mem.BlockSize(a)
+				n, ok := mem.blocks[a]
 				rn, rok := ref.live[a]
-				got, want = fmt.Sprintf("BlockSize(0x%x) = %d, %v", a, n, ok), fmt.Sprintf("BlockSize(0x%x) = %d, %v", a, rn, rok)
+				got, want = fmt.Sprintf("blocks[0x%x] = %d, %v", a, n, ok), fmt.Sprintf("blocks[0x%x] = %d, %v", a, rn, rok)
 			case 8:
-				if blocks, rblocks := mem.Blocks(), ref.blocks(); !reflect.DeepEqual(blocks, rblocks) {
-					t.Fatalf("op %d: Blocks() = %v, model %v", ops, blocks, rblocks)
+				if blocks, rblocks := mem.liveBlocks(), ref.blocks(); !reflect.DeepEqual(blocks, rblocks) {
+					t.Fatalf("op %d: liveBlocks() = %v, model %v", ops, blocks, rblocks)
 				}
 			}
 			if got != want {

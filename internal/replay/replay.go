@@ -18,7 +18,6 @@ package replay
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/isa"
@@ -36,6 +35,8 @@ type Access struct {
 	Val     uint64 // value loaded or stored
 	IsWrite bool
 	Atomic  bool // performed by a lock-prefixed instruction
+
+	slot int32 // Addr's slot in the memory index, in the padding after the flags
 }
 
 // Site returns the stable static identity of the access.
@@ -104,6 +105,7 @@ type Execution struct {
 	Regions    []*Region // all regions in schedule (start-timestamp) order
 	HeapEvents []HeapEvent
 
+	slots   slotTable // every accessed address's index slot, assigned by Run
 	memOnce sync.Once
 	mem     *VersionedMemory
 }
@@ -111,10 +113,10 @@ type Execution struct {
 // Memory returns the execution's memory history, its one per-address
 // index, built on first use by whichever caller asks first. It is safe
 // for concurrent use. The index relies on each Region.Global being the
-// region's position in Regions, which Run guarantees, and on nothing
-// editing the regions' accesses after first use.
+// region's position in Regions and on the address slots Run gave the
+// accesses, and on nothing editing the regions' accesses after Run.
 func (e *Execution) Memory() *VersionedMemory {
-	e.memOnce.Do(func() { e.mem = buildVersionedMemory(e.Regions) })
+	e.memOnce.Do(func() { e.mem = buildVersionedMemory(e.Regions, &e.slots) })
 	return e.mem
 }
 
@@ -176,85 +178,218 @@ func Run(log *trace.Log, opts Options) (*Execution, error) {
 		return nil, err
 	}
 	exec := &Execution{Log: log, Prog: log.Prog}
+	st := newReplayState(exec, opts)
 
-	// Build per-thread replayers and carve their region lists.
-	replayers := make(map[int]*threadReplayer, len(log.Threads))
+	// Build the thread replayers and carve their region lists. The
+	// replayers, their results, the Region structs and the region
+	// pointers each come from one block allocation; the blocks are never
+	// resized, so pointers into them stay valid for the life of the
+	// execution.
+	total := 0
 	for _, tl := range log.Threads {
-		tr := newThreadReplayer(log.Prog, tl, exec, opts)
-		replayers[tl.TID] = tr
-		exec.Threads = append(exec.Threads, tr.result)
-		exec.Regions = append(exec.Regions, tr.result.Regions...)
+		total += len(tl.Seqs) - 1
+		st.left += float64(tl.Retired)
 	}
-
-	// Schedule: regions ordered by starting sequencer timestamp. The only
-	// possible tie is between a parent's post-spawn region and the child's
-	// first region (both anchored at the spawn sequencer); the child goes
-	// first, since conceptually it exists from the instant of the spawn.
-	// The Ordinal tie-break makes the order total (same-thread regions are
-	// already in Ordinal order), so an unstable sort gives the same result
-	// as a stable one without the stable sort's merge passes.
-	sort.Slice(exec.Regions, func(i, j int) bool {
-		a, b := exec.Regions[i], exec.Regions[j]
-		if a.StartTS != b.StartTS {
-			return a.StartTS < b.StartTS
-		}
-		if a.StartKind != b.StartKind {
-			return a.StartKind == trace.SeqStart
-		}
-		if a.TID != b.TID {
-			return a.TID < b.TID
-		}
-		return a.Ordinal < b.Ordinal
-	})
-	for i, r := range exec.Regions {
-		r.Global = i
+	replayers := make([]threadReplayer, len(log.Threads))
+	results := make([]ThreadReplay, len(log.Threads))
+	block := make([]Region, total)
+	ptrs := make([]*Region, total)
+	exec.Threads = make([]*ThreadReplay, len(log.Threads))
+	sched := make(schedule, len(log.Threads))
+	for i, tl := range log.Threads {
+		tr := &replayers[i]
+		tr.init(st, tl, &results[i], opts.Metrics)
+		n := len(tl.Seqs) - 1
+		tr.result.Regions = carveRegions(tl, block[:n:n], ptrs[:n:n])
+		block, ptrs = block[n:], ptrs[n:]
+		exec.Threads[i] = tr.result
+		sched[i] = tr
 	}
 	cRegions := opts.Metrics.Counter("replay.regions")
 	opts.Metrics.Counter("replay.executions").Inc()
 	opts.Metrics.Counter("replay.threads").Add(uint64(len(log.Threads)))
-	opts.Metrics.Emit("replay.regions", uint64(len(exec.Regions)))
+	opts.Metrics.Emit("replay.regions", uint64(total))
 
-	// Replay the schedule one region at a time. Accesses collect into one
-	// reusable buffer and are shrink-copied per region: most instructions
-	// of a region are not data accesses, so sizing an allocation by region
-	// length would waste most of it, and the exact count is only known
-	// afterwards.
-	var scratch []Access
-	for _, region := range exec.Regions {
+	// Replay the schedule one region at a time: regions ordered by
+	// starting sequencer timestamp. The only possible tie is between a
+	// parent's post-spawn region and the child's first region (both
+	// anchored at the spawn sequencer); the child goes first, since
+	// conceptually it exists from the instant of the spawn. Each thread's
+	// regions are already in that order (Validate requires strictly
+	// increasing timestamps per thread), so the schedule is a merge of
+	// the threads' lists: sched is a heap of the threads with regions
+	// left, ordered by their next region.
+	exec.Regions = make([]*Region, 0, total)
+	sched.init()
+	for len(sched) > 0 {
+		tr := sched[0]
+		region := tr.result.Regions[tr.next]
+		if tr.next++; tr.next == len(tr.result.Regions) {
+			sched.pop()
+		} else {
+			sched.down(0)
+		}
 		cRegions.Add(1)
+		region.Global = len(exec.Regions)
+		exec.Regions = append(exec.Regions, region)
 		region.HeapEpoch = len(exec.HeapEvents)
-		region.Accesses = scratch[:0]
-		if err := replayers[region.TID].runRegion(region); err != nil {
+		if err := tr.runRegion(region); err != nil {
 			return nil, err
 		}
-		accs := region.Accesses
-		scratch = accs[:0] // keep the grown buffer for the next region
-		region.Accesses = make([]Access, len(accs))
-		copy(region.Accesses, accs)
 	}
 
 	// Every thread must have consumed its whole log.
-	for _, tl := range log.Threads {
-		tr := replayers[tl.TID]
-		if tr.idx != tl.Retired {
+	for i := range replayers {
+		tr := &replayers[i]
+		if tr.idx != tr.log.Retired {
 			return nil, fmt.Errorf("replay: thread %d stopped at %d of %d instructions",
-				tl.TID, tr.idx, tl.Retired)
+				tr.log.TID, tr.idx, tr.log.Retired)
 		}
-		tr.result.FinalCpu = tr.cpu
 	}
 	return exec, nil
 }
 
+// carveRegions fills block with tl's regions and ptrs with pointers to
+// them: region k spans [seq[k].Idx, seq[k+1].Idx) and
+// [seq[k].TS, seq[k+1].TS).
+func carveRegions(tl *trace.ThreadLog, block []Region, ptrs []*Region) []*Region {
+	seqs := tl.Seqs
+	for k := range block {
+		block[k] = Region{
+			TID:          tl.TID,
+			Ordinal:      k,
+			StartTS:      seqs[k].TS,
+			EndTS:        seqs[k+1].TS,
+			StartIdx:     seqs[k].Idx,
+			EndIdx:       seqs[k+1].Idx,
+			StartKind:    seqs[k].Kind,
+			EndKind:      seqs[k+1].Kind,
+			StartSyscall: -1,
+			SpawnChild:   -1,
+			JoinTarget:   -1,
+		}
+		ptrs[k] = &block[k]
+	}
+	return ptrs
+}
+
+// schedule is a min-heap of thread replayers, ordered by each one's next
+// region.
+type schedule []*threadReplayer
+
+// less reports whether thread i's next region comes before thread j's:
+// by starting timestamp, then a thread's first region (SeqStart) before
+// another's region opened by the same spawn sequencer, then by thread.
+func (s schedule) less(i, j int) bool {
+	a, b := s[i].result.Regions[s[i].next], s[j].result.Regions[s[j].next]
+	if a.StartTS != b.StartTS {
+		return a.StartTS < b.StartTS
+	}
+	if a.StartKind != b.StartKind {
+		return a.StartKind == trace.SeqStart
+	}
+	return a.TID < b.TID
+}
+
+func (s schedule) init() {
+	for i := len(s)/2 - 1; i >= 0; i-- {
+		s.down(i)
+	}
+}
+
+// down restores the heap below i after s[i] moved later.
+func (s schedule) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(s) {
+			return
+		}
+		if r := m + 1; r < len(s) && s.less(r, m) {
+			m = r
+		}
+		if !s.less(m, i) {
+			return
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+}
+
+// pop removes the heap's first thread.
+func (s *schedule) pop() {
+	h := *s
+	h[0] = h[len(h)-1]
+	*s = h[:len(h)-1]
+	s.down(0)
+}
+
+// Chunk bounds, in accesses.
+const (
+	minChunk = 16
+	maxChunk = 1 << 14
+)
+
+// replayState is what a replay's thread replayers share.
+//
+// Accesses are appended in schedule order into shared chunks, and each
+// region gets a capped subslice of one: no per-region allocation, and no
+// copy unless a region outgrows its chunk and moves to a new one. Each
+// chunk is sized for the rest of the replay at the access rate seen so
+// far, so a small replay allocates about what it uses.
+type replayState struct {
+	exec   *Execution
+	slots  *slotTable        // exec's slots, nil when accesses are skipped
+	blocks map[uint64]uint64 // live heap blocks, base -> size
+
+	chunk  []Access // the current chunk
+	start  int      // where the running region's accesses begin in chunk
+	carved float64  // accesses handed to finished regions
+	done   float64  // instructions of finished regions
+	left   float64  // instructions not yet replayed
+}
+
+func newReplayState(exec *Execution, opts Options) *replayState {
+	st := &replayState{exec: exec, blocks: make(map[uint64]uint64)}
+	if !opts.SkipAccesses {
+		exec.slots.pages = make(map[uint64]*slotPage)
+		st.slots = &exec.slots
+	}
+	return st
+}
+
+// grow moves the running region's accesses into a new chunk with room
+// for the instructions left at the access rate seen so far and a
+// sixteenth more, and at least twice what it moves. Before any region has
+// run, the rate is one access in five instructions, about what every
+// workload here makes.
+func (st *replayState) grow() {
+	moved := st.chunk[st.start:]
+	n := min(st.left*(st.carved+1)/(st.done+5)*17/16, maxChunk)
+	chunk := make([]Access, len(moved), max(int(n), minChunk, 2*len(moved)))
+	copy(chunk, moved)
+	st.chunk, st.start = chunk, 0
+}
+
+// finish hands a finished region its accesses.
+func (st *replayState) finish(region *Region) {
+	end, n := len(st.chunk), float64(region.EndIdx-region.StartIdx)
+	region.Accesses = st.chunk[st.start:end:end]
+	st.start = end
+	st.carved += float64(len(region.Accesses))
+	st.done += n
+	st.left -= n
+}
+
 // threadReplayer replays one thread from its log.
 type threadReplayer struct {
+	st   *replayState
 	prog *isa.Program
 	log  *trace.ThreadLog
-	exec *Execution
-	opts Options
 
-	cpu machine.Cpu
-	mem map[uint64]uint64 // the thread's replayed memory view
-	idx uint64            // next instruction index to execute
+	cpu  *machine.Cpu // the thread's state: result.FinalCpu, final once the thread is done
+	view view         // the thread's replayed memory view
+	idx  uint64       // next instruction index to execute
+	next int          // index into result.Regions of the next region to run
 
 	loadPtr int
 	sysPtr  int
@@ -269,52 +404,26 @@ type threadReplayer struct {
 	cSysInj  *obs.Counter // replay.sysrets_injected
 }
 
-func newThreadReplayer(prog *isa.Program, tl *trace.ThreadLog, exec *Execution, opts Options) *threadReplayer {
-	tr := &threadReplayer{
-		prog: prog,
-		log:  tl,
-		exec: exec,
-		opts: opts,
-		mem:  make(map[uint64]uint64),
-		result: &ThreadReplay{
-			TID:       tl.TID,
-			EndReason: tl.EndReason,
-			ExitCode:  tl.ExitCode,
-		},
-		cInstr:   opts.Metrics.Counter("replay.instructions"),
-		cLoadInj: opts.Metrics.Counter("replay.loads_injected"),
-		cSysInj:  opts.Metrics.Counter("replay.sysrets_injected"),
+// init sets tr up to replay tl from its start into result, counting on
+// reg (nil is off).
+func (tr *threadReplayer) init(st *replayState, tl *trace.ThreadLog, result *ThreadReplay, reg *obs.Registry) {
+	*result = ThreadReplay{
+		TID:       tl.TID,
+		FinalCpu:  machine.Cpu{PC: tl.InitPC, Regs: tl.InitRegs},
+		EndReason: tl.EndReason,
+		ExitCode:  tl.ExitCode,
 	}
-	tr.cpu.PC = tl.InitPC
-	tr.cpu.Regs = tl.InitRegs
-
-	// Carve regions from the sequencer list: region k spans
-	// [seq[k].Idx, seq[k+1].Idx) and [seq[k].TS, seq[k+1].TS).
-	// The Region structs are carved from one block allocation; the block
-	// is never resized, so the pointers into it stay valid for the life
-	// of the execution.
-	seqs := tl.Seqs
-	if n := len(seqs) - 1; n > 0 {
-		block := make([]Region, n)
-		tr.result.Regions = make([]*Region, n)
-		for k := 0; k < n; k++ {
-			block[k] = Region{
-				TID:          tl.TID,
-				Ordinal:      k,
-				StartTS:      seqs[k].TS,
-				EndTS:        seqs[k+1].TS,
-				StartIdx:     seqs[k].Idx,
-				EndIdx:       seqs[k+1].Idx,
-				StartKind:    seqs[k].Kind,
-				EndKind:      seqs[k+1].Kind,
-				StartSyscall: -1,
-				SpawnChild:   -1,
-				JoinTarget:   -1,
-			}
-			tr.result.Regions[k] = &block[k]
-		}
+	*tr = threadReplayer{
+		st:       st,
+		prog:     st.exec.Prog,
+		log:      tl,
+		cpu:      &result.FinalCpu,
+		view:     newView(st.slots),
+		result:   result,
+		cInstr:   reg.Counter("replay.instructions"),
+		cLoadInj: reg.Counter("replay.loads_injected"),
+		cSysInj:  reg.Counter("replay.sysrets_injected"),
 	}
-	return tr
 }
 
 // runRegion replays region's instruction range on this thread.
@@ -323,10 +432,10 @@ func (tr *threadReplayer) runRegion(region *Region) error {
 		return fmt.Errorf("replay: thread %d region %d starts at %d, replay is at %d",
 			tr.log.TID, region.Ordinal, region.StartIdx, tr.idx)
 	}
-	region.StartCpu = tr.cpu
+	region.StartCpu = *tr.cpu
 	tr.cur = region
 	for tr.idx < region.EndIdx {
-		out, f := machine.Step(&tr.cpu, tr.prog.Code, tr)
+		out, f := machine.Step(tr.cpu, tr.prog.Code, tr)
 		if tr.err != nil {
 			return tr.err
 		}
@@ -342,49 +451,58 @@ func (tr *threadReplayer) runRegion(region *Region) error {
 		}
 	}
 	tr.cInstr.Add(region.EndIdx - region.StartIdx)
+	tr.st.finish(region)
 	tr.cur = nil
 	return nil
 }
 
-// record appends an access to the current region.
-func (tr *threadReplayer) record(a Access) {
-	if tr.opts.SkipAccesses || tr.cur == nil {
+// record appends an access to the running region, with its address's
+// slot, which the access's view page p points at (a page has slots
+// exactly when the replay collects accesses).
+func (tr *threadReplayer) record(p *viewPage, a Access) {
+	if p.slots == nil {
 		return
 	}
-	tr.cur.Accesses = append(tr.cur.Accesses, a)
+	st := tr.st
+	s := &p.slots[a.Addr&pageMask]
+	if *s == 0 {
+		st.slots.n++
+		*s = st.slots.n
+	}
+	a.slot = *s - 1
+	if len(st.chunk) == cap(st.chunk) {
+		st.grow()
+	}
+	st.chunk = append(st.chunk, a)
 }
 
 // Load implements machine.Env with logged-value injection.
 func (tr *threadReplayer) Load(addr uint64, atomic bool, pc int) (uint64, *machine.Fault) {
-	var val uint64
 	if atomic {
 		tr.annotateOpening(addr)
 	}
 	if tr.loadPtr < len(tr.log.Loads) {
-		rec := tr.log.Loads[tr.loadPtr]
-		if rec.Idx == tr.idx && rec.Addr == addr {
+		if rec := &tr.log.Loads[tr.loadPtr]; rec.Idx == tr.idx && rec.Addr == addr {
 			tr.loadPtr++
 			tr.cLoadInj.Add(1)
-			tr.mem[addr] = rec.Val
-			val = rec.Val
-			tr.record(Access{TID: tr.log.TID, Idx: tr.idx, PC: pc, Addr: addr, Val: val, Atomic: atomic})
-			return val, nil
+			tr.record(tr.view.set(addr, rec.Val), Access{TID: tr.log.TID, Idx: tr.idx, PC: pc, Addr: addr, Val: rec.Val, Atomic: atomic})
+			return rec.Val, nil
 		}
 	}
-	v, ok := tr.mem[addr]
-	if !ok {
+	p := tr.view.page(addr)
+	if p.known&(1<<(addr&pageMask)) == 0 {
 		tr.err = fmt.Errorf("replay: thread %d idx %d loads unlogged address 0x%x",
 			tr.log.TID, tr.idx, addr)
 		return 0, &machine.Fault{Kind: machine.FaultInvalidOp, PC: pc, Addr: addr}
 	}
-	tr.record(Access{TID: tr.log.TID, Idx: tr.idx, PC: pc, Addr: addr, Val: v, Atomic: atomic})
+	v := p.vals[addr&pageMask]
+	tr.record(p, Access{TID: tr.log.TID, Idx: tr.idx, PC: pc, Addr: addr, Val: v, Atomic: atomic})
 	return v, nil
 }
 
 // Store implements machine.Env.
 func (tr *threadReplayer) Store(addr, val uint64, atomic bool, pc int) *machine.Fault {
-	tr.mem[addr] = val
-	tr.record(Access{TID: tr.log.TID, Idx: tr.idx, PC: pc, Addr: addr, Val: val, IsWrite: true, Atomic: atomic})
+	tr.record(tr.view.set(addr, val), Access{TID: tr.log.TID, Idx: tr.idx, PC: pc, Addr: addr, Val: val, IsWrite: true, Atomic: atomic})
 	return nil
 }
 
@@ -432,14 +550,20 @@ func (tr *threadReplayer) Syscall(cpu *machine.Cpu, num int64, pc int) (machine.
 	tr.cSysInj.Add(1)
 
 	// Mirror heap effects into the global event list (schedule order) and
-	// finish the opening-syscall annotations that need the result.
+	// finish the opening-syscall annotations that need the result. The
+	// live-block map answers a free as BlockAt would at this epoch: the
+	// last event at the base decides.
+	exec := tr.st.exec
 	switch num {
 	case isa.SysAlloc:
-		tr.exec.HeapEvents = append(tr.exec.HeapEvents, HeapEvent{Kind: HeapAlloc, Base: rec.Res, Size: max(cpu.Regs[1], 1)})
+		size := max(cpu.Regs[1], 1)
+		tr.st.blocks[rec.Res] = size
+		exec.HeapEvents = append(exec.HeapEvents, HeapEvent{Kind: HeapAlloc, Base: rec.Res, Size: size})
 	case isa.SysFree:
 		base := cpu.Regs[1]
-		if size, ok := tr.exec.BlockAt(base, len(tr.exec.HeapEvents)); ok {
-			tr.exec.HeapEvents = append(tr.exec.HeapEvents, HeapEvent{Kind: HeapFree, Base: base, Size: size})
+		if size, ok := tr.st.blocks[base]; ok {
+			delete(tr.st.blocks, base)
+			exec.HeapEvents = append(exec.HeapEvents, HeapEvent{Kind: HeapFree, Base: base, Size: size})
 		}
 	case isa.SysSpawn:
 		if tr.cur != nil && tr.idx == tr.cur.StartIdx {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/record"
 	"repro/internal/trace"
@@ -376,6 +377,43 @@ main:
 	}
 	if _, ok := exec.BlockAt(base, 2); ok {
 		t.Error("BlockAt should not see the freed block")
+	}
+}
+
+// TestFreeOfADeadBlockLeavesNoEvent: replay mirrors a free into the heap
+// events only when its base is a live block, as BlockAt answers at that
+// epoch. A recorded run never retires a double free (the machine faults
+// on it), so the test edits the log to retire one, as a crafted upload
+// could.
+func TestFreeOfADeadBlockLeavesNoEvent(t *testing.T) {
+	src := `
+main:
+  ldi r1, 4
+  sys alloc
+  mov r4, r1
+  sys free
+  mov r1, r4
+  sys free
+  halt
+`
+	log, _ := recordSrc(t, src, machine.Config{Seed: 1})
+	tl := log.Threads[0]
+	if tl.EndReason != trace.EndFaulted {
+		t.Fatalf("the second free ended the thread %v, want a fault", tl.EndReason)
+	}
+	// Retire the second free (result 0) and the halt after it.
+	k, end := tl.Retired, tl.Seqs[len(tl.Seqs)-1]
+	tl.SysRets = append(tl.SysRets, trace.SysRec{Idx: k})
+	tl.Seqs = append(tl.Seqs[:len(tl.Seqs)-1],
+		trace.Sequencer{Idx: k, TS: end.TS, Kind: trace.SeqSyscall, Aux: isa.SysFree},
+		trace.Sequencer{Idx: k + 2, TS: end.TS + 1, Kind: trace.SeqEnd, Aux: -1})
+	tl.Retired, tl.EndReason, tl.Fault = k+2, trace.EndHalted, nil
+	exec, err := replay.Run(log, replay.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exec.HeapEvents) != 2 || exec.HeapEvents[1].Kind != replay.HeapFree {
+		t.Fatalf("heap events %v, want one alloc and one free", exec.HeapEvents)
 	}
 }
 

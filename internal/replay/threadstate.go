@@ -37,7 +37,8 @@ func ThreadStateAt(log *trace.Log, tid int, idx uint64, reg *obs.Registry) (*Thr
 	// Scratch execution: per-thread replay does not need the region
 	// schedule, but the replayer records heap events into its exec.
 	exec := &Execution{Log: log, Prog: log.Prog}
-	tr := newThreadReplayer(log.Prog, tl, exec, Options{SkipAccesses: true})
+	var tr threadReplayer
+	tr.init(newReplayState(exec, Options{SkipAccesses: true}), tl, new(ThreadReplay), nil)
 
 	// Resume from the nearest key frame at or before idx.
 	frames := tl.KeyFrames
@@ -52,16 +53,15 @@ func ThreadStateAt(log *trace.Log, tid int, idx uint64, reg *obs.Registry) (*Thr
 		tr.cpu.PC = kf.PC
 		tr.cpu.Regs = kf.Regs
 		tr.idx = kf.Idx
-		tr.mem = make(map[uint64]uint64, len(kf.View))
 		for _, v := range kf.View {
-			tr.mem[v.Addr] = v.Val
+			tr.view.set(v.Addr, v.Val)
 		}
 		tr.loadPtr = sort.Search(len(tl.Loads), func(i int) bool { return tl.Loads[i].Idx >= kf.Idx })
 		tr.sysPtr = sort.Search(len(tl.SysRets), func(i int) bool { return tl.SysRets[i].Idx >= kf.Idx })
 	}
 
 	for tr.idx < idx {
-		out, f := machine.Step(&tr.cpu, log.Prog.Code, tr)
+		out, f := machine.Step(tr.cpu, log.Prog.Code, &tr)
 		if tr.err != nil {
 			return nil, tr.err
 		}
@@ -75,5 +75,5 @@ func ThreadStateAt(log *trace.Log, tid int, idx uint64, reg *obs.Registry) (*Thr
 			tr.idx++
 		}
 	}
-	return &ThreadState{Cpu: tr.cpu, View: tr.mem}, nil
+	return &ThreadState{Cpu: *tr.cpu, View: tr.view.toMap()}, nil
 }

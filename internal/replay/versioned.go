@@ -21,11 +21,11 @@ import (
 // An entry names its access (Ref) instead of copying it.
 type VersionedMemory struct {
 	regions []*Region
-	slot    map[uint64]int32 // address → index into hist
-	hist    []addrHistory
-	refs    []Ref    // every access, one contiguous range per address
-	shared  []uint64 // Screen's addresses, ascending
-	data    int      // addresses accessed non-atomically
+	slots   *slotTable    // address -> index into hist, assigned by Run
+	hist    []addrHistory // by slot
+	refs    []Ref         // every access, one contiguous range per address
+	shared  []uint64      // Screen's addresses, ascending
+	data    int           // addresses accessed non-atomically
 }
 
 // Ref names one replayed access: Accesses[Index] of the region whose
@@ -44,27 +44,25 @@ type addrHistory struct {
 }
 
 // buildVersionedMemory indexes every access of regions, which must be in
-// schedule order with regions[g].Global == g.
-func buildVersionedMemory(regions []*Region) *VersionedMemory {
+// schedule order with regions[g].Global == g, through slots, which
+// numbers the addresses in order of first access and which Run recorded
+// in each access: the index looks up no address per access.
+func buildVersionedMemory(regions []*Region, slots *slotTable) *VersionedMemory {
 	n := 0
 	for _, reg := range regions {
 		n += len(reg.Accesses)
 	}
-	vm := &VersionedMemory{regions: regions, slot: make(map[uint64]int32), refs: make([]Ref, n)}
-	// Pass 1, the only map lookups: count each address's accesses (in hi
-	// for now), run the screen, and note each access's slot for pass 2.
-	slots := make([]int32, 0, n)
+	vm := &VersionedMemory{regions: regions, slots: slots, hist: make([]addrHistory, slots.n), refs: make([]Ref, n)}
+	// Pass 1: count each address's accesses (in hi for now) and run the
+	// screen. An address's first access finds hi still 0 and names it.
 	for _, reg := range regions {
 		tid := int32(reg.TID)
-		for _, acc := range reg.Accesses {
-			s, ok := vm.slot[acc.Addr]
-			if !ok {
-				s = int32(len(vm.hist))
-				vm.slot[acc.Addr] = s
-				vm.hist = append(vm.hist, addrHistory{addr: acc.Addr, tid: -1})
+		for i := range reg.Accesses {
+			acc := &reg.Accesses[i]
+			h := &vm.hist[acc.slot]
+			if h.hi == 0 {
+				h.addr, h.tid = acc.Addr, -1
 			}
-			slots = append(slots, s)
-			h := &vm.hist[s]
 			h.hi++
 			if acc.Atomic {
 				continue
@@ -91,13 +89,11 @@ func buildVersionedMemory(regions []*Region) *VersionedMemory {
 		}
 	}
 	slices.Sort(vm.shared)
-	k := 0
 	for _, reg := range regions {
 		for i := range reg.Accesses {
-			h := &vm.hist[slots[k]]
+			h := &vm.hist[reg.Accesses[i].slot]
 			vm.refs[h.hi] = Ref{Region: int32(reg.Global), Index: int32(i)}
 			h.hi++
-			k++
 		}
 	}
 	return vm
@@ -114,7 +110,7 @@ func (vm *VersionedMemory) Screen() (shared []uint64, data int) { return vm.shar
 // (nil when no region touched addr). A region's accesses are contiguous,
 // in execution order. The caller must not modify the slice.
 func (vm *VersionedMemory) Refs(addr uint64) []Ref {
-	s, ok := vm.slot[addr]
+	s, ok := vm.slots.lookup(addr)
 	if !ok {
 		return nil
 	}
