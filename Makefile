@@ -39,6 +39,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=30s ./internal/static
 	$(GO) test -fuzz=FuzzPredict -fuzztime=30s ./internal/predict
 	$(GO) test -fuzz=FuzzPipeline -fuzztime=30s ./internal/progen
+	$(GO) test -fuzz=FuzzMemory -fuzztime=30s ./internal/machine
+	$(GO) test -fuzz=FuzzReplay -fuzztime=30s -fuzzminimizetime=50x ./internal/replay
 
 cover:
 	$(GO) test -coverprofile=cover.out ./...

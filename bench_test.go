@@ -1,12 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§5), plus the §5.1 performance ladder. Run with:
+// evaluation (§5), the §5.1 log size, and the ablations. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// The §5.1 ladder (native → record → replay → happens-before analysis →
-// classification) reports per-stage time over the same browse workload;
-// EXPERIMENTS.md derives the overhead ratios the paper quotes (record 6x,
-// replay 10x, analysis 45x, classification 280x) from these numbers.
+// The §5.1 overhead ladder (native, record, replay, happens-before
+// analysis, classification) is timed by `paperbench -perf`, not here.
 package racereplay
 
 import (
@@ -19,14 +17,13 @@ import (
 	"repro/internal/hb"
 	"repro/internal/lockset"
 	"repro/internal/machine"
-	"repro/internal/replay"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
-// browseLog caches one recorded browse-scenario log for the offline
-// stages of the §5.1 ladder.
+// browseLog caches one recorded browse-scenario log for the benchmarks
+// that analyze it.
 var browseLog *trace.Log
 
 func browse(b *testing.B) (*Program, machine.Config) {
@@ -129,82 +126,6 @@ func BenchmarkFigure5MisclassifiedInstances(b *testing.B) {
 		f := report.BuildFigure5(run.Merged, report.SuiteTruth)
 		if len(f.Rows) != 29 {
 			b.Fatalf("figure 5 rows = %d", len(f.Rows))
-		}
-	}
-}
-
-// --- §5.1 performance ladder ----------------------------------------------
-
-// BenchmarkNativeExecution is the baseline: the browse workload on the
-// machine with no observer attached.
-func BenchmarkNativeExecution(b *testing.B) {
-	prog, cfg := browse(b)
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		m, err := machine.New(prog, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := m.Run()
-		instrs = res.TotalSteps
-	}
-	b.ReportMetric(float64(instrs), "instructions")
-}
-
-// BenchmarkRecording measures the same run with the iDNA-style recorder
-// attached (the paper's ~6x stage).
-//
-// This is also the zero-cost-when-disabled guard for the observability
-// layer: the recorder is the machine's only observer with or without a
-// registry, and its per-event tallies, machine.* included, are plain int
-// increments published once at the end. Measured before/after
-// instrumenting the pipeline
-// (-benchtime=2s -count=5, Xeon 2.10GHz): seed 9.19–13.87 ms/op
-// (median 10.06), instrumented tree 9.38–10.41 ms/op (median 9.89) —
-// the delta is inside run-to-run noise.
-func BenchmarkRecording(b *testing.B) {
-	prog, cfg := browse(b)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Record(prog, cfg, OnlineConfig{}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReplay measures pure deterministic re-execution from the log
-// (the paper's ~10x stage).
-func BenchmarkReplay(b *testing.B) {
-	log := getBrowseLog(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := replay.Run(log, replay.Options{SkipAccesses: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHBAnalysis measures replay with access collection plus the
-// happens-before race detection (the paper's ~45x stage).
-func BenchmarkHBAnalysis(b *testing.B) {
-	log := getBrowseLog(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exec, err := Replay(log, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		DetectRaces(exec, nil)
-	}
-}
-
-// BenchmarkClassification measures the full offline analysis including
-// dual-order replay of every race instance (the paper's ~280x stage).
-func BenchmarkClassification(b *testing.B) {
-	log := getBrowseLog(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeLog(log, Options{}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -629,8 +550,8 @@ func BenchmarkQuantumSensitivity(b *testing.B) {
 // BenchmarkSuite measures the full suite drive at one worker versus
 // several — the wall-clock case for -jobs. Recording is serial
 // in both; only the offline analysis fans out, so the gap is the
-// parallelizable fraction the paper calls out (~280x of native is
-// classification). On a single-core host the jobs>1 runs double as a
+// parallelizable fraction (in the paper, classification is the costliest
+// stage). On a single-core host the jobs>1 runs double as a
 // fan-out overhead measurement: they should track jobs=1 closely.
 func BenchmarkSuite(b *testing.B) {
 	bench := func(jobs int) func(*testing.B) {

@@ -5,7 +5,6 @@
 //	paperbench -table 1   # just Table 1
 //	paperbench -figure 4  # just Figure 4
 //	paperbench -perf      # just the §5.1 performance measurements
-//	paperbench -perf-report  # the §5.1 ladder from instrumentation spans
 //
 // The output is the text EXPERIMENTS.md quotes; the numbers are
 // deterministic for the tables/figures (fixed seeds) and hardware-
@@ -17,13 +16,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
+	"sort"
 
 	"repro/internal/hb"
 	"repro/internal/lockset"
 	"repro/internal/machine"
-	"repro/internal/replay"
 	"repro/internal/report"
+	"repro/internal/stats"
 	"repro/internal/workloads"
 
 	racereplay "repro"
@@ -43,7 +42,6 @@ func realMain(args []string, out io.Writer) error {
 	table := fs.Int("table", 0, "render only this table (1 or 2)")
 	figure := fs.Int("figure", 0, "render only this figure (3, 4, or 5)")
 	perfOnly := fs.Bool("perf", false, "render only the performance section")
-	perfReport := fs.Bool("perf-report", false, "render the overhead ladder from an instrumented suite run (spans, not stopwatches)")
 	md := fs.Bool("md", false, "emit the tables and figures as GitHub markdown")
 	seeds := fs.Int("seeds", 1, "scheduler seeds recorded per scenario (instances scale with coverage)")
 	jobs := fs.Int("jobs", 0, "analysis workers (0 = GOMAXPROCS); output is identical at any count")
@@ -61,28 +59,11 @@ func realMain(args []string, out io.Writer) error {
 	case *seeds < 1:
 		return fmt.Errorf("-seeds %d: want a count >= 1", *seeds)
 	}
-	stdout = out
 
-	all := *table == 0 && *figure == 0 && !*perfOnly && !*perfReport && !*md
-
-	if *perfReport {
-		// Unlike perf()'s best-of-three stopwatches over one scenario,
-		// this ladder aggregates the instrumentation spans of a real
-		// suite run — every scenario, every stage, plus a bare-machine
-		// native baseline per execution.
-		reg := racereplay.NewMetrics()
-		if _, err := racereplay.RunSuite(racereplay.SuiteOptions{
-			Seeds: *seeds, Jobs: *jobs, Registry: reg,
-		}); err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, report.OverheadLadder(reg.Snapshot()))
-		return nil
-	}
+	all := *table == 0 && *figure == 0 && !*perfOnly && !*md
 
 	var run *workloads.SuiteRun
-	needSuite := all || *table != 0 || *figure != 0 || *md
-	if needSuite {
+	if all || *table != 0 || *figure != 0 || *md {
 		var err error
 		run, err = racereplay.RunSuite(racereplay.SuiteOptions{Seeds: *seeds, Jobs: *jobs})
 		if err != nil {
@@ -91,168 +72,179 @@ func realMain(args []string, out io.Writer) error {
 	}
 
 	if *md {
-		fmt.Fprint(stdout, report.Markdown(run.Merged, report.SuiteTruth))
+		fmt.Fprint(out, report.Markdown(run.Merged, report.SuiteTruth))
 		return nil
 	}
 	if all {
-		fmt.Fprintln(stdout, "# Replay-based data race classification: evaluation")
-		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, report.Summary(run.Merged, report.SuiteTruth))
-		fmt.Fprintln(stdout)
+		fmt.Fprintln(out, "# Replay-based data race classification: evaluation")
+		fmt.Fprintln(out)
+		fmt.Fprint(out, report.Summary(run.Merged, report.SuiteTruth))
+		fmt.Fprintln(out)
 	}
 	if all || *table == 1 {
-		fmt.Fprint(stdout, report.BuildTable1(run.Merged, report.SuiteTruth).Render())
-		fmt.Fprintln(stdout)
+		fmt.Fprint(out, report.BuildTable1(run.Merged, report.SuiteTruth).Render())
+		fmt.Fprintln(out)
 	}
 	if all || *table == 2 {
-		fmt.Fprint(stdout, report.BuildTable2(run.Merged, report.SuiteTruth).Render())
-		fmt.Fprintln(stdout)
+		fmt.Fprint(out, report.BuildTable2(run.Merged, report.SuiteTruth).Render())
+		fmt.Fprintln(out)
 	}
 	if all || *figure == 3 {
-		fmt.Fprint(stdout, report.BuildFigure3(run.Merged, report.SuiteTruth).Render())
-		fmt.Fprintln(stdout)
+		fmt.Fprint(out, report.BuildFigure3(run.Merged, report.SuiteTruth).Render())
+		fmt.Fprintln(out)
 	}
 	if all || *figure == 4 {
-		fmt.Fprint(stdout, report.BuildFigure4(run.Merged, report.SuiteTruth).Render())
-		fmt.Fprintln(stdout)
+		fmt.Fprint(out, report.BuildFigure4(run.Merged, report.SuiteTruth).Render())
+		fmt.Fprintln(out)
 	}
 	if all || *figure == 5 {
-		fmt.Fprint(stdout, report.BuildFigure5(run.Merged, report.SuiteTruth).Render())
-		fmt.Fprintln(stdout)
+		fmt.Fprint(out, report.BuildFigure5(run.Merged, report.SuiteTruth).Render())
+		fmt.Fprintln(out)
 	}
 	if all || *perfOnly {
-		perf()
+		if err := perf(out); err != nil {
+			return err
+		}
 	}
 	if all {
-		ablation()
+		return ablation(out)
 	}
 	return nil
 }
 
-// stdout is the output sink, replaceable in tests.
-var stdout io.Writer = os.Stdout
+// perfReps is the number of timed repetitions of the §5.1 ladder. At 41,
+// one run's median sat at the edge of another run's interquartile range;
+// at about 16 ms of CPU a repetition on a 2-vCPU VM, 101 take two seconds.
+const perfReps = 101
 
-// perf reproduces §5.1: log sizes and the per-stage overhead ladder over
-// the browse workload.
-func perf() {
-	fmt.Fprintln(stdout, "Performance (browse scenario, cf. paper section 5.1)")
+// perf reproduces §5.1 over the browse workload: the log size, and the
+// overhead ladder. After a warm-up pass, each repetition runs every rung
+// once, starting one rung later than the repetition before, so each rung
+// follows each other rung equally often. A rung's multiple is taken
+// against the native run of its own repetition, so drift in the host's
+// speed cancels out of it.
+func perf(out io.Writer) error {
+	fmt.Fprintln(out, "Performance (browse scenario, cf. paper section 5.1)")
 	s := workloads.BrowseScenario()
 	prog, err := s.Program()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	cfg := s.Config()
 
-	// Each stage is timed best-of-three to damp scheduler noise.
-	tNative, steps := timeNative(prog, cfg)
-
-	var log *racereplay.Log
-	tRecord := best(func() {
-		var err error
-		log, _, err = racereplay.Record(prog, cfg, racereplay.OnlineConfig{}, nil)
-		if err != nil {
-			fatal(err)
-		}
-	})
-
-	tReplay := best(func() {
-		if _, err := replay.Run(log, replay.Options{SkipAccesses: true}); err != nil {
-			fatal(err)
-		}
-	})
-
-	var races *racereplay.RaceSet
-	tHB := best(func() {
-		exec, err := racereplay.Replay(log, nil)
-		if err != nil {
-			fatal(err)
-		}
-		races = racereplay.DetectRaces(exec, nil)
-	})
-
-	tClassify := best(func() {
-		if _, err := racereplay.AnalyzeLog(log, racereplay.Options{}); err != nil {
-			fatal(err)
-		}
-	})
-
-	st := racereplay.LogStats(log)
-	fmt.Fprintf(stdout, "  instructions executed:      %d across %d threads\n", steps, len(log.Threads))
-	fmt.Fprintf(stdout, "  log size:                   %.2f bits/instr raw, %.2f bits/instr compressed\n",
-		st.RawBitsPerInstr(), st.CompressedBitsPerInstr())
-	fmt.Fprintf(stdout, "  storage per 10^9 instrs:    %.0f MB compressed (paper: ~96 MB raw)\n", st.BytesPerBillion()/1e6)
-	fmt.Fprintf(stdout, "  races in this execution:    %d unique (%d instances)\n", len(races.Races), races.TotalInstances)
-	fmt.Fprintf(stdout, "  native execution:           %v\n", tNative)
-	fmt.Fprintf(stdout, "  recording:                  %v (%.1fx native; paper ~6x on x86)\n", tRecord, ratio(tRecord, tNative))
-	fmt.Fprintf(stdout, "  replay:                     %v (%.1fx native; paper ~10x)\n", tReplay, ratio(tReplay, tNative))
-	fmt.Fprintf(stdout, "  happens-before analysis:    %v (%.1fx native; paper ~45x)\n", tHB, ratio(tHB, tNative))
-	fmt.Fprintf(stdout, "  replay classification:      %v (%.1fx native; paper ~280x)\n", tClassify, ratio(tClassify, tNative))
-	fmt.Fprintln(stdout)
-}
-
-func timeNative(prog *racereplay.Program, cfg machine.Config) (time.Duration, uint64) {
+	// Recording is deterministic, so the offline rungs read the same log.
 	var steps uint64
-	d := best(func() {
-		m, err := machine.New(prog, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		steps = m.Run().TotalSteps
-	})
-	return d, steps
-}
+	var log *racereplay.Log
+	var races *racereplay.RaceSet
+	rungs := []struct {
+		label, paper string
+		run          func() error
+	}{
+		{"native execution", "", func() error {
+			m, err := machine.New(prog, cfg)
+			if err == nil {
+				steps = m.Run().TotalSteps
+			}
+			return err
+		}},
+		{"recording", "~6x on x86", func() (err error) {
+			log, _, err = racereplay.Record(prog, cfg, racereplay.OnlineConfig{}, nil)
+			return err
+		}},
+		{"replay", "~10x", func() error {
+			_, err := racereplay.Replay(log, nil)
+			return err
+		}},
+		{"happens-before analysis", "~45x", func() error {
+			exec, err := racereplay.Replay(log, nil)
+			if err == nil {
+				races = racereplay.DetectRaces(exec, nil)
+			}
+			return err
+		}},
+		{"replay classification", "~280x", func() error {
+			_, err := racereplay.AnalyzeLog(log, racereplay.Options{})
+			return err
+		}},
+	}
 
-// best runs f three times and returns the fastest wall time.
-func best(f func()) time.Duration {
-	min := time.Duration(0)
-	for i := 0; i < 3; i++ {
-		start := time.Now()
-		f()
-		if d := time.Since(start); min == 0 || d < min {
-			min = d
+	// Per rung, the CPU nanoseconds of each repetition.
+	cpu := make([][]int, len(rungs))
+	for rep := -1; rep < perfReps; rep++ { // rep -1 is the warm-up, not kept
+		for k := range rungs {
+			i := (max(rep, 0) + k) % len(rungs)
+			t0 := cpuTime()
+			if err := rungs[i].run(); err != nil {
+				return fmt.Errorf("%s: %w", rungs[i].label, err)
+			}
+			if d := cpuTime() - t0; rep >= 0 {
+				cpu[i] = append(cpu[i], int(d))
+			}
 		}
 	}
-	return min
+
+	st := racereplay.LogStats(log)
+	fmt.Fprintf(out, "  instructions executed:      %d across %d threads\n", steps, len(log.Threads))
+	fmt.Fprintf(out, "  log size:                   %.2f bits/instr raw, %.2f bits/instr compressed\n",
+		st.RawBitsPerInstr(), st.CompressedBitsPerInstr())
+	fmt.Fprintf(out, "  storage per 10^9 instrs:    %.0f MB compressed (paper: ~96 MB raw)\n", st.BytesPerBillion()/1e6)
+	fmt.Fprintf(out, "  races in this execution:    %d unique (%d instances)\n", len(races.Races), races.TotalInstances)
+	fmt.Fprintf(out, "  stage timing:               median [interquartile range] of %d repetitions after a warm-up,\n", perfReps)
+	fmt.Fprintln(out, "                              stage order rotated; multiples are of the same repetition's native run")
+	for i, r := range rungs {
+		q1, q2, q3 := quartiles(cpu[i], 1e6)
+		fmt.Fprintf(out, "  %-28s%.2f ms [%.2f, %.2f]", r.label+":", q2, q1, q3)
+		if i > 0 {
+			mult := make([]int, perfReps) // in millionths: stats.Percentile takes ints
+			for rep, d := range cpu[i] {
+				mult[rep] = int(int64(d) * 1e6 / int64(max(cpu[0][rep], 1)))
+			}
+			q1, q2, q3 := quartiles(mult, 1e6)
+			fmt.Fprintf(out, "  %.2fx [%.2f, %.2f] native; paper %s", q2, q1, q3, r.paper)
+		}
+		fmt.Fprintln(out)
+	}
+	fmt.Fprintf(out, "  clock:                      %s\n", cpuClock)
+	fmt.Fprintln(out, "  garbage collection:         none forced; a stage is charged the collection work that runs while it does")
+	fmt.Fprintln(out)
+	return nil
+}
+
+// quartiles returns the first quartile, median and third quartile of
+// xs, each divided by unit.
+func quartiles(xs []int, unit float64) (q1, q2, q3 float64) {
+	s := append([]int(nil), xs...)
+	sort.Ints(s)
+	return stats.Percentile(s, 25) / unit, stats.Percentile(s, 50) / unit, stats.Percentile(s, 75) / unit
 }
 
 // ablation renders A1 (interval vs vector-clock detector) and A2 (lockset
 // baseline false positives) over the first scenario.
-func ablation() {
-	fmt.Fprintln(stdout, "Ablations (scenario exec01)")
+func ablation(out io.Writer) error {
+	fmt.Fprintln(out, "Ablations (scenario exec01)")
 	s := workloads.Scenarios()[0]
 	prog, err := s.Program()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	log, _, err := racereplay.Record(prog, s.Config(), racereplay.OnlineConfig{}, nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	exec, err := racereplay.Replay(log, nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	interval := hb.Detect(exec)
 	vc, err := hb.DetectVC(exec, nil)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	ls := lockset.Detect(exec)
-	fmt.Fprintf(stdout, "  A1 region-overlap detector:  %d races (%d instances)\n", len(interval.Races), interval.TotalInstances)
-	fmt.Fprintf(stdout, "  A1 vector-clock detector:    %d races (%d instances)\n", len(vc.Races), vc.TotalInstances)
-	fmt.Fprintf(stdout, "  A2 lockset (Eraser) baseline: %d warnings over %d shared addresses\n", len(ls.Warnings), ls.Checked)
-	fmt.Fprintln(stdout, "  (the lockset baseline also fires on fork/join and user-constructed")
-	fmt.Fprintln(stdout, "   synchronization: false positives the happens-before detector avoids)")
-}
-
-func ratio(a, b time.Duration) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "paperbench:", err)
-	os.Exit(1)
+	fmt.Fprintf(out, "  A1 region-overlap detector:  %d races (%d instances)\n", len(interval.Races), interval.TotalInstances)
+	fmt.Fprintf(out, "  A1 vector-clock detector:    %d races (%d instances)\n", len(vc.Races), vc.TotalInstances)
+	fmt.Fprintf(out, "  A2 lockset (Eraser) baseline: %d warnings over %d shared addresses\n", len(ls.Warnings), ls.Checked)
+	fmt.Fprintln(out, "  (the lockset baseline also fires on fork/join and user-constructed")
+	fmt.Fprintln(out, "   synchronization: false positives the happens-before detector avoids)")
+	return nil
 }

@@ -7,8 +7,7 @@
 // point, which takes the registry as a trailing argument or an options
 // field (here SuiteOptions.Registry). This example runs the built-in
 // suite with one, prints the per-stage overhead ladder the paper
-// reports in §5.1 (native < record < replay < happens-before <
-// classification), and shows the raw snapshot renderings a dashboard or
+// reports in §5.1, and shows the raw snapshot renderings a dashboard or
 // Prometheus scraper would consume.
 package main
 
@@ -35,7 +34,7 @@ func main() {
 		len(run.Scenarios), len(run.Merged.Races), benign, harmful)
 
 	// The ladder is computed from the accumulated stage spans — the same
-	// numbers `paperbench -perf-report` and `racer suite -metrics` show.
+	// numbers `racer profile` and `racer suite -metrics` show.
 	fmt.Print(racereplay.OverheadLadder(snap))
 
 	// A few of the counters each stage published along the way.

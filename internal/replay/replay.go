@@ -161,10 +161,6 @@ func (e *Execution) BlockAt(base uint64, epoch int) (uint64, bool) {
 
 // Options tunes a replay.
 type Options struct {
-	// SkipAccesses disables access collection, leaving the memory history
-	// empty; the replay then only reproduces per-thread state (used by the
-	// replay-overhead benchmark, which measures pure re-execution).
-	SkipAccesses bool
 	// Metrics, when set, receives the replay stage counters (regions
 	// replayed, instructions re-executed, injected loads and syscall
 	// results). Nil costs nothing on the hot path.
@@ -178,7 +174,8 @@ func Run(log *trace.Log, opts Options) (*Execution, error) {
 		return nil, err
 	}
 	exec := &Execution{Log: log, Prog: log.Prog}
-	st := newReplayState(exec, opts)
+	exec.slots.pages = make(map[uint64]*slotPage)
+	st := &replayState{exec: exec, slots: &exec.slots, blocks: make(map[uint64]uint64)}
 
 	// Build the thread replayers and carve their region lists. The
 	// replayers, their results, the Region structs and the region
@@ -338,7 +335,7 @@ const (
 // far, so a small replay allocates about what it uses.
 type replayState struct {
 	exec   *Execution
-	slots  *slotTable        // exec's slots, nil when accesses are skipped
+	slots  *slotTable        // exec's slots, nil in ThreadStateAt, which collects no accesses
 	blocks map[uint64]uint64 // live heap blocks, base -> size
 
 	chunk  []Access // the current chunk
@@ -346,15 +343,6 @@ type replayState struct {
 	carved float64  // accesses handed to finished regions
 	done   float64  // instructions of finished regions
 	left   float64  // instructions not yet replayed
-}
-
-func newReplayState(exec *Execution, opts Options) *replayState {
-	st := &replayState{exec: exec, blocks: make(map[uint64]uint64)}
-	if !opts.SkipAccesses {
-		exec.slots.pages = make(map[uint64]*slotPage)
-		st.slots = &exec.slots
-	}
-	return st
 }
 
 // grow moves the running region's accesses into a new chunk with room

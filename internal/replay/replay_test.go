@@ -470,27 +470,6 @@ func TestReplayDetectsCorruptLog(t *testing.T) {
 	}
 }
 
-func TestSkipAccessesStillReproduces(t *testing.T) {
-	log, res := recordSrc(t, racyCounterSrc, machine.Config{Seed: 13})
-	exec, err := replay.Run(log, replay.Options{SkipAccesses: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exec.Thread(0).Output[0] != res.Threads[0].Output[0] {
-		t.Error("SkipAccesses changed replayed output")
-	}
-	for _, r := range exec.Regions {
-		if len(r.Accesses) != 0 {
-			t.Fatal("SkipAccesses should not collect accesses")
-		}
-	}
-	for addr := range log.Prog.Data {
-		if _, ok := exec.Memory().Before(addr, len(exec.Regions)); ok {
-			t.Errorf("SkipAccesses: memory history knows 0x%x", addr)
-		}
-	}
-}
-
 // TestReplayDeterminismProperty drives many random programs through the
 // record→replay pipeline: for every (program shape, seed) the replayed
 // final state must equal the live state. This is the repo's central

@@ -34,11 +34,12 @@ func ThreadStateAt(log *trace.Log, tid int, idx uint64, reg *obs.Registry) (*Thr
 			tid, tl.Retired, idx)
 	}
 
-	// Scratch execution: per-thread replay does not need the region
-	// schedule, but the replayer records heap events into its exec.
+	// Scratch execution: per-thread replay needs no region schedule and
+	// collects no accesses (its state has no slots), but the replayer
+	// records heap events into its exec.
 	exec := &Execution{Log: log, Prog: log.Prog}
 	var tr threadReplayer
-	tr.init(newReplayState(exec, Options{SkipAccesses: true}), tl, new(ThreadReplay), nil)
+	tr.init(&replayState{exec: exec, blocks: make(map[uint64]uint64)}, tl, new(ThreadReplay), nil)
 
 	// Resume from the nearest key frame at or before idx.
 	frames := tl.KeyFrames

@@ -236,7 +236,7 @@ func (f Figure) Render() string {
 		}
 	}
 	for i, r := range f.Rows {
-		bar := strings.Repeat("#", scale(r.Total, maxN, 40))
+		bar := strings.Repeat("#", stats.Bar(r.Total, maxN, 40))
 		exp := ""
 		if r.Exposing > 0 && r.Exposing != r.Total {
 			exp = fmt.Sprintf("  (exposing %d: %d sc, %d rf)", r.Exposing, r.SC, r.RF)
@@ -247,17 +247,6 @@ func (f Figure) Render() string {
 		b.WriteString("  (no races)\n")
 	}
 	return b.String()
-}
-
-func scale(v, max, width int) int {
-	if max == 0 {
-		return 0
-	}
-	n := v * width / max
-	if n == 0 && v > 0 {
-		n = 1
-	}
-	return n
 }
 
 // RaceReport renders the developer-facing report for one race: verdict,

@@ -694,11 +694,6 @@ func (s *Server) sortedViews() []view {
 	return views
 }
 
-func payloadSHA(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
 // idNumber extracts the numeric part of a "j-000123" id (0 if foreign).
 func idNumber(id string) int64 {
 	var n int64

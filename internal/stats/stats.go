@@ -99,13 +99,15 @@ func Histogram(xs []int, maxBuckets int) string {
 		lo := s.Min + bucket*width
 		hi := lo + width - 1
 		n := counts[bucket]
-		bar := strings.Repeat("#", scaleBar(n, maxCount, 30))
+		bar := strings.Repeat("#", Bar(n, maxCount, 30))
 		fmt.Fprintf(&b, "  %5d-%-5d | %4d %s\n", lo, hi, n, bar)
 	}
 	return b.String()
 }
 
-func scaleBar(v, max, width int) int {
+// Bar is the length of v's bar in a chart where max spans width
+// characters: at least 1 for any positive v, and 0 when max is 0.
+func Bar(v, max, width int) int {
 	if max == 0 {
 		return 0
 	}
