@@ -8,7 +8,6 @@
 package racereplay
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -358,48 +357,6 @@ func BenchmarkServiceScenario(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAnalyzeRacefree measures the race-free fast path on the
-// race-free service scenario. online=on analyzes the recording with its
-// online race-free verdict attached, so replay, HB detection and
-// classification are skipped; online=off analyzes the same recording
-// round-tripped through the wire format, which does not carry the
-// verdict, so the full offline pass runs. The gap between the two is what
-// the online detector buys on a clean execution.
-func BenchmarkAnalyzeRacefree(b *testing.B) {
-	s := workloads.ServiceScenario()
-	prog, err := s.Program()
-	if err != nil {
-		b.Fatal(err)
-	}
-	fast, orep, err := Record(prog, s.Config(), OnlineConfig{Detect: true}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !orep.RaceFree {
-		b.Fatalf("service raced online (%d pairs); the fast path needs a race-free recording", len(orep.Races))
-	}
-	var wire bytes.Buffer
-	if err := WriteLog(&wire, fast); err != nil {
-		b.Fatal(err)
-	}
-	slow, err := ReadLog(&wire)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		log  *Log
-	}{{"online=on", fast}, {"online=off", slow}} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := AnalyzeLog(c.log, Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkDecodeSuite measures container decode throughput: the same

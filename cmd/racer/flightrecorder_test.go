@@ -71,7 +71,7 @@ func TestCmdSuiteTraceOut(t *testing.T) {
 	if workers == 0 {
 		t.Errorf("no worker lanes in trace: %v", threads)
 	}
-	for _, stage := range []string{"suite", "record", "native", "replay", "detect", "classify"} {
+	for _, stage := range []string{"suite", "record", "replay", "detect", "classify"} {
 		if slices[stage] == 0 {
 			t.Errorf("no %q slice in trace (slices: %v)", stage, slices)
 		}
@@ -278,7 +278,7 @@ func TestCmdProfileGracefulSignal(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("/trace endpoint: %v", err)
 	}
-	for _, want := range []string{"iteration 1/3 done", "interrupted: flushing and shutting down", "overhead ladder"} {
+	for _, want := range []string{"iteration 1/3 done", "interrupted: flushing and shutting down", "spans:\n  suite "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("profile output missing %q:\n%s", want, out)
 		}

@@ -147,18 +147,14 @@ commands (flags come before the file argument):
                                             lockset warnings
   classify [-db FILE] [-race "A <-> B"] <LOG>
                                             classify races by dual-order replay
-  scenario -name NAME [-db FILE] [-online]
+  scenario -name NAME [-db FILE]
                                         analyze one built-in workload scenario
-  suite [-db FILE] [-seeds N] [-jobs N] [-static] [-predict] [-online [-stop-on-race]]
+  suite [-db FILE] [-seeds N] [-jobs N] [-static] [-predict]
                                         analyze all 18 built-in scenarios;
                                         -static adds the ahead-of-execution
                                         cross-validation section; -predict
                                         adds the prediction stage (feasible
-                                        reorderings classified by replay);
-                                        -online detects races during recording
-                                        and skips the offline pass for
-                                        race-free runs (the report is
-                                        byte-identical)
+                                        reorderings classified by replay)
   predict [-seed N] [-window W] [-db FILE] <prog.rasm|LOG> | predict -scenario NAME
                                         predict feasible races beyond the
                                         recorded interleaving (lockset +
@@ -171,16 +167,10 @@ commands (flags come before the file argument):
                                         CFG + constant propagation + must-hold
                                         locksets; any candidate exits 1, any
                                         invalid program exits 2
-  record-suite -dir DIR [-seeds N] [-jobs N] [-online]
-                                        record every scenario's log to DIR;
-                                        -online writes manifest.json with
-                                        each log's online race verdict so
-                                        analyze-dir can fast-path race-free
-                                        logs in a later process
+  record-suite -dir DIR [-seeds N] [-jobs N]
+                                        record every scenario's log to DIR
   analyze-dir -dir DIR [-db FILE] [-jobs N] [-static] [-predict]
-                                        offline analysis over recorded logs;
-                                        honors DIR/manifest.json verdicts
-                                        (matched by name + content hash)
+                                        offline analysis over recorded logs
   validate <LOG...>                     decode + check logs without analyzing
   audit <FILE.json>                     render a verdict-provenance trail
                                         written by suite/analyze-dir -audit-out
@@ -339,7 +329,7 @@ func cmdRecord(args []string) error {
 	if onlineRep != nil {
 		switch {
 		case onlineRep.RaceFree:
-			fmt.Fprintln(stdout, "online: race-free (offline analysis of this process's log would be skipped)")
+			fmt.Fprintln(stdout, "online: race-free")
 		case onlineRep.Stopped:
 			fmt.Fprintf(stdout, "online: raced (%d site pairs), recording stopped at first race\n", len(onlineRep.Races))
 		default:
@@ -476,7 +466,6 @@ func cmdScenario(args []string) error {
 	dbPath := fs.String("db", "", "race database for suppression")
 	raceFilter := fs.String("race", "", "only report the race with this site pair")
 	dump := fs.Bool("dump", false, "print the scenario's generated assembly and exit")
-	online := fs.Bool("online", false, "detect races during recording; a race-free run skips the offline pass (report is byte-identical either way)")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
 	s, err := workloads.FindScenario(*name)
@@ -502,18 +491,9 @@ func cmdScenario(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := racereplay.Options{Scenario: s.Name, Seed: s.Seed, DB: db, Metrics: reg}
-	var res *racereplay.Result
-	if *online {
-		// A race-free online verdict lets AnalyzeLog skip the offline
-		// replay+detect+classify pass entirely.
-		var log *racereplay.Log
-		if log, _, err = racereplay.Record(prog, s.Config(), racereplay.OnlineConfig{Detect: true}, reg); err == nil {
-			res, err = racereplay.AnalyzeLog(log, opts)
-		}
-	} else {
-		res, err = racereplay.Analyze(prog, s.Config(), opts)
-	}
+	res, err := racereplay.Analyze(prog, s.Config(), racereplay.Options{
+		Scenario: s.Name, Seed: s.Seed, DB: db, Metrics: reg,
+	})
 	if err != nil {
 		return err
 	}
@@ -532,15 +512,10 @@ func cmdSuite(args []string) error {
 	staticStage := fs.Bool("static", false, "cross-validate static lint candidates against the dynamic results")
 	predictStage := fs.Bool("predict", false, "add the prediction stage: feasible reorderings of each recorded schedule, classified by replay")
 	auditOut := fs.String("audit-out", "", "write the verdict-provenance trail (racereplay-audit/v1 JSON) to this file")
-	online := fs.Bool("online", false, "detect races during recording; race-free runs skip the offline pass (report is byte-identical either way)")
-	stopOnRace := fs.Bool("stop-on-race", false, "with -online, end each recording at its first confirmed race")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
 	if err := atLeastOne("seeds", *seeds); err != nil {
 		return err
-	}
-	if *stopOnRace && !*online {
-		return fmt.Errorf("-stop-on-race requires -online")
 	}
 	db, err := openDB(*dbPath)
 	if err != nil {
@@ -552,8 +527,7 @@ func cmdSuite(args []string) error {
 	}
 	run, err := racereplay.RunSuite(racereplay.SuiteOptions{
 		DB: db, Seeds: *seeds, Jobs: *jobs, Registry: reg, Static: *staticStage,
-		Audit: *auditOut != "", Online: *online, StopOnRace: *stopOnRace,
-		Predict: *predictStage,
+		Audit: *auditOut != "", Predict: *predictStage,
 	})
 	if err != nil {
 		return err
@@ -775,7 +749,6 @@ func cmdRecordSuite(args []string) error {
 	dir := fs.String("dir", "logs", "output directory")
 	seeds := fs.Int("seeds", 1, "scheduler seeds recorded per scenario")
 	jobs := fs.Int("jobs", 0, "recording workers (0 = GOMAXPROCS); output is identical at any count")
-	online := fs.Bool("online", false, "attach the online race detector and write manifest.json with each log's verdict")
 	metrics := addMetricsFlags(fs)
 	fs.Parse(args)
 	if err := atLeastOne("seeds", *seeds); err != nil {
@@ -804,7 +777,7 @@ func cmdRecordSuite(args []string) error {
 	errs := make([]error, len(scenarios))
 	sched.ForEachFork(reg, *jobs, len(scenarios), func(i int, reg *racereplay.Metrics) {
 		logs[i], _, errs[i] = racereplay.Record(
-			progs[i], scenarios[i].Config(), racereplay.OnlineConfig{Detect: *online}, reg)
+			progs[i], scenarios[i].Config(), racereplay.OnlineConfig{}, reg)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -815,8 +788,6 @@ func cmdRecordSuite(args []string) error {
 	var totalInstr uint64
 	var totalBytes int
 	var buf bytes.Buffer
-	man := racereplay.NewManifest()
-	raceFree := 0
 	for i, log := range logs {
 		name := fmt.Sprintf("%s-%d.rlog", scenarios[i].Name, i%*seeds)
 		buf.Reset()
@@ -828,25 +799,9 @@ func cmdRecordSuite(args []string) error {
 		}
 		totalInstr += log.Instructions()
 		totalBytes += buf.Len()
-		if *online {
-			man.Add(name, racereplay.LogDigest(log), log.Online)
-			if log.Online != nil && log.Online.RaceFree {
-				raceFree++
-			}
-		}
 	}
 	fmt.Fprintf(stdout, "recorded %d executions: %d instructions, %d bytes of logs -> %s\n",
 		len(logs), totalInstr, totalBytes, *dir)
-	if *online {
-		// The manifest carries each log's online verdict across process
-		// boundaries: a later analyze-dir run re-attaches it (by filename
-		// and content hash) and fast-paths the race-free logs.
-		if err := man.WriteFile(filepath.Join(*dir, "manifest.json")); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "online verdicts: %d of %d race-free -> %s\n",
-			raceFree, len(logs), filepath.Join(*dir, "manifest.json"))
-	}
 	return metrics.emit(reg)
 }
 
@@ -878,24 +833,12 @@ func cmdAnalyzeDir(args []string) error {
 		return fmt.Errorf("no .rlog files in %s", *dir)
 	}
 	sort.Strings(entries)
-	// A record-suite -online run leaves a manifest of online verdicts
-	// next to the logs. The manifest is advisory: entries re-attach the
-	// in-memory Online annotation (enabling the race-free fast path)
-	// only when both the filename and the content hash match, and a
-	// missing or corrupt manifest just means the full offline pass.
-	man, manErr := racereplay.ReadManifest(filepath.Join(*dir, "manifest.json"))
-	if manErr != nil {
-		if !os.IsNotExist(manErr) {
-			reg.Logger().Warn("manifest ignored", "err", manErr.Error())
-		}
-		man = nil
-	}
 	// Corrupt or unreadable logs quarantine instead of aborting the
 	// batch: the analysis completes over the healthy files and the
 	// report lists every excluded one with its typed error (exit 2).
 	// File decodes fan across the worker pool (a lone file fans its v2
-	// thread segments across the same budget instead); all bookkeeping —
-	// salvage warnings, manifest lookup — replays serially in directory
+	// thread segments across the same budget instead); the bookkeeping —
+	// labels, groups, salvage warnings — runs serially in directory
 	// order, so the output and the audit trail stay byte-identical at
 	// every -jobs count. Salvage mode means a v2 container with some
 	// corrupt thread segments still contributes its healthy threads
@@ -931,12 +874,6 @@ func cmdAnalyzeDir(args []string) error {
 		}
 		reg.EmitLabeled("decode", it.Label, it.Log.Instructions())
 		it.Seed = it.Log.Seed
-		if man != nil {
-			if e := man.Lookup(it.Label, racereplay.LogDigest(it.Log)); e != nil {
-				it.Log.Online = e.Online()
-				reg.Counter("decode.manifest_verdicts").Inc()
-			}
-		}
 	}
 	decodeSp.End()
 	run := workloads.AnalyzeBatch(items, workloads.SuiteOptions{

@@ -26,6 +26,12 @@ type metricsOpts struct {
 	logFile *os.File // owned when logOut names a file
 }
 
+// spanTree renders the span tree of reg (the first section of the text
+// metrics): each stage's time, share of its parent and allocations.
+func spanTree(reg *obs.Registry) string {
+	return obs.Snapshot{Spans: reg.Snapshot().Spans}.Text()
+}
+
 // addMetricsFlags registers the observability flags on fs.
 func addMetricsFlags(fs *flag.FlagSet) *metricsOpts {
 	m := &metricsOpts{}

@@ -28,8 +28,8 @@ func extractJSON(t *testing.T, out string) racereplay.MetricsSnapshot {
 }
 
 // TestSuiteMetricsJSON is the pipeline-wide acceptance check: one suite
-// run must produce nonzero counters for every stage and span timings
-// that reproduce the cumulative §5.1 ladder.
+// run must produce nonzero counters for every stage and a timed span for
+// each.
 func TestSuiteMetricsJSON(t *testing.T) {
 	out := capture(t, func() error { return cmdSuite([]string{"-metrics=json"}) })
 	snap := extractJSON(t, out)
@@ -41,7 +41,6 @@ func TestSuiteMetricsJSON(t *testing.T) {
 		"detect.executions", "detect.region_pairs_examined", "detect.races",
 		"classify.executions", "classify.instances_total", "classify.races",
 		"report.scenarios", "report.unique_races", "report.instances",
-		"native.executions",
 		"record.loads_total", "record.sequencers",
 		"vproc.instances_analyzed", "vproc.order_replays",
 	} {
@@ -54,28 +53,12 @@ func TestSuiteMetricsJSON(t *testing.T) {
 		t.Error("loads_logged + loads_predicted != loads_total")
 	}
 
-	// Span ladder: every stage present, and the cumulative offline
-	// stages dominate their parts (hb = replay+detect includes replay;
-	// classification includes both). Absolute stage-vs-stage ratios are
-	// hardware noise; the cumulative structure is not.
-	native := snap.SpanNanos("native")
-	record := snap.SpanNanos("record")
-	replay := snap.SpanNanos("replay")
-	detect := snap.SpanNanos("detect")
-	classify := snap.SpanNanos("classify")
-	for name, nanos := range map[string]int64{
-		"native": native, "record": record, "replay": replay,
-		"detect": detect, "classify": classify,
-	} {
-		if nanos <= 0 {
+	// Every stage runs under its own span and accumulates time there.
+	// Stage-vs-stage ratios are hardware noise and are not checked.
+	for _, name := range []string{"record", "replay", "detect", "classify"} {
+		if snap.SpanNanos(name) <= 0 {
 			t.Errorf("span %s has no accumulated time", name)
 		}
-	}
-	if hb := replay + detect; hb <= replay {
-		t.Errorf("hb-analysis ladder rung (%d) not above replay (%d)", hb, replay)
-	}
-	if cls := replay + detect + classify; cls <= replay+detect {
-		t.Errorf("classification ladder rung (%d) not above hb analysis (%d)", cls, replay+detect)
 	}
 }
 
@@ -202,7 +185,7 @@ func TestCmdProfile(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatalf("metrics endpoints: %v", err)
 	}
-	for _, want := range []string{"profiling server on http://", "iteration 1/1 done", "overhead ladder"} {
+	for _, want := range []string{"profiling server on http://", "iteration 1/1 done", "spans:\n  suite "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("profile output missing %q:\n%s", want, out)
 		}

@@ -5,8 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	racereplay "repro"
 )
 
 // TestCmdPredictFindsUnobservedRace pins the prediction payoff case:
@@ -163,88 +161,5 @@ func TestCmdLintExitCodes(t *testing.T) {
 	}
 	if !strings.Contains(out, "wstore") {
 		t.Errorf("mixed batch lost the valid file's findings:\n%s", out)
-	}
-}
-
-// TestRecordSuiteOnlineManifestRoundTrip: record-suite -online writes a
-// manifest of online verdicts; a separate analyze-dir process re-attaches
-// them (fast-pathing race-free logs) without changing a byte of output.
-func TestRecordSuiteOnlineManifestRoundTrip(t *testing.T) {
-	resetExit(t)
-	dir := filepath.Join(t.TempDir(), "logs")
-	out := capture(t, func() error { return cmdRecordSuite([]string{"-dir", dir, "-online"}) })
-	if !strings.Contains(out, "online verdicts:") {
-		t.Fatalf("record-suite -online output:\n%s", out)
-	}
-	manPath := filepath.Join(dir, "manifest.json")
-	man, err := racereplay.ReadManifest(manPath)
-	if err != nil {
-		t.Fatalf("manifest unreadable: %v", err)
-	}
-	if len(man.Entries) != 18 {
-		t.Fatalf("manifest has %d entries, want 18", len(man.Entries))
-	}
-	// The suite corpus is racy by design, so graft in one race-free
-	// recording: a single-threaded program the online detector clears.
-	cleanSrc := filepath.Join(t.TempDir(), "clean.rasm")
-	if err := os.WriteFile(cleanSrc, []byte(".entry main\n.word g 0\nmain:\n  ldi r2, g\n  ldi r3, 7\n  st [r2+0], r3\n  ld r1, [r2+0]\n  sys print\n  halt\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	prog, err := loadProgram(cleanSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanLog, _, err := racereplay.Record(prog, racereplay.Config{Seed: 1},
-		racereplay.OnlineConfig{Detect: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cleanLog.Online == nil || !cleanLog.Online.RaceFree {
-		t.Fatal("single-threaded recording not marked race-free by the online detector")
-	}
-	f, err := os.Create(filepath.Join(dir, "clean-0.rlog"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := racereplay.WriteLog(f, cleanLog); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	man.Add("clean-0.rlog", racereplay.LogDigest(cleanLog), cleanLog.Online)
-	if err := man.WriteFile(manPath); err != nil {
-		t.Fatal(err)
-	}
-
-	metricsPath := filepath.Join(t.TempDir(), "metrics.txt")
-	withMan := capture(t, func() error {
-		return cmdAnalyzeDir([]string{"-dir", dir, "-metrics", "-metrics-out", metricsPath})
-	})
-	mtext, err := os.ReadFile(metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, counter := range []string{"decode.manifest_verdicts", "detect.online.fastpath"} {
-		if !strings.Contains(string(mtext), counter) {
-			t.Errorf("manifest verdict did not drive the fast path: counter %s missing:\n%s", counter, mtext)
-		}
-	}
-	if err := os.Remove(manPath); err != nil {
-		t.Fatal(err)
-	}
-	withoutMan := capture(t, func() error { return cmdAnalyzeDir([]string{"-dir", dir}) })
-	if withMan != withoutMan {
-		t.Fatalf("manifest fast path changed the report:\n--- with\n%s\n--- without\n%s", withMan, withoutMan)
-	}
-	if !strings.Contains(withMan, "analyzed 19 recorded executions") {
-		t.Errorf("analyze-dir output:\n%s", withMan)
-	}
-
-	// A corrupt manifest is advisory: warn and take the full pass.
-	if err := os.WriteFile(manPath, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	corrupt := capture(t, func() error { return cmdAnalyzeDir([]string{"-dir", dir}) })
-	if corrupt != withoutMan {
-		t.Fatal("corrupt manifest changed the report instead of being ignored")
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"repro/internal/report"
-
 	racereplay "repro"
 )
 
@@ -31,8 +29,8 @@ var profileReady func(addr string)
 // external scraper (or a browser) can inspect the final state.
 //
 // SIGINT/SIGTERM shut the command down gracefully at any point: the
-// loop stops after the in-flight operation, the final overhead ladder
-// (and -trace-out timeline, if requested) is still written, the server
+// loop stops after the in-flight operation, the final span tree (and
+// -trace-out timeline, if requested) is still written, the server
 // drains, and the exit status is 0 — an operator stopping the process
 // loses no observability data.
 func cmdProfile(args []string) error {
@@ -96,7 +94,7 @@ func cmdProfile(args []string) error {
 	if interrupted {
 		fmt.Fprint(stdout, "interrupted: flushing and shutting down\n")
 	}
-	fmt.Fprint(stdout, report.OverheadLadder(reg.Snapshot()))
+	fmt.Fprint(stdout, spanTree(reg))
 	if *traceOut != "" {
 		if err := writeTraceFile(reg, *traceOut); err != nil {
 			return err

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/report"
 	"repro/internal/serve"
 
 	racereplay "repro"
@@ -27,7 +26,7 @@ var serveReady func(addr string)
 // SIGINT/SIGTERM shut the daemon down gracefully: intake stops (new
 // uploads answer 503), in-flight jobs drain under -drain, the queued
 // backlog stays journaled for the next start, the persistent memo store
-// and journal flush, and the final overhead ladder is printed. Exit
+// and journal flush, and the final span tree is printed. Exit
 // status is 0 — an operator stopping the service loses no state.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -95,6 +94,6 @@ func cmdServe(args []string) error {
 	defer hcancel()
 	hsrv.Shutdown(hctx)
 	<-done
-	fmt.Fprint(stdout, report.OverheadLadder(reg.Snapshot()))
+	fmt.Fprint(stdout, spanTree(reg))
 	return nil
 }

@@ -108,7 +108,7 @@ func waitMergedReport(t *testing.T, srv *serve.Server) string {
 
 // TestCmdServeEndToEnd drives the serve command itself: boot, upload a
 // clean log and a corrupt one over real HTTP, then SIGTERM — the daemon
-// must drain gracefully, print the overhead ladder, and leave a journal
+// must drain gracefully, print the span tree, and leave a journal
 // a successor could resume from.
 func TestCmdServeEndToEnd(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "out.rlog")
@@ -164,7 +164,7 @@ func TestCmdServeEndToEnd(t *testing.T) {
 	if err := <-probeErr; err != nil {
 		t.Fatalf("serve probe: %v", err)
 	}
-	for _, want := range []string{"analysis service on http://", "interrupted: draining and shutting down", "overhead ladder"} {
+	for _, want := range []string{"analysis service on http://", "interrupted: draining and shutting down", "spans:\n  replay "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("serve output missing %q:\n%s", want, out)
 		}

@@ -1,14 +1,14 @@
-// Metrics: the pipeline-wide observability layer and the §5.1 overhead
-// ladder it reproduces.
+// Metrics: the pipeline-wide observability layer.
 //
 // Every stage of the pipeline — recording, replay, race detection, and
 // dual-order classification — publishes counters and runs under a timing
 // span when handed a metrics registry. Each stage has exactly one entry
 // point, which takes the registry as a trailing argument or an options
 // field (here SuiteOptions.Registry). This example runs the built-in
-// suite with one, prints the per-stage overhead ladder the paper
-// reports in §5.1, and shows the raw snapshot renderings a dashboard or
-// Prometheus scraper would consume.
+// suite with one, prints the span tree (time and allocations per
+// stage), and shows the raw snapshot renderings a dashboard or
+// Prometheus scraper would consume. The paper's §5.1 overhead figures
+// come from `paperbench -perf`, which times each stage as CPU time.
 package main
 
 import (
@@ -33,9 +33,9 @@ func main() {
 	fmt.Printf("suite: %d scenarios, %d unique races (%d potentially benign, %d potentially harmful)\n\n",
 		len(run.Scenarios), len(run.Merged.Races), benign, harmful)
 
-	// The ladder is computed from the accumulated stage spans — the same
-	// numbers `racer profile` and `racer suite -metrics` show.
-	fmt.Print(racereplay.OverheadLadder(snap))
+	// The span tree accumulates each stage's wall time and allocations —
+	// the same tree `racer profile` and `racer suite -metrics` show.
+	fmt.Print(racereplay.MetricsSnapshot{Spans: snap.Spans}.Text())
 
 	// A few of the counters each stage published along the way.
 	fmt.Println("\nselected stage counters:")

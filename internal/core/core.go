@@ -35,12 +35,6 @@ type Result struct {
 	Races          *hb.Report
 	Classification *classify.Classification
 
-	// ObservedSites carries the executed data-access sites when the
-	// online race-free fast path skipped the replay (Exec == nil), so
-	// static cross-validation still sees the run's site coverage. It is
-	// nil whenever Exec is populated.
-	ObservedSites []string
-
 	// Predicted is the prediction stage's output (nil unless
 	// Options.Predict was set): the feasibility report plus the
 	// dual-order classification of the predicted-new site pairs.
@@ -61,7 +55,7 @@ type Predicted struct {
 func (r *Result) LogStats() trace.SizeStats { return trace.Stats(r.Log) }
 
 // LogDigest is the hex SHA-256 of a log's v2 container — the content
-// identity audit records and manifests attach verdicts to. MarshalV2 is
+// identity audit records attach verdicts to. MarshalV2 is
 // deterministic and is exactly what trace.Write emits, so the digest is
 // a pure function of the recorded execution and equals the sha256sum of
 // its .rlog file.
@@ -116,17 +110,6 @@ func DecodeLogFrom(r io.ReaderAt, size int64, o DecodeOptions) (*trace.Log, []tr
 // "detect", "classify") and publishes its counters there; nil is off.
 func AnalyzeLog(log *trace.Log, opts classify.Options) (*Result, error) {
 	reg := opts.Metrics
-	// Race-free fast path: when an online detector watched the recording
-	// and saw no race, its verdict provably matches the offline detector
-	// on this log, so replay+detect+classify would only reconfirm an
-	// empty report. The annotation is in-memory only (never decoded from
-	// disk) and any raced or stopped run falls through to the full
-	// offline pass, which remains the source of truth.
-	// Prediction disables the fast path: a race-free *observed*
-	// interleaving is exactly where prediction has work to do.
-	if log.Online != nil && log.Online.RaceFree && !log.Online.Stopped && !opts.Predict {
-		return analyzeRaceFreeFast(log, opts, reg)
-	}
 	sp := reg.StartSpan("replay")
 	exec, err := replay.Run(log, replay.Options{Metrics: reg})
 	sp.End()
@@ -180,31 +163,6 @@ func runPredict(exec *replay.Execution, races *hb.Report, opts classify.Options,
 		"scenario", opts.Scenario, "seed", opts.Seed,
 		"candidates", len(prep.Candidates), "new_races", len(newRaces.Races))
 	return &Predicted{Report: prep, NewRaces: newRaces, Classification: pcls}
-}
-
-// analyzeRaceFreeFast produces the Result a full offline pass would
-// return for a log the online detector certified race-free: an empty
-// race report and an empty classification, with the observed data-access
-// sites carried over for static cross-validation. Downstream renderers
-// and merges treat it identically to an offline zero-race result.
-func analyzeRaceFreeFast(log *trace.Log, opts classify.Options, reg *obs.Registry) (*Result, error) {
-	sp := reg.StartSpan("fastpath")
-	sites := make([]string, 0, len(log.Online.ObservedPCs))
-	for _, pc := range log.Online.ObservedPCs {
-		sites = append(sites, log.Prog.SiteOf(pc))
-	}
-	sp.End()
-	reg.Counter("detect.online.fastpath").Inc()
-	reg.Logger().Debug("online fast path",
-		"scenario", opts.Scenario, "seed", opts.Seed,
-		"observed_sites", len(sites))
-	return &Result{
-		Prog:           log.Prog,
-		Log:            log,
-		Races:          &hb.Report{},
-		Classification: &classify.Classification{},
-		ObservedSites:  sites,
-	}, nil
 }
 
 // Quarantined records one batch item whose analysis failed — the

@@ -28,29 +28,21 @@ func CollectEvidence(results []*Result) static.DynamicEvidence {
 		if r == nil {
 			continue
 		}
-		if r.Exec != nil {
-			// Mark each PC once, then format each distinct one once.
-			prog := r.Exec.Prog
-			seen := make([]bool, len(prog.Code))
-			for _, region := range r.Exec.Regions {
-				for _, acc := range region.Accesses {
-					if acc.PC >= 0 && acc.PC < len(seen) {
-						seen[acc.PC] = true
-					} else {
-						ev.ObservedSites[acc.Site(prog)] = true
-					}
+		// Mark each PC once, then format each distinct one once.
+		prog := r.Exec.Prog
+		seen := make([]bool, len(prog.Code))
+		for _, region := range r.Exec.Regions {
+			for _, acc := range region.Accesses {
+				if acc.PC >= 0 && acc.PC < len(seen) {
+					seen[acc.PC] = true
+				} else {
+					ev.ObservedSites[acc.Site(prog)] = true
 				}
 			}
-			for pc, ok := range seen {
-				if ok {
-					ev.ObservedSites[prog.SiteOf(pc)] = true
-				}
-			}
-		} else {
-			// The online race-free fast path skips the replay; the sites
-			// it observed during recording stand in for the replay's.
-			for _, site := range r.ObservedSites {
-				ev.ObservedSites[site] = true
+		}
+		for pc, ok := range seen {
+			if ok {
+				ev.ObservedSites[prog.SiteOf(pc)] = true
 			}
 		}
 		if r.Classification != nil {

@@ -1,18 +1,16 @@
 package hb
 
 import (
-	"sort"
-
 	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/vclock"
 )
 
 // Online runs the paper's region-overlap race check *while the program
 // executes*, in the style of Ronsse & De Bosschere's on-the-fly
-// detectors, so a recording can end with a raced/race-free verdict and
-// skip the offline decode+HB pass when clean. The recorder
+// detectors, so a recording ends with a raced/race-free verdict and can
+// stop at the first race. The verdict is a report on the recording only:
+// the offline analysis replays every log whatever it says. The recorder
 // (internal/record) feeds it: after its own work on each machine event it
 // passes on the thread starts and ends, the sequencers and the data
 // accesses, reduced to the fields the check reads.
@@ -87,8 +85,6 @@ type Online struct {
 
 	races      map[SitePair]struct{}
 	raceOrder  []SitePair
-	pcSeen     []bool // data-access PCs observed (atomic included)
-	pcCount    int
 	seqs       uint64 // sequencer events, drives the eviction sweep
 	watermark  uint64 // watermark of the last sweep
 	checked    uint64 // candidate pairs screened
@@ -154,7 +150,6 @@ func NewOnline(prog *isa.Program, reg *obs.Registry, stopOnRace bool) *Online {
 		lastPN:     ^uint64(0),
 		spawned:    -1,
 		races:      make(map[SitePair]struct{}),
-		pcSeen:     make([]bool, len(prog.Code)),
 	}
 }
 
@@ -232,10 +227,6 @@ func (o *Online) Raced() bool { return len(o.races) > 0 }
 // Access screens one successful data access by thread tid at pc against
 // the window, then records it there.
 func (o *Online) Access(tid, pc int, addr uint64, atomic, isWrite bool) {
-	if pc >= 0 && pc < len(o.pcSeen) && !o.pcSeen[pc] {
-		o.pcSeen[pc] = true
-		o.pcCount++
-	}
 	if atomic {
 		// Lock-prefixed accesses never participate in a race; they also
 		// need no record, since the region test ignores them entirely.
@@ -372,19 +363,6 @@ type OnlineReport struct {
 	HBPruned uint64     // pairs skipped by the epoch prune
 }
 
-// ObservedPCs returns the sorted code indices that performed data
-// accesses, for trace.OnlineInfo.
-func (o *Online) ObservedPCs() []int {
-	pcs := make([]int, 0, o.pcCount)
-	for pc, seen := range o.pcSeen {
-		if seen {
-			pcs = append(pcs, pc)
-		}
-	}
-	sort.Ints(pcs)
-	return pcs
-}
-
 // Report finalizes the run: it publishes the detect.online.* metrics and
 // returns the verdict. stopped says whether the machine actually ended
 // early (the stop request is only polled at quantum boundaries).
@@ -413,21 +391,4 @@ func (o *Online) Report(stopped bool) *OnlineReport {
 		r.Emit("detect.online.verdict", uint64(len(o.races)))
 	}
 	return rep
-}
-
-// Info converts the report into the trace.Log annotation consumed by the
-// analysis fast path.
-func (o *Online) Info(stopped bool) *trace.OnlineInfo {
-	return &trace.OnlineInfo{
-		RaceFree: len(o.races) == 0,
-		Races:    len(o.races),
-		Stopped:  stopped,
-		ObservedPCs: func() []int {
-			if len(o.races) > 0 {
-				// The full offline pass runs anyway; skip the copy.
-				return nil
-			}
-			return o.ObservedPCs()
-		}(),
-	}
 }

@@ -160,26 +160,6 @@ func (op Op) IsCondBranch() bool {
 	return false
 }
 
-// ReadsMem reports whether executing op reads a data-memory word.
-func (op Op) ReadsMem() bool {
-	switch op {
-	case OpLd, OpCas, OpXadd, OpXchg, OpRet, OpOrm, OpAndm, OpXorm, OpAddm:
-		return true
-	}
-	return false
-}
-
-// WritesMem reports whether executing op may write a data-memory word.
-// OpCas writes only when the comparison succeeds; this predicate is the
-// static may-write approximation.
-func (op Op) WritesMem() bool {
-	switch op {
-	case OpSt, OpCas, OpXadd, OpXchg, OpCall, OpOrm, OpAndm, OpXorm, OpAddm:
-		return true
-	}
-	return false
-}
-
 // Syscall numbers, passed in the Imm field of OpSys.
 const (
 	SysExit   = 0  // terminate the calling thread; r1 = exit code

@@ -39,23 +39,6 @@ func TestIsSyncCoversAtomicsAndSyscalls(t *testing.T) {
 	}
 }
 
-func TestMemPredicates(t *testing.T) {
-	if !OpLd.ReadsMem() || OpLd.WritesMem() {
-		t.Error("ld should read and not write")
-	}
-	if OpSt.ReadsMem() || !OpSt.WritesMem() {
-		t.Error("st should write and not read")
-	}
-	for _, op := range []Op{OpCas, OpXadd, OpXchg} {
-		if !op.ReadsMem() || !op.WritesMem() {
-			t.Errorf("%v should both read and write", op)
-		}
-	}
-	if !OpCall.WritesMem() || !OpRet.ReadsMem() {
-		t.Error("call pushes, ret pops")
-	}
-}
-
 func TestSyscallNames(t *testing.T) {
 	for n := int64(0); n < SyscallCount; n++ {
 		name := SyscallName(n)

@@ -9,11 +9,11 @@ import (
 // contains record/replay/detect/classify spans) and merge by name: the
 // second StartSpan("record") under the same parent accumulates into the
 // first span's totals instead of growing the tree, so an 18-scenario
-// suite run still renders as one compact stage ladder.
+// suite run still renders as one compact stage tree.
 //
 // Each start/end cycle accumulates wall time plus heap-allocation deltas
-// (bytes and object counts from runtime.MemStats), which is how the
-// §5.1-style overhead ladder attributes both time and memory per stage.
+// (bytes and object counts from runtime.MemStats), so the span tree
+// attributes both time and memory per stage.
 type Span struct {
 	name     string
 	parent   *Span

@@ -1,8 +1,8 @@
 // Online recording: the recorder holds the hb.Online detector and feeds
 // it each event after logging it, so a single execution yields both the
-// replay log and a raced/race-free verdict with no second decode pass. The verdict rides
-// on the log as the in-memory trace.OnlineInfo annotation; the offline
-// detector stays the source of truth whenever the verdict is "raced".
+// replay log and a raced/race-free verdict. The verdict is returned
+// beside the log and leaves the log unchanged; the offline analysis
+// replays the log whatever the verdict says.
 package record
 
 import (
@@ -17,8 +17,7 @@ import (
 // detector and key frames. The zero value is a plain recording.
 type OnlineConfig struct {
 	// Detect gives the recorder an hb.Online detector. When false the run
-	// is a plain recording (key frames still honored) and no annotation
-	// is stamped on the log.
+	// is a plain recording (key frames still honored).
 	Detect bool
 	// StopOnFirstRace ends the run at the next scheduling-quantum
 	// boundary after the first race is observed. The truncated log is
@@ -33,14 +32,14 @@ type OnlineConfig struct {
 }
 
 // DownsampleFactor multiplies the key-frame interval once the online
-// detector confirms a race: the run's fate is sealed (full offline
-// analysis), so dense resume points stop paying for themselves.
+// detector confirms a race: from then on the log grows by one key frame
+// per DownsampleFactor of the configured interval.
 const DownsampleFactor = 8
 
 // RunOnline records prog with the online detector attached (per oc) and
-// returns the log — annotated with the verdict — plus the machine result
-// and the detector's report. With oc.Detect false the report is nil and
-// the run is a plain recording (key frames still honored).
+// returns the log, the machine result and the detector's report. With
+// oc.Detect false the report is nil and the run is a plain recording
+// (key frames still honored).
 func RunOnline(prog *isa.Program, cfg machine.Config, oc OnlineConfig) (*trace.Log, *machine.Result, *hb.OnlineReport, error) {
 	return run(prog, cfg, oc, nil)
 }

@@ -1,10 +1,12 @@
 package record_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,7 +26,9 @@ var pinnedPolicies = []machine.SchedPolicy{machine.PolicyRandom, machine.PolicyR
 // exit code, fault, output and registers); record hashes the
 // trace.MarshalV2 bytes of record.Run; online hashes the bytes of
 // record.RunOnline with the detector and key frames every 500
-// instructions, followed by the detector's verdict.
+// instructions, followed by the detector's verdict. It also checks that
+// the detector only watches: with it attached and no key frames, the
+// log and the machine result are record.Run's.
 func pinnedRows(t *testing.T) map[string]string {
 	t.Helper()
 	rows := make(map[string]string)
@@ -51,11 +55,23 @@ func pinnedRows(t *testing.T) map[string]string {
 						th.ID, th.State, th.Retired, th.ExitCode, th.Fault, th.Output, th.Cpu.Regs, th.Cpu.PC)
 				}
 
-				log, _, err := record.Run(prog, cfg)
+				log, rres, err := record.Run(prog, cfg)
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
-				plain := sha256.Sum256(trace.MarshalV2(log))
+				plainBytes := trace.MarshalV2(log)
+				plain := sha256.Sum256(plainBytes)
+
+				dlog, dres, _, err := record.RunOnline(prog, cfg, record.OnlineConfig{Detect: true})
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if !bytes.Equal(trace.MarshalV2(dlog), plainBytes) {
+					t.Errorf("%s: the online detector changed the recorded log", key)
+				}
+				if !reflect.DeepEqual(dres, rres) {
+					t.Errorf("%s: the online detector changed the machine result", key)
+				}
 
 				olog, _, rep, err := record.RunOnline(prog, cfg, record.OnlineConfig{Detect: true, KeyFrameInterval: 500})
 				if err != nil {

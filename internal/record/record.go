@@ -357,7 +357,6 @@ func run(prog *isa.Program, cfg machine.Config, oc OnlineConfig, reg *obs.Regist
 	var rep *hb.OnlineReport
 	if rec.online != nil {
 		rep = rec.online.Report(res.Stopped)
-		log.Online = rec.online.Info(res.Stopped)
 	}
 	sp.End()
 	if err := log.Validate(); err != nil {

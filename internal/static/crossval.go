@@ -79,25 +79,6 @@ type CrossResult struct {
 	PredMissed    []MissedRace
 }
 
-// Precision is matched / (matched + refuted): how often a dynamically
-// testable candidate was a real race. Unmatched candidates are excluded —
-// the dynamic run carries no evidence either way.
-func (c *CrossResult) Precision() float64 {
-	if c.Matched+c.Refuted == 0 {
-		return 1
-	}
-	return float64(c.Matched) / float64(c.Matched+c.Refuted)
-}
-
-// Recall is matched / (matched + missed): the fraction of dynamic races
-// the static pass predicted.
-func (c *CrossResult) Recall() float64 {
-	if c.Matched+len(c.Missed) == 0 {
-		return 1
-	}
-	return float64(c.Matched) / float64(c.Matched+len(c.Missed))
-}
-
 // CrossValidate joins static candidates against dynamic evidence,
 // publishing static.matched / static.refuted / static.unmatched /
 // static.missed counters into reg (nil is off).

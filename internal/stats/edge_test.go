@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestPercentileSingleton(t *testing.T) {
 	one := []int{42}
@@ -19,48 +16,5 @@ func TestPercentileEmptyEveryP(t *testing.T) {
 		if got := Percentile(nil, p); got != 0 {
 			t.Errorf("Percentile(nil, %v) = %v, want 0", p, got)
 		}
-	}
-}
-
-func TestHistogramSingleBucket(t *testing.T) {
-	// maxBuckets=1 folds the whole range into one row that covers it.
-	out := Histogram([]int{1, 5, 9}, 1)
-	if n := strings.Count(out, "\n"); n != 1 {
-		t.Errorf("maxBuckets=1 produced %d rows:\n%s", n, out)
-	}
-	if !strings.Contains(out, "3 ") {
-		t.Errorf("single bucket should hold all 3 samples:\n%s", out)
-	}
-	// Degenerate maxBuckets values clamp to 1 rather than panicking.
-	for _, mb := range []int{0, -3} {
-		if got := Histogram([]int{2, 4}, mb); strings.Count(got, "\n") != 1 {
-			t.Errorf("maxBuckets=%d:\n%s", mb, got)
-		}
-	}
-}
-
-func TestHistogramAllEqualWideBuckets(t *testing.T) {
-	// An all-equal sample has zero range; any bucket count must yield
-	// exactly one row containing every sample.
-	for _, mb := range []int{1, 2, 10} {
-		out := Histogram([]int{7, 7, 7, 7}, mb)
-		if strings.Count(out, "\n") != 1 {
-			t.Errorf("maxBuckets=%d rows != 1:\n%s", mb, out)
-		}
-		if !strings.Contains(out, "4 ") {
-			t.Errorf("bucket lost samples:\n%s", out)
-		}
-	}
-}
-
-func TestRatioEdges(t *testing.T) {
-	if Ratio(0, 0) != "inf" {
-		t.Errorf("Ratio(0,0) = %s", Ratio(0, 0))
-	}
-	if Ratio(0, 5) != "0.00x" {
-		t.Errorf("Ratio(0,5) = %s", Ratio(0, 5))
-	}
-	if Ratio(-3, 2) != "-1.50x" {
-		t.Errorf("Ratio(-3,2) = %s", Ratio(-3, 2))
 	}
 }

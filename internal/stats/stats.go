@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Summary describes a sample of non-negative integers.
@@ -71,40 +70,6 @@ func (s Summary) String() string {
 		s.N, s.Min, s.Median, s.Mean, s.P90, s.Max, s.Sum)
 }
 
-// Histogram buckets a sample into at most maxBuckets equal-width bins and
-// renders them as ASCII rows ("lo-hi | count ###").
-func Histogram(xs []int, maxBuckets int) string {
-	if len(xs) == 0 {
-		return "(empty)\n"
-	}
-	if maxBuckets < 1 {
-		maxBuckets = 1
-	}
-	s := Summarize(xs)
-	width := (s.Max - s.Min + maxBuckets) / maxBuckets
-	if width < 1 {
-		width = 1
-	}
-	counts := make(map[int]int)
-	maxCount := 0
-	for _, x := range xs {
-		b := (x - s.Min) / width
-		counts[b]++
-		if counts[b] > maxCount {
-			maxCount = counts[b]
-		}
-	}
-	var b strings.Builder
-	for bucket := 0; bucket*width+s.Min <= s.Max; bucket++ {
-		lo := s.Min + bucket*width
-		hi := lo + width - 1
-		n := counts[bucket]
-		bar := strings.Repeat("#", Bar(n, maxCount, 30))
-		fmt.Fprintf(&b, "  %5d-%-5d | %4d %s\n", lo, hi, n, bar)
-	}
-	return b.String()
-}
-
 // Bar is the length of v's bar in a chart where max spans width
 // characters: at least 1 for any positive v, and 0 when max is 0.
 func Bar(v, max, width int) int {
@@ -116,12 +81,4 @@ func Bar(v, max, width int) int {
 		n = 1
 	}
 	return n
-}
-
-// Ratio formats a/b as "x.xx" with a zero-denominator guard.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.2fx", a/b)
 }

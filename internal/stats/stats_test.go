@@ -118,27 +118,3 @@ func TestPercentileMonotone(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	out := Histogram([]int{1, 1, 2, 3, 50}, 5)
-	if !strings.Contains(out, "#") {
-		t.Errorf("no bars:\n%s", out)
-	}
-	if Histogram(nil, 5) != "(empty)\n" {
-		t.Error("empty histogram")
-	}
-	// All-equal sample: one bucket.
-	out = Histogram([]int{4, 4, 4}, 3)
-	if strings.Count(out, "\n") != 1 {
-		t.Errorf("constant sample should have one bucket:\n%s", out)
-	}
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(3, 2) != "1.50x" {
-		t.Errorf("ratio = %s", Ratio(3, 2))
-	}
-	if Ratio(1, 0) != "inf" {
-		t.Error("zero denominator")
-	}
-}

@@ -165,34 +165,13 @@ type Log struct {
 	Deadlocked bool
 	TotalSteps uint64
 
-	// Online is the verdict of the online race detector that watched the
-	// recording, when one was attached. It is an in-memory annotation
-	// only: MarshalV2 never serializes it, so logs decoded from disk always
-	// carry nil and take the full offline pass. The offline detector
-	// remains the source of truth; consumers may use a race-free online
-	// verdict to skip work, never to report races.
-	Online *OnlineInfo
-
 	// DroppedThreads lists, in segment order, the TIDs whose thread
 	// segments a salvaging v2 decode (V2Options.QuarantineThreads)
-	// dropped; nil for a whole log. Like Online it is in-memory only:
-	// MarshalV2 never serializes it. The missing threads took fork, join
-	// and lock events with them, so predict.Run proposes no reordering
-	// of such a log.
+	// dropped; nil for a whole log. It is in-memory only: MarshalV2
+	// never serializes it. The missing threads took fork, join and lock
+	// events with them, so predict.Run proposes no reordering of such a
+	// log.
 	DroppedThreads []int
-}
-
-// OnlineInfo summarizes what the online detector saw during recording.
-type OnlineInfo struct {
-	RaceFree bool // no overlapping conflicting access pair was observed
-	Races    int  // distinct racy site pairs observed (0 when RaceFree)
-	Stopped  bool // recording ended early under a stop-on-race policy
-
-	// ObservedPCs lists, in ascending order, every code index that
-	// performed a data memory access (atomic or not) during the run. The
-	// race-free fast path uses it to reconstruct the observed-site set
-	// that static cross-validation would otherwise read from the replay.
-	ObservedPCs []int
 }
 
 // Thread returns the log for tid, or nil.

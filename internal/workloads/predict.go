@@ -36,10 +36,10 @@ type SuitePredict struct {
 }
 
 // BuildSuitePredict folds per-execution prediction results into the
-// suite-level section. labels[i] names results[i]; nil results (and
-// results whose analysis ran without the prediction stage, e.g. via an
-// online fast path) are skipped. Returns nil when no execution carries
-// a prediction — the section then renders as "stage not run".
+// suite-level section. labels[i] names results[i]; nil results
+// (quarantined executions) and results analyzed without the prediction
+// stage are skipped. Returns nil when no execution carries a prediction
+// — the section then renders as "stage not run".
 func BuildSuitePredict(labels []string, results []*core.Result) *SuitePredict {
 	out := &SuitePredict{}
 	var parts []*classify.Classification

@@ -68,7 +68,7 @@ func (r *SuiteRun) Harmful() bool {
 }
 
 // SuiteOptions configures RunSuite, and AnalyzeBatch apart from the
-// recording knobs (Seeds, Online, StopOnRace).
+// recording knob (Seeds).
 type SuiteOptions struct {
 	// DB, when non-nil, suppresses races a developer already marked
 	// benign.
@@ -82,7 +82,7 @@ type SuiteOptions struct {
 	// count.
 	Jobs int
 	// Registry, when non-nil, receives pipeline metrics: the merged
-	// "suite/native|record|replay|detect|classify" span ladder, every
+	// "suite/record|replay|detect|classify" span tree, every
 	// stage's counters, and the batch's sched.* metrics.
 	Registry *obs.Registry
 	// Static adds the static cross-validation stage: every base scenario
@@ -99,23 +99,10 @@ type SuiteOptions struct {
 	// evidence (live-in fingerprints, both orders' outcomes, canonical
 	// cache attribution).
 	Audit bool
-	// Online attaches the incremental race detector to every recording.
-	// A race-free online verdict lets the offline half skip that log's
-	// replay+detect+classify pass entirely; any raced (or stopped)
-	// recording takes the full offline pass, which remains the source of
-	// truth. The suite report is byte-identical with Online on and off.
-	Online bool
-	// StopOnRace (with Online) ends each recording at the first
-	// confirmed race. The truncated log still replays and classifies —
-	// this trades instance coverage for recording time, so it is a
-	// monitoring knob, not a default.
-	StopOnRace bool
 	// Predict adds the prediction stage to every analyzed execution:
 	// feasible reorderings of the recorded schedule that would race are
 	// proposed, classified by the same dual-order replay, and aggregated
-	// into SuiteRun.Predict. Predict disables the online race-free fast
-	// path — a race-free observed interleaving is exactly where
-	// prediction has work to do.
+	// into SuiteRun.Predict.
 	Predict bool
 }
 
@@ -146,9 +133,7 @@ func SuiteScenarios(seeds int) []Scenario {
 // in a potentially-benign verdict (§4.3).
 //
 // With opts.Registry set, every scenario's stages run under the merged
-// "suite/record|replay|detect|classify" spans, and each scenario is
-// additionally run once on a bare machine (no observer) under a "native"
-// span — the §5.1 baseline the overhead ladder is measured against.
+// "suite/record|replay|detect|classify" spans.
 //
 // Recording is the online half of the pipeline and stays serial —
 // the paper's premise is that the production run only pays for logging —
@@ -186,13 +171,7 @@ func RunSuite(opts SuiteOptions) (*SuiteRun, error) {
 			if progErr != nil {
 				return fmt.Errorf("program: %w", progErr)
 			}
-			if reg != nil {
-				if err := runNative(prog, s.Config(), reg); err != nil {
-					return fmt.Errorf("native baseline: %w", err)
-				}
-			}
-			oc := record.OnlineConfig{Detect: opts.Online, StopOnFirstRace: opts.StopOnRace}
-			log, mres, _, err := record.RunOnlineInstrumented(prog, s.Config(), oc, reg)
+			log, mres, err := record.RunInstrumented(prog, s.Config(), reg)
 			if err != nil {
 				return fmt.Errorf("record: %w", err)
 			}
@@ -311,22 +290,6 @@ func AnalyzeBatch(items []Item, opts SuiteOptions) *SuiteRun {
 	}
 	publishSuiteMetrics(reg, run)
 	return run
-}
-
-// runNative executes prog on a bare machine — no observer, no recorder —
-// under the "native" span, giving the ladder its uninstrumented baseline.
-func runNative(prog *isa.Program, cfg machine.Config, reg *obs.Registry) error {
-	sp := reg.StartSpan("native")
-	defer sp.End()
-	cfg.Observer = nil
-	m, err := machine.New(prog, cfg)
-	if err != nil {
-		return err
-	}
-	res := m.Run()
-	reg.Counter("native.instructions").Add(res.TotalSteps)
-	reg.Counter("native.executions").Inc()
-	return nil
 }
 
 // publishSuiteMetrics records the merged batch verdicts (report.* is

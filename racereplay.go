@@ -127,10 +127,6 @@ type (
 	// race-free or the distinct racy site pairs seen, plus screening
 	// statistics.
 	OnlineReport = hb.OnlineReport
-	// OnlineInfo is the in-memory online-verdict annotation a recording
-	// carries on its Log; it is never serialized, so logs decoded from
-	// disk always take the full offline pass.
-	OnlineInfo = trace.OnlineInfo
 	// PredictOptions tunes a prediction pass (window bound, metrics).
 	PredictOptions = predict.Options
 	// PredictReport is the prediction pass output for one execution:
@@ -151,11 +147,6 @@ type (
 	Predicted = core.Predicted
 	// SuitePredict aggregates the prediction stage across a batch run.
 	SuitePredict = workloads.SuitePredict
-	// Manifest is the record-suite sidecar (racereplay-manifest/v2)
-	// carrying each log's online verdict across process boundaries.
-	Manifest = trace.Manifest
-	// ManifestEntry is one log's record in a Manifest.
-	ManifestEntry = trace.ManifestEntry
 )
 
 // Timeline event kinds.
@@ -195,10 +186,9 @@ func NewMemo() *Memo { return classify.NewMemo() }
 // OnlineConfig is a plain recording. oc.KeyFrameInterval drops a key
 // frame into each thread's log every that many instructions, enabling
 // fast mid-log per-thread state queries (ThreadStateAt). oc.Detect
-// attaches the incremental race detector: the log then carries the
-// raced/race-free verdict as its in-memory Online annotation (consumed
-// by AnalyzeLog's race-free fast path) and the returned report details
-// what the detector saw; without it the report is nil. A non-nil reg
+// attaches the incremental race detector, and the returned report gives
+// its raced/race-free verdict and what it saw; without it the report is
+// nil. The log is the same either way. A non-nil reg
 // receives the record span, the record.* and machine.* counters, and,
 // with detection, the detect.online.* family.
 func Record(prog *Program, cfg Config, oc OnlineConfig, reg *Metrics) (*Log, *OnlineReport, error) {
@@ -384,15 +374,9 @@ func Suite() []Scenario { return workloads.Scenarios() }
 // RunSuite analyzes the whole built-in suite and merges the verdicts:
 // opts.Seeds scheduler seeds per scenario (the paper's coverage lever,
 // §1), opts.Jobs analysis workers with output identical to the serial
-// run (recording stays serial), and opts.Registry for pipeline metrics
-// plus a native (bare machine) baseline run per scenario, so the
-// snapshot can render the §5.1 overhead ladder. The zero SuiteOptions
-// is one seed, GOMAXPROCS workers, no metrics.
+// run (recording stays serial), and opts.Registry for pipeline metrics.
+// The zero SuiteOptions is one seed, GOMAXPROCS workers, no metrics.
 func RunSuite(opts SuiteOptions) (*SuiteRun, error) { return workloads.RunSuite(opts) }
-
-// OverheadLadder renders the §5.1 per-stage overhead ladder from an
-// instrumented run's snapshot.
-func OverheadLadder(snap MetricsSnapshot) string { return report.OverheadLadder(snap) }
 
 // AuditSection renders the verdict-provenance trail for human review
 // (nil file renders nothing).
@@ -408,11 +392,3 @@ func LogDigest(log *Log) string { return core.LogDigest(log) }
 
 // ReadAuditFile loads and validates a racereplay-audit/v1 file.
 func ReadAuditFile(path string) (*AuditFile, error) { return audit.ReadFile(path) }
-
-// NewManifest returns an empty record-suite manifest envelope
-// (racereplay-manifest/v2): the sidecar that carries online race-free
-// verdicts from `racer record-suite -online` to `racer analyze-dir`.
-func NewManifest() *Manifest { return trace.NewManifest() }
-
-// ReadManifest loads and validates a racereplay-manifest/v2 file.
-func ReadManifest(path string) (*Manifest, error) { return trace.ReadManifest(path) }
