@@ -137,12 +137,6 @@ func (d *Debugger) ThreadStateAt(tid int, idx uint64) (*replay.ThreadState, erro
 	return replay.ThreadStateAt(d.full.Log, tid, idx, nil)
 }
 
-// ValueBefore asks the memory history what addr held before schedule
-// entry global ran.
-func (d *Debugger) ValueBefore(addr uint64, global int) (uint64, bool) {
-	return d.full.Memory().Before(addr, global)
-}
-
 // Summary renders the current position: which region just ran, per-thread
 // progress.
 func (d *Debugger) Summary() string {

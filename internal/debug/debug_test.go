@@ -155,8 +155,9 @@ func TestDebuggerThreadAndOutput(t *testing.T) {
 	if out := d.Output(0); len(out) != 1 || out[0] != 50 {
 		t.Errorf("main output = %v, want [50]", out)
 	}
-	if v, ok := d.ValueBefore(isa.DataBase, d.Len()); !ok || v != 50 {
-		t.Errorf("ValueBefore end = %d,%v", v, ok)
+	d.Seek(d.Len())
+	if v, ok := d.Mem(isa.DataBase); !ok || v != 50 {
+		t.Errorf("memory at the end = %d,%v", v, ok)
 	}
 	if s := d.Summary(); !strings.Contains(s, "position") || !strings.Contains(s, "thread 0") {
 		t.Errorf("summary incomplete: %s", s)

@@ -25,7 +25,7 @@
 // RegionClocks is the one region-clock builder, over two edge sets:
 // Strict (program order, fork/join, unlock→lock, atomics) and Weak
 // (program order and fork/join only). Clocks are compared with
-// FastTrack's constant-time epoch test, which Online's prune shares.
+// FastTrack's constant-time epoch test (Concurrent).
 package hb
 
 import (
@@ -378,24 +378,14 @@ func RegionClocks(exec *replay.Execution, edges Edges) ([]vclock.VC, error) {
 }
 
 // Concurrent reports whether regions a and b of different threads are
-// unordered by clocks (from RegionClocks): neither region's epoch is
-// covered by the other's clock. It reads four clock components, where
+// unordered by clocks (from RegionClocks). It is FastTrack's epoch test
+// (Flanagan & Freund, PLDI 2009): a region's epoch is its thread and that
+// thread's own clock component in the region, and a region happens before
+// (or is) every region whose clock covers its epoch, which is exact for
+// clocks that tick their own thread once per region, as RegionClocks'
+// do. So the test reads four clock components, where
 // vclock.VC.Concurrent compares whole clocks.
 func Concurrent(clocks []vclock.VC, a, b *replay.Region) bool {
 	ca, cb := clocks[a.Global], clocks[b.Global]
-	ea, eb := epoch{a.TID, ca.At(a.TID)}, epoch{b.TID, cb.At(b.TID)}
-	return !ea.before(cb) && !eb.before(ca)
+	return ca.At(a.TID) > cb.At(a.TID) && cb.At(b.TID) > ca.At(b.TID)
 }
-
-// epoch is a region's FastTrack epoch (Flanagan & Freund, PLDI 2009):
-// its thread, and that thread's own clock component in the region.
-type epoch struct {
-	tid   int
-	clock uint64
-}
-
-// before reports whether the region with epoch e happens before (or is)
-// every region whose vector clock vc covers e. The test is exact for
-// clocks that tick their own thread once per region, as RegionClocks'
-// and Online's do.
-func (e *epoch) before(vc vclock.VC) bool { return e.clock <= vc.At(e.tid) }

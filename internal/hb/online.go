@@ -3,7 +3,6 @@ package hb
 import (
 	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/vclock"
 )
 
 // Online runs the paper's region-overlap race check *while the program
@@ -30,18 +29,9 @@ import (
 //     ends, whenever the current one ends).
 //
 // Every offline pair is screened online when its later access executes,
-// so "no race found online" and "no race found offline" coincide.
-//
-// Epochs, after FastTrack (Flanagan & Freund, PLDI 2009). Each thread
-// keeps one vector clock (internal/vclock), ticked at its own sequencers
-// and joined from the parent's at spawn. A region carries only its epoch
-// — its thread and that thread's own clock component when it opened —
-// and its [start, end) interval. A screened pair is pruned when the
-// stored region's epoch is covered by the current thread's clock
-// (epoch.before, the test the offline engines' Concurrent uses),
-// counted on detect.online.hb_pruned. Happens-before implies the regions do not
-// overlap, so the prune is sound and the interval test above still
-// decides every verdict.
+// so "no race found online" and "no race found offline" coincide. Like
+// the paper's detector, the check keeps no clocks: a region is only its
+// end timestamp, and a thread its open region's start.
 //
 // Newest-region records. The window holds one record per (address,
 // thread, pc, kind), moved in place to the newest region in which the
@@ -71,42 +61,26 @@ type Online struct {
 	stop       bool
 
 	threads []onlineThread         // indexed by tid
-	regions []onlineRegion         // every region opened so far (one per sequencer), by region id
+	ends    []uint64               // by region id (one per sequencer so far): its end timestamp, 0 while open
 	window  map[uint64]*windowPage // page number -> per-word record lists
 	lastPN  uint64                 // page number of last; ^0 matches no address
 	last    *windowPage            // the window's last page used, cleared by sweep
 	recs    int                    // total records across the window
-
-	// spawned links a spawn edge: ThreadStarted(child, startTS) arrives
-	// inside the parent's spawn instruction, before the parent's
-	// Sequencer with ts == startTS, so the child waits here (-1: none)
-	// until the parent's clock is known.
-	spawned int
 
 	races      map[SitePair]struct{}
 	raceOrder  []SitePair
 	seqs       uint64 // sequencer events, drives the eviction sweep
 	watermark  uint64 // watermark of the last sweep
 	checked    uint64 // candidate pairs screened
-	hbPruned   uint64 // pairs skipped because the epoch test ordered them
 	evicted    uint64 // records reclaimed by watermark sweeps
 	sweeps     uint64
 	windowPeak int
 }
 
-// onlineRegion is one sequencing region: the half-open timestamp interval
-// [start, end) a thread executes between two of its sequencers, and its
-// epoch: the thread and the thread's own clock component in the region.
-type onlineRegion struct {
-	epoch
-	start uint64
-	end   uint64 // 0 while the region is open
-}
-
 // onlineRec is one access record in the window: thread tid accessed the
 // record's address at pc, most recently in region.
 type onlineRec struct {
-	region  int // index into Online.regions
+	region  int // index into Online.ends
 	pc      int
 	tid     int32
 	isWrite bool
@@ -115,9 +89,8 @@ type onlineRec struct {
 type onlineThread struct {
 	started bool
 	ended   bool
-	region  int       // current region id
-	start   uint64    // current region's start
-	vc      vclock.VC // vc[tid] is the current region's epoch clock
+	region  int    // current region id
+	start   uint64 // current region's start
 }
 
 const (
@@ -148,7 +121,6 @@ func NewOnline(prog *isa.Program, reg *obs.Registry, stopOnRace bool) *Online {
 		stopOnRace: stopOnRace,
 		window:     make(map[uint64]*windowPage),
 		lastPN:     ^uint64(0),
-		spawned:    -1,
 		races:      make(map[SitePair]struct{}),
 	}
 }
@@ -161,27 +133,22 @@ func (o *Online) thread(tid int) *onlineThread {
 	return &o.threads[tid]
 }
 
-// openRegion starts th's next region at ts, with th's current clock.
-func (o *Online) openRegion(th *onlineThread, tid int, ts uint64) {
-	th.region = len(o.regions)
+// openRegion starts th's next region at ts.
+func (o *Online) openRegion(th *onlineThread, ts uint64) {
+	th.region = len(o.ends)
 	th.start = ts
-	o.regions = append(o.regions, onlineRegion{epoch: epoch{tid, th.vc[tid]}, start: ts})
+	o.ends = append(o.ends, 0)
 }
 
 // ThreadStarted opens thread tid's first region at startTS, the spawn
-// timestamp (0 for the main thread). The child's clock is completed when
-// the parent's spawn sequencer (same timestamp) fires, before the child
-// can run.
+// timestamp (0 for the main thread).
 func (o *Online) ThreadStarted(tid int, startTS uint64) {
 	for len(o.threads) <= tid {
 		o.threads = append(o.threads, onlineThread{})
 	}
 	th := &o.threads[tid]
-	*th = onlineThread{started: true, vc: vclock.New(tid + 1).Tick(tid)}
-	o.openRegion(th, tid, startTS)
-	if startTS > 0 {
-		o.spawned = tid
-	}
+	*th = onlineThread{started: true}
+	o.openRegion(th, startTS)
 }
 
 // ThreadEnded closes thread tid's last region at endTS.
@@ -190,27 +157,18 @@ func (o *Online) ThreadEnded(tid int, endTS uint64) {
 	if th == nil || th.ended {
 		return
 	}
-	o.regions[th.region].end = endTS
+	o.ends[th.region] = endTS
 	th.ended = true
 }
 
 // Sequencer closes thread tid's current region at ts and opens the next.
-// A spawn sequencer additionally joins the parent's clock into the
-// waiting child's — taken *before* the parent ticks for its next region,
-// so the parent's post-spawn regions stay concurrent with the child while
-// everything up to the spawn happens-before it.
 func (o *Online) Sequencer(tid int, ts uint64) {
 	th := o.thread(tid)
 	if th == nil || th.ended {
 		return
 	}
-	o.regions[th.region].end = ts
-	if c := o.spawned; c >= 0 && c != tid && o.threads[c].start == ts {
-		o.threads[c].vc = o.threads[c].vc.Join(th.vc)
-		o.spawned = -1
-	}
-	th.vc = th.vc.Tick(tid)
-	o.openRegion(th, tid, ts)
+	o.ends[th.region] = ts
+	o.openRegion(th, ts)
 	o.seqs++
 	if o.seqs%sweepEvery == 0 {
 		o.sweep()
@@ -219,10 +177,6 @@ func (o *Online) Sequencer(tid int, ts uint64) {
 
 // StopRequested reports whether a stop-on-race detector has seen a race.
 func (o *Online) StopRequested() bool { return o.stop }
-
-// Raced reports whether any race has been observed so far. Safe to call
-// mid-run (e.g. by a down-sampling key-frame recorder).
-func (o *Online) Raced() bool { return len(o.races) > 0 }
 
 // Access screens one successful data access by thread tid at pc against
 // the window, then records it there.
@@ -251,18 +205,11 @@ func (o *Online) Access(tid, pc int, addr uint64, atomic, isWrite bool) {
 			continue
 		}
 		o.checked++
-		region := &o.regions[rec.region]
-		// Sound prune: an HB-ordered pair cannot overlap (the edge chain
-		// only exists because the earlier region closed first).
-		if region.before(th.vc) {
-			o.hbPruned++
-			continue
-		}
-		// The decisive interval test. rec's region is either still open
-		// (trivial overlap: both are running now) or closed at its end;
-		// the current region began at th.start and has no end yet, so
+		// The interval test. rec's region is either still open (trivial
+		// overlap: both are running now) or closed at its end; the
+		// current region began at th.start and has no end yet, so
 		// overlap reduces to th.start < end.
-		if region.end != 0 && th.start >= region.end {
+		if end := o.ends[rec.region]; end != 0 && th.start >= end {
 			continue
 		}
 		o.foundRace(rec.pc, pc)
@@ -336,7 +283,7 @@ func (o *Online) sweep() {
 		for i, recs := range pg {
 			kept := recs[:0]
 			for _, rec := range recs {
-				if end := o.regions[rec.region].end; end != 0 && end <= watermark {
+				if end := o.ends[rec.region]; end != 0 && end <= watermark {
 					continue
 				}
 				kept = append(kept, rec)
@@ -360,7 +307,6 @@ type OnlineReport struct {
 	Races    []SitePair // distinct racy site pairs, in discovery order
 	Stopped  bool       // StopOnFirstRace truncated the run
 	Checked  uint64     // candidate pairs screened
-	HBPruned uint64     // pairs skipped by the epoch prune
 }
 
 // Report finalizes the run: it publishes the detect.online.* metrics and
@@ -372,7 +318,6 @@ func (o *Online) Report(stopped bool) *OnlineReport {
 		Races:    o.raceOrder,
 		Stopped:  stopped,
 		Checked:  o.checked,
-		HBPruned: o.hbPruned,
 	}
 	if r := o.reg; r != nil {
 		r.Counter("detect.online.executions").Inc()
@@ -381,7 +326,6 @@ func (o *Online) Report(stopped bool) *OnlineReport {
 			r.Counter("detect.online.race_free").Inc()
 		}
 		r.Counter("detect.online.pairs_checked").Add(o.checked)
-		r.Counter("detect.online.hb_pruned").Add(o.hbPruned)
 		r.Counter("detect.online.evicted").Add(o.evicted)
 		r.Counter("detect.online.sweeps").Add(o.sweeps)
 		r.Gauge("detect.online.window_peak").Set(float64(o.windowPeak))

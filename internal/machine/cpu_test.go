@@ -350,7 +350,7 @@ func TestMachineAccessors(t *testing.T) {
 	if m.mem == nil || len(m.Threads()) != 1 {
 		t.Error("accessors broken")
 	}
-	if m.Clock() == 0 {
+	if m.clock == 0 {
 		t.Error("clock never ticked despite fence")
 	}
 }

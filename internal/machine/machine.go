@@ -217,9 +217,6 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 // Threads exposes the thread table (valid after Run).
 func (m *Machine) Threads() []*Thread { return m.threads }
 
-// Clock returns the current global sequencer timestamp.
-func (m *Machine) Clock() uint64 { return m.clock }
-
 func (m *Machine) nextTS() uint64 {
 	m.clock++
 	return m.clock

@@ -39,8 +39,8 @@ func TestForkSpansArePrivateUntilAdopt(t *testing.T) {
 	sp = f.StartSpan("classify")
 	sp.End()
 
-	if n := reg.Snapshot().SpanNanos("replay"); n != 0 {
-		t.Fatalf("fork span leaked into base before Adopt (replay nanos %d)", n)
+	if spans := reg.Snapshot().Spans; len(spans) != 1 || len(spans[0].Children) != 0 {
+		t.Fatalf("fork spans leaked into base before Adopt: %+v", spans)
 	}
 	reg.Adopt(f)
 	suite.End()

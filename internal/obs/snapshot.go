@@ -109,23 +109,6 @@ func snapshotSpans(parent *Span) []SpanSnapshot {
 	return out
 }
 
-// SpanNanos returns the total wall time accumulated by spans with the
-// given name anywhere in the tree (0 when absent).
-func (s Snapshot) SpanNanos(name string) int64 {
-	var total int64
-	var walk func([]SpanSnapshot)
-	walk = func(spans []SpanSnapshot) {
-		for _, sp := range spans {
-			if sp.Name == name {
-				total += sp.Nanos
-			}
-			walk(sp.Children)
-		}
-	}
-	walk(s.Spans)
-	return total
-}
-
 // JSON renders the snapshot as indented JSON.
 func (s Snapshot) JSON() string {
 	b, err := json.MarshalIndent(s, "", "  ")

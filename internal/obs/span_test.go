@@ -67,20 +67,3 @@ func TestSpanEndIsIdempotent(t *testing.T) {
 		t.Errorf("count = %d, want 1", got)
 	}
 }
-
-func TestSpanNanosAggregation(t *testing.T) {
-	r := NewRegistry()
-	outer := r.StartSpan("a")
-	inner := r.StartSpan("b")
-	inner.End()
-	outer.End()
-	b := r.StartSpan("b") // same name at top level: separate node, same name
-	b.End()
-	snap := r.Snapshot()
-	if snap.SpanNanos("b") != snap.Spans[0].Children[0].Nanos+snap.Spans[1].Nanos {
-		t.Error("SpanNanos must sum all spans with the name")
-	}
-	if snap.SpanNanos("missing") != 0 {
-		t.Error("missing span must be 0")
-	}
-}

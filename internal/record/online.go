@@ -26,15 +26,9 @@ type OnlineConfig struct {
 	// deterministic for a given seed.
 	StopOnFirstRace bool
 	// KeyFrameInterval, when positive, records key frames every that
-	// many retired instructions; with Detect set, every
-	// DownsampleFactor times that many from the first confirmed race on.
+	// many retired instructions, with or without Detect.
 	KeyFrameInterval uint64
 }
-
-// DownsampleFactor multiplies the key-frame interval once the online
-// detector confirms a race: from then on the log grows by one key frame
-// per DownsampleFactor of the configured interval.
-const DownsampleFactor = 8
 
 // RunOnline records prog with the online detector attached (per oc) and
 // returns the log, the machine result and the detector's report. With

@@ -288,22 +288,15 @@ func (r *recorder) publishMetrics(res *machine.Result) {
 // keyFramer is a recorder that also drops a key frame into each thread's
 // log every interval retired instructions — iDNA's mid-log resume points,
 // enabling replay.ThreadStateAt to answer per-thread state queries
-// without replaying from instruction zero. With online detection, the
-// interval widens by DownsampleFactor the first time the detector
-// confirms a race.
+// without replaying from instruction zero. The frames depend only on the
+// execution, never on the online detector's verdict.
 type keyFramer struct {
 	*recorder
-	interval    uint64
-	downsampled bool
+	interval uint64
 }
 
 // AfterRetire implements machine.KeyFramer.
 func (r *keyFramer) AfterRetire(t *machine.Thread) {
-	if r.online != nil && !r.downsampled && r.online.Raced() {
-		r.interval *= DownsampleFactor
-		r.downsampled = true
-		r.metrics.Counter("record.keyframes.downsampled").Inc()
-	}
 	if t.Retired%r.interval != 0 {
 		return
 	}

@@ -1,7 +1,7 @@
 package record
 
 import (
-	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -359,12 +359,12 @@ loop:
 	}
 }
 
-// TestKeyFramesWidenAtFirstRace: with the online detector on, key frames
-// sit on multiples of the interval N until the first confirmed race and
-// on multiples of DownsampleFactor*N after it, and the widening counts
-// once. With detection off, the same schedule gets a frame at every
-// multiple of N and nothing widens.
-func TestKeyFramesWidenAtFirstRace(t *testing.T) {
+// TestKeyFramesIgnoreDetection: key frames depend on the execution
+// alone. With the online detector on, a racy counter gets the same frame
+// at every multiple of the interval N as without it; and a recording
+// stopped at the first race keeps, for each thread, the frames the plain
+// recording holds up to that thread's retired count.
+func TestKeyFramesIgnoreDetection(t *testing.T) {
 	const n = 4
 	prog, err := asm.Assemble("kf", `
 .entry main
@@ -396,55 +396,55 @@ main:
 	if err != nil {
 		t.Fatal(err)
 	}
-	record := func(detect bool) (*trace.Log, uint64) {
-		reg := obs.NewRegistry()
-		log, _, rep, err := RunOnlineInstrumented(prog, machine.Config{Seed: 3}, OnlineConfig{Detect: detect, KeyFrameInterval: n}, reg)
+	record := func(oc OnlineConfig) (*trace.Log, *machine.Result) {
+		oc.KeyFrameInterval = n
+		log, res, rep, err := RunOnline(prog, machine.Config{Seed: 3}, oc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if detect && rep.RaceFree {
+		if oc.Detect && rep.RaceFree {
 			t.Fatal("the counter does not race at this seed")
 		}
-		return log, reg.Snapshot().Counters["record.keyframes.downsampled"]
+		return log, res
 	}
-	plain, plainWidened := record(false)
-	online, widened := record(true)
-	if plainWidened != 0 || widened != 1 {
-		t.Errorf("record.keyframes.downsampled = %d without detection, %d with, want 0 and 1", plainWidened, widened)
+	plain, _ := record(OnlineConfig{})
+	online, _ := record(OnlineConfig{Detect: true})
+	stopped, res := record(OnlineConfig{Detect: true, StopOnFirstRace: true})
+	if !res.Stopped {
+		t.Fatal("the stop-on-race recording ran to the end")
 	}
-	cut := false // some thread lost a frame to the widening
+	cut := false // some thread retired fewer instructions in the stopped log
 	for _, tl := range plain.Threads {
 		every := tl.KeyFrames
 		if uint64(len(every)) != tl.Retired/n {
 			t.Fatalf("thread %d: %d frames over %d instructions without detection, want one per %d", tl.TID, len(every), tl.Retired, n)
 		}
-		// With detection, a thread keeps every frame up to its first
-		// missing one, then only the multiples of DownsampleFactor*n.
-		kept := online.Thread(tl.TID).KeyFrames
-		var want []uint64
-		widenedAt := uint64(0)
 		for i, kf := range every {
 			if kf.Idx != uint64(i+1)*n {
 				t.Fatalf("thread %d: frame %d at %d without detection, want %d", tl.TID, i, kf.Idx, (i+1)*n)
 			}
-			if widenedAt == 0 && (i >= len(kept) || kept[i].Idx != kf.Idx) {
-				widenedAt = kf.Idx
+		}
+		if got := online.Thread(tl.TID).KeyFrames; !reflect.DeepEqual(got, every) {
+			t.Errorf("thread %d: %d key frames with detection differ from the %d without", tl.TID, len(got), len(every))
+		}
+		st := stopped.Thread(tl.TID)
+		if st == nil {
+			continue
+		}
+		kept := st.KeyFrames
+		if uint64(len(kept)) != st.Retired/n {
+			t.Errorf("thread %d: stopped log keeps %d frames over %d instructions, want one per %d", tl.TID, len(kept), st.Retired, n)
+		}
+		for i, kf := range kept {
+			if i >= len(every) || !reflect.DeepEqual(kf, every[i]) {
+				t.Errorf("thread %d: stopped log's frame %d at %d differs from the plain log's", tl.TID, i, kf.Idx)
+				break
 			}
-			if widenedAt == 0 || kf.Idx%(DownsampleFactor*n) == 0 {
-				want = append(want, kf.Idx)
-			}
 		}
-		var got []uint64
-		for _, kf := range kept {
-			got = append(got, kf.Idx)
-		}
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("thread %d: frames at %v with detection, want %v", tl.TID, got, want)
-		}
-		cut = cut || widenedAt != 0
+		cut = cut || st.Retired < tl.Retired
 	}
 	if !cut {
-		t.Error("no thread's key frames widened after the race")
+		t.Error("no thread was cut short by the stop")
 	}
 }
 

@@ -15,9 +15,6 @@ import (
 // denotes "before everything".
 type VC []uint64
 
-// New returns a clock sized for n threads.
-func New(n int) VC { return make(VC, n) }
-
 // Clone returns an independent copy of v.
 func (v VC) Clone() VC {
 	c := make(VC, len(v))

@@ -7,7 +7,7 @@ import (
 )
 
 func randVC(r *rand.Rand) VC {
-	v := New(1 + r.Intn(5))
+	v := make(VC, 1+r.Intn(5))
 	for i := range v {
 		v[i] = uint64(r.Intn(8))
 	}
@@ -15,7 +15,7 @@ func randVC(r *rand.Rand) VC {
 }
 
 func TestBasics(t *testing.T) {
-	v := New(3)
+	v := make(VC, 3)
 	v = v.Tick(0).Tick(0).Tick(2)
 	if v.At(0) != 2 || v.At(1) != 0 || v.At(2) != 1 {
 		t.Fatalf("v = %v", v)

@@ -119,9 +119,9 @@ type (
 	// AuditExecution is one execution's provenance record within an
 	// AuditFile; Options.Audit points classification at one to fill.
 	AuditExecution = audit.Execution
-	// OnlineConfig controls the online race detector attached to a
-	// recording: detection on/off, stop-on-first-race, and the key-frame
-	// interval, widened eightfold once a race is confirmed.
+	// OnlineConfig controls what rides along a recording: the online race
+	// detector (on/off, stop-on-first-race) and the key-frame interval,
+	// which the detector never changes.
 	OnlineConfig = record.OnlineConfig
 	// OnlineReport is the online detector's verdict for one recording:
 	// race-free or the distinct racy site pairs seen, plus screening
@@ -186,9 +186,10 @@ func NewMemo() *Memo { return classify.NewMemo() }
 // OnlineConfig is a plain recording. oc.KeyFrameInterval drops a key
 // frame into each thread's log every that many instructions, enabling
 // fast mid-log per-thread state queries (ThreadStateAt). oc.Detect
-// attaches the incremental race detector, and the returned report gives
-// its raced/race-free verdict and what it saw; without it the report is
-// nil. The log is the same either way. A non-nil reg
+// attaches the online region-overlap detector, and the returned report
+// gives its raced/race-free verdict and what it saw; without it the
+// report is nil. The log is the same either way, key frames included,
+// up to where oc.StopOnFirstRace ends the run. A non-nil reg
 // receives the record span, the record.* and machine.* counters, and,
 // with detection, the detect.online.* family.
 func Record(prog *Program, cfg Config, oc OnlineConfig, reg *Metrics) (*Log, *OnlineReport, error) {
