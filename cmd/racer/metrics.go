@@ -27,7 +27,7 @@ type metricsOpts struct {
 }
 
 // spanTree renders the span tree of reg (the first section of the text
-// metrics): each stage's time, share of its parent and allocations.
+// metrics): each stage's wall time, share of its parent and cycles.
 func spanTree(reg *obs.Registry) string {
 	return obs.Snapshot{Spans: reg.Snapshot().Spans}.Text()
 }

@@ -5,10 +5,11 @@
 // span when handed a metrics registry. Each stage has exactly one entry
 // point, which takes the registry as a trailing argument or an options
 // field (here SuiteOptions.Registry). This example runs the built-in
-// suite with one, prints the span tree (time and allocations per
-// stage), and shows the raw snapshot renderings a dashboard or
-// Prometheus scraper would consume. The paper's §5.1 overhead figures
-// come from `paperbench -perf`, which times each stage as CPU time.
+// suite with one, prints the span tree (wall time per stage), and shows
+// the raw snapshot renderings a dashboard or Prometheus scraper would
+// consume. The paper's §5.1 overhead figures come from
+// `paperbench -perf`, which times each stage as CPU time; per-stage
+// allocation comes from the allocation profile `racer profile` serves.
 package main
 
 import (
@@ -33,8 +34,8 @@ func main() {
 	fmt.Printf("suite: %d scenarios, %d unique races (%d potentially benign, %d potentially harmful)\n\n",
 		len(run.Scenarios), len(run.Merged.Races), benign, harmful)
 
-	// The span tree accumulates each stage's wall time and allocations —
-	// the same tree `racer profile` and `racer suite -metrics` show.
+	// The span tree accumulates each stage's wall time — the same tree
+	// `racer profile` and `racer suite -metrics` show.
 	fmt.Print(racereplay.MetricsSnapshot{Spans: snap.Spans}.Text())
 
 	// A few of the counters each stage published along the way.
@@ -52,9 +53,9 @@ func main() {
 	} {
 		fmt.Printf("  %-34s %d\n", name, snap.Counters[name])
 	}
-	if r, ok := snap.Gauges["record.load_log_ratio"]; ok {
+	if total := snap.Counters["record.loads_total"]; total > 0 {
 		fmt.Printf("  %-34s %.4f (the predictability rule: fraction of loads logged)\n",
-			"record.load_log_ratio", r)
+			"loads_logged / loads_total", float64(snap.Counters["record.loads_logged"])/float64(total))
 	}
 
 	// The same snapshot renders for machines: the first lines of the

@@ -134,7 +134,7 @@ func (d *Debugger) FirstWriteTo(addr uint64) (Write, bool) {
 // straight from the log (resuming from a key frame when the log has
 // them) — finer than the debugger's region-granular position.
 func (d *Debugger) ThreadStateAt(tid int, idx uint64) (*replay.ThreadState, error) {
-	return replay.ThreadStateAt(d.full.Log, tid, idx, nil)
+	return replay.ThreadStateAt(d.full.Log, tid, idx)
 }
 
 // Summary renders the current position: which region just ran, per-thread

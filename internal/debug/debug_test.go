@@ -368,7 +368,7 @@ func TestDebuggerMatchesThreadStateAt(t *testing.T) {
 				key := [2]uint64{uint64(tl.TID), idx}
 				want, ok := states[key]
 				if !ok {
-					st, err := replay.ThreadStateAt(log, tl.TID, idx, nil)
+					st, err := replay.ThreadStateAt(log, tl.TID, idx)
 					if err != nil {
 						t.Fatal(err)
 					}

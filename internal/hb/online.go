@@ -42,17 +42,15 @@ import (
 // each access unchanged. Within one access, pairs are found in the
 // window's record order, which is deterministic.
 //
-// The window is laid out in 64-word pages of per-word record lists
-// behind a one-page cache, as the recorder's per-thread views are, so a
-// run of accesses to nearby words reads the page map once and an access
-// writes it only when it touches a new page. A watermark sweep keeps it
-// bounded: a closed region whose end falls at or below the minimum
-// open-region start across live threads can overlap no future access,
-// and its records are evicted, along with pages left empty (and the
-// cache, which may name one of them). The watermark never falls, and every
-// region that closes after a sweep ends above it, so the sweep,
-// considered every sweepEvery sequencers, runs only when the watermark
-// has moved since the previous one.
+// The window is laid out in 64-word pages of per-word record lists, as
+// the recorder's per-thread views are, so an access writes the page map
+// only when it touches a new page. A watermark sweep keeps it bounded: a
+// closed region whose end falls at or below the minimum open-region
+// start across live threads can overlap no future access, and its
+// records are evicted, along with pages left empty. The watermark never
+// falls, and every region that closes after a sweep ends above it, so
+// the sweep, considered every sweepEvery sequencers, runs only when the
+// watermark has moved since the previous one.
 type Online struct {
 	sites siteMemo // filled only by foundRace
 	reg   *obs.Registry
@@ -63,8 +61,6 @@ type Online struct {
 	threads []onlineThread         // indexed by tid
 	ends    []uint64               // by region id (one per sequencer so far): its end timestamp, 0 while open
 	window  map[uint64]*windowPage // page number -> per-word record lists
-	lastPN  uint64                 // page number of last; ^0 matches no address
-	last    *windowPage            // the window's last page used, cleared by sweep
 	recs    int                    // total records across the window
 
 	races      map[SitePair]struct{}
@@ -120,7 +116,6 @@ func NewOnline(prog *isa.Program, reg *obs.Registry, stopOnRace bool) *Online {
 		reg:        reg,
 		stopOnRace: stopOnRace,
 		window:     make(map[uint64]*windowPage),
-		lastPN:     ^uint64(0),
 		races:      make(map[SitePair]struct{}),
 	}
 }
@@ -230,15 +225,12 @@ func (o *Online) Access(tid, pc int, addr uint64, atomic, isWrite bool) {
 // slot returns addr's record list, creating its page on first touch.
 func (o *Online) slot(addr uint64) *[]onlineRec {
 	pn := addr >> windowPageShift
-	if pn != o.lastPN {
-		pg := o.window[pn]
-		if pg == nil {
-			pg = new(windowPage)
-			o.window[pn] = pg
-		}
-		o.lastPN, o.last = pn, pg
+	pg := o.window[pn]
+	if pg == nil {
+		pg = new(windowPage)
+		o.window[pn] = pg
 	}
-	return &o.last[addr&windowPageMask]
+	return &pg[addr&windowPageMask]
 }
 
 func (o *Online) foundRace(pcA, pcB int) {
@@ -277,7 +269,6 @@ func (o *Online) sweep() {
 	}
 	o.watermark = watermark
 	o.sweeps++
-	o.lastPN, o.last = ^uint64(0), nil // the sweep may delete the cached page
 	for pn, pg := range o.window {
 		live := 0
 		for i, recs := range pg {

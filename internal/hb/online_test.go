@@ -427,12 +427,14 @@ func TestOnlineMetricsPublished(t *testing.T) {
 
 // TestOnlineWindowCacheSurvivesSweep drives the detector by hand so that
 // watermark sweeps evict the only record on the window page the last
-// access cached, deleting the page. The next access to that page must
-// land in the window, not in the deleted page: thread 0 writes the
-// address again, moves to another page, and thread 1's concurrent write
-// must find thread 0's record and race with it. Each round has three
-// sequencers, so over the rounds a sweep falls on every position of the
-// round, whatever the sweep cadence.
+// access used, deleting the page. (The name is from the one-page cache
+// that once sat in front of the page map, which a sweep had to clear.)
+// The next access to that page must land in the window, not in the
+// deleted page: thread 0 writes the address again, moves to another
+// page, and thread 1's concurrent write must find thread 0's record and
+// race with it. Each round has three sequencers, so over the rounds a
+// sweep falls on every position of the round, whatever the sweep
+// cadence.
 func TestOnlineWindowCacheSurvivesSweep(t *testing.T) {
 	prog, err := asm.Assemble("sweep", "main:\n  st [r2+0], r1\n  st [r2+0], r1\n  ld r1, [r2+64]\n  halt\n")
 	if err != nil {

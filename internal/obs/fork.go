@@ -71,8 +71,6 @@ func adoptSpans(r *Registry, dst, src *Span) {
 		}
 		ds.count += cs.count
 		ds.nanos += cs.nanos
-		ds.bytes += cs.bytes
-		ds.allocs += cs.allocs
 		adoptSpans(r, ds, cs)
 	}
 }

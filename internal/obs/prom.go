@@ -15,8 +15,8 @@ const promNamespace = "racereplay"
 // its samples. Dot-separated internal names map to underscore families
 // under the "racereplay" namespace; counters gain the conventional
 // `_total` suffix; histograms export as summaries (quantiles + _sum +
-// _count); spans export as three labeled families keyed by the span's
-// slash-joined path.
+// _count); spans export as two labeled families, wall seconds and
+// completed runs, keyed by the span's slash-joined path.
 func (s Snapshot) Prometheus() string {
 	var b strings.Builder
 
@@ -59,15 +59,10 @@ func (s Snapshot) Prometheus() string {
 	sort.Slice(flat, func(i, j int) bool { return flat[i].path < flat[j].path })
 	if len(flat) > 0 {
 		secs := promNamespace + "_span_seconds"
-		alloc := promNamespace + "_span_alloc_bytes"
 		runs := promNamespace + "_span_runs_total"
 		fmt.Fprintf(&b, "# TYPE %s gauge\n", secs)
 		for _, f := range flat {
 			fmt.Fprintf(&b, "%s{span=%q} %s\n", secs, f.path, promFloat(float64(f.span.Nanos)/1e9))
-		}
-		fmt.Fprintf(&b, "# TYPE %s gauge\n", alloc)
-		for _, f := range flat {
-			fmt.Fprintf(&b, "%s{span=%q} %d\n", alloc, f.path, f.span.AllocBytes)
 		}
 		fmt.Fprintf(&b, "# TYPE %s counter\n", runs)
 		for _, f := range flat {

@@ -23,17 +23,17 @@ func goldenSnapshot() Snapshot {
 			"report.races_rendered": 7,
 		},
 		Gauges: map[string]float64{
-			"record.bits_per_instr_compressed": 0.75,
+			"classify.memo.bytes": 18432,
 		},
 		Histograms: map[string]HistogramSnapshot{
 			"classify.instances_per_race": {Count: 4, Sum: 22, Min: 1, Max: 16, Mean: 5.5, P50: 2.5, P90: 12.4, P99: 15.64},
 		},
 		Spans: []SpanSnapshot{
 			{
-				Name: "suite", Count: 1, Nanos: 5_000_000, AllocBytes: 2048, Mallocs: 30,
+				Name: "suite", Count: 1, Nanos: 5_000_000,
 				Children: []SpanSnapshot{
-					{Name: "record", Count: 18, Nanos: 1_500_000, AllocBytes: 1024, Mallocs: 10},
-					{Name: "replay", Count: 18, Nanos: 2_500_000, AllocBytes: 512, Mallocs: 20},
+					{Name: "record", Count: 18, Nanos: 1_500_000},
+					{Name: "replay", Count: 18, Nanos: 2_500_000},
 				},
 			},
 		},

@@ -33,12 +33,10 @@ type HistogramSnapshot struct {
 
 // SpanSnapshot is one node of the frozen span tree.
 type SpanSnapshot struct {
-	Name       string         `json:"name"`
-	Count      uint64         `json:"count"`
-	Nanos      int64          `json:"nanos"`
-	AllocBytes uint64         `json:"alloc_bytes"`
-	Mallocs    uint64         `json:"mallocs"`
-	Children   []SpanSnapshot `json:"children,omitempty"`
+	Name     string         `json:"name"`
+	Count    uint64         `json:"count"`
+	Nanos    int64          `json:"nanos"`
+	Children []SpanSnapshot `json:"children,omitempty"`
 }
 
 // Duration returns the span's accumulated wall time.
@@ -98,12 +96,10 @@ func snapshotSpans(parent *Span) []SpanSnapshot {
 	out := make([]SpanSnapshot, 0, len(parent.order))
 	for _, s := range parent.order {
 		out = append(out, SpanSnapshot{
-			Name:       s.name,
-			Count:      s.count,
-			Nanos:      s.nanos,
-			AllocBytes: s.bytes,
-			Mallocs:    s.allocs,
-			Children:   snapshotSpans(s),
+			Name:     s.name,
+			Count:    s.count,
+			Nanos:    s.nanos,
+			Children: snapshotSpans(s),
 		})
 	}
 	return out
@@ -120,7 +116,7 @@ func (s Snapshot) JSON() string {
 }
 
 // Text renders the snapshot as a human-readable report: the span tree
-// first (time, share of parent, allocations), then counters, gauges, and
+// first (wall time, share of parent, cycles), then counters, gauges, and
 // histogram summaries, each sorted by name.
 func (s Snapshot) Text() string {
 	var b strings.Builder
@@ -165,21 +161,8 @@ func writeSpanText(b *strings.Builder, spans []SpanSnapshot, depth int, parentNa
 			share = fmt.Sprintf(" %5.1f%%", 100*float64(sp.Nanos)/float64(parentNanos))
 		}
 		label := strings.Repeat("  ", depth) + sp.Name
-		fmt.Fprintf(b, "%-30s %12v%s  x%d  %s alloc (%d objects)\n",
-			label, sp.Duration().Round(time.Microsecond), share, sp.Count,
-			fmtBytes(sp.AllocBytes), sp.Mallocs)
+		fmt.Fprintf(b, "%-30s %12v%s  x%d\n",
+			label, sp.Duration().Round(time.Microsecond), share, sp.Count)
 		writeSpanText(b, sp.Children, depth+1, sp.Nanos)
 	}
-}
-
-func fmtBytes(n uint64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.2f GiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.2f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.2f KiB", float64(n)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", n)
 }

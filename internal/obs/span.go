@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"runtime"
-	"time"
-)
+import "time"
 
 // Span is one named stage of the pipeline. Spans nest (a suite span
 // contains record/replay/detect/classify spans) and merge by name: the
@@ -11,9 +8,11 @@ import (
 // first span's totals instead of growing the tree, so an 18-scenario
 // suite run still renders as one compact stage tree.
 //
-// Each start/end cycle accumulates wall time plus heap-allocation deltas
-// (bytes and object counts from runtime.MemStats), so the span tree
-// attributes both time and memory per stage.
+// Each start/end cycle accumulates the stage's wall time and nothing
+// else: a span claims only what belongs to its own stage. Allocation is
+// process-wide, and workers run stages side by side, so per-stage
+// memory comes from the allocation profile (/debug/pprof/allocs), which
+// attributes it by call stack.
 type Span struct {
 	name     string
 	parent   *Span
@@ -21,16 +20,12 @@ type Span struct {
 	order    []*Span // children in first-start order
 	reg      *Registry
 
-	count  uint64 // completed start/end cycles
-	nanos  int64  // accumulated wall time
-	bytes  uint64 // accumulated heap bytes allocated
-	allocs uint64 // accumulated heap objects allocated
+	count uint64 // completed start/end cycles
+	nanos int64  // accumulated wall time
 
 	// In-flight state of the current cycle.
-	started     time.Time
-	startBytes  uint64
-	startAllocs uint64
-	active      bool
+	started time.Time
+	active  bool
 }
 
 // StartSpan opens (or re-opens) the named child of the innermost active
@@ -51,21 +46,18 @@ func (r *Registry) StartSpan(name string) *Span {
 		parent.children[name] = s
 		parent.order = append(parent.order, s)
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
 	s.started = time.Now()
-	s.startBytes = ms.TotalAlloc
-	s.startAllocs = ms.Mallocs
 	s.active = true
 	r.cur = s
 	r.emitSpan(EvBegin, name)
 	return s
 }
 
-// End closes the span, folding the cycle's wall time and allocation
-// deltas into its totals and restoring its parent as current. Ending a
-// span that is not innermost first unwinds abandoned children. No-op on
-// nil or when the span is not active.
+// End closes the span, folding the cycle's wall time into its totals and
+// restoring its parent as current. Ending a span that is not innermost
+// first unwinds its abandoned descendants: they stop being active
+// without folding their open cycle, so a late End on one of them is a
+// no-op. No-op on nil or when the span is not active.
 func (s *Span) End() {
 	if s == nil || !s.active {
 		return
@@ -73,16 +65,11 @@ func (s *Span) End() {
 	r := s.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	for c := r.cur; c != nil && c != s; c = c.parent {
+		c.active = false
+	}
 	s.count++
 	s.nanos += time.Since(s.started).Nanoseconds()
-	if ms.TotalAlloc > s.startBytes {
-		s.bytes += ms.TotalAlloc - s.startBytes
-	}
-	if ms.Mallocs > s.startAllocs {
-		s.allocs += ms.Mallocs - s.startAllocs
-	}
 	s.active = false
 	r.cur = s.parent
 	r.emitSpan(EvEnd, s.name)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"runtime/metrics"
 	"testing"
 	"time"
 )
@@ -36,28 +37,6 @@ func TestSpanNestingAndMerge(t *testing.T) {
 	}
 }
 
-func TestSpanAllocDeltas(t *testing.T) {
-	r := NewRegistry()
-	var sink [][]byte
-	r.Time("alloc-stage", func() {
-		for i := 0; i < 64; i++ {
-			sink = append(sink, make([]byte, 4096))
-		}
-	})
-	_ = sink
-	snap := r.Snapshot()
-	if len(snap.Spans) != 1 {
-		t.Fatalf("spans = %+v", snap.Spans)
-	}
-	sp := snap.Spans[0]
-	if sp.AllocBytes < 64*4096 {
-		t.Errorf("alloc bytes = %d, want >= %d", sp.AllocBytes, 64*4096)
-	}
-	if sp.Mallocs == 0 {
-		t.Error("mallocs not counted")
-	}
-}
-
 func TestSpanEndIsIdempotent(t *testing.T) {
 	r := NewRegistry()
 	sp := r.StartSpan("once")
@@ -65,5 +44,53 @@ func TestSpanEndIsIdempotent(t *testing.T) {
 	sp.End() // second End must not double-count
 	if got := r.Snapshot().Spans[0].Count; got != 1 {
 		t.Errorf("count = %d, want 1", got)
+	}
+}
+
+// TestEndUnwindsAbandonedChildren ends a parent before its child. The
+// child is unwound with it, so the child's late End is a no-op and the
+// next span opens at the root, not under the closed parent.
+func TestEndUnwindsAbandonedChildren(t *testing.T) {
+	r := NewRegistry()
+	a := r.StartSpan("a")
+	b := r.StartSpan("b")
+	a.End()
+	b.End()
+	r.StartSpan("c").End()
+
+	spans := r.Snapshot().Spans
+	if len(spans) != 2 || spans[0].Name != "a" || spans[1].Name != "c" {
+		t.Fatalf("top-level spans = %+v, want a then c", spans)
+	}
+	if kids := spans[0].Children; len(kids) != 1 || kids[0].Name != "b" || kids[0].Count != 0 {
+		t.Errorf("a's children = %+v, want b with no completed cycle", kids)
+	}
+}
+
+// TestSpansDoNotStopTheWorld pins a span cycle to the clock: StartSpan
+// and End must not stop the world (as runtime.ReadMemStats would), so
+// 100 cycles add no pause to the runtime's non-GC stop-the-world
+// histogram.
+func TestSpansDoNotStopTheWorld(t *testing.T) {
+	const name = "/sched/pauses/total/other:seconds"
+	pauses := func() uint64 {
+		sample := []metrics.Sample{{Name: name}}
+		metrics.Read(sample)
+		if sample[0].Value.Kind() != metrics.KindFloat64Histogram {
+			t.Fatalf("runtime metric %s is not available", name)
+		}
+		var n uint64
+		for _, c := range sample[0].Value.Float64Histogram().Counts {
+			n += c
+		}
+		return n
+	}
+	r := NewRegistry()
+	before := pauses()
+	for i := 0; i < 100; i++ {
+		r.StartSpan("stage").End()
+	}
+	if got := pauses() - before; got != 0 {
+		t.Errorf("100 span cycles stopped the world %d times, want 0", got)
 	}
 }

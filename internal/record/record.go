@@ -280,9 +280,6 @@ func (r *recorder) publishMetrics(res *machine.Result) {
 	reg.Counter("record.stores").Add(r.nStores)
 	reg.Counter("record.sequencers").Add(r.nSeqs)
 	reg.Counter("record.syscall_returns").Add(r.nSysRets)
-	if r.nLoads > 0 {
-		reg.Gauge("record.load_log_ratio").Set(float64(r.nLoadsLogged) / float64(r.nLoads))
-	}
 }
 
 // keyFramer is a recorder that also drops a key frame into each thread's
@@ -325,11 +322,10 @@ func RunInstrumented(prog *isa.Program, cfg machine.Config, reg *obs.Registry) (
 // hb.Online detector when oc.Detect is set, which it feeds after its own
 // work on each event and asks whether to stop.
 //
-// With reg set, the run is timed under a "record" span, the recorder
-// publishes its record.* and machine.* counters, and the log's size is
-// reported as the paper's bits/instruction gauges. The size measurement
-// compresses the log, which is bookkeeping rather than recording, so it
-// happens after the span ends.
+// With reg set, the run is timed under a "record" span and the recorder
+// publishes its record.* and machine.* counters; nothing else is paid
+// for the registry. The log's size is the caller's to measure
+// (trace.Stats), since measuring it serializes and deflates the log.
 func run(prog *isa.Program, cfg machine.Config, oc OnlineConfig, reg *obs.Registry) (*trace.Log, *machine.Result, *hb.OnlineReport, error) {
 	sp := reg.StartSpan("record")
 	rec := &recorder{prog: prog, seed: cfg.Seed, metrics: reg}
@@ -355,13 +351,6 @@ func run(prog *isa.Program, cfg machine.Config, oc OnlineConfig, reg *obs.Regist
 	if err := log.Validate(); err != nil {
 		return nil, nil, nil, err
 	}
-	if reg != nil {
-		st := trace.Stats(log)
-		reg.Gauge("record.bits_per_instr_raw").Set(st.RawBitsPerInstr())
-		reg.Gauge("record.bits_per_instr_compressed").Set(st.CompressedBitsPerInstr())
-		reg.Counter("record.log_bytes_raw").Add(uint64(st.RawBytes))
-		reg.Counter("record.log_bytes_compressed").Add(uint64(st.CompressedBytes))
-		reg.Counter("record.executions").Inc()
-	}
+	reg.Counter("record.executions").Inc()
 	return log, res, rep, nil
 }

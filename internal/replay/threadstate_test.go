@@ -37,11 +37,11 @@ func TestThreadStateAtMatchesFullReplay(t *testing.T) {
 
 	for _, tl := range plain.Threads {
 		for _, idx := range []uint64{0, tl.Retired / 3, tl.Retired / 2, tl.Retired} {
-			a, err := replay.ThreadStateAt(plain, tl.TID, idx, nil)
+			a, err := replay.ThreadStateAt(plain, tl.TID, idx)
 			if err != nil {
 				t.Fatalf("plain tid %d idx %d: %v", tl.TID, idx, err)
 			}
-			b, err := replay.ThreadStateAt(framed, tl.TID, idx, nil)
+			b, err := replay.ThreadStateAt(framed, tl.TID, idx)
 			if err != nil {
 				t.Fatalf("framed tid %d idx %d: %v", tl.TID, idx, err)
 			}
@@ -59,7 +59,7 @@ func TestThreadStateAtMatchesFullReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := replay.ThreadStateAt(framed, tl.TID, tl.Retired, nil)
+		st, err := replay.ThreadStateAt(framed, tl.TID, tl.Retired)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,10 +78,10 @@ func TestThreadStateAtErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := replay.ThreadStateAt(log, 99, 0, nil); err == nil {
+	if _, err := replay.ThreadStateAt(log, 99, 0); err == nil {
 		t.Error("unknown thread accepted")
 	}
-	if _, err := replay.ThreadStateAt(log, 0, 1<<40, nil); err == nil {
+	if _, err := replay.ThreadStateAt(log, 0, 1<<40); err == nil {
 		t.Error("out-of-range idx accepted")
 	}
 }

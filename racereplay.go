@@ -201,7 +201,7 @@ func Record(prog *Program, cfg Config, oc OnlineConfig, reg *Metrics) (*Log, *On
 // view after idx instructions) from a log, resuming from the nearest key
 // frame when the log has them.
 func ThreadStateAt(log *Log, tid int, idx uint64) (*replay.ThreadState, error) {
-	return replay.ThreadStateAt(log, tid, idx, nil)
+	return replay.ThreadStateAt(log, tid, idx)
 }
 
 // Replay re-executes a recorded log deterministically, reconstructing
