@@ -1,9 +1,13 @@
 package racereplay
 
 import (
+	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -64,4 +68,296 @@ func TestNoInstrumentedTwins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// modulePath is the root module's path. The benchmark module nested at
+// cmd/racebench is "repro/cmd/racebench", so every directory of the
+// checkout imports as modulePath followed by its slash-separated path.
+const modulePath = "repro"
+
+// callerAllowlist names the exported names that may go without a
+// non-test caller, one line each with the reason.
+var callerAllowlist = map[string]bool{
+	// The other value of the verdict whose PotentiallyHarmful README and examples/refcount compare against.
+	"repro.PotentiallyBenign": true,
+	// The whole-clock reference that hb.Concurrent's epoch test is checked against (internal/predict/engines_test.go).
+	"repro/internal/vclock.VC.Concurrent": true,
+	// The generator configuration that fuzzers and reference tests in hb, predict, static and progen draw from.
+	"repro/internal/progen.Random": true,
+	// The bit-level generator configuration that the same fuzzers and reference tests draw from.
+	"repro/internal/progen.BitsConfig": true,
+}
+
+// TestExportedNamesHaveCallers keeps the exported API to what the
+// program calls. Every exported package-level name of a non-main
+// package, and every exported method of an exported type, needs a use
+// in a non-test file of the checkout (its own package and the frozen
+// benchmark command included) or in an Example function. Error, String
+// and Unwrap are set aside, and so is any method that lets its type
+// satisfy an interface the checkout's non-test code writes or names,
+// since a call through the interface uses the interface's method
+// instead.
+func TestExportedNamesHaveCallers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks both modules")
+	}
+	// The guard reads declarations only: without cgo the source importer
+	// type-checks net from its pure-Go files instead of running cgo.
+	defer func(on bool) { build.Default.CgoEnabled = on }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+
+	c := &apiChecker{
+		fset:   token.NewFileSet(),
+		dirs:   map[string]*build.Package{},
+		checks: map[string]*checkedPkg{},
+		used:   map[string]bool{},
+	}
+	c.std = importer.ForCompiler(c.fset, "source", nil)
+	var paths []string
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); name == "testdata" || (dir != "." && strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(dir, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		}
+		path := modulePath
+		if dir != "." {
+			path += "/" + filepath.ToSlash(dir)
+		}
+		paths = append(paths, path)
+		c.dirs[path] = bp
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checked []*checkedPkg
+	for _, path := range paths {
+		p := c.check(path)
+		if p.err != nil {
+			t.Fatalf("type-checking %s: %v", path, p.err)
+		}
+		checked = append(checked, p)
+		c.examples(path)
+	}
+
+	// The interfaces that non-test code writes or names, by method name.
+	ifaces := map[string][]*types.Interface{}
+	seen := map[*types.Interface]bool{}
+	for _, p := range checked {
+		for _, tv := range p.info.Types {
+			iface, ok := tv.Type.Underlying().(*types.Interface)
+			if !ok || !iface.IsMethodSet() || seen[iface] {
+				continue
+			}
+			seen[iface] = true
+			for i := 0; i < iface.NumMethods(); i++ {
+				name := iface.Method(i).Name()
+				ifaces[name] = append(ifaces[name], iface)
+			}
+		}
+	}
+	for _, p := range checked {
+		if p.pkg.Name() == "main" {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			c.report(t, obj)
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok {
+				continue
+			}
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() && !satisfiesInterface(m, ifaces) {
+					c.report(t, m)
+				}
+			}
+		}
+	}
+}
+
+// apiChecker type-checks each package of the checkout once, resolving
+// the standard library from source, and gathers the names that non-test
+// code and Example functions use.
+type apiChecker struct {
+	fset   *token.FileSet
+	std    types.Importer
+	dirs   map[string]*build.Package // the checkout's packages, by import path
+	checks map[string]*checkedPkg    // by import path
+	used   map[string]bool           // by useKey
+}
+
+type checkedPkg struct {
+	pkg  *types.Package
+	info *types.Info
+	err  error
+}
+
+// Import resolves the checkout's packages from their directories and the
+// rest from the standard library's source.
+func (c *apiChecker) Import(path string) (*types.Package, error) {
+	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
+		return c.std.Import(path)
+	}
+	p := c.check(path)
+	return p.pkg, p.err
+}
+
+// check type-checks the non-test files of the package at path and
+// records every package-level name and method they use.
+func (c *apiChecker) check(path string) *checkedPkg {
+	if p := c.checks[path]; p != nil {
+		return p
+	}
+	p := &checkedPkg{info: &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}}
+	c.checks[path] = p
+	bp := c.dirs[path]
+	if bp == nil {
+		p.err = fmt.Errorf("no package %s in the checkout", path)
+		return p
+	}
+	files, err := c.parse(bp.Dir, bp.GoFiles)
+	if err != nil {
+		p.err = err
+		return p
+	}
+	conf := types.Config{Importer: c}
+	p.pkg, p.err = conf.Check(path, c.fset, files, p.info)
+	for _, obj := range p.info.Uses {
+		c.used[useKey(obj)] = true
+	}
+	return p
+}
+
+func (c *apiChecker) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		f, err := parser.ParseFile(c.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// examples records the names that the Example functions in the test
+// files of the package at path use. The test files holding an example
+// are type-checked as one package, in-package ones with the package's
+// non-test files; errors from helpers in other test files are ignored,
+// since only the examples' own uses count.
+func (c *apiChecker) examples(path string) {
+	bp := c.dirs[path]
+	for _, xtest := range []bool{false, true} {
+		names := bp.TestGoFiles
+		if xtest {
+			names, path = bp.XTestGoFiles, path+"_test"
+		}
+		files, err := c.parse(bp.Dir, names)
+		if err != nil {
+			continue
+		}
+		var examples []*ast.FuncDecl
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Example") {
+					examples = append(examples, fn)
+				}
+			}
+		}
+		if len(examples) == 0 {
+			continue
+		}
+		if !xtest {
+			base, err := c.parse(bp.Dir, bp.GoFiles)
+			if err != nil {
+				continue
+			}
+			files = append(base, files...)
+		}
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: c, Error: func(error) {}}
+		conf.Check(path, c.fset, files, info)
+		for _, fn := range examples {
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					c.used[useKey(info.Uses[id])] = true
+				}
+				return true
+			})
+		}
+	}
+}
+
+// report fails the test on obj when nothing outside tests uses it.
+func (c *apiChecker) report(t *testing.T, obj types.Object) {
+	key := useKey(obj)
+	if c.used[key] || callerAllowlist[key] {
+		return
+	}
+	t.Errorf("%s: exported %s has no caller outside tests; delete it, give it a caller, or allowlist it with the reason",
+		c.fset.Position(obj.Pos()), key)
+}
+
+// useKey names a package-level object as "path.Name" and a method as
+// "path.Type.Method", through the generic origin, so that uses from
+// separately checked test packages match; other objects map to "".
+func useKey(obj types.Object) string {
+	if obj == nil || obj.Pkg() == nil {
+		return ""
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Origin().Type().(*types.Signature).Recv(); recv != nil {
+			rt := recv.Type()
+			if ptr, ok := rt.(*types.Pointer); ok {
+				rt = ptr.Elem()
+			}
+			named, ok := rt.(*types.Named)
+			if !ok {
+				return ""
+			}
+			return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + fn.Name()
+		}
+	}
+	if obj.Parent() != obj.Pkg().Scope() {
+		return ""
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
+}
+
+// satisfiesInterface reports whether m is Error, String or Unwrap, or
+// lets its receiver's type, or a pointer to it, satisfy one of ifaces
+// that declares a method of m's name.
+func satisfiesInterface(m *types.Func, ifaces map[string][]*types.Interface) bool {
+	switch m.Name() {
+	case "Error", "String", "Unwrap":
+		return true
+	}
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if ptr, ok := recv.(*types.Pointer); ok {
+		recv = ptr.Elem()
+	}
+	for _, iface := range ifaces[m.Name()] {
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			return true
+		}
+	}
+	return false
 }

@@ -451,7 +451,7 @@ func cmdClassify(args []string) error {
 		return err
 	}
 	res, err := racereplay.AnalyzeLog(log,
-		racereplay.Options{DB: db, Scenario: log.Prog.Name, Seed: log.Seed, Metrics: reg})
+		racereplay.Options{DB: db, Scenario: fs.Arg(0), Seed: log.Seed, Metrics: reg})
 	if err != nil {
 		return err
 	}

@@ -290,6 +290,47 @@ func TestScenarioRaceFilterRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClassifyReproduceLineRuns: the reproduce line racer classify
+// prints must run and report its race, for a record-suite log and for a
+// recording of a program file alike; neither names a built-in scenario.
+func TestClassifyReproduceLineRuns(t *testing.T) {
+	resetExit(t)
+	dir := t.TempDir()
+	capture(t, func() error { return cmdRecordSuite([]string{"-dir", dir}) })
+	peterson := filepath.Join(dir, "peterson.rlog")
+	capture(t, func() error {
+		return cmdRecord([]string{"-o", peterson, filepath.Join("..", "..", "testdata", "programs", "peterson.rasm")})
+	})
+	commands := map[string]func([]string) error{"classify": cmdClassify, "scenario": cmdScenario}
+	for _, logPath := range []string{filepath.Join(dir, "exec01-0.rlog"), peterson} {
+		out := capture(t, func() error { return cmdClassify([]string{logPath}) })
+		var sites, line string
+		for _, l := range strings.Split(out, "\n") {
+			if sites == "" && strings.HasPrefix(l, "race ") {
+				sites = strings.TrimPrefix(l, "race ")
+			}
+			if _, cmd, ok := strings.Cut(l, "    reproduce: racer "); ok && line == "" {
+				line = cmd
+			}
+		}
+		if line == "" {
+			t.Fatalf("%s: no reproduce line:\n%s", logPath, out)
+		}
+		// Split the command at spaces, keeping the quoted site pair whole.
+		head, rest, _ := strings.Cut(line, "'")
+		quoted, tail, _ := strings.Cut(rest, "'")
+		args := append(append(strings.Fields(head), quoted), strings.Fields(tail)...)
+		cmd := commands[args[0]]
+		if cmd == nil {
+			t.Fatalf("%s: reproduce line names racer %s", logPath, args[0])
+		}
+		out = capture(t, func() error { return cmd(args[1:]) })
+		if !strings.Contains(out, "race "+sites) || strings.Count(out, "\nrace ") > 1 {
+			t.Errorf("%s: racer %s printed:\n%s\nwant exactly the race %s", logPath, line, out, sites)
+		}
+	}
+}
+
 // TestFullTriageLoop is the paper's §1 story as one end-to-end CLI flow:
 // record the product's test scenarios once; analyze offline; triage the
 // potentially-harmful set, marking the tolerated races benign; re-analyze

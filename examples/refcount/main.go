@@ -6,16 +6,20 @@
 //	    free(foo);
 //
 // Two threads run this without synchronization. Most interleavings are
-// lucky; a few double-free or use freed memory. This example records one
-// execution, shows the races the happens-before detector finds, and then
-// prints what happened when each racing instance was replayed in both
-// orders — including the reproduction coordinates a developer would use
-// to replay the failing order under a debugger.
+// lucky; a few double-free or use freed memory. This example records
+// executions until one exposes the bug, shows the races the
+// happens-before detector finds, and prints the §4.4 report of each
+// harmful one: what happened when its instances were replayed in both
+// orders, and the command that replays them again. It writes that
+// execution's log, refcount-<seed>.rlog, to the working directory, and
+// the command replays it.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
+	"os"
 
 	racereplay "repro"
 )
@@ -64,12 +68,19 @@ main:
 `
 
 func main() {
+	prog, err := racereplay.Assemble("refcount", src)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// Scan a few interleavings, exactly like running several test
 	// scenarios: the more instances observed, the more likely one exposes
 	// the bug (§5.3 of the paper).
-	exposed := false
 	for seed := int64(1); seed <= 12; seed++ {
-		res, err := racereplay.AnalyzeSource("refcount", src, seed)
+		// Samples carry the log's file name, so each report's reproduce
+		// line runs racer classify over the log written below.
+		path := fmt.Sprintf("refcount-%d.rlog", seed)
+		res, err := racereplay.Analyze(prog, racereplay.Config{Seed: seed},
+			racereplay.Options{Scenario: path, Seed: seed})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,37 +89,31 @@ func main() {
 		}
 		fmt.Printf("=== seed %d: %d races, %d instances\n",
 			seed, len(res.Classification.Races), res.Classification.TotalInstances())
+		exposed := false
 		for _, race := range res.Classification.Races {
 			fmt.Printf("  %-50s %v  (nsc %d / sc %d / rf %d)\n",
 				race.Sites, race.Verdict, race.NSC, race.SC, race.RF)
-			if race.Verdict != racereplay.PotentiallyHarmful {
-				continue
-			}
-			exposed = true
-			for _, s := range race.Samples {
-				if s.FailReason == "" && len(s.Diffs) == 0 {
-					continue
-				}
-				fmt.Printf("    instance at addr 0x%x (threads %d and %d):\n", s.Addr, s.TIDA, s.TIDB)
-				if s.FailReason != "" {
-					fmt.Printf("      replay failure: %s\n", s.FailReason)
-					fmt.Println("      (the re-ordered thread headed into the free path —")
-					fmt.Println("       the paper's replay-failure signal for a harmful race)")
-				}
-				for _, d := range s.Diffs {
-					fmt.Printf("      live-out difference: %s\n", d)
-				}
-				fmt.Printf("      reproduce both orders: region pair (%d, %d), instruction indices (%d, %d)\n",
-					s.RegionA, s.RegionB, s.IdxA, s.IdxB)
+			exposed = exposed || race.Verdict == racereplay.PotentiallyHarmful
+		}
+		if !exposed {
+			continue
+		}
+		var buf bytes.Buffer
+		if err := racereplay.WriteLog(&buf, res.Log); err != nil {
+			log.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			log.Fatal(err)
+		}
+		for _, race := range res.Classification.Races {
+			if race.Verdict == racereplay.PotentiallyHarmful {
+				fmt.Print("\n", racereplay.RaceReport(race))
 			}
 		}
-		if exposed {
-			break
-		}
-	}
-	if !exposed {
-		fmt.Println("no harmful instance exposed on these seeds; try more scenarios")
-	} else {
 		fmt.Println("\nverdict: the refcount race is potentially harmful — exactly Figure 2.")
+		fmt.Println("A replay failure is the re-ordered thread heading into the free path,")
+		fmt.Println("the paper's signal for a harmful race.")
+		return
 	}
+	fmt.Println("no harmful instance exposed on these seeds; try more scenarios")
 }

@@ -136,16 +136,6 @@ func Assemble(name, src string) (*isa.Program, error) {
 	return a.prog, nil
 }
 
-// MustAssemble is Assemble for sources known-good at build time (workload
-// templates, examples); it panics on error.
-func MustAssemble(name, src string) *isa.Program {
-	p, err := Assemble(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func labelAt(symbols map[string]int, pc int) (string, bool) {
 	best := ""
 	for name, at := range symbols {

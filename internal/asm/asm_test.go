@@ -304,15 +304,6 @@ main:
 	}
 }
 
-func TestMustAssemblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAssemble should panic on bad source")
-		}
-	}()
-	MustAssemble("bad", "main:\n  frob\n")
-}
-
 func TestDivModAssembles(t *testing.T) {
 	p, err := Assemble("dm", "main:\n  div r1, r2, r3\n  mod r1, r2, r3\n  halt\n")
 	if err != nil {

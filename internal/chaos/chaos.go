@@ -307,7 +307,7 @@ func decodeFails(data []byte) bool {
 	if err != nil {
 		return true
 	}
-	return trace.Validate(log) != nil
+	return log.Validate() != nil
 }
 
 func clone(b []byte) []byte {

@@ -13,6 +13,8 @@
 // The legacy v1 corpora — testdata/corrupt/<kind>.rlog and
 // internal/trace/testdata/fuzz/FuzzUnmarshal — are frozen: nothing
 // writes v1 any more, so they are kept as checked in, not regenerated.
+// So is testdata/corrupt/v2-retired-claim.rlog, a hand-made log whose
+// one thread claims more instructions than the step budget allows.
 //
 // Run from the repo root: go run ./internal/chaos/gen
 package main

@@ -159,7 +159,7 @@ func decodeTrial(data []byte) (t Trial) {
 		log, faults, err := trace.DecodeOpts(data, trace.V2Options{QuarantineThreads: true})
 		if err == nil {
 			t.Salvaged = len(faults)
-			err = trace.Validate(log)
+			err = log.Validate()
 		}
 		t.Err = err
 	}()

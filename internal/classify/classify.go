@@ -147,16 +147,6 @@ type Classification struct {
 	Races []*RaceResult
 }
 
-// Race finds a race by sites, or nil.
-func (c *Classification) Race(sites hb.SitePair) *RaceResult {
-	for _, r := range c.Races {
-		if r.Sites == sites {
-			return r
-		}
-	}
-	return nil
-}
-
 // TotalInstances sums analyzed instances over all races.
 func (c *Classification) TotalInstances() int {
 	n := 0
@@ -485,27 +475,28 @@ func countOrders(reg *obs.Registry, res vproc.Result) {
 // countFailureCause buckets a vproc replay-failure reason into a coarse
 // cause counter, keyed by the stable message fragments runOrder emits.
 // The order prefix ("original order: " / "alternative order: ") is
-// ignored; unknown messages land in the "other" bucket.
+// ignored; unknown messages land in the "other" bucket. The table holds
+// whole counter names, so counting builds no string.
 func countFailureCause(reg *obs.Registry, reason string) {
 	if reg == nil {
 		return
 	}
-	cause := "other"
+	name := "classify.replay_failure_other"
 	for _, c := range []struct{ frag, name string }{
-		{"control flow diverged", "control_flow_divergence"},
-		{"diverged out of the region", "region_divergence"},
-		{"control flow left the program", "left_program"},
-		{"step budget exhausted", "budget_exhausted"},
-		{"not captured in live-in memory", "livein_miss"},
-		{"unreplayable syscall", "unreplayable_syscall"},
-		{"fault during replay", "fault"},
+		{"control flow diverged", "classify.replay_failure_control_flow_divergence"},
+		{"diverged out of the region", "classify.replay_failure_region_divergence"},
+		{"control flow left the program", "classify.replay_failure_left_program"},
+		{"step budget exhausted", "classify.replay_failure_budget_exhausted"},
+		{"not captured in live-in memory", "classify.replay_failure_livein_miss"},
+		{"unreplayable syscall", "classify.replay_failure_unreplayable_syscall"},
+		{"fault during replay", "classify.replay_failure_fault"},
 	} {
 		if strings.Contains(reason, c.frag) {
-			cause = c.name
+			name = c.name
 			break
 		}
 	}
-	reg.Counter("classify.replay_failure_" + cause).Inc()
+	reg.Counter(name).Inc()
 }
 
 // racePair maps a detector instance to the virtual processor's replay

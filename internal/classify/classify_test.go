@@ -197,7 +197,7 @@ func TestMergeEscalatesVerdict(t *testing.T) {
 		t.Fatal("setup: a should be benign")
 	}
 	m := Merge(a, b)
-	r := m.Race(hb.MakeSitePair("x", "y"))
+	r := raceBySites(m, hb.MakeSitePair("x", "y"))
 	if r == nil || r.Verdict != PotentiallyHarmful || r.Group != GroupStateChange {
 		t.Errorf("merged = %+v, want harmful state-change", r)
 	}
@@ -241,7 +241,9 @@ func TestDBSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "races.json")
 	db := NewDB()
 	db.MarkBenign(hb.MakeSitePair("p:a", "p:b"), "stats counter")
-	db.MarkHarmful(hb.MakeSitePair("p:c", "p:d"), "refcount bug")
+	// A harmful mark comes from a hand-edited database: it must survive
+	// a round trip without reading as benign.
+	db.marks[hb.MakeSitePair("p:c", "p:d")] = Mark{SiteA: "p:c", SiteB: "p:d", Verdict: "harmful", Note: "refcount bug"}
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +348,21 @@ func randClassification(r *rand.Rand) *Classification {
 		rr.recompute()
 		// Dedup within one classification (Merge assumes unique sites
 		// per part, as Run produces).
-		if c.Race(rr.Sites) == nil {
+		if raceBySites(c, rr.Sites) == nil {
 			c.Races = append(c.Races, rr)
 		}
 	}
 	return c
+}
+
+// raceBySites finds a race by sites, or nil.
+func raceBySites(c *Classification, sites hb.SitePair) *RaceResult {
+	for _, r := range c.Races {
+		if r.Sites == sites {
+			return r
+		}
+	}
+	return nil
 }
 
 // TestMergeAlgebra: merging is order-insensitive and the counts are
@@ -367,7 +379,7 @@ func TestMergeAlgebra(t *testing.T) {
 			return false
 		}
 		for _, x := range ab_c.Races {
-			y, z := a_bc.Race(x.Sites), cba.Race(x.Sites)
+			y, z := raceBySites(a_bc, x.Sites), raceBySites(cba, x.Sites)
 			if y == nil || z == nil {
 				return false
 			}

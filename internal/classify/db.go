@@ -38,14 +38,6 @@ func (db *DB) MarkBenign(sites hb.SitePair, note string) {
 	db.marks[sites] = Mark{SiteA: sites.A, SiteB: sites.B, Verdict: "benign", Note: note}
 }
 
-// MarkHarmful records a manual harmful verdict (kept for the record;
-// harmful races stay in reports until the code is fixed).
-func (db *DB) MarkHarmful(sites hb.SitePair, note string) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.marks[sites] = Mark{SiteA: sites.A, SiteB: sites.B, Verdict: "harmful", Note: note}
-}
-
 // IsMarkedBenign reports whether a developer vetted this race as benign.
 func (db *DB) IsMarkedBenign(sites hb.SitePair) bool {
 	db.mu.Lock()

@@ -82,8 +82,8 @@ type Report struct {
 
 	// index maps sites to races, built by the detector (or lazily on the
 	// first Race call for hand-assembled reports) so per-candidate joins —
-	// the static cross-validation calls Race once per candidate — cost one
-	// map lookup instead of a linear scan over every race.
+	// predict's Report.NewReport calls Race once per predicted candidate —
+	// cost one map lookup instead of a linear scan over every race.
 	index map[SitePair]*Race
 }
 

@@ -18,6 +18,12 @@ const (
 	StackWords   uint64 = 0x400     // words of stack per thread
 )
 
+// MaxSteps is the step budget: the most instructions one execution
+// retires, over all its threads. The machine stops there whatever its
+// configuration asks, and a log that claims more does not validate, so
+// replaying a log costs no more than recording it could have.
+const MaxSteps uint64 = 8 << 20
+
 // StackTop returns the initial stack pointer for thread tid.
 // Stacks grow downward (Call decrements SP before storing).
 func StackTop(tid int) uint64 {

@@ -347,7 +347,7 @@ func TestMachineAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run()
-	if m.mem == nil || len(m.Threads()) != 1 {
+	if m.mem == nil || len(m.threads) != 1 {
 		t.Error("accessors broken")
 	}
 	if m.clock == 0 {

@@ -110,7 +110,7 @@ type Config struct {
 	Seed         int64  // scheduler seed; runs with equal Seed are identical
 	EntropySeed  uint64 // sys rand stream seed (defaults to a mix of Seed)
 	MaxQuantum   int    // max instructions per scheduling quantum (default 12)
-	MaxSteps     uint64 // global retired-instruction budget (default 8M)
+	MaxSteps     uint64 // global retired-instruction budget (default and ceiling isa.MaxSteps)
 	MaxThreads   int    // spawn limit (default 64)
 	MaxHeapWords uint64 // heap budget (default 1M words); the heap never reaches isa.StackBase
 	Observer     Observer
@@ -129,8 +129,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxQuantum <= 0 {
 		c.MaxQuantum = 12
 	}
-	if c.MaxSteps == 0 {
-		c.MaxSteps = 8 << 20
+	if c.MaxSteps == 0 || c.MaxSteps > isa.MaxSteps {
+		c.MaxSteps = isa.MaxSteps
 	}
 	if c.MaxThreads <= 0 {
 		c.MaxThreads = 64
@@ -213,9 +213,6 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	}
 	return m, nil
 }
-
-// Threads exposes the thread table (valid after Run).
-func (m *Machine) Threads() []*Thread { return m.threads }
 
 func (m *Machine) nextTS() uint64 {
 	m.clock++

@@ -473,6 +473,16 @@ func TestStepBudgetStopsRunaway(t *testing.T) {
 	}
 }
 
+// TestStepBudgetCeiling: no configuration runs past isa.MaxSteps, the
+// budget a log must keep within to validate; an unset budget is the same.
+func TestStepBudgetCeiling(t *testing.T) {
+	for _, asked := range []uint64{0, isa.MaxSteps + 1, 1 << 40} {
+		if got := (Config{MaxSteps: asked}).withDefaults().MaxSteps; got != isa.MaxSteps {
+			t.Errorf("MaxSteps %d runs to %d, want the budget %d", asked, got, isa.MaxSteps)
+		}
+	}
+}
+
 func TestGettidAndTime(t *testing.T) {
 	src := `
 main:
@@ -585,7 +595,7 @@ main:
 		t.Fatal(err)
 	}
 	m.Run()
-	child := m.Threads()[1]
+	child := m.threads[1]
 	if child.StartTS == 0 {
 		t.Error("child StartTS should be the parent's spawn sequencer, not 0")
 	}

@@ -312,20 +312,6 @@ func (s *Store) publishLocked() {
 	s.gBytes.Set(float64(s.bytes))
 }
 
-// Len returns the number of indexed entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
-
-// Bytes returns the indexed on-disk footprint.
-func (s *Store) Bytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
-}
-
 // Close publishes the final gauges. Every write was already durable
 // (synced temp file + rename), so Close has nothing to flush; it exists
 // so shutdown paths read naturally and stay correct if buffering is

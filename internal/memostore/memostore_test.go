@@ -51,8 +51,8 @@ func TestRoundTripAcrossReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 1 {
-		t.Fatalf("reopened store has %d entries, want 1", s2.Len())
+	if len(s2.entries) != 1 {
+		t.Fatalf("reopened store has %d entries, want 1", len(s2.entries))
 	}
 	if got, ok := s2.Get(fpN(1)); !ok || got.Diffs[0] != want.Diffs[0] {
 		t.Fatalf("reopened Get = %+v, %v", got, ok)
@@ -136,8 +136,8 @@ func TestSizeBoundedOldestFirstGC(t *testing.T) {
 	for i := byte(1); i <= 6; i++ {
 		s.Put(fpN(i), sampleResult("pad"))
 	}
-	if s.Bytes() > int64(3*len(probe)) {
-		t.Fatalf("store over cap: %d > %d", s.Bytes(), 3*len(probe))
+	if s.bytes > int64(3*len(probe)) {
+		t.Fatalf("store over cap: %d > %d", s.bytes, 3*len(probe))
 	}
 	ev := reg.Snapshot().Counters["memostore.evictions"]
 	if ev == 0 {
@@ -171,8 +171,8 @@ func TestOpenGCsInheritedOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 2 {
-		t.Fatalf("inherited store holds %d entries after GC, want 2", s2.Len())
+	if len(s2.entries) != 2 {
+		t.Fatalf("inherited store holds %d entries after GC, want 2", len(s2.entries))
 	}
 	if _, ok := s2.Get(fpN(1)); ok {
 		t.Fatal("oldest inherited entry survived Open GC")
@@ -194,8 +194,8 @@ func TestOpenSweepsTempFilesAndIgnoresForeign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("store indexed %d entries from junk", s.Len())
+	if len(s.entries) != 0 {
+		t.Fatalf("store indexed %d entries from junk", len(s.entries))
 	}
 	if _, err := os.Stat(filepath.Join(dir, "put-123.tmp")); !os.IsNotExist(err) {
 		t.Fatal("orphaned temp file not swept")
@@ -216,8 +216,8 @@ func TestFirstWriterWins(t *testing.T) {
 	if !ok || got.FailReason != "first" {
 		t.Fatalf("Get = %+v, %v; want first writer's entry", got, ok)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
+	if len(s.entries) != 1 {
+		t.Fatalf("store indexed %d entries, want 1", len(s.entries))
 	}
 }
 
@@ -242,7 +242,7 @@ func TestConcurrentPutGet(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		<-done
 	}
-	if s.Len() != 8 {
-		t.Fatalf("Len = %d, want 8", s.Len())
+	if len(s.entries) != 8 {
+		t.Fatalf("store indexed %d entries, want 8", len(s.entries))
 	}
 }

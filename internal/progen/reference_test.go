@@ -15,6 +15,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/vclock"
+	"repro/internal/vproc"
 	"repro/internal/workloads"
 )
 
@@ -354,9 +355,17 @@ func dedup(s []uint64) []uint64 {
 // TestReferencesAgree runs the hb.Detect, hb.DetectVC, memory-history
 // and recorder references over 400 generated programs under each
 // scheduler policy, the 18 suite scenarios, browse and service, and
-// counts the executions each one disagrees on.
+// counts the executions each one disagrees on. Across all of them it
+// also checks the claim the classification memo rests on: instances
+// with equal fingerprints have equal dual-order replay results.
 func TestReferencesAgree(t *testing.T) {
 	keys, vcKeys, runs, detectFails, vcFails, historyFails, recorderFails := 0, 0, 0, 0, 0, 0, 0
+	type firstResult struct {
+		res  vproc.Result
+		name string
+	}
+	results := map[vproc.Fingerprint]firstResult{}
+	repeats, fingerprintFails := 0, 0
 	check := func(name string, prog *isa.Program, cfg machine.Config) {
 		t.Helper()
 		log, _, err := record.Run(prog, cfg)
@@ -373,7 +382,8 @@ func TestReferencesAgree(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		runs++
-		n, err := checkDetect(exec, hb.Detect(exec))
+		races := hb.Detect(exec)
+		n, err := checkDetect(exec, races)
 		keys += n
 		if err != nil {
 			if detectFails++; detectFails <= 3 {
@@ -390,6 +400,31 @@ func TestReferencesAgree(t *testing.T) {
 		if err := checkHistory(exec); err != nil {
 			if historyFails++; historyFails <= 3 {
 				t.Errorf("%s: %v", name, err)
+			}
+		}
+		fper := vproc.NewFingerprinter(exec)
+		for _, race := range races.Races {
+			for _, inst := range race.Instances {
+				pair := vproc.RacePair{
+					RegionA: inst.RegionA, RegionB: inst.RegionB,
+					IdxA: inst.First.Idx, IdxB: inst.Second.Idx,
+					PCA: inst.First.PC, PCB: inst.Second.PC,
+					Addr: inst.Addr,
+				}
+				fp := fper.Instance(pair, vproc.Options{}, 0)
+				res := vproc.Analyze(exec, pair, vproc.Options{}, nil)
+				first, seen := results[fp]
+				if !seen {
+					results[fp] = firstResult{res, name}
+					continue
+				}
+				repeats++
+				if !reflect.DeepEqual(first.res, res) {
+					if fingerprintFails++; fingerprintFails <= 3 {
+						t.Errorf("%s %s: fingerprint of an instance in %s, unequal results:\n %+v\n %+v",
+							name, race.Sites, first.name, first.res, res)
+					}
+				}
 			}
 		}
 	}
@@ -416,12 +451,16 @@ func TestReferencesAgree(t *testing.T) {
 		}
 		check(sc.Name, prog, sc.Config())
 	}
-	if detectFails+vcFails+historyFails+recorderFails > 0 {
-		t.Fatalf("of %d executions, hb.Detect disagrees with its reference on %d, hb.DetectVC on %d, the memory history on %d and the recorder on %d",
-			runs, detectFails, vcFails, historyFails, recorderFails)
+	if detectFails+vcFails+historyFails+recorderFails+fingerprintFails > 0 {
+		t.Fatalf("of %d executions, hb.Detect disagrees with its reference on %d, hb.DetectVC on %d, the memory history on %d and the recorder on %d; %d instances share a fingerprint with an unequal result",
+			runs, detectFails, vcFails, historyFails, recorderFails, fingerprintFails)
 	}
 	if keys == 0 || vcKeys == 0 {
 		t.Fatal("no race instance checked")
 	}
-	t.Logf("%d executions, %d hb.Detect and %d hb.DetectVC instance keys agree", runs, keys, vcKeys)
+	if repeats == 0 {
+		t.Fatal("no fingerprint repeats, so no two results were compared")
+	}
+	t.Logf("%d executions, %d hb.Detect and %d hb.DetectVC instance keys agree; %d distinct fingerprints, %d repeats with equal results",
+		runs, keys, vcKeys, len(results), repeats)
 }

@@ -26,7 +26,7 @@ func FuzzReplay(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, _, err := trace.DecodeOpts(data, trace.V2Options{QuarantineThreads: true})
-		if err != nil || trace.Validate(log) != nil {
+		if err != nil || log.Validate() != nil {
 			return
 		}
 		var n uint64

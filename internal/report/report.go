@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/classify"
 	"repro/internal/stats"
@@ -285,8 +286,7 @@ func RaceReport(r *classify.RaceResult, truth Truth) string {
 		for _, d := range s.Diffs {
 			fmt.Fprintf(&b, "    diff: %s\n", d)
 		}
-		fmt.Fprintf(&b, "    reproduce: racer scenario -name %s -seed %d -race '%s'\n",
-			scenarioBase(s.Scenario), s.Seed, r.Sites)
+		fmt.Fprintf(&b, "    reproduce: %s\n", reproduceCommand(s.Scenario, s.Seed, r.Sites.String()))
 	}
 	return b.String()
 }
@@ -334,6 +334,28 @@ func scenarioBase(name string) string {
 	}
 	return name
 }
+
+// reproduceCommand names the racer command that replays a sample's race
+// in both orders: `racer scenario` when the sample's label, less its
+// seed suffix, is a built-in scenario, and otherwise `racer classify`
+// over the log the label names, as racer classify labels its samples.
+func reproduceCommand(label string, seed int64, sites string) string {
+	if base := scenarioBase(label); builtinScenarios()[base] {
+		return fmt.Sprintf("racer scenario -name %s -seed %d -race '%s'", base, seed, sites)
+	}
+	return fmt.Sprintf("racer classify -race '%s' %s", sites, label)
+}
+
+// builtinScenarios holds the names workloads.FindScenario resolves. It
+// is gathered once, since resolving a name builds every scenario's
+// templates.
+var builtinScenarios = sync.OnceValue(func() map[string]bool {
+	names := map[string]bool{}
+	for _, s := range append(workloads.Scenarios(), workloads.BrowseScenario(), workloads.ServiceScenario()) {
+		names[s.Name] = true
+	}
+	return names
+})
 
 func pct(a, b int) float64 {
 	if b == 0 {

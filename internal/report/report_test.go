@@ -285,10 +285,14 @@ func TestReproduceLineActuallyResolves(t *testing.T) {
 	// developer a reproducible scenario" promise is broken.
 	run := suite(t)
 	for _, r := range run.Merged.Races {
-		for _, s := range r.Samples {
-			base := scenarioBase(s.Scenario)
-			if _, err := workloads.FindScenario(base); err != nil {
-				t.Fatalf("race %v sample names unresolvable scenario %q", r.Sites, s.Scenario)
+		for _, line := range strings.Split(RaceReport(r, SuiteTruth), "\n") {
+			_, cmd, ok := strings.Cut(line, "reproduce: ")
+			if !ok {
+				continue
+			}
+			name, _, _ := strings.Cut(strings.TrimPrefix(cmd, "racer scenario -name "), " ")
+			if _, err := workloads.FindScenario(name); err != nil || !strings.HasPrefix(cmd, "racer scenario") {
+				t.Fatalf("race %v: %q names no built-in scenario", r.Sites, cmd)
 			}
 		}
 	}

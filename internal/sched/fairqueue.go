@@ -27,10 +27,9 @@ var (
 // cannot starve a tenant with one.
 //
 // Unlike ForEachFork's fixed batch, a FairQueue is built for indefinite
-// operation: it never finishes on its own, and Close/Drain separate the
-// two shutdown concerns — stop intake and let consumers finish the
-// backlog (Close), or stop intake and abandon the backlog to a journal
-// for the next process (Drain).
+// operation: it never finishes on its own. Drain shuts it down: it stops
+// intake and hands the backlog back, to be journaled for the next
+// process.
 type FairQueue[T any] struct {
 	mu        sync.Mutex
 	cond      *sync.Cond
@@ -91,8 +90,8 @@ func (q *FairQueue[T]) Push(tenant string, v T) error {
 }
 
 // Pop blocks until an item is available and returns it, cycling tenants
-// round-robin. It returns ok == false once the queue is closed (or
-// drained) and empty — the consumer's signal to exit.
+// round-robin. It returns ok == false once the queue is drained — the
+// consumer's signal to exit.
 func (q *FairQueue[T]) Pop() (v T, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -102,24 +101,30 @@ func (q *FairQueue[T]) Pop() (v T, ok bool) {
 	if q.total == 0 {
 		return v, false
 	}
+	return q.dequeue(), true
+}
+
+// dequeue removes the next item in round-robin order: the oldest item of
+// the tenant under the ring cursor. A tenant left with no items leaves
+// the ring. The caller holds q.mu, and the queue is not empty.
+func (q *FairQueue[T]) dequeue() T {
 	if q.next >= len(q.ring) {
 		q.next = 0
 	}
 	tenant := q.ring[q.next]
 	items := q.tenants[tenant]
-	v = items[0]
-	items = items[1:]
+	v := items[0]
 	q.total--
-	if len(items) == 0 {
+	if len(items) == 1 {
 		delete(q.tenants, tenant)
 		q.ring = append(q.ring[:q.next], q.ring[q.next+1:]...)
 		// q.next now indexes the following tenant; keep it for the
 		// round-robin step.
 	} else {
-		q.tenants[tenant] = items
+		q.tenants[tenant] = items[1:]
 		q.next++
 	}
-	return v, true
+	return v
 }
 
 // Len returns the number of queued items.
@@ -127,15 +132,6 @@ func (q *FairQueue[T]) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.total
-}
-
-// Close stops intake: subsequent Pushes fail with ErrQueueClosed, Pops
-// drain the backlog and then return ok == false.
-func (q *FairQueue[T]) Close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
 }
 
 // Drain closes the queue and removes the backlog, returning it in
@@ -149,21 +145,7 @@ func (q *FairQueue[T]) Drain() []T {
 	q.closed = true
 	var out []T
 	for q.total > 0 {
-		if q.next >= len(q.ring) {
-			q.next = 0
-		}
-		tenant := q.ring[q.next]
-		items := q.tenants[tenant]
-		out = append(out, items[0])
-		items = items[1:]
-		q.total--
-		if len(items) == 0 {
-			delete(q.tenants, tenant)
-			q.ring = append(q.ring[:q.next], q.ring[q.next+1:]...)
-		} else {
-			q.tenants[tenant] = items
-			q.next++
-		}
+		out = append(out, q.dequeue())
 	}
 	q.mu.Unlock()
 	q.cond.Broadcast()

@@ -74,25 +74,6 @@ func TestFairQueueCaps(t *testing.T) {
 	}
 }
 
-func TestFairQueueCloseDrainsThenStops(t *testing.T) {
-	q := NewFairQueue[int](8, 8)
-	q.Push("t", 1)
-	q.Push("t", 2)
-	q.Close()
-	if err := q.Push("t", 3); !errors.Is(err, ErrQueueClosed) {
-		t.Fatalf("push after close = %v, want ErrQueueClosed", err)
-	}
-	if v, ok := q.Pop(); !ok || v != 1 {
-		t.Fatalf("pop = %d, %v", v, ok)
-	}
-	if v, ok := q.Pop(); !ok || v != 2 {
-		t.Fatalf("pop = %d, %v", v, ok)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("pop on closed empty queue reported ok")
-	}
-}
-
 func TestFairQueueDrainAbandonsBacklog(t *testing.T) {
 	q := NewFairQueue[string](8, 8)
 	q.Push("a", "a1")
@@ -110,7 +91,7 @@ func TestFairQueueDrainAbandonsBacklog(t *testing.T) {
 	}
 }
 
-func TestFairQueueBlockedPopWakesOnClose(t *testing.T) {
+func TestFairQueueBlockedPopWakesOnDrain(t *testing.T) {
 	q := NewFairQueue[int](8, 8)
 	done := make(chan bool, 1)
 	go func() {
@@ -118,14 +99,14 @@ func TestFairQueueBlockedPopWakesOnClose(t *testing.T) {
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
-	q.Close()
+	q.Drain()
 	select {
 	case ok := <-done:
 		if ok {
 			t.Fatal("blocked pop returned an item from an empty queue")
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("blocked pop did not wake on Close")
+		t.Fatal("blocked pop did not wake on Drain")
 	}
 }
 
@@ -167,8 +148,16 @@ func TestFairQueueConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	q.Close()
+	// Drain takes what the consumers have not popped yet, through the
+	// same dequeue step, while they may still be popping.
+	left := q.Drain()
 	cg.Wait()
+	for _, v := range left {
+		if seen[v] {
+			t.Errorf("item %d popped and drained", v)
+		}
+		seen[v] = true
+	}
 	if len(seen) != producers*items {
 		t.Fatalf("popped %d unique items, want %d", len(seen), producers*items)
 	}

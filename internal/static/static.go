@@ -115,20 +115,6 @@ func publishMetrics(reg *obs.Registry, rep *Report) {
 	reg.Counter("static.unresolved_jumps").Add(uint64(rep.Stats.UnresolvedJumps))
 }
 
-// Candidate looks up a candidate by its (ordered) site pair, or nil.
-func (r *Report) Candidate(siteA, siteB string) *Candidate {
-	if siteB < siteA {
-		siteA, siteB = siteB, siteA
-	}
-	for i := range r.Candidates {
-		c := &r.Candidates[i]
-		if c.SiteA == siteA && c.SiteB == siteB {
-			return c
-		}
-	}
-	return nil
-}
-
 // Format renders the report in the pipeline's plain-text style.
 func (r *Report) Format(w io.Writer) {
 	fmt.Fprintf(w, "static analysis: %s\n", r.Prog)

@@ -399,9 +399,6 @@ worker:
 			t.Errorf("Format output missing %q:\n%s", want, out)
 		}
 	}
-	if c := rep.Candidate(rep.Candidates[0].SiteB, rep.Candidates[0].SiteA); c == nil {
-		t.Error("Candidate lookup should normalize site order")
-	}
 }
 
 // --- cross-validation ---

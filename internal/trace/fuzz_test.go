@@ -72,7 +72,7 @@ func FuzzDecodeV2(f *testing.F) {
 			typed("salvage", err)
 			return
 		}
-		if err := Validate(log); err != nil {
+		if err := log.Validate(); err != nil {
 			return // salvage may keep a log Validate rejects; callers gate on it
 		}
 		again, faults, err := DecodeOpts(MarshalV2(log), V2Options{})

@@ -101,7 +101,7 @@ func TestTypedDecodeErrors(t *testing.T) {
 func TestValidateTypedErrors(t *testing.T) {
 	log := sampleLog()
 	log.Threads = append(log.Threads, log.Threads[0]) // duplicate TID
-	err := Validate(log)
+	err := log.Validate()
 	var ve *ValidateError
 	if !errors.As(err, &ve) {
 		t.Fatalf("err = %T (%v), want *ValidateError", err, err)
@@ -112,7 +112,7 @@ func TestValidateTypedErrors(t *testing.T) {
 
 	log = sampleLog()
 	log.Threads[0].Seqs[1].Idx = log.Threads[0].Retired + 5
-	err = Validate(log)
+	err = log.Validate()
 	if !errors.As(err, &ve) || ve.Check != "seq-indices" {
 		t.Errorf("sequencer beyond retirement: err = %v, want seq-indices ValidateError", err)
 	}
@@ -144,7 +144,7 @@ func TestCorruptCorpusRejected(t *testing.T) {
 			}()
 			log, _, err := DecodeOpts(data, V2Options{QuarantineThreads: true})
 			if err == nil {
-				err = Validate(log)
+				err = log.Validate()
 			}
 			if err == nil {
 				t.Errorf("%s: known-bad file accepted", name)

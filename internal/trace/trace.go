@@ -196,13 +196,16 @@ func (l *Log) Instructions() uint64 {
 // Validate checks the structural invariants replay depends on: thread
 // ids are unique, sequencer timestamps strictly increase within a
 // thread, indices are monotone and bounded by the retirement count
-// (region well-formedness), and each thread's log starts with SeqStart
-// and finishes with SeqEnd. Failures are *ValidateError, naming the
-// offending thread and the invariant that broke.
+// (region well-formedness), each thread's log starts with SeqStart
+// and finishes with SeqEnd, and the threads together retire no more
+// than the step budget (isa.MaxSteps), so replay runs no longer than a
+// recording can. Failures are *ValidateError, naming the offending
+// thread and the invariant that broke.
 func (l *Log) Validate() error {
 	if l.Prog == nil {
 		return validateErr(-1, "program", "log has no program")
 	}
+	var retired uint64
 	seen := make(map[int]bool, len(l.Threads))
 	for _, t := range l.Threads {
 		if seen[t.TID] {
@@ -254,13 +257,10 @@ func (l *Log) Validate() error {
 		if n := len(t.KeyFrames); n > 0 && t.KeyFrames[n-1].Idx > t.Retired {
 			return validateErr(t.TID, "keyframe-indices", "key frame beyond retirement")
 		}
+		if t.Retired > isa.MaxSteps-retired {
+			return validateErr(t.TID, "retired-budget", "threads retire more than the %d-instruction step budget", isa.MaxSteps)
+		}
+		retired += t.Retired
 	}
 	return nil
 }
-
-// Validate is the package-level validation pass over a parsed log — the
-// same invariants Log.Validate checks, exported standalone so callers
-// (the `racer validate` command, the chaos harness) can separate "does
-// not parse" (*DecodeError) from "parses but cannot be replayed"
-// (*ValidateError).
-func Validate(l *Log) error { return l.Validate() }

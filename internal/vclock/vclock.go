@@ -15,13 +15,6 @@ import (
 // denotes "before everything".
 type VC []uint64
 
-// Clone returns an independent copy of v.
-func (v VC) Clone() VC {
-	c := make(VC, len(v))
-	copy(c, v)
-	return c
-}
-
 // At returns component tid (0 when tid is beyond v's length).
 func (v VC) At(tid int) uint64 {
 	if tid < len(v) {
@@ -67,9 +60,6 @@ func (v VC) LessEq(o VC) bool {
 	}
 	return true
 }
-
-// Equal reports component-wise equality (missing components are zero).
-func (v VC) Equal(o VC) bool { return v.LessEq(o) && o.LessEq(v) }
 
 // Concurrent reports that neither clock happens before the other.
 func (v VC) Concurrent(o VC) bool { return !v.LessEq(o) && !o.LessEq(v) }

@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +13,17 @@ func randVC(r *rand.Rand) VC {
 		v[i] = uint64(r.Intn(8))
 	}
 	return v
+}
+
+// equal reports component-wise equality, missing components reading
+// zero: the reference the order laws are checked against.
+func equal(a, b VC) bool {
+	for i := 0; i < max(len(a), len(b)); i++ {
+		if a.At(i) != b.At(i) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestBasics(t *testing.T) {
@@ -39,14 +51,11 @@ func TestHappensBeforeAndConcurrent(t *testing.T) {
 	if !a.Concurrent(c) || !c.Concurrent(a) {
 		t.Error("a || c expected")
 	}
-	if a.Concurrent(a.Clone()) {
-		t.Error("clock not concurrent with itself")
-	}
-	if !a.Equal(a.Clone()) {
-		t.Error("clone should be equal")
+	if a.Concurrent(a) {
+		t.Error("clock concurrent with itself")
 	}
 	// Different lengths, same meaning.
-	if !(VC{1, 0}).Equal(VC{1}) {
+	if !(VC{1, 0}).LessEq(VC{1}) || !(VC{1}).LessEq(VC{1, 0}) {
 		t.Error("trailing zeros should not matter")
 	}
 }
@@ -55,13 +64,13 @@ func TestJoinIsLUB(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randVC(r), randVC(r)
-		j := a.Clone().Join(b)
+		j := slices.Clone(a).Join(b)
 		// Upper bound.
 		if !a.LessEq(j) || !b.LessEq(j) {
 			return false
 		}
 		// Least: any other upper bound dominates j.
-		u := a.Clone().Join(b).Tick(0)
+		u := slices.Clone(a).Join(b).Tick(0)
 		return j.LessEq(u)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -74,17 +83,17 @@ func TestJoinLaws(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a, b, c := randVC(r), randVC(r), randVC(r)
 		// Commutative.
-		if !a.Clone().Join(b).Equal(b.Clone().Join(a)) {
+		if !equal(slices.Clone(a).Join(b), slices.Clone(b).Join(a)) {
 			return false
 		}
 		// Associative.
-		left := a.Clone().Join(b).Join(c)
-		right := a.Clone().Join(b.Clone().Join(c))
-		if !left.Equal(right) {
+		left := slices.Clone(a).Join(b).Join(c)
+		right := slices.Clone(a).Join(slices.Clone(b).Join(c))
+		if !equal(left, right) {
 			return false
 		}
 		// Idempotent.
-		return a.Clone().Join(a).Equal(a)
+		return equal(slices.Clone(a).Join(a), a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -96,7 +105,7 @@ func TestOrderIsPartial(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randVC(r), randVC(r)
 		// Antisymmetry: a ≤ b and b ≤ a implies equal.
-		if a.LessEq(b) && b.LessEq(a) && !a.Equal(b) {
+		if a.LessEq(b) && b.LessEq(a) && !equal(a, b) {
 			return false
 		}
 		// Exactly one of: a<b, b<a, a||b, a==b.
@@ -110,7 +119,7 @@ func TestOrderIsPartial(t *testing.T) {
 		if a.Concurrent(b) {
 			states++
 		}
-		if a.Equal(b) {
+		if equal(a, b) {
 			states++
 		}
 		return states == 1
@@ -125,7 +134,7 @@ func TestTickPreservesOrder(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randVC(r)
 		tid := r.Intn(len(a))
-		b := a.Clone().Tick(tid)
+		b := slices.Clone(a).Tick(tid)
 		return a.LessEq(b) && !b.LessEq(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/workloads"
@@ -169,7 +170,7 @@ func TestChaosCorpusMemoEquivalence(t *testing.T) {
 		quarantine []string
 	}
 	run := func(noMemo bool, jobs int) outcome {
-		results, quarantined := AnalyzeLogs(logs, func(i int) Options {
+		results, quarantined := core.AnalyzeLogsInstrumented(logs, func(i int) Options {
 			return Options{Scenario: labels[i], NoMemo: noMemo}
 		}, jobs, nil)
 		out := outcome{cls: make([]*Classification, len(results))}

@@ -35,7 +35,6 @@ import (
 	"repro/internal/lockset"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/record"
 	"repro/internal/replay"
 	"repro/internal/report"
@@ -57,29 +56,18 @@ type (
 	Execution = replay.Execution
 	// RaceSet is the happens-before detector's output.
 	RaceSet = hb.Report
-	// SitePair is the static identity of a race.
-	SitePair = hb.SitePair
 	// Options tunes classification.
 	Options = classify.Options
-	// Memo is the dual-order replay cache: pass one Memo in
-	// Options.Memo to share cached verdicts across executions of the
-	// same program.
-	Memo = classify.Memo
 	// Classification is the per-race verdict set.
 	Classification = classify.Classification
 	// RaceResult is one classified race.
 	RaceResult = classify.RaceResult
 	// Result bundles one analyzed execution.
 	Result = core.Result
-	// Quarantined records one batch item whose analysis failed; the batch
-	// completes with partial results instead of aborting.
-	Quarantined = core.Quarantined
 	// DB is the persistent race database for the triage workflow.
 	DB = classify.DB
 	// SizeStats quantifies a log's footprint.
 	SizeStats = trace.SizeStats
-	// Scenario is one built-in workload execution.
-	Scenario = workloads.Scenario
 	// SuiteRun is the analysis of the whole built-in suite.
 	SuiteRun = workloads.SuiteRun
 	// SuiteOptions configures a suite analysis: race database, seeds per
@@ -89,11 +77,6 @@ type (
 	// thread entries, race candidates with benign-idiom hints, and skip
 	// counters for what the analysis had to give up on.
 	StaticReport = static.Report
-	// StaticCandidate is one static race candidate.
-	StaticCandidate = static.Candidate
-	// StaticCross joins static candidates against dynamic evidence
-	// (matched / refuted / unmatched, plus missed dynamic races).
-	StaticCross = static.CrossResult
 	// Metrics is the pipeline-wide observability registry: counters,
 	// gauges, histograms, and stage spans. Every pipeline stage takes its
 	// registry as a trailing argument or an options field; a nil *Metrics
@@ -102,12 +85,6 @@ type (
 	// MetricsSnapshot is a frozen registry, renderable as text, JSON, or
 	// Prometheus exposition format.
 	MetricsSnapshot = obs.Snapshot
-	// Timeline is the flight recorder attached to a Metrics registry by
-	// EnableTimeline: per-worker ring-buffered event streams, exportable
-	// as Chrome trace_event JSON (WriteTrace).
-	Timeline = obs.Timeline
-	// TimelineEvent is one flight-recorder record in a timeline snapshot.
-	TimelineEvent = obs.Event
 	// TimelineEventKind is the shape of a timeline event: instant, stage
 	// begin, or stage end.
 	TimelineEventKind = obs.EventKind
@@ -116,9 +93,6 @@ type (
 	// and per-race replay evidence. Suite runs assemble one when
 	// SuiteOptions.Audit is set.
 	AuditFile = audit.File
-	// AuditExecution is one execution's provenance record within an
-	// AuditFile; Options.Audit points classification at one to fill.
-	AuditExecution = audit.Execution
 	// OnlineConfig controls what rides along a recording: the online race
 	// detector (on/off, stop-on-first-race) and the key-frame interval,
 	// which the detector never changes.
@@ -127,26 +101,10 @@ type (
 	// race-free or the distinct racy site pairs seen, plus screening
 	// statistics.
 	OnlineReport = hb.OnlineReport
-	// PredictOptions tunes a prediction pass (window bound, metrics).
-	PredictOptions = predict.Options
-	// PredictReport is the prediction pass output for one execution:
-	// every feasible candidate pair with its witness schedule, plus
-	// screening statistics and per-constraint rejection counts.
-	PredictReport = predict.Report
-	// PredictCandidate is one feasible predicted race pair; its Instance
-	// points at real recorded regions, so it classifies exactly like a
-	// detector instance.
-	PredictCandidate = predict.Candidate
-	// PredictWitness is the schedule evidence attached to a candidate:
-	// "observed" (the regions overlapped) or "reordered" (the hoisted
-	// witness suffix, as region Globals).
-	PredictWitness = predict.Witness
 	// Predicted bundles one execution's prediction stage as attached to
 	// Result.Predicted when Options.Predict is set: the raw report, the
 	// predicted-new races, and their replay classification.
 	Predicted = core.Predicted
-	// SuitePredict aggregates the prediction stage across a batch run.
-	SuitePredict = workloads.SuitePredict
 )
 
 // Timeline event kinds.
@@ -156,36 +114,24 @@ const (
 	EvEnd     = obs.EvEnd
 )
 
-// Verdicts and Table-1 groups.
+// Verdicts.
 const (
 	PotentiallyBenign  = classify.PotentiallyBenign
 	PotentiallyHarmful = classify.PotentiallyHarmful
-
-	GroupNoStateChange = classify.GroupNoStateChange
-	GroupStateChange   = classify.GroupStateChange
-	GroupReplayFailure = classify.GroupReplayFailure
 )
 
 // Assemble parses RVM assembly into a validated program.
 func Assemble(name, src string) (*Program, error) { return asm.Assemble(name, src) }
-
-// MustAssemble is Assemble that panics on error (for known-good sources).
-func MustAssemble(name, src string) *Program { return asm.MustAssemble(name, src) }
 
 // NewMetrics returns an empty observability registry to pass to the
 // pipeline stages (a trailing reg argument, Options.Metrics, or
 // SuiteOptions.Registry).
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// NewMemo returns an empty dual-order replay cache for Options.Memo.
-// Classification memoizes by default; an explicit shared Memo extends
-// the sharing across executions.
-func NewMemo() *Memo { return classify.NewMemo() }
-
 // Record runs prog under cfg and returns the replay log. The zero
 // OnlineConfig is a plain recording. oc.KeyFrameInterval drops a key
 // frame into each thread's log every that many instructions, enabling
-// fast mid-log per-thread state queries (ThreadStateAt). oc.Detect
+// fast mid-log per-thread state queries (racer debug). oc.Detect
 // attaches the online region-overlap detector, and the returned report
 // gives its raced/race-free verdict and what it saw; without it the
 // report is nil. The log is the same either way, key frames included,
@@ -195,13 +141,6 @@ func NewMemo() *Memo { return classify.NewMemo() }
 func Record(prog *Program, cfg Config, oc OnlineConfig, reg *Metrics) (*Log, *OnlineReport, error) {
 	log, _, rep, err := record.RunOnlineInstrumented(prog, cfg, oc, reg)
 	return log, rep, err
-}
-
-// ThreadStateAt answers a per-thread state query (registers + memory
-// view after idx instructions) from a log, resuming from the nearest key
-// frame when the log has them.
-func ThreadStateAt(log *Log, tid int, idx uint64) (*replay.ThreadState, error) {
-	return replay.ThreadStateAt(log, tid, idx)
 }
 
 // Replay re-executes a recorded log deterministically, reconstructing
@@ -246,12 +185,6 @@ func TriageLockset(exec *Execution, rep *lockset.Report, opts Options) []classif
 	return classify.TriageLockset(exec, rep, opts)
 }
 
-// Classify analyzes every race instance by dual-order replay and
-// aggregates the per-race verdicts.
-func Classify(exec *Execution, races *RaceSet, opts Options) *Classification {
-	return classify.Run(exec, races, opts)
-}
-
 // MergeClassifications folds per-execution classifications into
 // cross-execution verdicts (the same race accumulates instances).
 func MergeClassifications(parts ...*Classification) *Classification {
@@ -264,27 +197,6 @@ func MergeClassifications(parts ...*Classification) *Classification {
 // unanalyzable constructs degrade into the report's skip counters. A
 // non-nil reg receives the static.* counters under a "static" span.
 func AnalyzeStatic(prog *Program, reg *Metrics) *StaticReport { return static.Analyze(prog, reg) }
-
-// CrossValidateStatic joins a static report against the dynamic evidence
-// of one or more analyzed executions of the same program: candidates come
-// back matched (a dynamic race confirmed them), refuted (both sites ran,
-// no race), or unmatched (a site never executed), and dynamic races with
-// no candidate are listed as static false negatives. A non-nil reg
-// receives the static.matched/refuted/unmatched/missed counters.
-func CrossValidateStatic(rep *StaticReport, reg *Metrics, results ...*Result) *StaticCross {
-	return static.CrossValidate(rep, core.CollectEvidence(results), reg)
-}
-
-// PredictRaces runs the prediction pass over a replayed execution:
-// lockset + weak-HB screening, access-block grouping, and the windowed
-// ordering solver. The result is a deterministic function of the
-// execution; use Report.NewReport to subtract an observed race set and
-// Classify to judge the remainder. The usual entry point is
-// Options.Predict on AnalyzeLog and friends, which does all of that
-// and attaches the bundle to Result.Predicted.
-func PredictRaces(exec *Execution, opts PredictOptions) *PredictReport {
-	return predict.Run(exec, opts)
-}
 
 // PredictedReport renders one execution's prediction stage — solver
 // statistics and every predicted-new race with verdict and witness.
@@ -300,20 +212,6 @@ func Analyze(prog *Program, cfg Config, opts Options) (*Result, error) {
 // AnalyzeLog runs the offline pipeline over an existing log, publishing
 // stage metrics into opts.Metrics (nil is off).
 func AnalyzeLog(log *Log, opts Options) (*Result, error) { return core.AnalyzeLog(log, opts) }
-
-// AnalyzeLogs runs the offline pipeline over a batch of logs, fanning
-// the work across jobs workers (jobs < 1 means GOMAXPROCS). optsFor
-// supplies the i-th log's options; results come back in input order and
-// are identical to calling AnalyzeLog on each log serially. The batch
-// never aborts: a log that fails (or panics) leaves a nil result slot
-// and a Quarantined entry describing the failure. A non-nil reg receives
-// stage metrics: every log's span tree is folded into reg in input
-// order, so the merged ladder — like the results — is byte-identical at
-// every worker count. The batch also publishes its sched.* metrics, and
-// every quarantined item increments robust.quarantined.
-func AnalyzeLogs(logs []*Log, optsFor func(i int) Options, jobs int, reg *Metrics) ([]*Result, []Quarantined) {
-	return core.AnalyzeLogsInstrumented(logs, optsFor, jobs, reg)
-}
 
 // AnalyzeSource assembles src and analyzes one execution with the given
 // scheduler seed — the one-call entry point the examples use.
@@ -349,11 +247,6 @@ func DecodeLogOpts(data []byte, o DecodeOptions) (*Log, []ThreadFault, error) {
 	return core.DecodeLogOpts(data, o)
 }
 
-// ValidateLog checks a decoded log's structural invariants (thread IDs,
-// region endpoints, record indices). A non-nil error is a
-// *trace.ValidateError naming the failed check.
-func ValidateLog(log *Log) error { return trace.Validate(log) }
-
 // LogStats measures a log's serialized footprint (§5.1 metrics): the
 // size of the container WriteLog emits, raw and deflated.
 func LogStats(log *Log) SizeStats { return trace.Stats(log) }
@@ -368,10 +261,6 @@ func NewDB() *DB { return classify.NewDB() }
 // the reproducible two-order replay coordinates.
 func RaceReport(r *RaceResult) string { return report.RaceReport(r, report.SuiteTruth) }
 
-// Suite exposes the built-in 18-execution workload suite that stands in
-// for the paper's Windows Vista / Internet Explorer recordings.
-func Suite() []Scenario { return workloads.Scenarios() }
-
 // RunSuite analyzes the whole built-in suite and merges the verdicts:
 // opts.Seeds scheduler seeds per scenario (the paper's coverage lever,
 // §1), opts.Jobs analysis workers with output identical to the serial
@@ -382,14 +271,6 @@ func RunSuite(opts SuiteOptions) (*SuiteRun, error) { return workloads.RunSuite(
 // AuditSection renders the verdict-provenance trail for human review
 // (nil file renders nothing).
 func AuditSection(f *AuditFile) string { return report.AuditSection(f) }
-
-// NewAuditFile returns an empty verdict-provenance envelope.
-func NewAuditFile() *AuditFile { return audit.NewFile() }
-
-// LogDigest is the hex SHA-256 of a log's v2 container — the content
-// identity audit records attach replay verdicts to, equal to the
-// sha256sum of the file WriteLog writes.
-func LogDigest(log *Log) string { return core.LogDigest(log) }
 
 // ReadAuditFile loads and validates a racereplay-audit/v1 file.
 func ReadAuditFile(path string) (*AuditFile, error) { return audit.ReadFile(path) }

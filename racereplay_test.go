@@ -5,6 +5,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/classify"
+	"repro/internal/hb"
+	"repro/internal/workloads"
 )
 
 const demoSrc = `
@@ -47,7 +51,7 @@ func TestPublicPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	races := DetectRaces(exec, nil)
-	cls := Classify(exec, races, Options{Scenario: "demo", Seed: 6})
+	cls := classify.Run(exec, races, Options{Scenario: "demo", Seed: 6})
 	if len(cls.Races) != len(races.Races) {
 		t.Errorf("classified %d of %d races", len(cls.Races), len(races.Races))
 	}
@@ -106,11 +110,12 @@ func TestPublicLogRoundTrip(t *testing.T) {
 }
 
 func TestPublicSuiteAccessors(t *testing.T) {
-	if len(Suite()) != 18 {
-		t.Errorf("suite scenarios = %d, want 18", len(Suite()))
+	suite := workloads.Scenarios()
+	if len(suite) != 18 {
+		t.Errorf("suite scenarios = %d, want 18", len(suite))
 	}
 	names := map[string]bool{}
-	for _, s := range Suite() {
+	for _, s := range suite {
 		if names[s.Name] {
 			t.Errorf("duplicate scenario %s", s.Name)
 		}
@@ -121,7 +126,7 @@ func TestPublicSuiteAccessors(t *testing.T) {
 func TestPublicDBWorkflow(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.json")
 	db := NewDB()
-	var sites SitePair
+	var sites hb.SitePair
 	res, err := AnalyzeSource("demo", demoSrc, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -168,13 +173,4 @@ func TestPublicVCAndLocksetDetectors(t *testing.T) {
 	if len(interval.Races) > 0 && len(ls.Warnings) == 0 {
 		t.Error("lockset baseline missed an unlocked racy variable")
 	}
-}
-
-func TestMustAssemblePanicsOnBadSource(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAssemble should panic")
-		}
-	}()
-	MustAssemble("bad", "main:\n  frob\n")
 }
