@@ -440,11 +440,12 @@ func mbPerS(bytes int, nsPerOp float64) float64 {
 }
 
 // BenchmarkMemoizedClassification measures the dual-order replay stage
-// with the live-in fingerprint cache on and off. Each iteration classifies
-// with a fresh per-Run cache (the Options zero value), so memo=on
-// measures the steady within-execution hit pattern, not an ever-warmer
-// cross-iteration cache. The hitrate metric reports the cache's hit
-// fraction for the same workload.
+// with the live-in fingerprint cache on and off. With memo=on each
+// iteration classifies with a fresh memo, so it measures the steady
+// within-execution hit pattern, not an ever-warmer cross-iteration
+// cache; memo=off is the zero Options, which replays every instance.
+// The hitrate metric reports the cache's hit fraction for the same
+// workload.
 func BenchmarkMemoizedClassification(b *testing.B) {
 	log := getBrowseLog(b)
 	exec, err := Replay(log, nil)
@@ -453,16 +454,24 @@ func BenchmarkMemoizedClassification(b *testing.B) {
 	}
 	races := DetectRaces(exec, nil)
 	for _, memo := range []struct {
-		name   string
-		noMemo bool
-	}{{"memo=on", false}, {"memo=off", true}} {
+		name string
+		on   bool
+	}{{"memo=on", true}, {"memo=off", false}} {
+		opts := func() Options {
+			if memo.on {
+				return Options{Memo: classify.NewMemo()}
+			}
+			return Options{}
+		}
 		b.Run(memo.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				classify.Run(exec, races, Options{NoMemo: memo.noMemo})
+				classify.Run(exec, races, opts())
 			}
 			b.StopTimer()
 			reg := NewMetrics()
-			classify.Run(exec, races, Options{NoMemo: memo.noMemo, Metrics: reg})
+			o := opts()
+			o.Metrics = reg
+			classify.Run(exec, races, o)
 			snap := reg.Snapshot()
 			h, m := snap.Counters["classify.memo.hits"], snap.Counters["classify.memo.misses"]
 			if h+m > 0 {

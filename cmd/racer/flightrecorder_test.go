@@ -47,12 +47,15 @@ func readTrace(t *testing.T, path string) (threads []string, slices, instants ma
 
 // TestCmdSuiteTraceOut is the flight-recorder acceptance check: one
 // parallel suite run must export a valid Chrome trace with per-worker
-// lanes covering every pipeline stage plus the memo instants.
+// lanes covering every pipeline stage plus the memo instants. The run is
+// audited, since only an audited batch consults the replay memo.
 func TestCmdSuiteTraceOut(t *testing.T) {
 	resetExit(t)
-	dest := filepath.Join(t.TempDir(), "trace.json")
+	dir := t.TempDir()
+	dest := filepath.Join(dir, "trace.json")
 	capture(t, func() error {
-		return cmdSuite([]string{"-seeds", "2", "-jobs", "4", "-trace-out", dest})
+		return cmdSuite([]string{"-seeds", "2", "-jobs", "4", "-trace-out", dest,
+			"-audit-out", filepath.Join(dir, "audit.json")})
 	})
 	threads, slices, instants := readTrace(t, dest)
 

@@ -4,7 +4,9 @@
 // the individual events — which worker replayed which scenario, where
 // the memoized classifier hit its cache, when an input was quarantined
 // — in per-worker ring buffers with bounded memory, merged at snapshot
-// time into one deterministic sequence. The export is Chrome
+// time into one deterministic sequence. The suite runs audited: the
+// audit fingerprints every instance, so only an audited batch consults
+// the replay memo and marks its hits and misses. The export is Chrome
 // trace_event JSON: drop racer-trace.json onto https://ui.perfetto.dev
 // (or chrome://tracing) and every analysis worker is a swim lane with
 // its pipeline stages as slices and the memo/quarantine events as
@@ -28,7 +30,7 @@ func main() {
 	reg.EnableTimeline(0)
 
 	run, err := racereplay.RunSuite(racereplay.SuiteOptions{
-		Seeds: 2, Jobs: 4, Registry: reg,
+		Seeds: 2, Jobs: 4, Registry: reg, Audit: true,
 	})
 	if err != nil {
 		log.Fatal(err)

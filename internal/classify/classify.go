@@ -187,17 +187,19 @@ type Options struct {
 	// outcome, races by verdict, replay-failure causes) and the vproc.*
 	// counters, which Run publishes from each instance's result.
 	Metrics *obs.Registry
-	// NoMemo disables the dual-order replay cache. Memoization is on by
-	// default (the zero Options memoizes within the Run): equal live-in
-	// fingerprints are guaranteed equal results, so the cache never
-	// changes the classification — NoMemo exists for measurement and for
-	// the memo-on vs memo-off equivalence tests.
+	// NoMemo is read by nothing: Run consults only Memo, and
+	// core.AnalyzeLogsInstrumented wires its batch memo into audited
+	// items only. It goes when cmd/racebench, which sets it for its
+	// un-audited batches, drops its noMemo argument.
 	NoMemo bool
-	// Memo, when set, is the replay cache to use (and share): callers
-	// analyzing several executions of the same program pass one Memo so
-	// recurring instances hit across executions
-	// (core.AnalyzeLogsInstrumented wires one per batch). Nil means Run builds a private per-Run cache,
-	// unless NoMemo is set.
+	// Memo, when set, is the replay cache to use (and share): Run
+	// fingerprints every instance and replays each fingerprint once.
+	// Nil, the zero Options, replays every instance, as the paper does:
+	// a fingerprint costs about as much as the dual-order replay a hit
+	// saves, so a memo is wired in only where the fingerprints are
+	// computed anyway (an audited batch, where
+	// core.AnalyzeLogsInstrumented wires one) or where its entries
+	// outlive the process (racer serve's memostore backing).
 	Memo *Memo
 	// Predict enables the prediction stage after classification: a
 	// lockset + weak-HB + window-feasibility pass over the replayed
@@ -238,12 +240,9 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 		vopts.Oracle = exec.Memory()
 	}
 
-	// The replay cache: on by default, shared when the caller passed one.
-	// With NoMemo it stays nil, and a nil Memo's Do just replays.
+	// The replay cache is the caller's, if any; a nil Memo's Do just
+	// replays.
 	memo := opts.Memo
-	if memo == nil && !opts.NoMemo {
-		memo = NewMemo()
-	}
 	// The audit trail needs fingerprints even with the memo off, so the
 	// fingerprinter exists whenever either consumer does.
 	var fper *vproc.Fingerprinter
@@ -266,8 +265,11 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 			}
 		}
 	}
-	cHits := opts.Metrics.Counter("classify.memo.hits")
-	cMisses := opts.Metrics.Counter("classify.memo.misses")
+	var cHits, cMisses *obs.Counter
+	if memo != nil {
+		cHits = opts.Metrics.Counter("classify.memo.hits")
+		cMisses = opts.Metrics.Counter("classify.memo.misses")
+	}
 	var sc vproc.Scratch
 	// dualReplay classifies one instance of race ri, returning its result
 	// and live-in fingerprint (zero without a fingerprinter).

@@ -15,14 +15,15 @@ import (
 // Each fingerprint is replayed at most once (Do): the first caller
 // replays it, and callers that arrive meanwhile wait for that result
 // instead of replaying too. One Memo can be shared across executions
-// analyzed concurrently (core.AnalyzeLogsInstrumented wires one per
-// batch) — fingerprints are content hashes, so instances from different
-// executions of the same program collide exactly when their replay
-// inputs are identical — and the hit/miss split is then a function of
-// the batch alone: one miss per distinct fingerprint, at any worker
-// count. Entries are never invalidated: a fingerprint covers everything
-// the replay can observe, so a cached result cannot go stale
-// (docs/PERFORMANCE.md spells out the invariant).
+// analyzed concurrently (core.AnalyzeLogsInstrumented shares one across
+// the audited items of a batch) — fingerprints are content hashes, so
+// instances from different executions of the same program collide
+// exactly when their replay inputs are identical — and the hit/miss
+// split is then a function of the batch alone: one miss per distinct
+// fingerprint, at any worker count. Entries are never invalidated: a
+// fingerprint covers everything the replay can observe, so a cached
+// result cannot go stale (docs/PERFORMANCE.md spells out the
+// invariant).
 //
 // A Memo can additionally be backed by a second-level persistent cache
 // (NewMemoBacked): the first caller for a fingerprint missing from

@@ -208,6 +208,13 @@ func Quarantine(reg *obs.Registry, index int, label string, err error) Quarantin
 // entry (ascending by index) describing the failure. len(results) is
 // always len(logs).
 //
+// Items whose options carry an Audit share one replay cache
+// (classify.Memo): the audit fingerprints every instance anyway, so the
+// memo adds only its map work, and its classify.memo.* counters equal
+// the audit's derived cache hits. Every other item replays each of its
+// instances, as the paper does, unless its options bring their own Memo:
+// a fingerprint costs about as much as the dual-order replay a hit saves.
+//
 // A non-nil reg receives stage metrics. Every log, at every worker
 // count, publishes through its own fork of reg (sched.ForEachFork);
 // forks are adopted in input order after the batch drains, so the
@@ -218,11 +225,9 @@ func Quarantine(reg *obs.Registry, index int, label string, err error) Quarantin
 func AnalyzeLogsInstrumented(logs []*trace.Log, optsFor func(i int) classify.Options, jobs int, reg *obs.Registry) ([]*Result, []Quarantined) {
 	results := make([]*Result, len(logs))
 	errs := make([]error, len(logs))
-	// One replay cache for the whole batch: fingerprints are content
-	// hashes, so instances recurring across executions of the same
-	// program (the suite records every scenario under several seeds) hit
-	// the shared cache. Callers that set their own Memo — or NoMemo —
-	// keep their setting.
+	// The audited items' replay cache: fingerprints are content hashes,
+	// so instances recurring across executions of the same program (the
+	// suite records every scenario under several seeds) hit it.
 	memo := classify.NewMemo()
 	jobs = sched.Normalize(jobs, sched.DefaultJobs())
 	sched.ForEachFork(reg, jobs, len(logs), func(i int, reg *obs.Registry) {
@@ -233,7 +238,7 @@ func AnalyzeLogsInstrumented(logs []*trace.Log, optsFor func(i int) classify.Opt
 			if o.Scenario != "" {
 				reg.LabelLane(o.Scenario)
 			}
-			if o.Memo == nil && !o.NoMemo {
+			if o.Audit != nil && o.Memo == nil {
 				o.Memo = memo
 			}
 			if reg != nil {

@@ -7,10 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/audit"
 	"repro/internal/classify"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -305,5 +305,77 @@ func TestDecodeLogBothFormats(t *testing.T) {
 	}
 	if _, _, err := DecodeLogOpts([]byte("not a log at all"), DecodeOptions{}); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestBatchMemoServesAuditedItemsOnly: an un-audited batch replays every
+// instance and publishes no classify.memo.* metric; the same batch with
+// audits shares one memo, whose hits and misses equal the audit's derived
+// cache hits; and both runs classify every execution alike.
+func TestBatchMemoServesAuditedItemsOnly(t *testing.T) {
+	prog, err := asm.Assemble("core", racySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two executions of one program; the second is recorded under the
+	// first's seed, so every one of its instances recurs.
+	var logs []*trace.Log
+	for _, seed := range []int64{3, 3} {
+		log, _, err := record.Run(prog, machine.Config{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		logs = append(logs, log)
+	}
+	run := func(audited bool) ([]*Result, *audit.File, obs.Snapshot) {
+		reg := obs.NewRegistry()
+		var file *audit.File
+		if audited {
+			file = audit.NewFile()
+			file.Executions = make([]audit.Execution, len(logs))
+		}
+		results, quarantined := AnalyzeLogsInstrumented(logs, func(i int) classify.Options {
+			o := classify.Options{Scenario: fmt.Sprintf("core#%d", i), Seed: logs[i].Seed}
+			if file != nil {
+				o.Audit = &file.Executions[i]
+			}
+			return o
+		}, 2, reg)
+		if len(quarantined) != 0 {
+			t.Fatalf("audited=%v: healthy batch quarantined %v", audited, quarantined)
+		}
+		if file != nil {
+			file.DeriveCacheHits()
+		}
+		return results, file, reg.Snapshot()
+	}
+
+	plain, _, snap := run(false)
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "classify.memo.") {
+			t.Errorf("un-audited batch publishes counter %s", name)
+		}
+	}
+	for name := range snap.Gauges {
+		if strings.HasPrefix(name, "classify.memo.") {
+			t.Errorf("un-audited batch publishes gauge %s", name)
+		}
+	}
+
+	audited, file, snap := run(true)
+	hits, misses := file.CacheHits()
+	if hits == 0 {
+		t.Error("audited batch of two equal executions derives no cache hits")
+	}
+	if got := snap.Counters["classify.memo.hits"]; got != uint64(hits) {
+		t.Errorf("classify.memo.hits = %d, audit derives %d", got, hits)
+	}
+	if got := snap.Counters["classify.memo.misses"]; got != uint64(misses) {
+		t.Errorf("classify.memo.misses = %d, audit derives %d", got, misses)
+	}
+	for i := range plain {
+		if !reflect.DeepEqual(plain[i].Classification, audited[i].Classification) {
+			t.Errorf("log %d: classification differs between the un-audited and audited batch", i)
+		}
 	}
 }

@@ -356,37 +356,35 @@ func (sv *solver) feasible(a, b *replay.Region, addr uint64) (Witness, bool) {
 // precompute walks the schedule once and fills the per-region lock facts
 // the prefilter and solver consult: the held-lock set during the region
 // and the global lock table at region start. Lock sets and tables change
-// only at lock and unlock regions, so the regions between share them.
+// only at lock and unlock regions, so the regions between share them. A
+// lock or unlock region updates its thread's set and the table
+// copy-on-write, after taking the table its own start sees: a shared
+// table is never appended to in place (its capacity is clipped first).
+// The table's one reader, the solver's lockset check, does not depend on
+// its order.
 func precompute(exec *replay.Execution) []regionInfo {
 	infos := make([]regionInfo, len(exec.Regions))
 	heldBy := map[int][]uint64{} // tid -> sorted held locks
 	var table []lockOwner
-	stale := true
 	for _, reg := range exec.Regions {
-		// Snapshot the global lock table before applying this region's
-		// opening synchronization.
-		if stale {
-			table = nil
-			for tid, locks := range heldBy {
-				for _, l := range locks {
-					table = append(table, lockOwner{addr: l, tid: tid})
-				}
-			}
-			stale = false
-		}
-
-		switch reg.StartKind {
-		case trace.SeqLock:
-			heldBy[reg.TID] = insertSorted(heldBy[reg.TID], reg.SyncAddr)
-			stale = true
-		case trace.SeqUnlock:
-			heldBy[reg.TID] = removeSorted(heldBy[reg.TID], reg.SyncAddr)
-			stale = true
-		}
-
 		info := &infos[reg.Global]
 		info.heldAt = table
-		info.held = heldBy[reg.TID]
+		held := heldBy[reg.TID]
+		own := lockOwner{addr: reg.SyncAddr, tid: reg.TID}
+		switch reg.StartKind {
+		case trace.SeqLock:
+			if next := insertSorted(held, own.addr); len(next) > len(held) {
+				heldBy[reg.TID], held = next, next
+				table = append(slices.Clip(table), own)
+			}
+		case trace.SeqUnlock:
+			if next := removeSorted(held, own.addr); len(next) < len(held) {
+				heldBy[reg.TID], held = next, next
+				i := slices.Index(table, own)
+				table = append(table[:i:i], table[i+1:]...)
+			}
+		}
+		info.held = held
 	}
 	return infos
 }

@@ -44,9 +44,10 @@ func spanShape(spans []obs.SpanSnapshot) []string {
 
 // TestSuiteParallelMatchesSerial is the determinism contract: the suite
 // analyzed on one worker and on eight produces identical scenario
-// results, identical merged classification, identical counters (the
-// memo's hit/miss split included: each fingerprint replays once), the
-// same metric names and the same merged span ladder.
+// results, identical merged classification, identical counters, the
+// same metric names and the same merged span ladder. The run is not
+// audited, so no memo is consulted; TestSuiteAuditByteIdenticalAcrossJobs
+// checks the memo's hit/miss split across worker counts.
 func TestSuiteParallelMatchesSerial(t *testing.T) {
 	regSerial := obs.NewRegistry()
 	serial, err := RunSuite(SuiteOptions{Seeds: 2, Jobs: 1, Registry: regSerial})

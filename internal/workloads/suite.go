@@ -89,15 +89,13 @@ type SuiteOptions struct {
 	// is lint-analyzed ahead of execution and its candidates joined
 	// against the dynamic races and verdicts (SuiteRun.Static).
 	Static bool
-	// NoMemo disables the dual-order replay cache for the offline half.
-	// The default (memoization on, one cache shared across the batch)
-	// produces byte-identical suite output; NoMemo exists for
-	// measurement and the equivalence tests.
-	NoMemo bool
 	// Audit assembles the verdict-provenance trail into SuiteRun.Audit:
 	// per execution, the input log's content hash and per-race replay
 	// evidence (live-in fingerprints, both orders' outcomes, canonical
-	// cache attribution).
+	// cache attribution). An audited batch also shares one dual-order
+	// replay cache across its executions, whose fingerprints the audit
+	// computes anyway; an un-audited one replays every instance. Output
+	// is byte-identical either way.
 	Audit bool
 	// Predict adds the prediction stage to every analyzed execution:
 	// feasible reorderings of the recorded schedule that would race are
@@ -245,7 +243,6 @@ func AnalyzeBatch(items []Item, opts SuiteOptions) *SuiteRun {
 			Scenario: it.Label,
 			Seed:     it.Seed,
 			DB:       opts.DB,
-			NoMemo:   opts.NoMemo,
 			Predict:  opts.Predict,
 		}
 		if opts.Audit {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -81,20 +82,23 @@ func diffMaps[V comparable](t *testing.T, kind string, on, off map[string]V) {
 	}
 }
 
-// TestSuiteMemoEquivalence is the tentpole's equivalence guarantee over
-// the full suite: with the replay cache on (the default) and off, the
-// rendered suite output is byte-identical and every metric except
-// classify.memo.* (and timing) matches, at one worker and at eight.
+// TestSuiteMemoEquivalence is the memo's equivalence guarantee over the
+// full suite: with the replay cache on and off, the rendered suite
+// output is byte-identical and every metric except classify.memo.* (and
+// timing) matches, at one worker and at eight. Only an audited batch
+// consults the memo, so the memo-on side is audited and the memo-off
+// side is the same suite without an audit; the memo-on side's counters
+// must also equal its audit's derived cache hits.
 func TestSuiteMemoEquivalence(t *testing.T) {
 	for _, jobs := range []int{1, 8} {
 		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
 			regOn := NewMetrics()
-			on, err := RunSuite(SuiteOptions{Seeds: 2, Jobs: jobs, Registry: regOn})
+			on, err := RunSuite(SuiteOptions{Seeds: 2, Jobs: jobs, Registry: regOn, Audit: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			regOff := NewMetrics()
-			off, err := RunSuite(SuiteOptions{Seeds: 2, Jobs: jobs, Registry: regOff, NoMemo: true})
+			off, err := RunSuite(SuiteOptions{Seeds: 2, Jobs: jobs, Registry: regOff})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,6 +122,13 @@ func TestSuiteMemoEquivalence(t *testing.T) {
 			}
 			if snapOff.Counters["classify.memo.hits"]+snapOff.Counters["classify.memo.misses"] != 0 {
 				t.Error("memo-off run touched the cache")
+			}
+			hits, misses := on.Audit.CacheHits()
+			if got := snapOn.Counters["classify.memo.hits"]; got != uint64(hits) {
+				t.Errorf("classify.memo.hits = %d, audit derives %d", got, hits)
+			}
+			if got := snapOn.Counters["classify.memo.misses"]; got != uint64(misses) {
+				t.Errorf("classify.memo.misses = %d, audit derives %d", got, misses)
 			}
 		})
 	}
@@ -168,12 +179,22 @@ func TestChaosCorpusMemoEquivalence(t *testing.T) {
 	type outcome struct {
 		cls        []*Classification
 		quarantine []string
+		hits       uint64
 	}
+	// The memo-on side passes one explicit memo, shared by the batch: an
+	// un-audited batch wires none of its own.
 	run := func(noMemo bool, jobs int) outcome {
+		var memo *classify.Memo
+		if !noMemo {
+			memo = classify.NewMemo()
+		}
 		results, quarantined := core.AnalyzeLogsInstrumented(logs, func(i int) Options {
-			return Options{Scenario: labels[i], NoMemo: noMemo}
+			return Options{Scenario: labels[i], Memo: memo}
 		}, jobs, nil)
 		out := outcome{cls: make([]*Classification, len(results))}
+		if memo != nil {
+			out.hits = memo.Hits()
+		}
 		for i, res := range results {
 			if res != nil {
 				out.cls[i] = res.Classification
@@ -186,6 +207,9 @@ func TestChaosCorpusMemoEquivalence(t *testing.T) {
 	}
 
 	ref := run(false, 1)
+	if ref.hits == 0 {
+		t.Error("memo-on run recorded no cache hits — equivalence test is vacuous")
+	}
 	for _, jobs := range []int{1, 8} {
 		for _, noMemo := range []bool{false, true} {
 			if jobs == 1 && !noMemo {
