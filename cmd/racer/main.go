@@ -188,9 +188,9 @@ commands (flags come before the file argument):
   serve [-addr A] [-data DIR] [-jobs N] [-queue N] [-deadline D]
                                         long-running analysis daemon: upload
                                         .rlog files over HTTP, get verdict
-                                        reports back; crash-safe journal +
-                                        persistent replay memo in -data
-                                        (see docs/SERVICE.md)
+                                        reports back; crash-safe job
+                                        journal in -data (see
+                                        docs/SERVICE.md)
   mark-benign -db FILE -race "A <-> B"  record a developer benign verdict
   debug <LOG>                           time-travel debugger over a replay log
   disasm <prog.rasm>                    disassemble an assembled program

@@ -25,20 +25,19 @@ var serveReady func(addr string)
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: intake stops (new
 // uploads answer 503), in-flight jobs drain under -drain, the queued
-// backlog stays journaled for the next start, the persistent memo store
-// and journal flush, and the final span tree is printed. Exit
-// status is 0 — an operator stopping the service loses no state.
+// backlog stays journaled for the next start, the journal closes, and
+// the final span tree is printed. Exit status is 0 — an operator
+// stopping the service loses no state.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8844", "listen address for the analysis API")
-	dataDir := fs.String("data", "racer-data", "persistent state directory (journal, payloads, memo store)")
+	dataDir := fs.String("data", "racer-data", "persistent state directory (journal and payloads)")
 	jobs := fs.Int("jobs", 0, "analysis workers (0 = GOMAXPROCS); verdicts are identical at any count")
 	queueCap := fs.Int("queue", 64, "global ingest queue capacity; a full queue answers 429")
 	tenantCap := fs.Int("tenant-queue", 0, "per-tenant queue capacity (0 = queue/4)")
 	deadline := fs.Duration("deadline", 2*time.Minute, "per-job analysis deadline; exceeding it quarantines the job")
 	drain := fs.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight jobs")
 	maxUpload := fs.Int64("max-upload", 64<<20, "largest accepted upload in bytes")
-	memoMax := fs.Int64("memo-max", 0, "persistent memo store size cap in bytes (0 = default, negative = unbounded)")
 	dbPath := fs.String("db", "", "race database for suppression")
 	predict := fs.Bool("predict", false, "add the prediction stage to every job: feasible reorderings classified by replay")
 	fs.Parse(args)
@@ -54,7 +53,6 @@ func cmdServe(args []string) error {
 		TenantCap:      *tenantCap,
 		JobDeadline:    *deadline,
 		MaxUploadBytes: *maxUpload,
-		MemoMaxBytes:   *memoMax,
 		DB:             db,
 		Predict:        *predict,
 		Registry:       reg,

@@ -197,9 +197,8 @@ type Options struct {
 	// Nil, the zero Options, replays every instance, as the paper does:
 	// a fingerprint costs about as much as the dual-order replay a hit
 	// saves, so a memo is wired in only where the fingerprints are
-	// computed anyway (an audited batch, where
-	// core.AnalyzeLogsInstrumented wires one) or where its entries
-	// outlive the process (racer serve's memostore backing).
+	// computed anyway: an audited batch, where
+	// core.AnalyzeLogsInstrumented wires one.
 	Memo *Memo
 	// Predict enables the prediction stage after classification: a
 	// lockset + weak-HB + window-feasibility pass over the replayed

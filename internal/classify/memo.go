@@ -23,13 +23,8 @@ import (
 // fingerprint, at any worker count. Entries are never invalidated: a
 // fingerprint covers everything the replay can observe, so a cached
 // result cannot go stale (docs/PERFORMANCE.md spells out the
-// invariant).
-//
-// A Memo can additionally be backed by a second-level persistent cache
-// (NewMemoBacked): the first caller for a fingerprint missing from
-// memory asks the backing before replaying, and replayed results are
-// written through, so replay verdicts survive process restarts.
-// memostore.Store is the shipped backing.
+// invariant). Nothing persists a Memo: its results die with the
+// process.
 //
 // The zero value is not usable; use NewMemo. A nil *Memo caches
 // nothing: its Do just replays.
@@ -41,25 +36,12 @@ type Memo struct {
 	// results holds every stored result, and a pendingOutcome entry for
 	// each fingerprint whose first caller is still replaying it.
 	results map[vproc.Fingerprint]vproc.Result
-	backing Backing
 
 	hits, misses, bytes uint64
 }
 
 // pendingOutcome marks a results entry whose replay is in flight.
 const pendingOutcome vproc.Outcome = -1
-
-// Backing is a second-level result cache behind the in-memory Memo —
-// typically persistent (memostore.Store implements it). Implementations
-// must be safe for concurrent use and must honor the memo invariant:
-// a Get hit for a fingerprint returns a result equal to what was Put
-// under it (equal fingerprints imply equal results, so any faithful
-// store qualifies). A backing that loses or rejects entries is fine —
-// that is a miss, and the replay recomputes.
-type Backing interface {
-	Get(vproc.Fingerprint) (vproc.Result, bool)
-	Put(vproc.Fingerprint, vproc.Result)
-}
 
 // Approximate per-entry retained sizes for the bytes gauge, in bytes:
 // the fingerprint key plus the Result header (Outcome + string header +
@@ -78,25 +60,13 @@ func NewMemo() *Memo {
 	return m
 }
 
-// NewMemoBacked returns an empty in-memory cache layered over b: a
-// fingerprint missing from memory is looked up with b.Get before it is
-// replayed (a backing hit is promoted into memory and counted as a memo
-// hit), and replayed results are written through with b.Put. A nil b is
-// exactly NewMemo.
-func NewMemoBacked(b Backing) *Memo {
-	m := NewMemo()
-	m.backing = b
-	return m
-}
-
 // Do returns the result for fp and whether the cache served it. The
-// first caller for a fingerprint missing from memory asks the backing,
-// if any, and otherwise calls replay (a miss); every other caller is a
-// hit, and one that arrives while the first is still working waits for
-// its result. If replay panics, the pending entry is cleared and the
-// waiters woken, so one of them replays in turn; the panicking call
-// counts neither a hit nor a miss. On a nil *Memo, Do just calls
-// replay.
+// first caller for a fingerprint calls replay (a miss); every other
+// caller is a hit, and one that arrives while the first is still
+// replaying waits for its result. If replay panics, the pending entry
+// is cleared and the waiters woken, so one of them replays in turn; the
+// panicking call counts neither a hit nor a miss. On a nil *Memo, Do
+// just calls replay.
 func (m *Memo) Do(fp vproc.Fingerprint, replay func() vproc.Result) (res vproc.Result, hit bool) {
 	if m == nil {
 		return replay(), false
@@ -124,32 +94,15 @@ func (m *Memo) Do(fp vproc.Fingerprint, replay func() vproc.Result) (res vproc.R
 			m.done.Broadcast()
 		}
 	}()
-	if m.backing != nil {
-		// A backing hit is promoted without being written back: the
-		// backing already holds the entry. The backing is read from
-		// outside the program, so an entry that reads as pending is a
-		// miss; stored, it would keep this fingerprint's callers waiting.
-		res, hit = m.backing.Get(fp)
-		hit = hit && res.Outcome != pendingOutcome
-	}
-	if !hit {
-		res = replay()
-		if m.backing != nil {
-			m.backing.Put(fp, res)
-		}
-	}
+	res = replay()
 	m.mu.Lock()
 	m.results[fp] = res
 	m.bytes += uint64(memoEntryBytes + len(res.FailReason) + memoDiffBytes*len(res.Diffs))
-	if hit {
-		m.hits++
-	} else {
-		m.misses++
-	}
+	m.misses++
 	resolved = true
 	m.mu.Unlock()
 	m.done.Broadcast()
-	return res, hit
+	return res, false
 }
 
 // Hits returns the lifetime hit count.

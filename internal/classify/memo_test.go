@@ -9,28 +9,6 @@ import (
 	"repro/internal/vproc"
 )
 
-// fakeBacking is an in-memory Backing that records its traffic.
-type fakeBacking struct {
-	m    map[vproc.Fingerprint]vproc.Result
-	gets int
-	puts int
-}
-
-func newFakeBacking() *fakeBacking {
-	return &fakeBacking{m: map[vproc.Fingerprint]vproc.Result{}}
-}
-
-func (b *fakeBacking) Get(fp vproc.Fingerprint) (vproc.Result, bool) {
-	b.gets++
-	res, ok := b.m[fp]
-	return res, ok
-}
-
-func (b *fakeBacking) Put(fp vproc.Fingerprint, res vproc.Result) {
-	b.puts++
-	b.m[fp] = res
-}
-
 func fpByte(n byte) vproc.Fingerprint {
 	var fp vproc.Fingerprint
 	fp[0] = n
@@ -43,88 +21,6 @@ func replayCounter(n *atomic.Int64, res vproc.Result) func() vproc.Result {
 	return func() vproc.Result {
 		n.Add(1)
 		return res
-	}
-}
-
-func TestMemoBackedWriteThrough(t *testing.T) {
-	back := newFakeBacking()
-	m := NewMemoBacked(back)
-	var replays atomic.Int64
-	res := vproc.Result{Outcome: vproc.NoStateChange}
-	if _, hit := m.Do(fpByte(1), replayCounter(&replays, res)); hit {
-		t.Fatal("first call for a fingerprint hit")
-	}
-	if replays.Load() != 1 || back.puts != 1 {
-		t.Fatalf("replays = %d, backing puts = %d; want 1 and 1 (write-through)", replays.Load(), back.puts)
-	}
-	if m.Hits() != 0 || m.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d; want 0 and 1", m.Hits(), m.Misses())
-	}
-	// The second call is an in-memory hit: no replay, no backing traffic.
-	if _, hit := m.Do(fpByte(1), replayCounter(&replays, res)); !hit {
-		t.Fatal("expected in-memory hit")
-	}
-	if replays.Load() != 1 || back.gets != 1 || back.puts != 1 {
-		t.Fatalf("replays=%d gets=%d puts=%d after an in-memory hit; want 1, 1, 1",
-			replays.Load(), back.gets, back.puts)
-	}
-}
-
-func TestMemoBackedFallthroughAndPromotion(t *testing.T) {
-	back := newFakeBacking()
-	want := vproc.Result{Outcome: vproc.ReplayFailure, FailReason: "original order: x", OrigFail: "x"}
-	back.m[fpByte(2)] = want
-	m := NewMemoBacked(back)
-	var replays atomic.Int64
-	got, hit := m.Do(fpByte(2), replayCounter(&replays, vproc.Result{}))
-	if !hit || got.Outcome != want.Outcome || got.FailReason != want.FailReason || got.OrigFail != want.OrigFail {
-		t.Fatalf("Do = %+v, %v; want backing entry", got, hit)
-	}
-	if replays.Load() != 0 {
-		t.Fatal("a backing hit replayed")
-	}
-	if m.Hits() != 1 || m.Misses() != 0 {
-		t.Fatalf("hits=%d misses=%d; a backing hit must count as a memo hit", m.Hits(), m.Misses())
-	}
-	// Promotion: the second call is served from memory.
-	m.Do(fpByte(2), replayCounter(&replays, vproc.Result{}))
-	if back.gets != 1 {
-		t.Fatalf("backing gets = %d, want 1 (promoted after first hit)", back.gets)
-	}
-	// Promotion must not write back.
-	if back.puts != 0 {
-		t.Fatalf("backing puts = %d, want 0 (promotion is read-only)", back.puts)
-	}
-	// A true miss at both levels replays and is a memo miss.
-	if _, hit := m.Do(fpByte(3), replayCounter(&replays, vproc.Result{})); hit {
-		t.Fatal("unexpected hit")
-	}
-	if replays.Load() != 1 || m.Misses() != 1 {
-		t.Fatalf("replays=%d misses=%d; want 1 and 1", replays.Load(), m.Misses())
-	}
-	// A backing entry that reads as pending is a miss, not a result
-	// that would keep later callers waiting.
-	back.m[fpByte(7)] = vproc.Result{Outcome: pendingOutcome}
-	if _, hit := m.Do(fpByte(7), replayCounter(&replays, vproc.Result{})); hit {
-		t.Fatal("a pending backing entry was served as a hit")
-	}
-	if got, hit := m.Do(fpByte(7), replayCounter(&replays, vproc.Result{})); !hit || got.Outcome != vproc.NoStateChange {
-		t.Fatalf("Do = %+v, %v; want the replayed result from memory", got, hit)
-	}
-}
-
-func TestMemoNilBackingIsPlainMemo(t *testing.T) {
-	m := NewMemoBacked(nil)
-	var replays atomic.Int64
-	res := vproc.Result{Outcome: vproc.NoStateChange}
-	if _, hit := m.Do(fpByte(4), replayCounter(&replays, res)); hit {
-		t.Fatal("unexpected hit")
-	}
-	if _, hit := m.Do(fpByte(4), replayCounter(&replays, res)); !hit {
-		t.Fatal("expected hit")
-	}
-	if replays.Load() != 1 {
-		t.Fatalf("replays = %d, want 1", replays.Load())
 	}
 }
 

@@ -22,12 +22,13 @@
 //     the un-verdicted jobs on restart and never re-analyzes a job that
 //     already has a verdict, so restarts emit no duplicate and lose no
 //     pending verdicts.
-//   - Economics that survive restarts: the classification memo is
-//     backed by the persistent memostore, so replay verdicts computed
-//     for one process (or tenant) are hits for every later one.
 //   - Graceful shutdown: Shutdown stops intake (503), abandons the
 //     un-started backlog to the journal, drains in-flight jobs under a
-//     deadline, and flushes the memo store and journal.
+//     deadline, and closes the journal.
+//
+// A job is analyzed like an un-audited `racer analyze-dir` item: every
+// race instance is replayed in both orders, and no replay result is
+// cached, in memory or on disk (docs/SERVICE.md says why).
 //
 // docs/SERVICE.md documents the HTTP API, the persistence layout, and
 // the failure-mode contract.
@@ -49,7 +50,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/memostore"
 	"repro/internal/obs"
 	"repro/internal/report"
 	"repro/internal/sched"
@@ -91,9 +91,9 @@ func (e *DeadlineError) Error() string {
 // Config tunes the daemon. The zero value of every field but DataDir is
 // usable; DataDir is required.
 type Config struct {
-	// DataDir roots the service's persistent state: journal.jsonl,
-	// jobs/ (accepted payloads), and memo/ (the persistent replay
-	// cache). One DataDir must be owned by one process at a time.
+	// DataDir roots the service's persistent state: journal.jsonl and
+	// jobs/ (accepted payloads). One DataDir must be owned by one
+	// process at a time.
 	DataDir string
 	// Jobs is the analysis worker count (0 = GOMAXPROCS).
 	Jobs int
@@ -109,9 +109,6 @@ type Config struct {
 	// MaxUploadBytes bounds one upload body (0 = 64 MiB). Larger
 	// uploads answer 413.
 	MaxUploadBytes int64
-	// MemoMaxBytes caps the persistent memo store
-	// (0 = memostore.DefaultMaxBytes; negative unbounded).
-	MemoMaxBytes int64
 	// DB, when set, suppresses races a developer marked benign.
 	DB *classify.DB
 	// Predict adds the prediction stage to every job's analysis:
@@ -119,7 +116,7 @@ type Config struct {
 	// the same dual-order replay and appended to the job report, and
 	// their verdicts count toward the job's benign/harmful totals.
 	Predict bool
-	// Registry receives the serve.*, memostore.*, and pipeline metrics
+	// Registry receives the serve.* and pipeline metrics
 	// (nil is off, as everywhere in obs).
 	Registry *obs.Registry
 }
@@ -200,8 +197,6 @@ func setTestHookStallAnalysis(f func(string)) {
 type Server struct {
 	cfg   Config
 	reg   *obs.Registry
-	memo  *classify.Memo
-	store *memostore.Store
 	jnl   *journal
 	queue *sched.FairQueue[*job]
 
@@ -223,8 +218,8 @@ type Server struct {
 
 // New opens (or reopens) a server over cfg.DataDir: it restores the job
 // table from the journal, re-verifies and re-queues every accepted job
-// without a verdict, sweeps payloads of finished jobs, and opens the
-// persistent memo store. It does not start workers — call Start.
+// without a verdict, and sweeps payloads of finished jobs. It does not
+// start workers — call Start.
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("serve: Config.DataDir is required")
@@ -251,12 +246,6 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	reg := cfg.Registry
-	store, err := memostore.Open(filepath.Join(cfg.DataDir, "memo"), memostore.Options{
-		MaxBytes: cfg.MemoMaxBytes, Metrics: reg,
-	})
-	if err != nil {
-		return nil, err
-	}
 	jnl, recs, skipped, err := openJournal(filepath.Join(cfg.DataDir, "journal.jsonl"))
 	if err != nil {
 		return nil, err
@@ -264,8 +253,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:           cfg,
 		reg:           reg,
-		memo:          classify.NewMemoBacked(store),
-		store:         store,
 		jnl:           jnl,
 		queue:         sched.NewFairQueue[*job](cfg.QueueCap, cfg.TenantCap),
 		jobs:          map[string]*job{},
@@ -499,8 +486,7 @@ func (s *Server) runJob(j *job) {
 // failures come back as a Quarantined entry, never as a crash.
 func (s *Server) analyze(j *job, log *trace.Log) jobOutcome {
 	results, quarantined := core.AnalyzeLogsInstrumented([]*trace.Log{log}, func(int) classify.Options {
-		return classify.Options{Scenario: j.label, Seed: log.Seed, DB: s.cfg.DB, Memo: s.memo,
-			Predict: s.cfg.Predict}
+		return classify.Options{Scenario: j.label, Seed: log.Seed, DB: s.cfg.DB, Predict: s.cfg.Predict}
 	}, 1, s.reg)
 	if len(quarantined) > 0 {
 		return jobOutcome{err: quarantined[0].Err}
@@ -568,9 +554,9 @@ func (s *Server) finish(j *job, out jobOutcome) {
 
 // Shutdown stops intake (new uploads answer 503), abandons the
 // un-started backlog to the journal, waits for in-flight jobs until ctx
-// expires, and flushes the memo store and journal. It always returns
-// the server to a state a successor can resume from; the error reports
-// only an expired drain deadline.
+// expires, and closes the journal. It always returns the server to a
+// state a successor can resume from; the error reports only an expired
+// drain deadline.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -596,7 +582,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		drainErr = fmt.Errorf("serve: drain deadline expired with in-flight jobs; they will resume from the journal")
 		s.reg.Logger().Warn("shutdown: drain deadline expired")
 	}
-	s.store.Close()
 	s.jnl.Close()
 	s.reg.Logger().Info("shutdown complete",
 		"jobs_done", s.cDone.Value(), "jobs_quarantined", s.cQuarantined.Value())

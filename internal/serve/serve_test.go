@@ -106,8 +106,12 @@ func get(t *testing.T, url string) (*http.Response, string) {
 	return resp, buf.String()
 }
 
+// TestUploadAnalyzeReport walks one upload to its reports. The daemon
+// caches no replay result: its data dir holds only the journal and the
+// payload directory, and it publishes no memo metric.
 func TestUploadAnalyzeReport(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
+	reg := obs.NewRegistry()
+	srv, ts := newTestServer(t, Config{Registry: reg})
 	payload := recordPayload(t, "exec01")
 	resp, body := upload(t, ts, "teamA", "exec01-0.rlog", payload)
 	if resp.StatusCode != http.StatusAccepted {
@@ -138,6 +142,33 @@ func TestUploadAnalyzeReport(t *testing.T) {
 	resp, list := get(t, ts.URL+"/v1/jobs")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(list, id) {
 		t.Fatalf("jobs listing missing %s: %s", id, list)
+	}
+	entries, err := os.ReadDir(srv.cfg.DataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if strings.Join(names, " ") != "jobs journal.jsonl" {
+		t.Errorf("data dir holds %v, want only jobs and journal.jsonl", names)
+	}
+	snap := reg.Snapshot()
+	var published []string
+	for name := range snap.Counters {
+		published = append(published, name)
+	}
+	for name := range snap.Gauges {
+		published = append(published, name)
+	}
+	for name := range snap.Histograms {
+		published = append(published, name)
+	}
+	for _, name := range published {
+		if strings.HasPrefix(name, "classify.memo.") || strings.HasPrefix(name, "memostore.") {
+			t.Errorf("the daemon publishes %s", name)
+		}
 	}
 }
 
@@ -369,7 +400,6 @@ func TestCrashRecoveryResume(t *testing.T) {
 	// durable state so its wedged goroutines can write nothing more.
 	a.queue.Drain()
 	a.jnl.Close()
-	a.store.Close()
 	setTestHookStallAnalysis(nil)
 
 	// Server B over the same data dir resumes and finishes the batch.
@@ -424,8 +454,9 @@ func TestCrashRecoveryResume(t *testing.T) {
 			pending, got, wantMerged)
 	}
 	// A's wedged analysis goroutines stay parked on block for the rest of
-	// the test binary's life — releasing them here would race their memo
-	// writes against the TempDir cleanup.
+	// the test binary's life. Released, each would fail its write to A's
+	// closed journal and then remove its job's payload from the data dir
+	// that B and C share.
 	_ = block
 }
 
@@ -455,37 +486,6 @@ func TestRestoreDoneWithoutClassification(t *testing.T) {
 	text, pending := srv.MergedReport()
 	if pending != 0 || !strings.HasPrefix(text, "analyzed 1 recorded executions\nunique races: 0 ") {
 		t.Errorf("merged report (pending %d):\n%s", pending, text)
-	}
-}
-
-// TestWarmPersistentMemo: verdicts computed by one process are memo
-// hits for the next process over the same data dir.
-func TestWarmPersistentMemo(t *testing.T) {
-	dataDir := t.TempDir()
-	payload := recordPayload(t, "exec01")
-
-	regA := obs.NewRegistry()
-	a, ts := newTestServer(t, Config{DataDir: dataDir, Registry: regA})
-	_, body := upload(t, ts, "t", "exec01-0.rlog", payload)
-	if v := waitTerminal(t, a, jobID(t, body)); v.Status != StatusDone {
-		t.Fatalf("first run = %s (%q)", v.Status, v.Err)
-	}
-	if regA.Snapshot().Counters["memostore.hits"] != 0 {
-		t.Fatal("cold store reported hits")
-	}
-	if err := a.Shutdown(testCtx(t)); err != nil {
-		t.Fatal(err)
-	}
-
-	regB := obs.NewRegistry()
-	b, ts2 := newTestServer(t, Config{DataDir: dataDir, Registry: regB})
-	_, body = upload(t, ts2, "t", "exec01-1.rlog", payload)
-	if v := waitTerminal(t, b, jobID(t, body)); v.Status != StatusDone {
-		t.Fatalf("warm run = %s (%q)", v.Status, v.Err)
-	}
-	snap := regB.Snapshot()
-	if hits := snap.Counters["memostore.hits"]; hits == 0 {
-		t.Fatalf("warm persistent memo had no hits (misses %d)", snap.Counters["memostore.misses"])
 	}
 }
 
