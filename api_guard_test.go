@@ -98,52 +98,9 @@ var callerAllowlist = map[string]bool{
 // since a call through the interface uses the interface's method
 // instead.
 func TestExportedNamesHaveCallers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks both modules")
-	}
-	// The guard reads declarations only: without cgo the source importer
-	// type-checks net from its pure-Go files instead of running cgo.
-	defer func(on bool) { build.Default.CgoEnabled = on }(build.Default.CgoEnabled)
-	build.Default.CgoEnabled = false
-
-	c := &apiChecker{
-		fset:   token.NewFileSet(),
-		dirs:   map[string]*build.Package{},
-		checks: map[string]*checkedPkg{},
-		used:   map[string]bool{},
-	}
-	c.std = importer.ForCompiler(c.fset, "source", nil)
-	var paths []string
-	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if name := d.Name(); name == "testdata" || (dir != "." && strings.HasPrefix(name, ".")) {
-			return filepath.SkipDir
-		}
-		bp, err := build.ImportDir(dir, 0)
-		if _, ok := err.(*build.NoGoError); ok {
-			return nil
-		}
-		path := modulePath
-		if dir != "." {
-			path += "/" + filepath.ToSlash(dir)
-		}
-		paths = append(paths, path)
-		c.dirs[path] = bp
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var checked []*checkedPkg
-	for _, path := range paths {
-		p := c.check(path)
-		if p.err != nil {
-			t.Fatalf("type-checking %s: %v", path, p.err)
-		}
-		checked = append(checked, p)
-		c.examples(path)
+	c, checked := loadCheckout(t)
+	for _, p := range checked {
+		c.examples(p.pkg.Path())
 	}
 
 	// The interfaces that non-test code writes or names, by method name.
@@ -190,6 +147,155 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 }
 
+// loadCheckout type-checks the non-test files of every package of the
+// checkout, the benchmark command's included, with the standard library
+// resolved from source. It skips the test under -short.
+func loadCheckout(t *testing.T) (*apiChecker, []*checkedPkg) {
+	if testing.Short() {
+		t.Skip("type-checks both modules")
+	}
+	// The guards need types only: without cgo the source importer
+	// type-checks net from its pure-Go files instead of running cgo.
+	on := build.Default.CgoEnabled
+	t.Cleanup(func() { build.Default.CgoEnabled = on })
+	build.Default.CgoEnabled = false
+
+	c := &apiChecker{
+		fset:   token.NewFileSet(),
+		dirs:   map[string]*build.Package{},
+		checks: map[string]*checkedPkg{},
+		used:   map[string]bool{},
+	}
+	c.std = importer.ForCompiler(c.fset, "source", nil)
+	var paths []string
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); name == "testdata" || (dir != "." && strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		bp, err := build.ImportDir(dir, 0)
+		if _, ok := err.(*build.NoGoError); ok {
+			return nil
+		}
+		path := modulePath
+		if dir != "." {
+			path += "/" + filepath.ToSlash(dir)
+		}
+		paths = append(paths, path)
+		c.dirs[path] = bp
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var checked []*checkedPkg
+	for _, path := range paths {
+		p := c.check(path)
+		if p.err != nil {
+			t.Fatalf("type-checking %s: %v", path, p.err)
+		}
+		checked = append(checked, p)
+	}
+	return c, checked
+}
+
+// optionAllowlist names the option fields that may go without a
+// non-test writer in another package or without a non-test reader, one
+// line each with the reason.
+var optionAllowlist = map[string]bool{
+	// Ablation A3's switch (the paper's §4.2.1 future work), set by BenchmarkOracleAblation and the vproc oracle tests.
+	"repro/internal/vproc.Options.Oracle": true,
+	// Read by nothing; the frozen cmd/racebench sets it, and it goes when racebench drops its noMemo argument.
+	"repro/internal/classify.Options.NoMemo": true,
+}
+
+// TestOptionsHaveCallers keeps every option to one that the program
+// sets and reads. Every exported field of an exported struct type of a
+// non-main package whose name ends in Options or Config needs a write
+// in a non-test file of another package (a composite-literal key or an
+// assignment through a selector; the frozen benchmark command and the
+// examples count) and a read in a non-test file. A field that only its
+// own package or only tests set is a constant; one that nothing reads
+// is dead.
+func TestOptionsHaveCallers(t *testing.T) {
+	c, checked := loadCheckout(t)
+	written := map[*types.Var]bool{} // set from outside the field's package
+	read := map[*types.Var]bool{}
+	for _, p := range checked {
+		writes := map[*ast.Ident]bool{}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								writes[id] = true
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							writes[sel.Sel] = true
+						}
+					}
+				case *ast.IncDecStmt:
+					if sel, ok := n.X.(*ast.SelectorExpr); ok {
+						writes[sel.Sel] = true
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			v, ok := obj.(*types.Var)
+			switch {
+			case !ok || !v.IsField():
+			case !writes[id]:
+				read[v] = true
+			case v.Pkg() != p.pkg:
+				written[v] = true
+			}
+		}
+	}
+
+	for _, p := range checked {
+		if p.pkg.Name() == "main" {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() ||
+				!(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				key := p.pkg.Path() + "." + name + "." + f.Name()
+				if !f.Exported() || optionAllowlist[key] {
+					continue
+				}
+				if !written[f] {
+					t.Errorf("%s: option %s is set by no non-test code outside its package; make it a constant, give it a caller, or allowlist it with the reason",
+						c.fset.Position(f.Pos()), key)
+				}
+				if !read[f] {
+					t.Errorf("%s: option %s is read by no non-test code; delete it, or allowlist it with the reason",
+						c.fset.Position(f.Pos()), key)
+				}
+			}
+		}
+	}
+}
+
 // apiChecker type-checks each package of the checkout once, resolving
 // the standard library from source, and gathers the names that non-test
 // code and Example functions use.
@@ -202,9 +308,10 @@ type apiChecker struct {
 }
 
 type checkedPkg struct {
-	pkg  *types.Package
-	info *types.Info
-	err  error
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
+	err   error
 }
 
 // Import resolves the checkout's packages from their directories and the
@@ -233,13 +340,12 @@ func (c *apiChecker) check(path string) *checkedPkg {
 		p.err = fmt.Errorf("no package %s in the checkout", path)
 		return p
 	}
-	files, err := c.parse(bp.Dir, bp.GoFiles)
-	if err != nil {
-		p.err = err
+	p.files, p.err = c.parse(bp.Dir, bp.GoFiles)
+	if p.err != nil {
 		return p
 	}
 	conf := types.Config{Importer: c}
-	p.pkg, p.err = conf.Check(path, c.fset, files, p.info)
+	p.pkg, p.err = conf.Check(path, c.fset, p.files, p.info)
 	for _, obj := range p.info.Uses {
 		c.used[useKey(obj)] = true
 	}

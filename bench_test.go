@@ -16,8 +16,10 @@ import (
 	"repro/internal/hb"
 	"repro/internal/lockset"
 	"repro/internal/machine"
+	"repro/internal/replay"
 	"repro/internal/report"
 	"repro/internal/trace"
+	"repro/internal/vproc"
 	"repro/internal/workloads"
 )
 
@@ -271,9 +273,10 @@ func BenchmarkSchedulerPolicies(b *testing.B) {
 	}
 }
 
-// BenchmarkOracleAblation measures classification with and without the
-// §4.2.1 versioned-memory oracle (ablation A3): the oracle lets the
-// virtual processor continue through reads outside the regions' live-ins.
+// BenchmarkOracleAblation measures the dual-order replay of every race
+// instance with and without the §4.2.1 versioned-memory oracle (ablation
+// A3): the oracle lets the virtual processor continue through reads
+// outside the regions' live-ins. The classifier runs without it.
 func BenchmarkOracleAblation(b *testing.B) {
 	s := workloads.Scenarios()[1]
 	prog, err := s.Program()
@@ -284,21 +287,32 @@ func BenchmarkOracleAblation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, useOracle := range []bool{false, true} {
+	exec, err := Replay(log, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	races := DetectRaces(exec, nil)
+	for _, oracle := range []*replay.VersionedMemory{nil, exec.Memory()} {
 		name := "base"
-		if useOracle {
+		if oracle != nil {
 			name = "oracle"
 		}
 		b.Run(name, func(b *testing.B) {
 			var rf int
 			for i := 0; i < b.N; i++ {
-				res, err := AnalyzeLog(log, Options{UseOracle: useOracle})
-				if err != nil {
-					b.Fatal(err)
-				}
 				rf = 0
-				for _, r := range res.Classification.Races {
-					rf += r.RF
+				for _, race := range races.Races {
+					for _, inst := range race.Instances {
+						pair := vproc.RacePair{
+							RegionA: inst.RegionA, RegionB: inst.RegionB,
+							IdxA: inst.First.Idx, IdxB: inst.Second.Idx,
+							PCA: inst.First.PC, PCB: inst.Second.PC,
+							Addr: inst.Addr,
+						}
+						if vproc.Analyze(exec, pair, vproc.Options{Oracle: oracle}, nil).Outcome == vproc.ReplayFailure {
+							rf++
+						}
+					}
 				}
 			}
 			b.ReportMetric(float64(rf), "rf-instances")
@@ -375,7 +389,7 @@ func BenchmarkDecodeSuite(b *testing.B) {
 	for _, jobs := range []int{1, 8} {
 		b.Run(fmt.Sprintf("v2/jobs=%d", jobs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := trace.DecodeV2(data, trace.V2Options{Jobs: jobs}); err != nil {
+				if _, _, err := trace.DecodeV2(data, trace.DecodeOptions{Jobs: jobs}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -479,36 +493,6 @@ func BenchmarkMemoizedClassification(b *testing.B) {
 			} else {
 				b.ReportMetric(0, "hitrate")
 			}
-		})
-	}
-}
-
-// BenchmarkQuantumSensitivity varies the scheduler's preemption quantum:
-// finer preemption exposes more racy interleavings per recording — the
-// knob behind "extensively stress-tested build" in the paper's setup.
-func BenchmarkQuantumSensitivity(b *testing.B) {
-	s := workloads.Scenarios()[0]
-	prog, err := s.Program()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, quantum := range []int{1, 12, 96} {
-		b.Run(fmt.Sprintf("quantum=%d", quantum), func(b *testing.B) {
-			var instances int
-			for i := 0; i < b.N; i++ {
-				cfg := s.Config()
-				cfg.MaxQuantum = quantum
-				log, _, err := Record(prog, cfg, OnlineConfig{}, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				exec, err := Replay(log, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				instances = DetectRaces(exec, nil).TotalInstances
-			}
-			b.ReportMetric(float64(instances), "instances")
 		})
 	}
 }

@@ -303,7 +303,7 @@ func KnownBad(container []byte, seed int64) map[Kind][]byte {
 // decodeFails reports whether the file decode path — thread salvage
 // included, as analyze-dir and serve run it — rejects data.
 func decodeFails(data []byte) bool {
-	log, _, err := trace.DecodeOpts(data, trace.V2Options{QuarantineThreads: true})
+	log, _, err := trace.DecodeOpts(data, trace.DecodeOptions{Salvage: true})
 	if err != nil {
 		return true
 	}

@@ -249,10 +249,10 @@ func TestTornSegmentSalvageable(t *testing.T) {
 	for i := last[0]; i < last[1]; i++ {
 		data[i] ^= 0xa5
 	}
-	if _, _, err := trace.DecodeV2(data, trace.V2Options{}); err == nil {
+	if _, _, err := trace.DecodeV2(data, trace.DecodeOptions{}); err == nil {
 		t.Fatal("strict decode accepted a torn segment")
 	}
-	log, faults, err := trace.DecodeOpts(data, trace.V2Options{QuarantineThreads: true})
+	log, faults, err := trace.DecodeOpts(data, trace.DecodeOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("salvage decode failed: %v", err)
 	}

@@ -156,7 +156,7 @@ func decodeTrial(data []byte) (t Trial) {
 				t.PanicValue = fmt.Sprintf("%v\n%s", r, debug.Stack())
 			}
 		}()
-		log, faults, err := trace.DecodeOpts(data, trace.V2Options{QuarantineThreads: true})
+		log, faults, err := trace.DecodeOpts(data, trace.DecodeOptions{Salvage: true})
 		if err == nil {
 			t.Salvaged = len(faults)
 			err = log.Validate()

@@ -14,8 +14,6 @@
 package classify
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -179,10 +177,6 @@ type Options struct {
 	Seed int64
 	// DB, when set, suppresses races a developer marked benign.
 	DB *DB
-	// UseOracle enables the §4.2.1 extension: a versioned-memory oracle
-	// lets the virtual processor continue through reads the two regions'
-	// live-ins never captured, instead of declaring a replay failure.
-	UseOracle bool
 	// Metrics, when set, receives the classify.* counters (instances by
 	// outcome, races by verdict, replay-failure causes) and the vproc.*
 	// counters, which Run publishes from each instance's result.
@@ -234,35 +228,14 @@ const maxSamplesPerRace = 4
 // concurrently (core.AnalyzeLogsInstrumented) and racer serve runs jobs
 // concurrently.
 func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classification {
-	var vopts vproc.Options
-	if opts.UseOracle {
-		vopts.Oracle = exec.Memory()
-	}
-
 	// The replay cache is the caller's, if any; a nil Memo's Do just
 	// replays.
 	memo := opts.Memo
 	// The audit trail needs fingerprints even with the memo off, so the
 	// fingerprinter exists whenever either consumer does.
 	var fper *vproc.Fingerprinter
-	var salt uint64
 	if memo != nil || opts.Audit != nil {
 		fper = vproc.NewFingerprinter(exec)
-		if opts.UseOracle {
-			if opts.Audit != nil {
-				// Audited fingerprints land in a file that must be
-				// byte-identical across runs, so the oracle salt is
-				// derived from the execution's identity instead of the
-				// process-local counter. Still constant within the Run
-				// and distinct across scenarios, which is all the memo
-				// requires of it.
-				h := sha256.Sum256(binary.LittleEndian.AppendUint64(
-					[]byte(opts.Scenario+"\x00"), uint64(opts.Seed)))
-				salt = binary.LittleEndian.Uint64(h[:8])
-			} else {
-				salt = oracleSalts.Add(1)
-			}
-		}
 	}
 	var cHits, cMisses *obs.Counter
 	if memo != nil {
@@ -279,10 +252,10 @@ func Run(exec *replay.Execution, report *hb.Report, opts Options) *Classificatio
 		err := sched.Guard(opts.Metrics, func() error {
 			pair := racePair(inst)
 			if fper != nil {
-				fp = fper.Instance(pair, vopts, salt)
+				fp = fper.Instance(pair)
 			}
 			var hit bool
-			res, hit = memo.Do(fp, func() vproc.Result { return vproc.Analyze(exec, pair, vopts, &sc) })
+			res, hit = memo.Do(fp, func() vproc.Result { return vproc.Analyze(exec, pair, vproc.Options{}, &sc) })
 			if memo != nil {
 				if hit {
 					cHits.Inc()

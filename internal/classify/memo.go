@@ -2,7 +2,6 @@ package classify
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/vproc"
 )
@@ -125,9 +124,3 @@ func (m *Memo) Bytes() uint64 {
 	defer m.mu.Unlock()
 	return m.bytes
 }
-
-// oracleSalts distinguishes the oracle configurations of successive
-// classification passes: oracle answers depend on the whole execution,
-// so oracle-mode fingerprints are only shareable within one Run (see
-// vproc.Fingerprinter.Instance).
-var oracleSalts atomic.Uint64

@@ -64,34 +64,20 @@ func LogDigest(log *trace.Log) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// DecodeOptions tunes DecodeLogOpts/DecodeLogFrom. The zero value is the
-// strict serial decode.
-type DecodeOptions struct {
-	// Jobs fans v2 segment decode across workers (<= 1 serial; a legacy
-	// v1 log always decodes serially).
-	Jobs int
-	// Salvage confines v2 per-segment corruption to the segment's
-	// thread where structurally safe: corrupt thread segments are
-	// dropped and reported as faults while the healthy remainder
-	// analyzes. Damage to the header, index, or meta segment — or a
-	// legacy v1 log's corruption, which has no segment boundaries to
-	// confine it — still condemns the whole log.
-	Salvage bool
-	// Metrics receives the decode.v2.* counters (nil is off).
-	Metrics *obs.Registry
-}
+// DecodeOptions tunes DecodeLogOpts and DecodeLogFrom: worker fan-out,
+// thread salvage and metrics (see trace.DecodeOptions). The zero value
+// is the strict serial decode.
+type DecodeOptions = trace.DecodeOptions
 
 // DecodeLogOpts decodes one serialized log container — the exact decode
 // path analyze-dir applies to a .rlog file, shared with the `racer serve`
 // upload handler and the chaos HTTP sweep. v2 containers and legacy v1
 // logs are both accepted, told apart by their magic bytes, and failures
 // are the trace package's typed errors, so rejections stay within the
-// robustness contract. o adds worker fan-out, thread salvage, and
-// metrics; the fault list is non-empty only for a salvaged v2 log.
+// robustness contract. The fault list is non-empty only for a salvaged
+// v2 log.
 func DecodeLogOpts(data []byte, o DecodeOptions) (*trace.Log, []trace.ThreadFault, error) {
-	return trace.DecodeOpts(data, trace.V2Options{
-		Jobs: o.Jobs, QuarantineThreads: o.Salvage, Metrics: o.Metrics,
-	})
+	return trace.DecodeOpts(data, o)
 }
 
 // DecodeLogFrom decodes a serialized log straight from an io.ReaderAt —
@@ -99,9 +85,7 @@ func DecodeLogOpts(data []byte, o DecodeOptions) (*trace.Log, []trace.ThreadFaul
 // segment by segment, so the full container is never resident; a legacy
 // v1 log falls back to a whole-buffer read.
 func DecodeLogFrom(r io.ReaderAt, size int64, o DecodeOptions) (*trace.Log, []trace.ThreadFault, error) {
-	return trace.DecodeFrom(r, size, trace.V2Options{
-		Jobs: o.Jobs, QuarantineThreads: o.Salvage, Metrics: o.Metrics,
-	})
+	return trace.DecodeFrom(r, size, o)
 }
 
 // AnalyzeLog runs the offline half over an existing log: replay,

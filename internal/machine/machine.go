@@ -107,36 +107,26 @@ type Stopper interface {
 
 // Config controls one deterministic machine run.
 type Config struct {
-	Seed         int64  // scheduler seed; runs with equal Seed are identical
-	EntropySeed  uint64 // sys rand stream seed (defaults to a mix of Seed)
-	MaxQuantum   int    // max instructions per scheduling quantum (default 12)
-	MaxSteps     uint64 // global retired-instruction budget (default and ceiling isa.MaxSteps)
-	MaxThreads   int    // spawn limit (default 64)
-	MaxHeapWords uint64 // heap budget (default 1M words); the heap never reaches isa.StackBase
-	Observer     Observer
+	Seed     int64  // scheduler seed; runs with equal Seed are identical
+	MaxSteps uint64 // global retired-instruction budget (default and ceiling isa.MaxSteps)
+	Observer Observer
 
 	// Policy selects the interleaving strategy (default PolicyRandom).
 	Policy SchedPolicy
-	// PCTDepth is the number of priority change points for PolicyPCT
-	// (default 3).
-	PCTDepth int
-	// PCTHorizon is the instruction-count range change points are sampled
-	// from (default 50k).
-	PCTHorizon uint64
 }
 
+// The machine's fixed parameters. The heap has none: only the thread
+// stacks at isa.StackBase bound it.
+const (
+	maxQuantum = 12     // most instructions per scheduling quantum
+	maxThreads = 64     // spawn limit, thread 0 included
+	pctDepth   = 3      // priority change points of PolicyPCT
+	pctHorizon = 50_000 // instruction-count range the change points are sampled from
+)
+
 func (c Config) withDefaults() Config {
-	if c.MaxQuantum <= 0 {
-		c.MaxQuantum = 12
-	}
 	if c.MaxSteps == 0 || c.MaxSteps > isa.MaxSteps {
 		c.MaxSteps = isa.MaxSteps
-	}
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = 64
-	}
-	if c.EntropySeed == 0 {
-		c.EntropySeed = uint64(c.Seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
 	}
 	return c
 }
@@ -187,10 +177,10 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	m := &Machine{
 		prog:     prog,
 		cfg:      cfg,
-		mem:      NewMemory(cfg.MaxHeapWords),
+		mem:      NewMemory(0),
 		locks:    make(map[uint64]int),
 		sched:    rand.New(rand.NewSource(cfg.Seed)),
-		entropy:  cfg.EntropySeed,
+		entropy:  uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D,
 		obs:      cfg.Observer,
 		runStale: true,
 	}
@@ -241,7 +231,7 @@ func (m *Machine) Run() *Result {
 		if t == nil {
 			break
 		}
-		q := 1 + m.sched.Intn(m.cfg.MaxQuantum)
+		q := 1 + m.sched.Intn(maxQuantum)
 		for i := 0; i < q && t.State == Runnable && m.retired < m.cfg.MaxSteps; i++ {
 			m.stepThread(t)
 			if t.yield {
@@ -451,7 +441,7 @@ func (e *threadEnv) Syscall(cpu *Cpu, num int64, pc int) (SysOutcome, *Fault) {
 		if entry < 0 || entry >= len(m.prog.Code) {
 			return SysDone, &Fault{Kind: FaultBadSpawn, PC: pc, Addr: cpu.Regs[1]}
 		}
-		if len(m.threads) >= m.cfg.MaxThreads {
+		if len(m.threads) >= maxThreads {
 			return SysDone, &Fault{Kind: FaultBadSpawn, PC: pc}
 		}
 		child := &Thread{ID: len(m.threads), State: Runnable, StartTS: m.pendTS}

@@ -605,21 +605,15 @@ main:
 }
 
 func TestOOMFaults(t *testing.T) {
+	// One word more than the 0xF0000 between isa.HeapBase and the
+	// stacks at isa.StackBase.
 	src := `
 main:
-  ldi r1, 100
+  ldi r1, 983041
   sys alloc
   halt
 `
-	prog, err := asm.Assemble("oom", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := New(prog, Config{Seed: 1, MaxHeapWords: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := m.Run()
+	_, res := run(t, src, Config{Seed: 1})
 	if f := res.Threads[0].Fault; f == nil || f.Kind != FaultOOM {
 		t.Errorf("fault = %v, want out-of-memory", f)
 	}

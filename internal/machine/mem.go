@@ -34,12 +34,12 @@ type Memory struct {
 	blocks   map[uint64]uint64 // live allocation base -> size in words
 }
 
-// NewMemory returns an empty memory whose heap can grow to maxHeapWords
-// (0 means a generous default), and never into the thread stacks at
-// isa.StackBase.
+// NewMemory returns an empty memory whose heap can grow to maxHeapWords,
+// and never into the thread stacks at isa.StackBase (0 means up to
+// them: the machine's heap).
 func NewMemory(maxHeapWords uint64) *Memory {
 	if maxHeapWords == 0 {
-		maxHeapWords = 1 << 20
+		maxHeapWords = isa.StackBase - isa.HeapBase
 	}
 	return &Memory{
 		pages:    make(map[uint64]*memPage),

@@ -83,7 +83,7 @@ type memModel struct {
 
 func newMemModel(maxHeapWords uint64) *memModel {
 	if maxHeapWords == 0 {
-		maxHeapWords = 1 << 20
+		maxHeapWords = isa.StackBase - isa.HeapBase
 	}
 	return &memModel{
 		words:    map[uint64]uint64{},

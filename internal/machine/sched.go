@@ -57,17 +57,9 @@ func (m *Machine) initSched() {
 	m.ss.priorities = make(map[int]int)
 	m.ss.prioNext = 1 << 20
 	m.ss.demoteFloor = 0
-	// Sample cfg.PCTDepth change points over the expected run length.
-	depth := m.cfg.PCTDepth
-	if depth <= 0 {
-		depth = 3
-	}
-	horizon := m.cfg.PCTHorizon
-	if horizon == 0 {
-		horizon = 50_000
-	}
-	for i := 0; i < depth; i++ {
-		m.ss.changeAt = append(m.ss.changeAt, uint64(m.sched.Int63n(int64(horizon))))
+	// Sample pctDepth change points over the expected run length.
+	for i := 0; i < pctDepth; i++ {
+		m.ss.changeAt = append(m.ss.changeAt, uint64(m.sched.Int63n(pctHorizon)))
 	}
 	sortU64(m.ss.changeAt)
 	m.assignPriority(0)

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -106,21 +107,18 @@ func TestPoliciesAreDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestRoundRobinIsRegular(t *testing.T) {
-	// Round-robin with full quanta loses far fewer updates than random
-	// preemption — the counter ends near the maximum.
-	_, rr := run(t, racyFlagSrc, Config{Seed: 5, Policy: PolicyRoundRobin, MaxQuantum: 1 << 20})
-	if got := rr.Threads[0].Output[0]; got < 150 {
-		t.Errorf("round-robin full-quantum lost too many updates: %d", got)
-	}
-}
-
 func TestPCTDemotionChangesSchedule(t *testing.T) {
 	// Different seeds must produce different PCT schedules (priorities and
-	// change points differ).
+	// change points differ). The change points fall within the first
+	// 50,000 instructions, so the workers loop past them: 60,000
+	// instructions each.
+	src := strings.Replace(racyFlagSrc, "ldi r2, 100\n", "ldi r2, 10000\n", 1)
 	outputs := map[int64]bool{}
 	for seed := int64(1); seed <= 12; seed++ {
-		_, res := run(t, racyFlagSrc, Config{Seed: seed, Policy: PolicyPCT, PCTDepth: 4, PCTHorizon: 1000})
+		_, res := run(t, src, Config{Seed: seed, Policy: PolicyPCT})
+		if res.TotalSteps < pctHorizon {
+			t.Fatalf("seed %d: %d steps, want more than the %d-instruction horizon", seed, res.TotalSteps, pctHorizon)
+		}
 		outputs[res.Threads[0].Output[0]] = true
 	}
 	if len(outputs) < 2 {
@@ -212,7 +210,7 @@ joinloop:
   halt
 `
 	for _, seed := range []int64{1, 9} {
-		_, res := run(t, src, Config{Seed: seed, MaxThreads: 64})
+		_, res := run(t, src, Config{Seed: seed})
 		t0 := res.Threads[0]
 		if t0.State != Halted {
 			t.Fatalf("seed %d: main %v (fault %v)", seed, t0.State, t0.Fault)
@@ -222,6 +220,44 @@ joinloop:
 		}
 		if len(res.Threads) != 41 {
 			t.Errorf("seed %d: threads = %d, want 41", seed, len(res.Threads))
+		}
+	}
+}
+
+// TestSpawnLimit: a run holds at most 64 threads, thread 0 included.
+// Thread 0 spawns 63 workers, which all run, and its next spawn faults
+// with FaultBadSpawn.
+func TestSpawnLimit(t *testing.T) {
+	src := `
+.entry main
+worker:
+  ldi r1, 0
+  sys exit
+main:
+  ldi r9, 64
+  ldi r11, 0
+spawnloop:
+  ldi r1, worker
+  ldi r2, 0
+  sys spawn
+  addi r11, r11, 1
+  bne r11, r9, spawnloop
+  halt
+`
+	_, res := run(t, src, Config{Seed: 1})
+	if len(res.Threads) != 64 {
+		t.Fatalf("threads = %d, want 64", len(res.Threads))
+	}
+	t0 := res.Threads[0]
+	if t0.Fault == nil || t0.Fault.Kind != FaultBadSpawn {
+		t.Fatalf("main: %v (fault %v), want a bad-spawn fault", t0.State, t0.Fault)
+	}
+	if got := t0.Cpu.Regs[11]; got != 63 {
+		t.Errorf("main faulted after %d spawns, want 63", got)
+	}
+	for _, th := range res.Threads[1:] {
+		if th.State != Exited {
+			t.Errorf("worker %d: %v (fault %v), want exited", th.ID, th.State, th.Fault)
 		}
 	}
 }

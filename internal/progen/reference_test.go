@@ -411,7 +411,7 @@ func TestReferencesAgree(t *testing.T) {
 					PCA: inst.First.PC, PCB: inst.Second.PC,
 					Addr: inst.Addr,
 				}
-				fp := fper.Instance(pair, vproc.Options{}, 0)
+				fp := fper.Instance(pair)
 				res := vproc.Analyze(exec, pair, vproc.Options{}, nil)
 				first, seen := results[fp]
 				if !seen {

@@ -13,8 +13,8 @@ import (
 //   - Which accesses can race (§3)? Screen and Refs are all the offline
 //     engines' conflict search (hb.Search) reads.
 //   - What did an address hold? Before is the image at any point of the
-//     schedule: time travel, the final image, and the §4.2.1 oracle the
-//     classifier consults under UseOracle (ablation A3). LiveIn is what a
+//     schedule: time travel, the final image, and the §4.2.1 oracle of
+//     vproc.Options.Oracle (ablation A3). LiveIn is what a
 //     region saw on entry, the state the virtual processor starts each
 //     race instance from (§4.2). Both binary-search by region.
 //

@@ -32,14 +32,14 @@ func Read(r io.Reader) (*Log, error) {
 // decoder (serial, strict), and a legacy v1 container or raw v1 log the
 // legacy decoder. Failures are the package's typed errors in every case.
 func Decode(data []byte) (*Log, error) {
-	log, _, err := DecodeOpts(data, V2Options{})
+	log, _, err := DecodeOpts(data, DecodeOptions{})
 	return log, err
 }
 
 // DecodeOpts is Decode with the v2 decode options (worker fan-out,
-// thread quarantine, metrics). The legacy v1 decoder is serial and
+// thread salvage, metrics). The legacy v1 decoder is serial and
 // all-or-nothing, so it ignores them; its fault list is always nil.
-func DecodeOpts(data []byte, opts V2Options) (*Log, []ThreadFault, error) {
+func DecodeOpts(data []byte, opts DecodeOptions) (*Log, []ThreadFault, error) {
 	switch magic(data) {
 	case fileMagicV2:
 		return DecodeV2(data, opts)
@@ -57,7 +57,7 @@ func DecodeOpts(data []byte, opts V2Options) (*Log, []ThreadFault, error) {
 // (io.ReaderAt is safe for concurrent reads). A legacy v1 container is
 // one flate stream, so that path reads everything and decodes as Decode
 // would.
-func DecodeFrom(r io.ReaderAt, size int64, opts V2Options) (*Log, []ThreadFault, error) {
+func DecodeFrom(r io.ReaderAt, size int64, opts DecodeOptions) (*Log, []ThreadFault, error) {
 	var head [len(fileMagicV2)]byte
 	if size < int64(len(head)) {
 		return nil, nil, &DecodeError{Section: "magic", Err: ErrBadMagic}

@@ -64,10 +64,10 @@ func FuzzDecodeV2(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, err := DecodeV2(data, V2Options{}); err != nil {
+		if _, _, err := DecodeV2(data, DecodeOptions{}); err != nil {
 			typed("strict", err)
 		}
-		log, _, err := DecodeOpts(data, V2Options{QuarantineThreads: true})
+		log, _, err := DecodeOpts(data, DecodeOptions{Salvage: true})
 		if err != nil {
 			typed("salvage", err)
 			return
@@ -75,7 +75,7 @@ func FuzzDecodeV2(f *testing.F) {
 		if err := log.Validate(); err != nil {
 			return // salvage may keep a log Validate rejects; callers gate on it
 		}
-		again, faults, err := DecodeOpts(MarshalV2(log), V2Options{})
+		again, faults, err := DecodeOpts(MarshalV2(log), DecodeOptions{})
 		if err != nil || len(faults) != 0 {
 			t.Fatalf("re-encode round trip failed: faults=%v err=%v", faults, err)
 		}

@@ -166,7 +166,7 @@ type Log struct {
 	TotalSteps uint64
 
 	// DroppedThreads lists, in segment order, the TIDs whose thread
-	// segments a salvaging v2 decode (V2Options.QuarantineThreads)
+	// segments a salvaging v2 decode (DecodeOptions.Salvage)
 	// dropped; nil for a whole log. It is in-memory only: MarshalV2
 	// never serializes it. The missing threads took fork, join and lock
 	// events with them, so predict.Run proposes no reordering of such a

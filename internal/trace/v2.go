@@ -79,25 +79,27 @@ const (
 	minKFV2   = 4 // idx delta + pc + register count + view count
 )
 
-// V2Options tunes DecodeV2 (and Decode, DecodeOpts and DecodeFrom, which
-// forward to it; the legacy v1 decoder ignores every option).
-type V2Options struct {
+// DecodeOptions tunes DecodeV2 (and Decode, DecodeOpts and DecodeFrom,
+// which forward to it; the legacy v1 decoder ignores every option). The
+// zero value is the strict serial decode.
+type DecodeOptions struct {
 	// Jobs is the worker count thread-segment decode fans across
 	// (<= 1 decodes serially). Results are slot-ordered, so the decoded
 	// log is identical at every worker count.
 	Jobs int
-	// QuarantineThreads salvages a log whose corruption is confined to
-	// thread segments: corrupt segments are dropped and reported as
-	// ThreadFaults while the healthy remainder decodes, provided the
-	// header, index, and meta segment are intact and the surviving log
-	// still validates. Off means strict: any segment fault fails the log.
-	QuarantineThreads bool
+	// Salvage confines a log's corruption to the thread segments it
+	// hits: corrupt segments are dropped and reported as ThreadFaults
+	// while the healthy remainder decodes, provided the header, index,
+	// and meta segment are intact and the surviving log still validates.
+	// A legacy v1 log has no segment boundaries to confine it. Off means
+	// strict: any segment fault fails the log.
+	Salvage bool
 	// Metrics receives the decode.v2.* counters (nil is off, as
 	// everywhere in obs).
 	Metrics *obs.Registry
 }
 
-// ThreadFault reports one thread segment dropped by quarantine-mode
+// ThreadFault reports one thread segment dropped by salvage-mode
 // decode: which segment, which thread the index attributed it to, and the
 // typed error that condemned it.
 type ThreadFault struct {
@@ -799,9 +801,9 @@ func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
 // DecodeV2 parses a v2 container. Thread segments fan across
 // opts.Jobs workers (internal/sched); the decoded log is identical at
 // every worker count. In strict mode any segment fault fails the whole
-// log with a typed error; with opts.QuarantineThreads the fault is
-// confined to its thread where structurally safe (see V2Options).
-func DecodeV2(data []byte, opts V2Options) (*Log, []ThreadFault, error) {
+// log with a typed error; with opts.Salvage the fault is confined to
+// its thread where structurally safe (see DecodeOptions).
+func DecodeV2(data []byte, opts DecodeOptions) (*Log, []ThreadFault, error) {
 	idx, err := parseV2Index(data, int64(len(data)))
 	if err != nil {
 		opts.Metrics.Counter("decode.v2.rejected").Inc()
@@ -826,7 +828,7 @@ func segmentPayload(src segSource, idx *v2Index, i int, reg *obs.Registry) ([]by
 	return payload, int(off), nil
 }
 
-func decodeV2Segments(src segSource, idx *v2Index, opts V2Options) (*Log, []ThreadFault, error) {
+func decodeV2Segments(src segSource, idx *v2Index, opts DecodeOptions) (*Log, []ThreadFault, error) {
 	reg := opts.Metrics
 	reject := func(err error) (*Log, []ThreadFault, error) {
 		reg.Counter("decode.v2.rejected").Inc()
@@ -866,7 +868,7 @@ func decodeV2Segments(src segSource, idx *v2Index, opts V2Options) (*Log, []Thre
 		if err == nil {
 			continue
 		}
-		if !opts.QuarantineThreads {
+		if !opts.Salvage {
 			return reject(err)
 		}
 		faults = append(faults, ThreadFault{Segment: i + 1, TID: int(idx.entries[i+1].tid), Err: err})

@@ -71,7 +71,7 @@ func logsEqual(a, b *Log) bool { return bytes.Equal(marshalV1(a), marshalV1(b)) 
 
 func TestV2RoundTrip(t *testing.T) {
 	log := richLog()
-	got, faults, err := DecodeV2(MarshalV2(log), V2Options{})
+	got, faults, err := DecodeV2(MarshalV2(log), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,12 +97,12 @@ func TestV2SampleLogRoundTrip(t *testing.T) {
 func TestV2ParallelDecodeIdentical(t *testing.T) {
 	log := richLog()
 	data := MarshalV2(log)
-	serial, _, err := DecodeV2(data, V2Options{Jobs: 1})
+	serial, _, err := DecodeV2(data, DecodeOptions{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, jobs := range []int{2, 8} {
-		par, _, err := DecodeV2(data, V2Options{Jobs: jobs})
+		par, _, err := DecodeV2(data, DecodeOptions{Jobs: jobs})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -164,12 +164,12 @@ func TestV2FlagsRejected(t *testing.T) {
 	for _, flags := range []byte{0x01, 0x80} {
 		data := MarshalV2(sampleLog())
 		data[6] = flags
-		_, _, err := DecodeV2(data, V2Options{})
+		_, _, err := DecodeV2(data, DecodeOptions{})
 		var de *DecodeError
 		if !errors.As(err, &de) || de.Section != "v2 header" {
 			t.Errorf("flags %#x: DecodeV2 err = %v, want a v2 header *DecodeError", flags, err)
 		}
-		_, _, err = DecodeFrom(bytes.NewReader(data), int64(len(data)), V2Options{})
+		_, _, err = DecodeFrom(bytes.NewReader(data), int64(len(data)), DecodeOptions{})
 		if !errors.As(err, &de) || de.Section != "v2 header" {
 			t.Errorf("flags %#x: DecodeFrom err = %v, want a v2 header *DecodeError", flags, err)
 		}
@@ -211,7 +211,7 @@ func TestV2ByteFlipsRejectedOrValidTyped(t *testing.T) {
 		for _, bit := range []byte{0x01, 0x80} {
 			data := append([]byte(nil), orig...)
 			data[i] ^= bit
-			log, _, err := DecodeV2(data, V2Options{QuarantineThreads: true})
+			log, _, err := DecodeV2(data, DecodeOptions{Salvage: true})
 			if err == nil {
 				if verr := log.Validate(); verr != nil {
 					t.Fatalf("flip %d: accepted invalid log: %v", i, verr)
@@ -243,10 +243,10 @@ func TestV2ThreadQuarantine(t *testing.T) {
 	bad := append([]byte(nil), data...)
 	bad[pos] ^= 0x55
 
-	if _, _, err := DecodeV2(bad, V2Options{}); err == nil {
+	if _, _, err := DecodeV2(bad, DecodeOptions{}); err == nil {
 		t.Fatal("strict decode accepted a corrupt segment")
 	}
-	got, faults, err := DecodeV2(bad, V2Options{QuarantineThreads: true})
+	got, faults, err := DecodeV2(bad, DecodeOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("quarantine decode failed: %v", err)
 	}
@@ -274,7 +274,7 @@ func TestV2IndexCorruptionFailsLog(t *testing.T) {
 	for _, pos := range []int{8, 13, v2HeaderLen + 2, v2HeaderLen + v2IndexEntryLen + 16} {
 		bad := append([]byte(nil), data...)
 		bad[pos] ^= 0xff
-		if _, _, err := DecodeV2(bad, V2Options{QuarantineThreads: true}); err == nil {
+		if _, _, err := DecodeV2(bad, DecodeOptions{Salvage: true}); err == nil {
 			t.Errorf("index byte %d corrupt: decode accepted", pos)
 		}
 	}
@@ -317,7 +317,7 @@ func encLenOverflowContainer() []byte {
 func TestV2IndexEncLenOverflow(t *testing.T) {
 	data := encLenOverflowContainer()
 	for _, quarantine := range []bool{false, true} {
-		_, _, err := DecodeV2(data, V2Options{QuarantineThreads: quarantine})
+		_, _, err := DecodeV2(data, DecodeOptions{Salvage: quarantine})
 		var de *DecodeError
 		if !errors.As(err, &de) {
 			t.Fatalf("quarantine=%v: err = %v, want *DecodeError", quarantine, err)
@@ -338,7 +338,7 @@ func TestV2AllThreadsCorruptFailsLog(t *testing.T) {
 	}
 	bad := append([]byte(nil), data...)
 	bad[idx.areaStart+int(idx.entries[1].off)] ^= 0x40
-	if _, _, err := DecodeV2(bad, V2Options{QuarantineThreads: true}); err == nil {
+	if _, _, err := DecodeV2(bad, DecodeOptions{Salvage: true}); err == nil {
 		t.Fatal("decode accepted a log with zero surviving threads")
 	}
 }
@@ -352,7 +352,7 @@ func TestV2BoundedAllocation(t *testing.T) {
 		huge := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
 		bad = append(bad[:pos:pos], append(huge, bad[pos+1:]...)...)
 		alloc := allocDelta(func() {
-			DecodeV2(bad, V2Options{QuarantineThreads: true})
+			DecodeV2(bad, DecodeOptions{Salvage: true})
 		})
 		if alloc > budget {
 			t.Errorf("splice at %d: allocated %d bytes for %d input (budget %d)",
@@ -373,7 +373,7 @@ func TestDecodeFromFile(t *testing.T) {
 		"v2.rlog":    MarshalV2(log),
 	}
 	for name, data := range cases {
-		mem, faults, err := DecodeOpts(data, V2Options{Jobs: 4})
+		mem, faults, err := DecodeOpts(data, DecodeOptions{Jobs: 4})
 		if err != nil || len(faults) != 0 {
 			t.Fatalf("%s: DecodeOpts: %v (faults %v)", name, err, faults)
 		}
@@ -389,7 +389,7 @@ func TestDecodeFromFile(t *testing.T) {
 			t.Fatal(err)
 		}
 		st, _ := f.Stat()
-		got, faults, err := DecodeFrom(f, st.Size(), V2Options{Jobs: 4})
+		got, faults, err := DecodeFrom(f, st.Size(), DecodeOptions{Jobs: 4})
 		f.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -406,7 +406,7 @@ func TestDecodeFromFile(t *testing.T) {
 	os.WriteFile(path, bytes.Repeat([]byte{0xab}, 4096), 0o644)
 	f, _ := os.Open(path)
 	defer f.Close()
-	if _, _, err := DecodeFrom(f, 4096, V2Options{}); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := DecodeFrom(f, 4096, DecodeOptions{}); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("junk: got %v, want ErrBadMagic", err)
 	}
 }
@@ -438,11 +438,11 @@ func TestLegacyFilesDecodeToV2Twins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromBytes, _, err := DecodeOpts(v1, V2Options{})
+		fromBytes, _, err := DecodeOpts(v1, DecodeOptions{})
 		if err != nil {
 			t.Fatalf("%s: DecodeOpts: %v", name, err)
 		}
-		fromFile, _, err := DecodeFrom(bytes.NewReader(v1), int64(len(v1)), V2Options{Jobs: 4})
+		fromFile, _, err := DecodeFrom(bytes.NewReader(v1), int64(len(v1)), DecodeOptions{Jobs: 4})
 		if err != nil {
 			t.Fatalf("%s: DecodeFrom: %v", name, err)
 		}

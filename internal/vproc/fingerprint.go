@@ -24,16 +24,13 @@
 //   - per instance: the racing operations' offsets within their
 //     regions, their recorded PCs, the racing address, and the heap
 //     event prefix both regions replay against (poisoning and
-//     allocation lookups run at the pair's minimum heap epoch),
-//   - the oracle configuration (see below).
+//     allocation lookups run at the pair's minimum heap epoch).
 //
-// When Options.Oracle is set, replay outcomes additionally depend on
-// the whole execution's versioned memory at the pair's minimum region
-// schedule position, so oracle-mode fingerprints include that position
-// and a caller-supplied salt (the classifier uses a per-Run value):
-// sharing then only happens within one classification pass, where the
-// oracle is fixed. Oracle-off fingerprints are execution-independent
-// and safe to share across executions of the same program.
+// A fingerprint describes the oracle-free replay (Options.Oracle nil),
+// the only one the classifier runs: it is execution-independent and
+// safe to share across executions of the same program. A replay with
+// the oracle also reads the whole execution's memory history, which no
+// fingerprint encodes.
 package vproc
 
 import (
@@ -48,10 +45,11 @@ import (
 // replay inputs. Equal fingerprints imply equal Analyze results.
 type Fingerprint [32]byte
 
-// Fingerprinter computes instance fingerprints for one execution,
-// caching the per-execution work: the program hash (computed eagerly —
-// every fingerprint needs it), the rolling heap-event prefix hashes,
-// and one digest per region, each filled on first use. A Fingerprinter
+// Fingerprinter computes instance fingerprints of the oracle-free
+// replay for one execution, caching the per-execution work: the program
+// hash (computed eagerly — every fingerprint needs it), the rolling
+// heap-event prefix hashes, and one digest per region, each filled on
+// first use. A Fingerprinter
 // is not safe for concurrent use: classify.Run builds one per execution
 // and fingerprints its instances on one goroutine.
 type Fingerprinter struct {
@@ -175,13 +173,11 @@ func (f *Fingerprinter) regionDigest(r *replay.Region) [32]byte {
 	return d
 }
 
-// Instance fingerprints one race instance under the given options.
-// oracleSalt distinguishes oracle configurations; it is ignored when
-// opts.Oracle is nil (the oracle-free replay is execution-independent).
-// The pair is canonicalized exactly as Analyze canonicalizes it, so
-// the fingerprint is a property of the instance, not of how the caller
+// Instance fingerprints one race instance's oracle-free replay. The
+// pair is canonicalized exactly as Analyze canonicalizes it, so the
+// fingerprint is a property of the instance, not of how the caller
 // ordered the regions.
-func (f *Fingerprinter) Instance(pair RacePair, opts Options, oracleSalt uint64) Fingerprint {
+func (f *Fingerprinter) Instance(pair RacePair) Fingerprint {
 	if pair.RegionB.Global < pair.RegionA.Global {
 		pair.RegionA, pair.RegionB = pair.RegionB, pair.RegionA
 		pair.IdxA, pair.IdxB = pair.IdxB, pair.IdxA
@@ -192,7 +188,7 @@ func (f *Fingerprinter) Instance(pair RacePair, opts Options, oracleSalt uint64)
 		epoch = pair.RegionB.HeapEpoch
 	}
 	le := binary.LittleEndian
-	var arr [192]byte // 4 digests + at most 8 u64 fields; stays on the stack
+	var arr [176]byte // 4 digests + 6 u64 fields; stays on the stack
 	b := append(arr[:0], f.progHash[:]...)
 	da := f.regionDigest(pair.RegionA)
 	b = append(b, da[:]...)
@@ -205,19 +201,8 @@ func (f *Fingerprinter) Instance(pair RacePair, opts Options, oracleSalt uint64)
 	b = le.AppendUint64(b, pair.Addr)
 	hp := f.heapPrefixAt(epoch)
 	b = append(b, hp[:]...)
-	if opts.Oracle != nil {
-		// Oracle answers depend on the whole execution's memory history at
-		// the pair's schedule position; pin both so equal fingerprints
-		// still imply equal results.
-		b = le.AppendUint64(b, 1)
-		b = le.AppendUint64(b, oracleSalt)
-		global := pair.RegionA.Global
-		if pair.RegionB.Global < global {
-			global = pair.RegionB.Global
-		}
-		b = le.AppendUint64(b, uint64(global))
-	} else {
-		b = le.AppendUint64(b, 0)
-	}
+	// A zero word: fingerprints stay equal to those in audits already
+	// written (and testdata/fingerprints.txt).
+	b = le.AppendUint64(b, 0)
 	return Fingerprint(sha256.Sum256(b))
 }

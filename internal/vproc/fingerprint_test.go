@@ -42,7 +42,7 @@ func TestFingerprintDistinguishesLiveInMemory(t *testing.T) {
 		for _, race := range rep.Races {
 			for _, inst := range race.Instances {
 				pair := pairOf(inst)
-				before := NewFingerprinter(exec).Instance(pair, Options{}, 0)
+				before := NewFingerprinter(exec).Instance(pair)
 
 				// Change one live-in memory value the replay can read: on a
 				// fresh replay, before it builds its memory history, change
@@ -62,7 +62,7 @@ func TestFingerprintDistinguishesLiveInMemory(t *testing.T) {
 				mut := pair
 				mut.RegionA = fresh.Regions[pair.RegionA.Global]
 				mut.RegionB = fresh.Regions[pair.RegionB.Global]
-				after := NewFingerprinter(fresh).Instance(mut, Options{}, 0)
+				after := NewFingerprinter(fresh).Instance(mut)
 
 				if before == after {
 					t.Fatalf("seed %d %s: fingerprint unchanged after changing live-in mem[0x%x]",
@@ -120,7 +120,7 @@ func TestFingerprintCanonicalizesPairOrder(t *testing.T) {
 					PCA: pair.PCB, PCB: pair.PCA,
 					Addr: pair.Addr,
 				}
-				if fper.Instance(pair, Options{}, 0) != fper.Instance(swapped, Options{}, 0) {
+				if fper.Instance(pair) != fper.Instance(swapped) {
 					t.Fatalf("seed %d %s: swapped pair fingerprints differ", seed, race.Sites)
 				}
 				checked = true
@@ -150,7 +150,7 @@ func TestEqualFingerprintsEqualResults(t *testing.T) {
 		for _, race := range rep.Races {
 			for _, inst := range race.Instances {
 				pair := pairOf(inst)
-				fp := fper.Instance(pair, Options{}, 0)
+				fp := fper.Instance(pair)
 				res := Analyze(exec, pair, Options{}, nil)
 				if prev, ok := byFp[fp]; ok {
 					collisions++

@@ -110,8 +110,10 @@ type Result struct {
 type Options struct {
 	// Oracle, when set, supplies values for addresses outside the two
 	// regions' live-ins instead of failing the replay — the §4.2.1
-	// "log enough information to continue" extension. The base tool of
-	// the paper runs without it.
+	// "log enough information to continue" extension, run only as
+	// ablation A3. The base tool of the paper, and so the classifier,
+	// runs without it, and a Fingerprint describes that oracle-free
+	// replay.
 	Oracle *replay.VersionedMemory
 }
 

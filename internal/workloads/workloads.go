@@ -893,7 +893,7 @@ func (s Scenario) Program() (*isa.Program, error) {
 
 // Config returns the machine configuration for recording this scenario.
 func (s Scenario) Config() machine.Config {
-	return machine.Config{Seed: s.Seed, MaxThreads: 64, MaxSteps: 4 << 20}
+	return machine.Config{Seed: s.Seed, MaxSteps: 4 << 20}
 }
 
 // BrowseScenario is the larger, loop-heavy workload used for the §5.1
