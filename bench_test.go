@@ -373,11 +373,10 @@ func BenchmarkServiceScenario(b *testing.B) {
 	})
 }
 
-// BenchmarkDecodeSuite measures container decode throughput: the same
+// BenchmarkDecodeSuite measures container decode throughput: a
 // synthetic 8-thread log (240k unpredictable loads) decoded from its v2
-// container at one worker and at eight. mb_per_s is container megabytes
-// per second of decode; raw_bits_per_instr is the container's §5.1
-// footprint.
+// container. mb_per_s is container megabytes per second of decode;
+// raw_bits_per_instr is the container's §5.1 footprint.
 func BenchmarkDecodeSuite(b *testing.B) {
 	prog, _ := browse(b)
 	log := syntheticLog(prog, 8, 30000)
@@ -386,17 +385,14 @@ func BenchmarkDecodeSuite(b *testing.B) {
 	}
 	data := trace.MarshalV2(log)
 	rawBits := trace.Stats(log).RawBitsPerInstr()
-	for _, jobs := range []int{1, 8} {
-		b.Run(fmt.Sprintf("v2/jobs=%d", jobs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := trace.DecodeV2(data, trace.DecodeOptions{Jobs: jobs}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(mbPerS(len(data), float64(b.Elapsed().Nanoseconds())/float64(b.N)), "mb_per_s")
-			b.ReportMetric(rawBits, "raw_bits_per_instr")
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := trace.Decode(data, trace.DecodeOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(mbPerS(len(data), float64(b.Elapsed().Nanoseconds())/float64(b.N)), "mb_per_s")
+	b.ReportMetric(rawBits, "raw_bits_per_instr")
 }
 
 // syntheticLog builds a deterministic, Validate-clean log sized for the

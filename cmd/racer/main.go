@@ -836,18 +836,13 @@ func cmdAnalyzeDir(args []string) error {
 	// Corrupt or unreadable logs quarantine instead of aborting the
 	// batch: the analysis completes over the healthy files and the
 	// report lists every excluded one with its typed error (exit 2).
-	// File decodes fan across the worker pool (a lone file fans its v2
-	// thread segments across the same budget instead); the bookkeeping —
-	// labels, groups, salvage warnings — runs serially in directory
-	// order, so the output and the audit trail stay byte-identical at
-	// every -jobs count. Salvage mode means a v2 container with some
-	// corrupt thread segments still contributes its healthy threads
-	// instead of quarantining the whole file.
+	// File decodes fan across the worker pool; the bookkeeping — labels,
+	// groups, salvage warnings — runs serially in directory order, so
+	// the output and the audit trail stay byte-identical at every -jobs
+	// count. Salvage mode means a v2 container with some corrupt thread
+	// segments still contributes its healthy threads instead of
+	// quarantining the whole file.
 	decodeSp := reg.StartSpan("decode")
-	segJobs := 1
-	if len(entries) == 1 {
-		segJobs = *jobs
-	}
 	items := make([]workloads.Item, len(entries))
 	faults := make([][]racereplay.ThreadFault, len(entries))
 	sched.ForEachFork(reg, *jobs, len(entries), func(i int, reg *racereplay.Metrics) {
@@ -856,7 +851,7 @@ func cmdAnalyzeDir(args []string) error {
 		if err == nil {
 			// DecodeLogOpts validates the log it returns.
 			it.Log, faults[i], err = racereplay.DecodeLogOpts(data, racereplay.DecodeOptions{
-				Jobs: segJobs, Salvage: true, Metrics: reg,
+				Salvage: true, Metrics: reg,
 			})
 		}
 		it.Err = err

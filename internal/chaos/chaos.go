@@ -158,7 +158,7 @@ func corruptV2(data []byte, kind Kind, rng *rand.Rand) []byte {
 		// decoder must answer with header, index, or segment errors.
 		return corruptBytes(data, kind, rng)
 	case KindDupSequencer, KindDropSequencer:
-		log, err := trace.Decode(data)
+		log, _, err := trace.Decode(data, trace.DecodeOptions{})
 		if err != nil || len(log.Threads) == 0 {
 			return corruptBytes(data, KindBitFlip, rng)
 		}
@@ -303,11 +303,8 @@ func KnownBad(container []byte, seed int64) map[Kind][]byte {
 // decodeFails reports whether the file decode path — thread salvage
 // included, as analyze-dir and serve run it — rejects data.
 func decodeFails(data []byte) bool {
-	log, _, err := trace.DecodeOpts(data, trace.DecodeOptions{Salvage: true})
-	if err != nil {
-		return true
-	}
-	return log.Validate() != nil
+	_, _, err := trace.Decode(data, trace.DecodeOptions{Salvage: true})
+	return err != nil
 }
 
 func clone(b []byte) []byte {

@@ -183,7 +183,7 @@ func TestStructuredCorruptionsBreakInvariants(t *testing.T) {
 		failed := 0
 		for trial := 0; trial < 16; trial++ {
 			mut := in.CorruptFileKind(container, kind, trial)
-			if _, err := trace.Decode(mut); err != nil {
+			if _, _, err := trace.Decode(mut, trace.DecodeOptions{}); err != nil {
 				var ve *trace.ValidateError
 				if !errors.As(err, &ve) {
 					t.Errorf("%v trial %d: err = %v, want a *ValidateError", kind, trial, err)
@@ -249,10 +249,10 @@ func TestTornSegmentSalvageable(t *testing.T) {
 	for i := last[0]; i < last[1]; i++ {
 		data[i] ^= 0xa5
 	}
-	if _, _, err := trace.DecodeV2(data, trace.DecodeOptions{}); err == nil {
+	if _, _, err := trace.Decode(data, trace.DecodeOptions{}); err == nil {
 		t.Fatal("strict decode accepted a torn segment")
 	}
-	log, faults, err := trace.DecodeOpts(data, trace.DecodeOptions{Salvage: true})
+	log, faults, err := trace.Decode(data, trace.DecodeOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("salvage decode failed: %v", err)
 	}

@@ -156,12 +156,9 @@ func decodeTrial(data []byte) (t Trial) {
 				t.PanicValue = fmt.Sprintf("%v\n%s", r, debug.Stack())
 			}
 		}()
-		log, faults, err := trace.DecodeOpts(data, trace.DecodeOptions{Salvage: true})
-		if err == nil {
-			t.Salvaged = len(faults)
-			err = log.Validate()
-		}
-		t.Err = err
+		var faults []trace.ThreadFault
+		_, faults, t.Err = trace.Decode(data, trace.DecodeOptions{Salvage: true})
+		t.Salvaged = len(faults)
 	}()
 	runtime.ReadMemStats(&after)
 	t.AllocBytes = after.TotalAlloc - before.TotalAlloc

@@ -11,6 +11,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 
@@ -64,28 +65,47 @@ func LogDigest(log *trace.Log) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// DecodeOptions tunes DecodeLogOpts and DecodeLogFrom: worker fan-out,
-// thread salvage and metrics (see trace.DecodeOptions). The zero value
-// is the strict serial decode.
+// DecodeOptions tunes DecodeLogOpts and DecodeLogFrom: thread salvage
+// and metrics (see trace.DecodeOptions). The zero value is the strict
+// decode.
 type DecodeOptions = trace.DecodeOptions
 
-// DecodeLogOpts decodes one serialized log container — the exact decode
-// path analyze-dir applies to a .rlog file, shared with the `racer serve`
-// upload handler and the chaos HTTP sweep. v2 containers and legacy v1
-// logs are both accepted, told apart by their magic bytes, and failures
-// are the trace package's typed errors, so rejections stay within the
-// robustness contract. The fault list is non-empty only for a salvaged
-// v2 log.
+// DecodeLogOpts decodes one serialized log container with trace.Decode:
+// v2 containers and legacy v1 logs are both accepted, told apart by
+// their magic bytes, and failures are the trace package's typed errors.
+// The fault list is non-empty only for a salvaged v2 log.
 func DecodeLogOpts(data []byte, o DecodeOptions) (*trace.Log, []trace.ThreadFault, error) {
-	return trace.DecodeOpts(data, o)
+	return trace.Decode(data, o)
 }
 
-// DecodeLogFrom decodes a serialized log straight from an io.ReaderAt —
-// the spooled-upload path: a v2 container is read header, index, then
-// segment by segment, so the full container is never resident; a legacy
-// v1 log falls back to a whole-buffer read.
+// logMagicLen is the length of the magic every log opens with.
+const logMagicLen = 5
+
+// DecodeLogFrom decodes a serialized log of size bytes from r, as
+// DecodeLogOpts decodes the same bytes. A body whose first five bytes
+// are no log magic is rejected after reading only those, and a size past
+// trace.MaxRawLogBytes before anything of that size is allocated; any
+// other body is read once, whole, and decoded.
 func DecodeLogFrom(r io.ReaderAt, size int64, o DecodeOptions) (*trace.Log, []trace.ThreadFault, error) {
-	return trace.DecodeFrom(r, size, o)
+	src := io.NewSectionReader(r, 0, size)
+	head := make([]byte, min(max(size, 0), logMagicLen))
+	if _, err := io.ReadFull(src, head); err != nil {
+		return nil, nil, &trace.DecodeError{Section: "magic", Err: fmt.Errorf("read: %w", err)}
+	}
+	// trace.Decode rejects a body with no log magic from its first five
+	// bytes alone, so decoding just those tells junk apart unread.
+	if _, _, err := trace.Decode(head, DecodeOptions{}); errors.Is(err, trace.ErrBadMagic) {
+		return nil, nil, err
+	}
+	if size > trace.MaxRawLogBytes {
+		return nil, nil, &trace.DecodeError{Section: "container", Err: trace.ErrTooLarge}
+	}
+	data := make([]byte, size)
+	copy(data, head)
+	if _, err := io.ReadFull(src, data[len(head):]); err != nil {
+		return nil, nil, &trace.DecodeError{Offset: len(head), Section: "container", Err: fmt.Errorf("read: %w", err)}
+	}
+	return trace.Decode(data, o)
 }
 
 // AnalyzeLog runs the offline half over an existing log: replay,

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"compress/flate"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -90,7 +94,7 @@ func TestAnalyzeLogMatchesAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round-trip the log through serialization before the offline half.
-	log2, err := trace.Decode(trace.MarshalV2(log))
+	log2, _, err := trace.Decode(trace.MarshalV2(log), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +273,7 @@ func TestAnalyzeLogsIsolatesPanics(t *testing.T) {
 
 // TestDecodeLogBothFormats: DecodeLogOpts and DecodeLogFrom read a v2
 // container and a checked-in legacy v1 recording of the same execution
-// to the same log, the one the v2 twin encodes byte for byte. The raw
-// (uncompressed) v1 layout goes through trace.DecodeOpts and
-// trace.DecodeFrom, which these two forward to, in trace's
-// TestDecodeFromFile.
+// to the same log, the one the v2 twin encodes byte for byte.
 func TestDecodeLogBothFormats(t *testing.T) {
 	legacy := filepath.Join("..", "..", "testdata", "legacy")
 	want, err := os.ReadFile(filepath.Join(legacy, "v2", "exec11-0.rlog"))
@@ -292,7 +293,7 @@ func TestDecodeLogBothFormats(t *testing.T) {
 			t.Errorf("%s: DecodeLogOpts round-trip diverged", name)
 		}
 		got2, faults, err := DecodeLogFrom(bytes.NewReader(data), int64(len(data)),
-			DecodeOptions{Jobs: 2, Salvage: true, Metrics: obs.NewRegistry()})
+			DecodeOptions{Salvage: true, Metrics: obs.NewRegistry()})
 		if err != nil {
 			t.Fatalf("%s: DecodeLogFrom: %v", name, err)
 		}
@@ -305,6 +306,144 @@ func TestDecodeLogBothFormats(t *testing.T) {
 	}
 	if _, _, err := DecodeLogOpts([]byte("not a log at all"), DecodeOptions{}); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// probeReader serves data through io.ReaderAt, reading as zeros past
+// its end up to a claimed size, and counts the bytes it was asked for.
+type probeReader struct {
+	data []byte
+	read int
+}
+
+func (p *probeReader) ReadAt(b []byte, off int64) (int, error) {
+	p.read += len(b)
+	clear(b)
+	if off < int64(len(p.data)) {
+		copy(b, p.data[off:])
+	}
+	return len(b), nil
+}
+
+// TestDecodeLogFromMatchesBytes: DecodeLogFrom over a file returns what
+// DecodeLogOpts returns for the file's bytes — the same log, the same
+// fault list and the same error string (serve's quarantine JSON carries
+// it) — over compressed and raw v1, v2, the checked-in legacy twins, a
+// v2 container with one corrupt thread segment, one with a flag bit set,
+// and every file of the corrupt corpus, strict and salvaging. It reads
+// only the magic of junk, and refuses a size past trace.MaxRawLogBytes
+// before allocating it.
+func TestDecodeLogFromMatchesBytes(t *testing.T) {
+	root := filepath.Join("..", "..", "testdata")
+	inputs := map[string][]byte{}
+	read := func(name, path string) []byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[name] = data
+		return data
+	}
+	for _, name := range []string{"exec01-0.rlog", "exec11-0.rlog"} {
+		v1 := read("legacy-v1-"+name, filepath.Join(root, "legacy", "v1", name))
+		read("legacy-v2-"+name, filepath.Join(root, "legacy", "v2", name))
+		raw, err := io.ReadAll(flate.NewReader(bytes.NewReader(v1[len("RRLZ1"):])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs["raw-v1-"+name] = raw
+	}
+	corpus, err := filepath.Glob(filepath.Join(root, "corrupt", "*.rlog"))
+	if err != nil || len(corpus) == 0 {
+		t.Fatalf("corrupt corpus: %v (%d files)", err, len(corpus))
+	}
+	for _, path := range corpus {
+		read("corrupt-"+filepath.Base(path), path)
+	}
+	prog, err := asm.Assemble("core", racySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := record.Run(prog, machine.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 := trace.MarshalV2(log)
+	inputs["v2"] = v2
+	torn := bytes.Clone(v2)
+	spans, ok := trace.V2SegmentSpans(torn)
+	if !ok || len(spans) < 3 {
+		t.Fatalf("recorded container has %d segments, want a meta and two threads", len(spans))
+	}
+	torn[(spans[1][0]+spans[1][1])/2] ^= 0x55
+	inputs["v2-torn-thread"] = torn
+	flagged := bytes.Clone(v2)
+	flagged[6] = 0x01
+	inputs["v2-flagged"] = flagged
+
+	dir := t.TempDir()
+	describe := func(log *trace.Log, faults []trace.ThreadFault, err error) string {
+		var b strings.Builder
+		if log != nil {
+			fmt.Fprintf(&b, "log %x\n", trace.MarshalV2(log))
+		}
+		for _, f := range faults {
+			fmt.Fprintf(&b, "fault %v\n", f)
+		}
+		if err != nil {
+			fmt.Fprintf(&b, "err %v\n", err)
+		}
+		return b.String()
+	}
+	salvaged := 0
+	for name, data := range inputs {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, salvage := range []bool{false, true} {
+			opts := DecodeOptions{Salvage: salvage}
+			want := describe(DecodeLogOpts(data, opts))
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := describe(DecodeLogFrom(f, int64(len(data)), opts))
+			f.Close()
+			if got != want {
+				t.Errorf("%s salvage=%v: DecodeLogFrom\n%s\nDecodeLogOpts\n%s", name, salvage, got, want)
+			}
+			if salvage && strings.Contains(want, "fault ") && strings.HasPrefix(want, "log ") {
+				salvaged++
+			}
+		}
+	}
+	if salvaged == 0 {
+		t.Error("no input was salvaged, so no fault list was compared")
+	}
+
+	junk := &probeReader{data: bytes.Repeat([]byte{0xab}, 4096)}
+	if _, _, err := DecodeLogFrom(junk, 4096, DecodeOptions{}); !errors.Is(err, trace.ErrBadMagic) {
+		t.Errorf("junk: err = %v, want ErrBadMagic", err)
+	}
+	if junk.read > len("RRSG2") {
+		t.Errorf("junk: read %d bytes, want only the magic", junk.read)
+	}
+
+	huge := &probeReader{data: v2[:len("RRSG2")]}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, _, err = DecodeLogFrom(huge, trace.MaxRawLogBytes+1, DecodeOptions{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, trace.ErrTooLarge) {
+		t.Errorf("oversized: err = %v, want ErrTooLarge", err)
+	}
+	if huge.read > len("RRSG2") {
+		t.Errorf("oversized: read %d bytes, want only the magic", huge.read)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("oversized: allocated %d bytes before rejecting", alloc)
 	}
 }
 

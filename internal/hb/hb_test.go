@@ -426,7 +426,7 @@ wloop:
 	if err != nil {
 		t.Fatal(err)
 	}
-	log2, err := trace.Decode(trace.MarshalV2(log))
+	log2, _, err := trace.Decode(trace.MarshalV2(log), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

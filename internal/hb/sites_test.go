@@ -26,7 +26,7 @@ func decodedTwin(t *testing.T, prog *isa.Program, cfg machine.Config) *trace.Log
 	if err != nil {
 		t.Fatalf("%s: %v", prog.Name, err)
 	}
-	twin, err := trace.Decode(trace.MarshalV2(log))
+	twin, _, err := trace.Decode(trace.MarshalV2(log), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatalf("%s: %v", prog.Name, err)
 	}

@@ -66,7 +66,7 @@ func TestSalvagedLogsClaimNoNewRaces(t *testing.T) {
 		for seg := 1; seg < len(spans); seg++ {
 			corrupt := append([]byte(nil), data...)
 			corrupt[(spans[seg][0]+spans[seg][1])/2] ^= 0xff
-			salvaged, faults, err := trace.DecodeV2(corrupt, trace.DecodeOptions{Salvage: true})
+			salvaged, faults, err := trace.Decode(corrupt, trace.DecodeOptions{Salvage: true})
 			if err != nil || len(faults) != 1 {
 				t.Fatalf("%s segment %d: not salvaged (faults %v): %v", s.Name, seg, faults, err)
 			}

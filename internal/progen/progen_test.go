@@ -178,7 +178,7 @@ func TestLogSerializationRoundTripsRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		log2, err := trace.Decode(trace.MarshalV2(log))
+		log2, _, err := trace.Decode(trace.MarshalV2(log), trace.DecodeOptions{})
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}

@@ -271,7 +271,7 @@ main:
   halt
 `
 	log, _ := mustRecord(t, src, machine.Config{Seed: 11})
-	got, err := trace.Decode(trace.MarshalV2(log))
+	got, _, err := trace.Decode(trace.MarshalV2(log), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func FuzzReplay(f *testing.F) {
 		f.Add(trace.MarshalV2(recordScenario(f, sc)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		log, _, err := trace.DecodeOpts(data, trace.DecodeOptions{Salvage: true})
+		log, _, err := trace.Decode(data, trace.DecodeOptions{Salvage: true})
 		if err != nil || log.Validate() != nil {
 			return
 		}

@@ -119,7 +119,7 @@ func TestReplayReproducesRacyMultithread(t *testing.T) {
 
 func TestReplayAfterSerializationRoundTrip(t *testing.T) {
 	log, res := recordSrc(t, racyCounterSrc, machine.Config{Seed: 17})
-	log2, err := trace.Decode(trace.MarshalV2(log))
+	log2, _, err := trace.Decode(trace.MarshalV2(log), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func TestKeyFrameLogsSerializeAndValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Round-trip through serialization preserves frames and replayability.
-	log2, err := trace.Decode(trace.MarshalV2(log))
+	log2, _, err := trace.Decode(trace.MarshalV2(log), trace.DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -337,13 +337,18 @@ func scenarioBase(name string) string {
 
 // reproduceCommand names the racer command that replays a sample's race
 // in both orders: `racer scenario` when the sample's label, less its
-// seed suffix, is a built-in scenario, and otherwise `racer classify`
-// over the log the label names, as racer classify labels its samples.
+// seed suffix, is a built-in scenario, and `racer classify` when the
+// label is a recorded log (every log writer names its files *.rlog).
+// Any other label names an execution analyzed in memory, which has no
+// log to replay until racer record writes one.
 func reproduceCommand(label string, seed int64, sites string) string {
 	if base := scenarioBase(label); builtinScenarios()[base] {
 		return fmt.Sprintf("racer scenario -name %s -seed %d -race '%s'", base, seed, sites)
 	}
-	return fmt.Sprintf("racer classify -race '%s' %s", sites, label)
+	if strings.HasSuffix(label, ".rlog") {
+		return fmt.Sprintf("racer classify -race '%s' %s", sites, label)
+	}
+	return fmt.Sprintf("no recorded log to replay; racer record -seed %d writes one for racer classify -race '%s'", seed, sites)
 }
 
 // builtinScenarios holds the names workloads.FindScenario resolves. It

@@ -5,8 +5,8 @@
 // the fan-out and keeping the aggregation order deterministic. The
 // package has one parallel-for, in two shapes:
 //
-//   - ForEach: a cursor-based parallel-for over an index range (the v2
-//     decoder fans a container's thread segments across it).
+//   - ForEach: a cursor-based parallel-for over an index range, the
+//     loop under ForEachFork.
 //   - ForEachFork: ForEach where every item runs under Guard and
 //     publishes through its own registry fork. Every batch fans out
 //     through it, at every worker count: record-suite recordings,

@@ -144,11 +144,11 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 
 	// Decode before taking a queue slot: a corrupt log's verdict is
 	// already known (quarantine), so it never competes with real work.
-	// Decoding straight from the spool keeps a v2 container's residency
-	// at one segment, not the whole file; salvage mode matches
-	// analyze-dir, so a v2 upload with some corrupt thread segments still
-	// analyzes its healthy threads. sched.Guard turns a decoder panic
-	// into the same typed-error path.
+	// Decoding from the spool reads only the magic of a body that is no
+	// log, so junk is never held whole; salvage mode matches analyze-dir,
+	// so a v2 upload with some corrupt thread segments still analyzes its
+	// healthy threads. sched.Guard turns a decoder panic into the same
+	// typed-error path.
 	var log *trace.Log
 	var faults []trace.ThreadFault
 	derr := sched.Guard(s.reg, func() error {

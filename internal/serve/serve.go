@@ -39,7 +39,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -326,27 +325,22 @@ func (s *Server) restore(recs []record) {
 // restorePending reloads an accepted-but-unverdicted job's payload and
 // stages it for analysis; any failure — missing payload, digest
 // mismatch, decode error — quarantines the job (journaled immediately,
-// so the failure is not rediscovered on every restart). Like ingest,
-// the payload is hashed and decoded by streaming, never read whole.
+// so the failure is not rediscovered on every restart). The payload is
+// read once; the digest and the decode see the same bytes.
 func (s *Server) restorePending(j *job) {
 	var log *trace.Log
-	var size int64
-	f, err := os.Open(s.payloadPath(j.id))
-	if err == nil {
-		defer f.Close()
-		hash := sha256.New()
-		size, err = io.Copy(hash, f)
-		if err == nil && j.sha != "" {
-			if sum := hex.EncodeToString(hash.Sum(nil)); sum != j.sha {
-				err = fmt.Errorf("serve: stored payload digest mismatch (journal %s, disk %s)", j.sha, sum)
-			}
+	data, err := os.ReadFile(s.payloadPath(j.id))
+	if err == nil && j.sha != "" {
+		sum := sha256.Sum256(data)
+		if hexSum := hex.EncodeToString(sum[:]); hexSum != j.sha {
+			err = fmt.Errorf("serve: stored payload digest mismatch (journal %s, disk %s)", j.sha, hexSum)
 		}
 	}
 	if err == nil {
-		gerr := sched.Guard(s.reg, func() error {
+		err = sched.Guard(s.reg, func() error {
 			var faults []trace.ThreadFault
 			var derr error
-			log, faults, derr = core.DecodeLogFrom(f, size, core.DecodeOptions{
+			log, faults, derr = trace.Decode(data, trace.DecodeOptions{
 				Salvage: true, Metrics: s.reg,
 			})
 			for _, tf := range faults {
@@ -355,7 +349,6 @@ func (s *Server) restorePending(j *job) {
 			}
 			return derr
 		})
-		err = gerr
 	}
 	if err != nil {
 		j.status = StatusQuarantined

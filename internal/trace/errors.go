@@ -22,16 +22,16 @@ var (
 	// translate into an unbounded allocation.
 	ErrLengthOverflow = errors.New("length prefix exceeds remaining input")
 	// ErrTooLarge means the log would exceed MaxRawLogBytes: a v2 index
-	// announcing more payload, or a legacy v1 container inflating past
-	// it (a flate bomb, not a log).
+	// announcing more payload, a legacy v1 container inflating past it
+	// (a flate bomb, not a log), or a body longer than it.
 	ErrTooLarge = errors.New("decompressed log exceeds size limit")
 )
 
-// DecodeError is the typed failure of Decode, DecodeOpts, DecodeFrom and
-// Read: the byte offset the decoder had reached, the section of the
-// format it was parsing, and the underlying cause. In a v2 container the
-// offset counts from the container's first byte; in a legacy v1 log,
-// from the end of the "RRLOG" magic.
+// DecodeError is the typed failure of Decode: the byte offset the
+// decoder had reached, the section of the format it was parsing, and the
+// underlying cause. In a v2 container the offset counts from the
+// container's first byte; in a legacy v1 log, from the end of the
+// "RRLOG" magic.
 type DecodeError struct {
 	Offset  int    // bytes consumed when the failure was detected
 	Section string // format section being decoded ("header", "program", "thread 2 loads", ...)

@@ -64,18 +64,18 @@ func FuzzDecodeV2(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, err := DecodeV2(data, DecodeOptions{}); err != nil {
+		if _, _, err := Decode(data, DecodeOptions{}); err != nil {
 			typed("strict", err)
 		}
-		log, _, err := DecodeOpts(data, DecodeOptions{Salvage: true})
+		log, _, err := Decode(data, DecodeOptions{Salvage: true})
 		if err != nil {
 			typed("salvage", err)
 			return
 		}
 		if err := log.Validate(); err != nil {
-			return // salvage may keep a log Validate rejects; callers gate on it
+			t.Fatalf("salvage decode returned a log that fails Validate: %v", err)
 		}
-		again, faults, err := DecodeOpts(MarshalV2(log), DecodeOptions{})
+		again, faults, err := Decode(MarshalV2(log), DecodeOptions{})
 		if err != nil || len(faults) != 0 {
 			t.Fatalf("re-encode round trip failed: faults=%v err=%v", faults, err)
 		}

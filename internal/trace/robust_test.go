@@ -142,7 +142,7 @@ func TestCorruptCorpusRejected(t *testing.T) {
 					t.Errorf("%s: decode panicked: %v", name, r)
 				}
 			}()
-			log, _, err := DecodeOpts(data, DecodeOptions{Salvage: true})
+			log, _, err := Decode(data, DecodeOptions{Salvage: true})
 			if err == nil {
 				err = log.Validate()
 			}

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -88,7 +87,7 @@ func TestFaultRecordRoundTrip(t *testing.T) {
 	log.Threads[0].EndReason = EndFaulted
 	log.Threads[0].Fault = &FaultRec{Kind: 2, PC: 7, Addr: 0x99}
 	for name, data := range bothFormats(log) {
-		got, err := Decode(data)
+		got, _, err := Decode(data, DecodeOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -100,9 +99,9 @@ func TestFaultRecordRoundTrip(t *testing.T) {
 }
 
 // TestCompressedContainerRoundTrip: a legacy v1 container reads back
-// through Read.
+// through Decode.
 func TestCompressedContainerRoundTrip(t *testing.T) {
-	got, err := Read(bytes.NewReader(compressV1(marshalV1(sampleLog()))))
+	got, _, err := Decode(compressV1(marshalV1(sampleLog())), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +296,7 @@ func TestKeyFrameRoundTrip(t *testing.T) {
 	}
 	log.Threads[0].KeyFrames[0].Regs[3] = 42
 	for name, data := range bothFormats(log) {
-		got, err := Decode(data)
+		got, _, err := Decode(data, DecodeOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

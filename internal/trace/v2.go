@@ -5,11 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"repro/internal/isa"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // The v2 container is the one log format this package writes. Instead of
@@ -19,9 +17,8 @@ import (
 // segment (program + run metadata) and one segment per thread. Segments
 // are stored uncompressed, so decode is a zero-copy walk over the input
 // buffer, and every segment carries a CRC-32C so corruption is localized
-// to the segment it hit. The index is first, so a reader can plan — fan
-// segments across workers, or stream one thread — after reading only
-// header + index.
+// to the segment it hit. The index is first, so a reader knows every
+// segment's bounds and checksum before it decodes any of them.
 //
 // Container layout (all fixed-width fields little-endian):
 //
@@ -49,7 +46,7 @@ import (
 // encodings v1 lacks: register files are stored sparse (only nonzero
 // registers), and load addresses are signed deltas from the previous load
 // instead of absolute values. Decoding reads varints directly off the
-// input slice; the index is where the parallel decode win comes from.
+// input slice.
 const (
 	fileMagicV2     = "RRSG2"
 	v2Version       = 1
@@ -79,14 +76,9 @@ const (
 	minKFV2   = 4 // idx delta + pc + register count + view count
 )
 
-// DecodeOptions tunes DecodeV2 (and Decode, DecodeOpts and DecodeFrom,
-// which forward to it; the legacy v1 decoder ignores every option). The
-// zero value is the strict serial decode.
+// DecodeOptions tunes Decode's v2 segment decoder (the legacy v1
+// decoder ignores every option). The zero value is the strict decode.
 type DecodeOptions struct {
-	// Jobs is the worker count thread-segment decode fans across
-	// (<= 1 decodes serially). Results are slot-ordered, so the decoded
-	// log is identical at every worker count.
-	Jobs int
 	// Salvage confines a log's corruption to the thread segments it
 	// hits: corrupt segments are dropped and reported as ThreadFaults
 	// while the healthy remainder decodes, provided the header, index,
@@ -668,30 +660,6 @@ func decodeThreadV2(payload []byte, base, seg int, wantTID uint32) (*ThreadLog, 
 	return t, nil
 }
 
-// segSource abstracts where segment bytes come from: a resident buffer
-// (zero-copy subslices) or an io.ReaderAt (per-segment reads, so a
-// spooled container is never fully materialized).
-type segSource interface {
-	slice(off int64, n int) ([]byte, error)
-}
-
-type byteSource []byte
-
-func (b byteSource) slice(off int64, n int) ([]byte, error) {
-	// Bounds were validated against the container size at index parse.
-	return b[off : off+int64(n)], nil
-}
-
-type fileSource struct{ r io.ReaderAt }
-
-func (f fileSource) slice(off int64, n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if _, err := f.r.ReadAt(buf, off); err != nil {
-		return nil, &DecodeError{Offset: int(off), Section: "segment payload", Err: fmt.Errorf("read: %w", err)}
-	}
-	return buf, nil
-}
-
 // v2Index is the parsed header + index of a v2 container.
 type v2Index struct {
 	entries   []segEntry
@@ -702,55 +670,41 @@ func v2Fail(off int, section string, err error) error {
 	return &DecodeError{Offset: off, Section: section, Err: err}
 }
 
-// parseV2Header validates the fixed header of a container of `total`
-// bytes and returns where its segment area starts, so a streaming reader
-// can size the index read before allocating it.
-func parseV2Header(hdr []byte, total int64) (int64, error) {
-	if len(hdr) < len(fileMagicV2) || string(hdr[:len(fileMagicV2)]) != fileMagicV2 {
-		return 0, v2Fail(0, "v2 magic", ErrBadMagic)
+// parseV2Index validates the fixed header and the segment index of a
+// container. It enforces the canonical packed layout — segment 0 is the
+// meta segment, offsets are contiguous in index order, each raw length
+// equals its encoded length, and the last segment ends exactly at the
+// end of the container — so overlapping or out-of-order index entries
+// are rejected outright.
+func parseV2Index(data []byte) (*v2Index, error) {
+	total := uint64(len(data))
+	if len(data) < len(fileMagicV2) || string(data[:len(fileMagicV2)]) != fileMagicV2 {
+		return nil, v2Fail(0, "v2 magic", ErrBadMagic)
 	}
-	if len(hdr) < v2HeaderLen {
-		return 0, v2Fail(len(hdr), "v2 header", ErrTruncated)
+	if len(data) < v2HeaderLen {
+		return nil, v2Fail(len(data), "v2 header", ErrTruncated)
 	}
-	if hdr[5] != v2Version {
-		return 0, v2Fail(5, "v2 header", fmt.Errorf("unsupported version %d", hdr[5]))
+	if data[5] != v2Version {
+		return nil, v2Fail(5, "v2 header", fmt.Errorf("unsupported version %d", data[5]))
 	}
-	if hdr[6] != 0 {
-		return 0, v2Fail(6, "v2 header", fmt.Errorf("unknown flags %#x", hdr[6]))
+	if data[6] != 0 {
+		return nil, v2Fail(6, "v2 header", fmt.Errorf("unknown flags %#x", data[6]))
 	}
-	nSegs := binary.LittleEndian.Uint32(hdr[8:12])
+	nSegs := binary.LittleEndian.Uint32(data[8:12])
 	if nSegs == 0 {
-		return 0, v2Fail(8, "v2 header", fmt.Errorf("container has no segments"))
+		return nil, v2Fail(8, "v2 header", fmt.Errorf("container has no segments"))
 	}
-	areaStart := int64(v2HeaderLen) + int64(nSegs)*v2IndexEntryLen
+	areaStart := uint64(v2HeaderLen) + uint64(nSegs)*v2IndexEntryLen
 	if areaStart > total {
-		return 0, v2Fail(8, "v2 header", fmt.Errorf("%w: %d index entries with %d bytes total",
+		return nil, v2Fail(8, "v2 header", fmt.Errorf("%w: %d index entries with %d bytes total",
 			ErrLengthOverflow, nSegs, total))
 	}
-	return areaStart, nil
-}
-
-// parseV2Index validates the fixed header and the segment index of a
-// container of `total` bytes, of which hdr holds at least the header and
-// index region. It enforces the canonical packed layout — segment 0 is
-// the meta segment, offsets are contiguous in index order, each raw
-// length equals its encoded length, and the last segment ends exactly at
-// the end of the container — so overlapping or out-of-order index
-// entries are rejected outright.
-func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
-	areaStart, err := parseV2Header(hdr, total)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(hdr)) < areaStart {
-		return nil, v2Fail(len(hdr), "v2 index", ErrTruncated)
-	}
-	idxBytes := hdr[v2HeaderLen:areaStart]
-	if crc32.Checksum(idxBytes, crcTable) != binary.LittleEndian.Uint32(hdr[12:16]) {
+	idxBytes := data[v2HeaderLen:areaStart]
+	if crc32.Checksum(idxBytes, crcTable) != binary.LittleEndian.Uint32(data[12:16]) {
 		return nil, v2Fail(12, "v2 index", errChecksum)
 	}
 
-	entries := make([]segEntry, len(idxBytes)/v2IndexEntryLen)
+	entries := make([]segEntry, nSegs)
 	running := uint64(0)
 	for i := range entries {
 		b := idxBytes[i*v2IndexEntryLen:]
@@ -782,7 +736,7 @@ func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
 		// Checked before accumulating so a huge encLen cannot wrap running
 		// past the `> total` guard; running <= total holds on entry, so the
 		// subtraction is safe.
-		if e.encLen > uint64(total)-running {
+		if e.encLen > total-running {
 			return nil, v2Fail(entryOff, "v2 index", ErrTruncated)
 		}
 		running += e.encLen
@@ -791,50 +745,27 @@ func parseV2Index(hdr []byte, total int64) (*v2Index, error) {
 		}
 		entries[i] = e
 	}
-	if int64(running)+areaStart != total {
+	if running+areaStart != total {
 		return nil, v2Fail(int(areaStart), "v2 index",
 			fmt.Errorf("segments cover %d bytes, container has %d after index", running, total-areaStart))
 	}
 	return &v2Index{entries: entries, areaStart: int(areaStart)}, nil
 }
 
-// DecodeV2 parses a v2 container. Thread segments fan across
-// opts.Jobs workers (internal/sched); the decoded log is identical at
-// every worker count. In strict mode any segment fault fails the whole
-// log with a typed error; with opts.Salvage the fault is confined to
-// its thread where structurally safe (see DecodeOptions).
-func DecodeV2(data []byte, opts DecodeOptions) (*Log, []ThreadFault, error) {
-	idx, err := parseV2Index(data, int64(len(data)))
-	if err != nil {
-		opts.Metrics.Counter("decode.v2.rejected").Inc()
-		return nil, nil, err
-	}
-	return decodeV2Segments(byteSource(data), idx, opts)
-}
-
-// segmentPayload fetches and checksums one segment's payload. The
-// returned base is the payload's container offset, for error reporting.
-func segmentPayload(src segSource, idx *v2Index, i int, reg *obs.Registry) ([]byte, int, error) {
-	e := idx.entries[i]
-	off := int64(idx.areaStart) + int64(e.off)
-	payload, err := src.slice(off, int(e.encLen))
-	if err != nil {
-		return nil, 0, err
-	}
-	if crc32.Checksum(payload, crcTable) != e.crc {
-		reg.Counter("decode.v2.crc_errors").Inc()
-		return nil, 0, &DecodeError{Offset: int(off), Section: fmt.Sprintf("segment %d", i), Err: errChecksum}
-	}
-	return payload, int(off), nil
-}
-
-func decodeV2Segments(src segSource, idx *v2Index, opts DecodeOptions) (*Log, []ThreadFault, error) {
+// decodeV2 parses a v2 container. In strict mode any segment fault
+// fails the whole log with a typed error; with opts.Salvage the fault is
+// confined to its thread where structurally safe (see DecodeOptions).
+func decodeV2(data []byte, opts DecodeOptions) (*Log, []ThreadFault, error) {
 	reg := opts.Metrics
 	reject := func(err error) (*Log, []ThreadFault, error) {
 		reg.Counter("decode.v2.rejected").Inc()
 		return nil, nil, err
 	}
-	meta, metaBase, err := segmentPayload(src, idx, 0, reg)
+	idx, err := parseV2Index(data)
+	if err != nil {
+		return reject(err)
+	}
+	meta, metaBase, err := segmentPayload(data, idx, 0, reg)
 	if err != nil {
 		return reject(err)
 	}
@@ -848,46 +779,32 @@ func decodeV2Segments(src segSource, idx *v2Index, opts DecodeOptions) (*Log, []
 			Err: fmt.Errorf("meta announces %d threads, index has %d thread segments", nThreads, n)})
 	}
 
-	threads := make([]*ThreadLog, n)
-	errs := make([]error, n)
-	jobs := sched.Normalize(opts.Jobs, 1)
-	if jobs > 1 && n > 1 {
-		reg.Counter("decode.v2.parallel").Inc()
-	}
-	sched.ForEach(jobs, n, func(i int) {
-		payload, base, err := segmentPayload(src, idx, i+1, reg)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		threads[i], errs[i] = decodeThreadV2(payload, base, i+1, idx.entries[i+1].tid)
-	})
-
 	var faults []ThreadFault
-	for i, err := range errs {
+	log.Threads = make([]*ThreadLog, 0, n)
+	for i := 1; i <= n; i++ {
+		tid := idx.entries[i].tid
+		payload, base, err := segmentPayload(data, idx, i, reg)
+		var t *ThreadLog
 		if err == nil {
+			t, err = decodeThreadV2(payload, base, i, tid)
+		}
+		if err != nil {
+			if !opts.Salvage {
+				return reject(err)
+			}
+			faults = append(faults, ThreadFault{Segment: i, TID: int(tid), Err: err})
 			continue
 		}
-		if !opts.Salvage {
-			return reject(err)
-		}
-		faults = append(faults, ThreadFault{Segment: i + 1, TID: int(idx.entries[i+1].tid), Err: err})
+		log.Threads = append(log.Threads, t)
 	}
 	if len(faults) == n && n > 0 {
 		// Nothing survived: the corruption is not confined, fail the log.
 		return reject(faults[0].Err)
 	}
-	log.Threads = make([]*ThreadLog, 0, n-len(faults))
-	for _, t := range threads {
-		if t != nil {
-			log.Threads = append(log.Threads, t)
-		}
-	}
 	if err := log.Validate(); err != nil {
 		// A surviving thread breaks a replay invariant: the damage was
 		// not confined to the dropped segments, so the log is condemned.
-		reg.Counter("decode.v2.rejected").Inc()
-		return nil, nil, err
+		return reject(err)
 	}
 	reg.Counter("decode.v2.logs").Inc()
 	reg.Counter("decode.v2.segments").Add(uint64(len(idx.entries)))
@@ -898,13 +815,26 @@ func decodeV2Segments(src segSource, idx *v2Index, opts DecodeOptions) (*Log, []
 	return log, faults, nil
 }
 
+// segmentPayload checksums one segment's payload and returns it as a
+// subslice of data, with its container offset for error reporting.
+func segmentPayload(data []byte, idx *v2Index, i int, reg *obs.Registry) ([]byte, int, error) {
+	e := idx.entries[i]
+	off := idx.areaStart + int(e.off)
+	payload := data[off : off+int(e.encLen)]
+	if crc32.Checksum(payload, crcTable) != e.crc {
+		reg.Counter("decode.v2.crc_errors").Inc()
+		return nil, 0, &DecodeError{Offset: off, Section: fmt.Sprintf("segment %d", i), Err: errChecksum}
+	}
+	return payload, off, nil
+}
+
 // V2SegmentSpans reports the absolute [start, end) byte range of every
 // segment payload in a structurally valid v2 container (segment 0 is
 // the meta segment). ok is false when data does not parse as v2.
 // Fault-injection support (internal/chaos): layout knowledge stays in
 // this package instead of leaking format constants to the injector.
 func V2SegmentSpans(data []byte) (spans [][2]int, ok bool) {
-	idx, err := parseV2Index(data, int64(len(data)))
+	idx, err := parseV2Index(data)
 	if err != nil {
 		return nil, false
 	}
@@ -923,7 +853,7 @@ func V2SegmentSpans(data []byte) (spans [][2]int, ok bool) {
 // container or seg is out of range. Fault-injection support: production
 // code never rewrites containers.
 func RewriteV2Segment(data []byte, seg int, mutate func(payload []byte)) bool {
-	idx, err := parseV2Index(data, int64(len(data)))
+	idx, err := parseV2Index(data)
 	if err != nil || seg < 0 || seg >= len(idx.entries) {
 		return false
 	}

@@ -71,7 +71,7 @@ func logsEqual(a, b *Log) bool { return bytes.Equal(marshalV1(a), marshalV1(b)) 
 
 func TestV2RoundTrip(t *testing.T) {
 	log := richLog()
-	got, faults, err := DecodeV2(MarshalV2(log), DecodeOptions{})
+	got, faults, err := Decode(MarshalV2(log), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,30 +85,12 @@ func TestV2RoundTrip(t *testing.T) {
 
 func TestV2SampleLogRoundTrip(t *testing.T) {
 	log := sampleLog()
-	got, err := Decode(MarshalV2(log))
+	got, _, err := Decode(MarshalV2(log), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !logsEqual(got, log) {
 		t.Error("decoded log differs from original")
-	}
-}
-
-func TestV2ParallelDecodeIdentical(t *testing.T) {
-	log := richLog()
-	data := MarshalV2(log)
-	serial, _, err := DecodeV2(data, DecodeOptions{Jobs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, jobs := range []int{2, 8} {
-		par, _, err := DecodeV2(data, DecodeOptions{Jobs: jobs})
-		if err != nil {
-			t.Fatalf("jobs=%d: %v", jobs, err)
-		}
-		if !logsEqual(serial, par) {
-			t.Errorf("jobs=%d: parallel decode differs from serial", jobs)
-		}
 	}
 }
 
@@ -120,7 +102,7 @@ func TestDecodeSniffsFormats(t *testing.T) {
 		"v2":           MarshalV2(log),
 	}
 	for name, data := range cases {
-		got, err := Decode(data)
+		got, _, err := Decode(data, DecodeOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -128,16 +110,16 @@ func TestDecodeSniffsFormats(t *testing.T) {
 			t.Errorf("%s: decoded log differs", name)
 		}
 	}
-	if _, err := Decode([]byte("NOTAMAGIC-AT-ALL")); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := Decode([]byte("NOTAMAGIC-AT-ALL"), DecodeOptions{}); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("garbage: got %v, want ErrBadMagic", err)
 	}
-	if _, err := Decode(nil); !errors.Is(err, ErrBadMagic) {
+	if _, _, err := Decode(nil, DecodeOptions{}); !errors.Is(err, ErrBadMagic) {
 		t.Errorf("empty: got %v, want ErrBadMagic", err)
 	}
 }
 
 // TestWriteReadRoundTrip: Write emits exactly MarshalV2's bytes, and
-// Read decodes them back to the log.
+// Decode reads them back to the log.
 func TestWriteReadRoundTrip(t *testing.T) {
 	log := richLog()
 	var buf bytes.Buffer
@@ -147,7 +129,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), MarshalV2(log)) {
 		t.Fatal("Write did not emit the MarshalV2 container")
 	}
-	got, err := Read(&buf)
+	got, _, err := Decode(buf.Bytes(), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,20 +140,15 @@ func TestWriteReadRoundTrip(t *testing.T) {
 
 // TestV2FlagsRejected: the flags byte is 0 in every container this
 // package writes; a set bit — including bit 0, which once announced
-// deflated segments — is rejected with a typed error on both decode
-// paths.
+// deflated segments — is rejected with a typed error.
 func TestV2FlagsRejected(t *testing.T) {
 	for _, flags := range []byte{0x01, 0x80} {
 		data := MarshalV2(sampleLog())
 		data[6] = flags
-		_, _, err := DecodeV2(data, DecodeOptions{})
+		_, _, err := Decode(data, DecodeOptions{})
 		var de *DecodeError
 		if !errors.As(err, &de) || de.Section != "v2 header" {
-			t.Errorf("flags %#x: DecodeV2 err = %v, want a v2 header *DecodeError", flags, err)
-		}
-		_, _, err = DecodeFrom(bytes.NewReader(data), int64(len(data)), DecodeOptions{})
-		if !errors.As(err, &de) || de.Section != "v2 header" {
-			t.Errorf("flags %#x: DecodeFrom err = %v, want a v2 header *DecodeError", flags, err)
+			t.Errorf("flags %#x: Decode err = %v, want a v2 header *DecodeError", flags, err)
 		}
 	}
 }
@@ -182,7 +159,7 @@ func TestV2FlagsRejected(t *testing.T) {
 func TestV2AuxRoundTrip(t *testing.T) {
 	log := sampleLog()
 	log.Threads[0].Seqs[1] = Sequencer{Idx: 1, TS: 1, Kind: SeqAtomic, Aux: 7}
-	got, err := Decode(MarshalV2(log))
+	got, _, err := Decode(MarshalV2(log), DecodeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +171,7 @@ func TestV2AuxRoundTrip(t *testing.T) {
 func TestV2TruncationsRejectedTyped(t *testing.T) {
 	data := MarshalV2(richLog())
 	for n := 0; n < len(data); n++ {
-		log, err := Decode(data[:n])
+		log, _, err := Decode(data[:n], DecodeOptions{})
 		if err == nil {
 			t.Fatalf("prefix %d/%d decoded (%d threads)", n, len(data), len(log.Threads))
 		}
@@ -211,7 +188,7 @@ func TestV2ByteFlipsRejectedOrValidTyped(t *testing.T) {
 		for _, bit := range []byte{0x01, 0x80} {
 			data := append([]byte(nil), orig...)
 			data[i] ^= bit
-			log, _, err := DecodeV2(data, DecodeOptions{Salvage: true})
+			log, _, err := Decode(data, DecodeOptions{Salvage: true})
 			if err == nil {
 				if verr := log.Validate(); verr != nil {
 					t.Fatalf("flip %d: accepted invalid log: %v", i, verr)
@@ -233,7 +210,7 @@ func TestV2ByteFlipsRejectedOrValidTyped(t *testing.T) {
 func TestV2ThreadQuarantine(t *testing.T) {
 	log := richLog()
 	data := MarshalV2(log)
-	idx, err := parseV2Index(data, int64(len(data)))
+	idx, err := parseV2Index(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,10 +220,10 @@ func TestV2ThreadQuarantine(t *testing.T) {
 	bad := append([]byte(nil), data...)
 	bad[pos] ^= 0x55
 
-	if _, _, err := DecodeV2(bad, DecodeOptions{}); err == nil {
+	if _, _, err := Decode(bad, DecodeOptions{}); err == nil {
 		t.Fatal("strict decode accepted a corrupt segment")
 	}
-	got, faults, err := DecodeV2(bad, DecodeOptions{Salvage: true})
+	got, faults, err := Decode(bad, DecodeOptions{Salvage: true})
 	if err != nil {
 		t.Fatalf("quarantine decode failed: %v", err)
 	}
@@ -260,7 +237,7 @@ func TestV2ThreadQuarantine(t *testing.T) {
 		t.Fatalf("salvaged log has wrong threads: %d", len(got.Threads))
 	}
 	// The surviving threads decode identically to the intact container.
-	want, _ := Decode(data)
+	want, _, _ := Decode(data, DecodeOptions{})
 	want.Threads = want.Threads[:2]
 	if !logsEqual(got, want) {
 		t.Error("surviving threads differ from intact decode")
@@ -274,7 +251,7 @@ func TestV2IndexCorruptionFailsLog(t *testing.T) {
 	for _, pos := range []int{8, 13, v2HeaderLen + 2, v2HeaderLen + v2IndexEntryLen + 16} {
 		bad := append([]byte(nil), data...)
 		bad[pos] ^= 0xff
-		if _, _, err := DecodeV2(bad, DecodeOptions{Salvage: true}); err == nil {
+		if _, _, err := Decode(bad, DecodeOptions{Salvage: true}); err == nil {
 			t.Errorf("index byte %d corrupt: decode accepted", pos)
 		}
 	}
@@ -289,7 +266,7 @@ func TestV2IndexCorruptionFailsLog(t *testing.T) {
 // reject it.
 func encLenOverflowContainer() []byte {
 	data := MarshalV2(richLog())
-	idx, err := parseV2Index(data, int64(len(data)))
+	idx, err := parseV2Index(data)
 	if err != nil {
 		panic(err)
 	}
@@ -317,7 +294,7 @@ func encLenOverflowContainer() []byte {
 func TestV2IndexEncLenOverflow(t *testing.T) {
 	data := encLenOverflowContainer()
 	for _, quarantine := range []bool{false, true} {
-		_, _, err := DecodeV2(data, DecodeOptions{Salvage: quarantine})
+		_, _, err := Decode(data, DecodeOptions{Salvage: quarantine})
 		var de *DecodeError
 		if !errors.As(err, &de) {
 			t.Fatalf("quarantine=%v: err = %v, want *DecodeError", quarantine, err)
@@ -332,13 +309,13 @@ func TestV2IndexEncLenOverflow(t *testing.T) {
 // mode condemns the log instead of returning an empty husk.
 func TestV2AllThreadsCorruptFailsLog(t *testing.T) {
 	data := MarshalV2(sampleLog()) // one thread
-	idx, err := parseV2Index(data, int64(len(data)))
+	idx, err := parseV2Index(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), data...)
 	bad[idx.areaStart+int(idx.entries[1].off)] ^= 0x40
-	if _, _, err := DecodeV2(bad, DecodeOptions{Salvage: true}); err == nil {
+	if _, _, err := Decode(bad, DecodeOptions{Salvage: true}); err == nil {
 		t.Fatal("decode accepted a log with zero surviving threads")
 	}
 }
@@ -352,62 +329,12 @@ func TestV2BoundedAllocation(t *testing.T) {
 		huge := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}
 		bad = append(bad[:pos:pos], append(huge, bad[pos+1:]...)...)
 		alloc := allocDelta(func() {
-			DecodeV2(bad, DecodeOptions{Salvage: true})
+			Decode(bad, DecodeOptions{Salvage: true})
 		})
 		if alloc > budget {
 			t.Errorf("splice at %d: allocated %d bytes for %d input (budget %d)",
 				pos, alloc, len(bad), budget)
 		}
-	}
-}
-
-// TestDecodeFromFile: a compressed v1 log, a raw v1 log and a v2
-// container each decode to the same log in memory (DecodeOpts) and from
-// a file (DecodeFrom).
-func TestDecodeFromFile(t *testing.T) {
-	log := richLog()
-	dir := t.TempDir()
-	cases := map[string][]byte{
-		"v1.rlog":    compressV1(marshalV1(log)),
-		"v1raw.rlog": marshalV1(log),
-		"v2.rlog":    MarshalV2(log),
-	}
-	for name, data := range cases {
-		mem, faults, err := DecodeOpts(data, DecodeOptions{Jobs: 4})
-		if err != nil || len(faults) != 0 {
-			t.Fatalf("%s: DecodeOpts: %v (faults %v)", name, err, faults)
-		}
-		if !logsEqual(mem, log) {
-			t.Errorf("%s: DecodeOpts round trip differs", name)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, _ := f.Stat()
-		got, faults, err := DecodeFrom(f, st.Size(), DecodeOptions{Jobs: 4})
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(faults) != 0 {
-			t.Fatalf("%s: faults %v", name, faults)
-		}
-		if !logsEqual(got, log) {
-			t.Errorf("%s: DecodeFrom differs from in-memory decode", name)
-		}
-	}
-	// Garbage file: typed rejection without reading the body.
-	path := filepath.Join(dir, "junk.rlog")
-	os.WriteFile(path, bytes.Repeat([]byte{0xab}, 4096), 0o644)
-	f, _ := os.Open(path)
-	defer f.Close()
-	if _, _, err := DecodeFrom(f, 4096, DecodeOptions{}); !errors.Is(err, ErrBadMagic) {
-		t.Errorf("junk: got %v, want ErrBadMagic", err)
 	}
 }
 
@@ -424,9 +351,9 @@ func TestV2RawSmallerOnLoadHeavyLogs(t *testing.T) {
 	}
 }
 
-// TestLegacyFilesDecodeToV2Twins: the checked-in v1 recordings, read
-// through both file decode paths, re-encode to their v2 twins byte for
-// byte (the same executions recorded as v2 by the last writer of v1).
+// TestLegacyFilesDecodeToV2Twins: the checked-in v1 recordings
+// re-encode to their v2 twins byte for byte (the same executions
+// recorded as v2 by the last writer of v1).
 func TestLegacyFilesDecodeToV2Twins(t *testing.T) {
 	legacy := filepath.Join("..", "..", "testdata", "legacy")
 	for _, name := range []string{"exec01-0.rlog", "exec11-0.rlog"} {
@@ -438,18 +365,12 @@ func TestLegacyFilesDecodeToV2Twins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromBytes, _, err := DecodeOpts(v1, DecodeOptions{})
+		log, _, err := Decode(v1, DecodeOptions{})
 		if err != nil {
-			t.Fatalf("%s: DecodeOpts: %v", name, err)
+			t.Fatalf("%s: Decode: %v", name, err)
 		}
-		fromFile, _, err := DecodeFrom(bytes.NewReader(v1), int64(len(v1)), DecodeOptions{Jobs: 4})
-		if err != nil {
-			t.Fatalf("%s: DecodeFrom: %v", name, err)
-		}
-		for path, log := range map[string]*Log{"DecodeOpts": fromBytes, "DecodeFrom": fromFile} {
-			if !bytes.Equal(MarshalV2(log), want) {
-				t.Errorf("%s: MarshalV2 of the %s result differs from the v2 twin", name, path)
-			}
+		if !bytes.Equal(MarshalV2(log), want) {
+			t.Errorf("%s: MarshalV2 of the decoded log differs from the v2 twin", name)
 		}
 	}
 }

@@ -227,24 +227,30 @@ func AnalyzeSource(name, src string, seed int64) (*Result, error) {
 // the pipeline writes.
 func WriteLog(w io.Writer, log *Log) error { return trace.Write(w, log) }
 
-// ReadLog parses a log written by WriteLog, or a legacy v1 log; the two
-// are told apart by their magic bytes.
-func ReadLog(r io.Reader) (*Log, error) { return trace.Read(r) }
+// ReadLog reads r to its end and parses the log it holds: one written
+// by WriteLog, or a legacy v1 log, told apart by their magic bytes.
+func ReadLog(r io.Reader) (*Log, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	log, _, err := trace.Decode(data, trace.DecodeOptions{})
+	return log, err
+}
 
 // ThreadFault names one per-thread segment a salvaging v2 decode
 // dropped: the segment index, the thread it carried, and the typed
 // decode error that condemned it.
 type ThreadFault = trace.ThreadFault
 
-// DecodeOptions configures DecodeLogOpts: v2 segment-decode worker
-// count, thread salvage, and the metrics registry decode counters land
-// in.
-type DecodeOptions = core.DecodeOptions
+// DecodeOptions configures DecodeLogOpts: v2 thread salvage, and the
+// metrics registry decode counters land in.
+type DecodeOptions = trace.DecodeOptions
 
-// DecodeLogOpts decodes one serialized log (v2, or legacy v1) with v2
-// worker fan-out and optional thread salvage; see core.DecodeOptions.
+// DecodeLogOpts decodes one serialized log (v2, or legacy v1) with
+// optional v2 thread salvage; see trace.Decode.
 func DecodeLogOpts(data []byte, o DecodeOptions) (*Log, []ThreadFault, error) {
-	return core.DecodeLogOpts(data, o)
+	return trace.Decode(data, o)
 }
 
 // LogStats measures a log's serialized footprint (§5.1 metrics): the

@@ -79,6 +79,33 @@ func TestPublicAnalyzeSourceFindsHarmfulWriteWrite(t *testing.T) {
 	}
 }
 
+// TestReproduceLineForInMemoryExecution: a race from AnalyzeSource was
+// never written to a log, so its report names no command over a file
+// that does not exist; it says how to record one instead.
+func TestReproduceLineForInMemoryExecution(t *testing.T) {
+	res, err := AnalyzeSource("demo", demoSrc, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Classification.Races) == 0 {
+		t.Fatal("demo recorded no race at seed 6")
+	}
+	for _, r := range res.Classification.Races {
+		rep := RaceReport(r)
+		_, line, ok := strings.Cut(rep, "reproduce: ")
+		if !ok {
+			t.Fatalf("no reproduce line:\n%s", rep)
+		}
+		line, _, _ = strings.Cut(line, "\n")
+		if strings.HasPrefix(line, "racer ") {
+			t.Errorf("reproduce line names a command over a log that does not exist: %s", line)
+		}
+		if !strings.Contains(line, "no recorded log") || !strings.Contains(line, "racer record -seed 6") {
+			t.Errorf("reproduce line = %q, want it to say how to record a log", line)
+		}
+	}
+}
+
 func TestPublicLogRoundTrip(t *testing.T) {
 	prog, err := Assemble("demo", demoSrc)
 	if err != nil {
